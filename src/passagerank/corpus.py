@@ -399,8 +399,9 @@ def iter_trectext(
             if docno_m is None:
                 raise CorpusError(f"{fp}: record #{ordinal} has no DOCNO")
             doc_id = docno_m.group(1).strip()
-            if not doc_id:
-                raise CorpusError(f"{fp}: record #{ordinal} has an empty DOCNO")
+            if doc_id.split() != [doc_id]:  # run files split on whitespace
+                raise CorpusError(f"{fp}: record #{ordinal} has an empty DOCNO or "
+                                  f"whitespace inside it: {doc_id!r}")
             parts = []
             for tag_re in tag_res:
                 parts.extend(tag_re.findall(record))

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CorpusIndex, Document, Query
-from .passages import FilterSpec, SmoothingConfig, extract_passages
+from .passages import FilterSpec, SmoothingConfig
 
 HOMOGENEITY_NAMES = ("h_length", "h_ent", "h_intpsg", "h_docpsg")
 QUERY_STAT_NAMES = ("sum", "std", "max_min_ratio", "max", "amean", "gmean", "hmean", "cv")
@@ -66,17 +66,6 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine with the zero-vector conventions: cos(0,0)=1, cos(0,x)=0."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 and nb == 0.0:
-        return 1.0
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return _clamp01(float(np.dot(a, b)) / (na * nb))
-
-
 def homogeneity(
     doc: Document | str, index: CorpusIndex, f: FilterSpec
 ) -> HomogeneityScores:
@@ -86,7 +75,10 @@ def homogeneity(
     tf-idf weights are tf * ln(|D| / D_t). Degenerate cases: a corpus
     where every document has the same length gives h_length = 1; a
     single-token document gives h_ent = 1; fewer than two passages give
-    h_intpsg = 1.
+    h_intpsg = 1; cosines follow cos(0,0)=1, cos(0,x)=0. Span vectors
+    are non-negative, so for the unit vectors u_k of the n non-zero
+    spans and z zero spans the pairwise cosines sum to
+    (||sum_k u_k||^2 - n)/2 + z(z-1)/2: O(n_d * ceil(m/tau)) sparse work.
     """
     if f.is_infinite:
         raise ValueError("homogeneity needs a finite passage filter")
@@ -113,28 +105,32 @@ def homogeneity(
 
     idf = np.log(index.num_docs / index.df[uniq])
     doc_vec = counts * idf
-    spans = extract_passages(n_d, f)
-    span_vecs = np.empty((len(spans), uniq.shape[0]), dtype=np.float64)
-    for k, sp in enumerate(spans):
-        tf = np.bincount(
-            inv[sp.start : sp.start + sp.length], minlength=uniq.shape[0]
-        )
-        span_vecs[k] = tf * idf
+    # position i lies in span k = i//tau - j, j < ceil(m/tau), when k >= 0
+    # and i < k*tau + m; every span ends by n_d, as the positions do
+    pos = np.arange(n_d)
+    span = pos // f.tau - np.arange(-(-f.m // f.tau))[:, np.newaxis]
+    covered = (span >= 0) & (pos < span * f.tau + f.m)
+    keys = span[covered] * len(uniq) + np.broadcast_to(inv, span.shape)[covered]
+    keys, tf = np.unique(keys, return_counts=True)
+    span_of, term_of = np.divmod(keys, len(uniq))
+    w = tf * idf[term_of]
+    n_spans = -(-n_d // f.tau)
+    norm = np.sqrt(np.bincount(span_of, w * w, n_spans))
+    nonzero = norm > 0.0
+    norm[~nonzero] = 1.0
+    z = n_spans - int(nonzero.sum())
 
-    if len(spans) < 2:
+    if n_spans < 2:
         h_intpsg = 1.0
     else:
-        total = 0.0
-        pairs = 0
-        for i in range(len(spans)):
-            for j in range(i + 1, len(spans)):
-                total += _cosine(span_vecs[i], span_vecs[j])
-                pairs += 1
-        h_intpsg = _clamp01(total / pairs)
+        u_sum = np.bincount(term_of, w / norm[span_of], len(uniq))
+        pair_sum = (float(u_sum @ u_sum) - (n_spans - z)) / 2 + z * (z - 1) / 2
+        h_intpsg = _clamp01(pair_sum / (n_spans * (n_spans - 1) / 2))
 
-    h_docpsg = _clamp01(
-        sum(_cosine(doc_vec, span_vecs[k]) for k in range(len(spans))) / len(spans)
-    )
+    dot = np.bincount(span_of, w * doc_vec[term_of], n_spans)
+    doc_norm = float(np.linalg.norm(doc_vec)) or 1.0  # zero only with all spans zero
+    cos = np.where(nonzero, np.clip(dot / (doc_norm * norm), 0.0, 1.0), float(z == n_spans))
+    h_docpsg = _clamp01(float(cos.sum()) / n_spans)
     return HomogeneityScores(h_length, h_ent, h_intpsg, h_docpsg)
 
 

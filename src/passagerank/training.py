@@ -258,6 +258,9 @@ def train_fold(
                 log.info("early stop at epoch %d (best epoch %d, val MAP %.4f)",
                          epoch, best[1], best[0])
                 break
+    if best[1] == 0:
+        log.warning("no epoch beat the initial validation MAP %.4f; the saved "
+                    "model is the random initialization", best[0])
 
     model = FusionModel(
         filters=filters,

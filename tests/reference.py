@@ -1,0 +1,85 @@
+"""Readable reference implementations that only the tests call.
+
+Each function here computes a quantity the package computes on a faster
+path, written the direct way so the two can be compared.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from passagerank.corpus import CorpusIndex, Document
+from passagerank.features import HomogeneityScores
+from passagerank.passages import FilterSpec, extract_passages
+
+
+def _clamp01(x: float) -> float:
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine with the zero-vector conventions: cos(0,0)=1, cos(0,x)=0."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 and nb == 0.0:
+        return 1.0
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return _clamp01(float(np.dot(a, b)) / (na * nb))
+
+
+def homogeneity_pairwise(
+    doc: Document | str, index: CorpusIndex, f: FilterSpec
+) -> HomogeneityScores:
+    """The four homogeneity scores, with h_intpsg averaged over every
+    pair of dense span vectors and h_docpsg over every span."""
+    if f.is_infinite:
+        raise ValueError("homogeneity needs a finite passage filter")
+    doc_id = doc if isinstance(doc, str) else doc.doc_id
+    idx = index.doc_index(doc_id)
+    tokens = index.doc_tokens(idx)
+    n_d = int(tokens.shape[0])
+
+    if index.max_log_len == index.min_log_len:
+        h_length = 1.0
+    else:
+        h_length = 1.0 - (math.log(n_d) - index.min_log_len) / (
+            index.max_log_len - index.min_log_len
+        )
+    h_length = _clamp01(h_length)
+
+    uniq, inv, counts = np.unique(tokens, return_inverse=True, return_counts=True)
+    if n_d == 1:
+        h_ent = 1.0
+    else:
+        p = counts / n_d
+        entropy = float(-(p * np.log(p)).sum())
+        h_ent = _clamp01(1.0 - entropy / math.log(n_d))
+
+    idf = np.log(index.num_docs / index.df[uniq])
+    doc_vec = counts * idf
+    spans = extract_passages(n_d, f)
+    span_vecs = np.empty((len(spans), uniq.shape[0]), dtype=np.float64)
+    for k, sp in enumerate(spans):
+        tf = np.bincount(
+            inv[sp.start : sp.start + sp.length], minlength=uniq.shape[0]
+        )
+        span_vecs[k] = tf * idf
+
+    if len(spans) < 2:
+        h_intpsg = 1.0
+    else:
+        total = 0.0
+        pairs = 0
+        for i in range(len(spans)):
+            for j in range(i + 1, len(spans)):
+                total += _cosine(span_vecs[i], span_vecs[j])
+                pairs += 1
+        h_intpsg = _clamp01(total / pairs)
+
+    h_docpsg = _clamp01(
+        sum(_cosine(doc_vec, span_vecs[k]) for k in range(len(spans))) / len(spans)
+    )
+    return HomogeneityScores(h_length, h_ent, h_intpsg, h_docpsg)

@@ -255,6 +255,17 @@ class TestStdout:
 
 
 class TestErrors:
+    def test_index_rejects_docno_with_whitespace(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.trectext"
+        corpus.write_text("<DOC><DOCNO>a b</DOCNO><TEXT>x y</TEXT></DOC>\n",
+                          encoding="utf-8")
+        rc = main(["index", "--corpus", str(corpus),
+                   "--index", str(tmp_path / "idx")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'a b'" in err
+        assert not (tmp_path / "idx").exists()
+
     def test_missing_index_path(self, pipeline, tmp_path, capsys):
         rc = main(["retrieve", "--index", str(tmp_path / "nope"),
                    "--topics", str(pipeline["topics"]),

@@ -165,6 +165,17 @@ class TestTrectext:
         with pytest.raises(CorpusError, match="DOCNO"):
             list(iter_trectext(f))
 
+    @pytest.mark.parametrize("docno", ["a b", "a\tb", "   "])
+    def test_docno_with_whitespace_or_empty_raises(self, tmp_path, docno):
+        # run files are whitespace-separated, so such an id could not be
+        # read back from the run file it would be written to
+        f = tmp_path / "bad.trectext"
+        f.write_text("<DOC><DOCNO>ok</DOCNO><TEXT>x</TEXT></DOC>\n"
+                     f"<DOC><DOCNO>{docno}</DOCNO><TEXT>y</TEXT></DOC>",
+                     encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"bad\.trectext: record #2 .*DOCNO"):
+            list(iter_trectext(f))
+
     def test_directory_input_sorted(self, tmp_path):
         d = tmp_path / "corpus"
         d.mkdir()

@@ -161,6 +161,27 @@ class TestTrainFold:
         # patience exhausts because nothing can improve on epoch 0
         assert len(rows) == cfg.patience + 1
 
+    def test_epoch0_restore_warns(self, caplog):
+        # validation MAP is already 1.0 at initialization, and improving
+        # needs a strictly higher MAP, so the random init is restored
+        cands = toy_candidates()
+        qids = sorted(cands)
+        with caplog.at_level("WARNING", logger="passagerank.training"):
+            model, rows = train_fold(cands, qids[:8], qids[8:], small_config(),
+                                     np.random.default_rng(0), {}, FILTERS2, FEATS3)
+        assert rows[0][2] == 1.0
+        assert model.meta["best_epoch"] == 0
+        assert "random initialization" in caplog.text
+
+    def test_trained_restore_does_not_warn(self, caplog):
+        cands = toy_candidates(separation=0.0)
+        qids = sorted(cands)
+        with caplog.at_level("WARNING", logger="passagerank.training"):
+            model, _ = train_fold(cands, qids[:8], qids[8:], small_config(),
+                                  np.random.default_rng(0), {}, FILTERS2, FEATS3)
+        assert model.meta["best_epoch"] > 0
+        assert "random initialization" not in caplog.text
+
     def test_divergence_raises_runtime_error(self):
         cands = toy_candidates(n_queries=6)
         cands["1"].H[0, 0] = np.nan
