@@ -318,8 +318,7 @@ def cmd_retrieve(args) -> int:
     index = load_index(cfg.index)
     queries = read_topics(cfg.topics, _tokenize_config(cfg))
     smoothing = SmoothingConfig(cfg.lambda_c)
-    index.postings()  # build once before any threading
-    index.doc_sort_rank()
+    index.doc_sort_rank()  # fill the lazy cache before any threading
 
     def one(q: Query):
         return q.query_id, rank_documents(q, index, smoothing, cfg.top_k,

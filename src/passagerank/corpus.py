@@ -2,26 +2,39 @@
 
 Everything downstream (scoring, features, training) consumes the
 :class:`CorpusIndex` built here: term frequencies, document frequencies,
-per-document token id sequences, and the corpus-level length extrema.
+per-document token id sequences, the inverted index (postings), and the
+corpus-level length extrema.
 
 Ingestion is streaming: documents are consumed one at a time, so the raw
 text of the corpus never has to fit in memory. The token-id index itself
-(4 bytes per token) and all statistics do stay in memory; that is the
-same footprint the scorer needs at query time anyway.
+(4 bytes per token), the postings (8 bytes per distinct (term, document)
+pair) and all statistics do stay in memory; that is the same footprint
+the scorer needs at query time anyway.
 
-On-disk format (version 1), one directory per index:
+On-disk format (version 2), one directory per index:
 
-* ``manifest.json`` - format name, version, counts (sorted keys, no
-  timestamps, so rebuilds are byte-identical);
+* ``manifest.json`` - format name, version, counts, and the sha256 of
+  every other file (sorted keys, no timestamps, so rebuilds are
+  byte-identical);
 * ``vocab.tsv`` - one term per line: ``term<TAB>cf<TAB>df``; the line
   number is the term id;
 * ``docs.tsv`` - one document per line: ``doc_id<TAB>n_d``;
 * ``tokens.bin`` - little-endian int32 token ids, documents concatenated
-  in ``docs.tsv`` order.
+  in ``docs.tsv`` order;
+* ``postings_docs.bin`` and ``postings_tf.bin`` - the postings in CSR
+  layout: little-endian int32 document indices and within-document term
+  frequencies, ordered by term id and by document index inside a term.
+  Term ``t`` owns entries ``[off[t], off[t+1])`` with ``off = cumsum(df)``
+  starting at 0, so the offsets need no file of their own.
+
+Loading verifies every checksum and runs O(n) vectorized structural
+checks, so a corrupt index raises :class:`CorpusError` instead of
+failing later or scoring silently wrong.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -34,7 +47,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "passagerank-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 OOV_ID = -1
 
@@ -96,7 +109,9 @@ class CorpusIndex:
     Attributes mirror the statistics the scoring formulas need: ``cf`` and
     ``df`` arrays indexed by term id, ``total_len`` (sum of document
     lengths), ``num_docs``, per-document lengths, and the UNSMOOTHED log
-    length extrema over the corpus.
+    length extrema over the corpus. The postings are two flat int32
+    arrays in CSR layout (see the module docstring), sliced by
+    :meth:`postings`.
     """
 
     def __init__(
@@ -107,6 +122,8 @@ class CorpusIndex:
         doc_ids: list[str],
         doc_len: np.ndarray,
         tokens: np.ndarray,
+        postings_docs: np.ndarray,
+        postings_tf: np.ndarray,
     ):
         self.vocab = vocab
         self.term_to_id = {t: i for i, t in enumerate(vocab)}
@@ -128,10 +145,46 @@ class CorpusIndex:
             raise CorpusError("token store inconsistent with document lengths")
         if self.num_docs < 1:
             raise CorpusError("index requires at least one non-empty document")
+        self.postings_docs = np.ascontiguousarray(postings_docs, dtype=np.int32)
+        self.postings_tf = np.ascontiguousarray(postings_tf, dtype=np.int32)
+        self.postings_offset = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(self.df, out=self.postings_offset[1:])
+        self._check_structure()
         self.min_log_len = float(np.log(self.doc_len.min()))
         self.max_log_len = float(np.log(self.doc_len.max()))
-        self._postings: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._doc_sort_rank: np.ndarray | None = None
+
+    def _check_structure(self) -> None:
+        """Vectorized O(n) range and consistency checks of the arrays.
+
+        They keep a corrupt index from ending in an IndexError or in
+        silently wrong scores; the order matters, each check relies on
+        the ones before it.
+        """
+        vocab_size = len(self.vocab)
+        if self.doc_len.min() < 1:
+            raise CorpusError("index holds a document of length 0")
+        if self.tokens.min() < 0 or self.tokens.max() >= vocab_size:
+            raise CorpusError(f"token ids outside the vocabulary [0, {vocab_size})")
+        if self.df.min() < 1:
+            raise CorpusError("a vocabulary term has document frequency 0")
+        n = self.postings_offset[-1]
+        if self.postings_docs.shape[0] != n or self.postings_tf.shape[0] != n:
+            raise CorpusError(
+                f"postings hold {self.postings_docs.shape[0]} document and "
+                f"{self.postings_tf.shape[0]} tf entries, document "
+                f"frequencies sum to {n}"
+            )
+        if self.postings_docs.min() < 0 or self.postings_docs.max() >= self.num_docs:
+            raise CorpusError(
+                f"postings document indices outside [0, {self.num_docs})"
+            )
+        if self.postings_tf.min() < 1:
+            raise CorpusError("postings hold a term frequency below 1")
+        tf_sums = np.add.reduceat(self.postings_tf, self.postings_offset[:-1],
+                                  dtype=np.int64)
+        if not np.array_equal(tf_sums, self.cf):
+            raise CorpusError("postings term frequencies do not sum to cf")
 
     # -- statistics ---------------------------------------------------------
 
@@ -168,24 +221,15 @@ class CorpusIndex:
             [self.term_to_id.get(t, OOV_ID) for t in terms], dtype=np.int32
         )
 
-    # -- derived caches -----------------------------------------------------
+    def postings(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
+        """(document indices ascending, within-document tf) of term ``tid``.
 
-    def postings(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per term id: (document indices, within-document tf), built lazily."""
-        if self._postings is None:
-            entries: list[tuple[list[int], list[int]]] = [
-                ([], []) for _ in self.vocab
-            ]
-            for i in range(self.num_docs):
-                ids, counts = np.unique(self.doc_tokens(i), return_counts=True)
-                for tid, c in zip(ids.tolist(), counts.tolist()):
-                    entries[tid][0].append(i)
-                    entries[tid][1].append(c)
-            self._postings = [
-                (np.array(d, dtype=np.int64), np.array(c, dtype=np.int64))
-                for d, c in entries
-            ]
-        return self._postings
+        Both are int32 views into the stored postings; do not mutate.
+        """
+        lo, hi = self.postings_offset[tid], self.postings_offset[tid + 1]
+        return self.postings_docs[lo:hi], self.postings_tf[lo:hi]
+
+    # -- derived caches -----------------------------------------------------
 
     def doc_sort_rank(self) -> np.ndarray:
         """Rank of each document index under ascending doc_id order.
@@ -213,6 +257,8 @@ class CorpusIndex:
             and np.array_equal(self.df, other.df)
             and np.array_equal(self.doc_len, other.doc_len)
             and np.array_equal(self.tokens, other.tokens)
+            and np.array_equal(self.postings_docs, other.postings_docs)
+            and np.array_equal(self.postings_tf, other.postings_tf)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -224,19 +270,19 @@ class CorpusIndex:
 
 
 def build_index(documents: Iterable[Document]) -> CorpusIndex:
-    """Build the index from a document stream.
+    """Build the index, postings included, from a document stream.
 
-    Duplicate doc_ids raise; zero-length documents are skipped with a
-    warning; at least one non-empty document is required.
+    Term ids follow first occurrence in the stream. Duplicate doc_ids
+    raise; zero-length documents are skipped with a warning; at least one
+    non-empty document is required.
     """
-    vocab: list[str] = []
     term_to_id: dict[str, int] = {}
-    cf: list[int] = []
-    df: list[int] = []
     doc_ids: list[str] = []
     seen: set[str] = set()
     doc_len: list[int] = []
     chunks: list[np.ndarray] = []
+    doc_terms: list[np.ndarray] = []
+    doc_tf: list[np.ndarray] = []
 
     for doc in documents:
         if doc.doc_id in seen:
@@ -245,64 +291,97 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
         if doc.n_d == 0:
             log.warning("skipping empty document %s", doc.doc_id)
             continue
-        ids = np.empty(doc.n_d, dtype=np.int32)
-        distinct: set[int] = set()
-        for j, term in enumerate(doc.terms):
-            tid = term_to_id.get(term)
-            if tid is None:
-                tid = len(vocab)
-                term_to_id[term] = tid
-                vocab.append(term)
-                cf.append(0)
-                df.append(0)
-            cf[tid] += 1
-            ids[j] = tid
-            distinct.add(tid)
-        for tid in distinct:
-            df[tid] += 1
+        ids = np.array(
+            [term_to_id.setdefault(t, len(term_to_id)) for t in doc.terms],
+            dtype=np.int32,
+        )
+        distinct, counts = np.unique(ids, return_counts=True)
         doc_ids.append(doc.doc_id)
         doc_len.append(doc.n_d)
         chunks.append(ids)
+        doc_terms.append(distinct)
+        doc_tf.append(counts.astype(np.int32))
 
     if not doc_ids:
         raise CorpusError("no non-empty documents to index")
 
-    tokens = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
+    # Postings by counting sort: each document, in index order, scatters
+    # its distinct terms into the next free slot of each term's run, so
+    # documents come out ascending inside each term. A stable argsort of
+    # the entries gives the same arrays but needs an int64 index array
+    # and sorted copies of every column, the peak memory of the build.
+    df = np.zeros(len(term_to_id), dtype=np.int64)
+    for distinct in doc_terms:
+        df[distinct] += 1
+    offset = np.zeros(len(term_to_id) + 1, dtype=np.int64)
+    np.cumsum(df, out=offset[1:])
+    postings_docs = np.empty(offset[-1], dtype=np.int32)
+    postings_tf = np.empty(offset[-1], dtype=np.int32)
+    slot = offset[:-1].copy()
+    for i, (distinct, counts) in enumerate(zip(doc_terms, doc_tf)):
+        at = slot[distinct]
+        postings_docs[at] = i
+        postings_tf[at] = counts
+        slot[distinct] += 1
     return CorpusIndex(
-        vocab=vocab,
-        cf=np.array(cf, dtype=np.int64),
-        df=np.array(df, dtype=np.int64),
+        vocab=list(term_to_id),
+        cf=np.add.reduceat(postings_tf, offset[:-1], dtype=np.int64),
+        df=df,
         doc_ids=doc_ids,
         doc_len=np.array(doc_len, dtype=np.int64),
-        tokens=tokens,
+        tokens=np.concatenate(chunks),
+        postings_docs=postings_docs,
+        postings_tf=postings_tf,
     )
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Persist the index to a directory (format documented in the module)."""
+    """Persist the index to a directory (format documented in the module).
+
+    The manifest is written last, so an interrupted save fails the
+    checksums of the next load.
+    """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    vocab = "".join(f"{t}\t{c}\t{d}\n" for t, c, d in
+                    zip(index.vocab, index.cf.tolist(), index.df.tolist()))
+    docs = "".join(f"{d}\t{n}\n" for d, n in
+                   zip(index.doc_ids, index.doc_len.tolist()))
+    files = {
+        "vocab.tsv": vocab.encode("utf-8"),
+        "docs.tsv": docs.encode("utf-8"),
+        "tokens.bin": np.ascontiguousarray(index.tokens, dtype="<i4"),
+        "postings_docs.bin": np.ascontiguousarray(index.postings_docs, dtype="<i4"),
+        "postings_tf.bin": np.ascontiguousarray(index.postings_tf, dtype="<i4"),
+    }
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     manifest = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "num_docs": index.num_docs,
         "total_len": index.total_len,
         "vocab_size": len(index.vocab),
+        "sha256": {name: hashlib.sha256(data).hexdigest()
+                   for name, data in files.items()},
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    with open(out / "vocab.tsv", "w", encoding="utf-8") as fh:
-        for i, term in enumerate(index.vocab):
-            fh.write(f"{term}\t{index.cf[i]}\t{index.df[i]}\n")
-    with open(out / "docs.tsv", "w", encoding="utf-8") as fh:
-        for i, doc_id in enumerate(index.doc_ids):
-            fh.write(f"{doc_id}\t{index.doc_len[i]}\n")
-    index.tokens.astype("<i4").tofile(out / "tokens.bin")
+
+
+def _tsv_columns(data: bytes, width: int, name: str) -> list[list[str]]:
+    """The ``width`` columns of a tab-separated file, one row per line."""
+    text = data.decode("utf-8")
+    fields = text.replace("\n", "\t").split("\t")
+    if len(fields) != width * text.count("\n") + 1 or fields[-1]:
+        raise CorpusError(f"{name} does not have {width} fields per line")
+    return [fields[i:-1:width] for i in range(width)]
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    """Load a persisted index; validates format, version, and counts."""
+    """Load a persisted index; verifies format, version, checksums, counts
+    and the structure of the arrays."""
     src = Path(path)
     try:
         manifest = json.loads((src / "manifest.json").read_text(encoding="utf-8"))
@@ -310,36 +389,41 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise CorpusError(f"not an index directory: {src}") from None
     if manifest.get("format") != INDEX_FORMAT:
         raise CorpusError(f"unrecognized index format in {src}")
-    if manifest.get("version") != INDEX_VERSION:
+    version = manifest.get("version")
+    if version != INDEX_VERSION:
         raise CorpusError(
-            f"unsupported index version {manifest.get('version')!r} in {src}"
+            f"index in {src} is format version {version!r}, this release "
+            f"reads version {INDEX_VERSION}; rebuild it with `passagerank index`"
         )
-    vocab: list[str] = []
-    cf: list[int] = []
-    df: list[int] = []
-    with open(src / "vocab.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            term, c, d = line.rstrip("\n").split("\t")
-            vocab.append(term)
-            cf.append(int(c))
-            df.append(int(d))
-    doc_ids: list[str] = []
-    doc_len: list[int] = []
-    with open(src / "docs.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            doc_id, n = line.rstrip("\n").split("\t")
-            doc_ids.append(doc_id)
-            doc_len.append(int(n))
-    tokens = np.fromfile(src / "tokens.bin", dtype="<i4").astype(np.int32)
+    digests = manifest.get("sha256", {})
+
+    def read(name: str) -> bytes:
+        try:
+            data = (src / name).read_bytes()
+        except FileNotFoundError:
+            raise CorpusError(f"index in {src} has no {name}") from None
+        if hashlib.sha256(data).hexdigest() != digests.get(name):
+            raise CorpusError(
+                f"{src / name} does not match the sha256 in its manifest; "
+                f"rebuild the index"
+            )
+        return data
+
+    vocab, cf, df = _tsv_columns(read("vocab.tsv"), 3, "vocab.tsv")
+    doc_ids, doc_len = _tsv_columns(read("docs.tsv"), 2, "docs.tsv")
     index = CorpusIndex(
         vocab=vocab,
         cf=np.array(cf, dtype=np.int64),
         df=np.array(df, dtype=np.int64),
         doc_ids=doc_ids,
         doc_len=np.array(doc_len, dtype=np.int64),
-        tokens=tokens,
+        tokens=np.frombuffer(read("tokens.bin"), dtype="<i4"),
+        postings_docs=np.frombuffer(read("postings_docs.bin"), dtype="<i4"),
+        postings_tf=np.frombuffer(read("postings_tf.bin"), dtype="<i4"),
     )
-    if index.num_docs != manifest["num_docs"] or index.total_len != manifest["total_len"]:
+    if (index.num_docs, index.total_len, len(index.vocab)) != (
+        manifest["num_docs"], manifest["total_len"], manifest["vocab_size"]
+    ):
         raise CorpusError(f"index in {src} fails manifest consistency check")
     return index
 

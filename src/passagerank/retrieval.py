@@ -27,7 +27,6 @@ def ql_scores(
     lam = s.lambda_c
     doc_len = index.doc_len.astype(np.float64)
     scores = np.zeros(index.num_docs, dtype=np.float64)
-    postings = index.postings()
     for t in query.terms:
         cf_t = index.corpus_freq(t, floor)
         if cf_t <= 0:
@@ -38,7 +37,7 @@ def ql_scores(
         tf = np.zeros(index.num_docs, dtype=np.float64)
         tid = index.term_to_id.get(t)
         if tid is not None:
-            docs, counts = postings[tid]
+            docs, counts = index.postings(tid)
             tf[docs] = counts
         scores += np.log((1.0 - lam) * tf / doc_len + lam * cf_t / index.total_len)
     return scores

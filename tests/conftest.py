@@ -1,5 +1,8 @@
 """Shared fixtures and synthetic corpus builders for the test suite."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -89,3 +92,31 @@ def tiny_index():
 def small_random_index():
     rng = np.random.default_rng(42)
     return build_index(random_documents(rng, 30, vocab_size=20, max_len=60))
+
+
+def rewrite_index_file(index_dir, name, data, fix_digest=False):
+    """Replace file ``name`` of a saved index with ``data``.
+
+    With ``fix_digest`` the manifest's sha256 of the file is rewritten to
+    match, so only the structural checks on load can catch the damage.
+    """
+    (index_dir / name).write_bytes(data)
+    if fix_digest:
+        manifest_path = index_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["sha256"][name] = hashlib.sha256(data).hexdigest()
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def corrupt_index_file(index_dir, name, mutate, fix_digest=False):
+    """Rewrite the int32 array ``name`` of a saved index as ``mutate(arr)``."""
+    arr = mutate(np.fromfile(index_dir / name, dtype="<i4"))
+    rewrite_index_file(index_dir, name, arr.astype("<i4").tobytes(), fix_digest)
+
+
+def set_first(value):
+    """A ``corrupt_index_file`` mutation: overwrite the first entry."""
+    def mutate(arr):
+        arr[0] = value
+        return arr
+    return mutate

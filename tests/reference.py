@@ -83,3 +83,16 @@ def homogeneity_pairwise(
         sum(_cosine(doc_vec, span_vecs[k]) for k in range(len(spans))) / len(spans)
     )
     return HomogeneityScores(h_length, h_ent, h_intpsg, h_docpsg)
+
+
+def postings_reference(index: CorpusIndex) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per term id: (document indices, within-document tf), collected by
+    walking every document's distinct terms in index order."""
+    entries: list[tuple[list[int], list[int]]] = [([], []) for _ in index.vocab]
+    for i in range(index.num_docs):
+        ids, counts = np.unique(index.doc_tokens(i), return_counts=True)
+        for tid, c in zip(ids.tolist(), counts.tolist()):
+            entries[tid][0].append(i)
+            entries[tid][1].append(c)
+    return [(np.array(d, dtype=np.int64), np.array(c, dtype=np.int64))
+            for d, c in entries]

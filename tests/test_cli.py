@@ -2,13 +2,14 @@
 
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from passagerank import evaluate_run, read_qrels, read_run
 from passagerank.cli import main
-from conftest import planted_corpus
+from conftest import corrupt_index_file, planted_corpus, set_first
 
 
 def write_trectext(path: Path, docs) -> None:
@@ -272,6 +273,22 @@ class TestErrors:
                    "--output", str(tmp_path / "x.run")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", ["tokens.bin", "postings_docs.bin"])
+    @pytest.mark.parametrize("fix_digest", [False, True],
+                             ids=["checksum", "structure"])
+    def test_corrupt_index(self, pipeline, tmp_path, capsys, name, fix_digest):
+        index = tmp_path / "index"
+        shutil.copytree(pipeline["index"], index)
+        corrupt_index_file(index, name, set_first(10**6), fix_digest)
+        rc = main(["retrieve", "--index", str(index),
+                   "--topics", str(pipeline["topics"]),
+                   "--output", str(tmp_path / "x.run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "outside" in err if fix_digest else name in err
+        assert not (tmp_path / "x.run").exists()
 
     def test_dump_features_needs_npm(self, pipeline, tmp_path, capsys):
         rc = main(["rerank", "--index", str(pipeline["index"]),

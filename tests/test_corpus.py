@@ -1,7 +1,13 @@
 """Tokenization, index construction, persistence, and TREC file parsing."""
 
+import json
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from passagerank import (
     CorpusError,
@@ -15,6 +21,32 @@ from passagerank import (
     save_index,
     tokenize,
 )
+from conftest import (corrupt_index_file, planted_corpus, rewrite_index_file,
+                      set_first)
+from reference import postings_reference
+
+
+def assert_postings_match_reference(index):
+    ref = postings_reference(index)
+    np.testing.assert_array_equal(index.df, [d.shape[0] for d, _ in ref])
+    np.testing.assert_array_equal(index.postings_docs,
+                                  np.concatenate([d for d, _ in ref]))
+    np.testing.assert_array_equal(index.postings_tf,
+                                  np.concatenate([tf for _, tf in ref]))
+
+
+@pytest.fixture(scope="module")
+def planted_index():
+    docs, _, _ = planted_corpus(n_queries=6, n_docs=40, doc_len=1100,
+                                bg_vocab=100, seed=0)
+    return build_index(docs)
+
+
+@pytest.fixture
+def saved_index(tmp_path, small_random_index):
+    path = tmp_path / "index"
+    save_index(small_random_index, path)
+    return path
 
 
 class TestTokenize:
@@ -86,13 +118,22 @@ class TestIndex:
 
     def test_postings_match_token_stream(self, small_random_index):
         idx = small_random_index
-        postings = idx.postings()
         for tid in range(len(idx.vocab)):
-            doc_idx, tf = postings[tid]
+            doc_idx, tf = idx.postings(tid)
             assert np.sum(tf) == idx.cf[tid]
             assert len(doc_idx) == idx.df[tid]
             for d, count in zip(doc_idx, tf):
                 assert np.sum(idx.doc_tokens(int(d)) == tid) == count
+
+    @pytest.mark.parametrize("name", ["tiny_index", "small_random_index",
+                                      "planted_index"])
+    def test_postings_match_reference(self, request, name):
+        assert_postings_match_reference(request.getfixturevalue(name))
+
+    def test_vocabulary_in_first_occurrence_order(self, tiny_index):
+        assert tiny_index.vocab == ["a", "b", "c"]
+        np.testing.assert_array_equal(tiny_index.tokens,
+                                      [0, 1, 0, 0, 0, 2, 1, 2, 2, 2])
 
     def test_doc_sort_rank_orders_ids(self, small_random_index):
         idx = small_random_index
@@ -101,18 +142,109 @@ class TestIndex:
         assert by_rank == sorted(idx.doc_ids)
 
 
+INDEX_FILES = ("manifest.json", "vocab.tsv", "docs.tsv", "tokens.bin",
+               "postings_docs.bin", "postings_tf.bin")
+
+# letters and digits only, like the tokenizer's output; two letters and
+# short documents make single-token documents and heavy repeats common
+TERMS = st.text("ab01", min_size=1, max_size=2)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path, small_random_index):
         path = tmp_path / "index"
         save_index(small_random_index, path)
-        assert load_index(path) == small_random_index
+        loaded = load_index(path)
+        assert loaded == small_random_index
+        assert_postings_match_reference(loaded)
 
     def test_save_is_deterministic(self, tmp_path, small_random_index):
         a, b = tmp_path / "a", tmp_path / "b"
         save_index(small_random_index, a)
         save_index(small_random_index, b)
-        for name in ("manifest.json", "vocab.tsv", "docs.tsv", "tokens.bin"):
+        assert sorted(p.name for p in a.iterdir()) == sorted(INDEX_FILES)
+        for name in INDEX_FILES:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=st.lists(st.lists(TERMS, max_size=8), min_size=1, max_size=6))
+    def test_round_trip_property(self, docs):
+        kept = [(f"d{i}", tuple(terms)) for i, terms in enumerate(docs) if terms]
+        assume(kept)
+        index = build_index(Document(f"d{i}", tuple(t)) for i, t in enumerate(docs))
+        assert index.doc_ids == [d for d, _ in kept]
+        assert index.vocab == list(dict.fromkeys(t for _, ts in kept for t in ts))
+        cf = Counter(t for _, ts in kept for t in ts)
+        df = Counter(t for _, ts in kept for t in set(ts))
+        assert index.cf.tolist() == [cf[t] for t in index.vocab]
+        assert index.df.tolist() == [df[t] for t in index.vocab]
+        assert_postings_match_reference(index)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            save_index(index, a)
+            loaded = load_index(a)
+            save_index(loaded, b)
+            assert loaded == index
+            for name in INDEX_FILES:
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_manifest_holds_sha256_of_every_data_file(self, saved_index):
+        manifest = json.loads((saved_index / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        assert sorted(manifest["sha256"]) == sorted(INDEX_FILES[1:])
+
+    @pytest.mark.parametrize("name, value, fixed_message", [
+        ("tokens.bin", 20, "token ids outside the vocabulary"),
+        ("tokens.bin", -1, "token ids outside the vocabulary"),
+        ("postings_docs.bin", 30, "document indices outside"),
+    ])
+    @pytest.mark.parametrize("fix_digest", [False, True],
+                             ids=["checksum", "structure"])
+    def test_out_of_range_ids_raise(self, saved_index, small_random_index,
+                                    name, value, fixed_message, fix_digest):
+        assert len(small_random_index.vocab) == 20
+        assert small_random_index.num_docs == 30
+        corrupt_index_file(saved_index, name, set_first(value), fix_digest)
+        message = fixed_message if fix_digest else rf"{name} .*sha256"
+        with pytest.raises(CorpusError, match=message):
+            load_index(saved_index)
+
+    @pytest.mark.parametrize("name, mutate, message", [
+        ("postings_tf.bin", set_first(0), "term frequency below 1"),
+        ("postings_tf.bin", lambda a: a[:-1], "postings hold"),
+        ("postings_docs.bin", lambda a: np.append(a, 0), "postings hold"),
+        ("postings_tf.bin", lambda a: a + 1, "do not sum to cf"),
+    ], ids=["tf-zero", "tf-short", "docs-long", "tf-sums"])
+    def test_inconsistent_postings_raise(self, saved_index, name, mutate, message):
+        corrupt_index_file(saved_index, name, mutate, fix_digest=True)
+        with pytest.raises(CorpusError, match=message):
+            load_index(saved_index)
+
+    @pytest.mark.parametrize("name", ["vocab.tsv", "docs.tsv"])
+    def test_tsv_with_a_missing_field_raises(self, saved_index, name):
+        text = (saved_index / name).read_text(encoding="utf-8")
+        text = text.rstrip("\n").rsplit("\t", 1)[0] + "\n"
+        rewrite_index_file(saved_index, name, text.encode("utf-8"), fix_digest=True)
+        with pytest.raises(CorpusError, match=f"{name} does not have"):
+            load_index(saved_index)
+
+    def test_missing_data_file_raises(self, saved_index):
+        (saved_index / "postings_tf.bin").unlink()
+        with pytest.raises(CorpusError, match="has no postings_tf.bin"):
+            load_index(saved_index)
+
+    def test_version_1_index_asks_for_rebuild(self, saved_index):
+        # a version-1 index had no postings files and no checksums
+        (saved_index / "postings_docs.bin").unlink()
+        (saved_index / "postings_tf.bin").unlink()
+        manifest_path = saved_index / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["sha256"]
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        with pytest.raises(CorpusError,
+                           match=r"format version 1.*rebuild it with `passagerank index`"):
+            load_index(saved_index)
 
     def test_tampered_manifest_raises(self, tmp_path, small_random_index):
         path = tmp_path / "index"

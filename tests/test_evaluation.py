@@ -1,9 +1,13 @@
 """Rank metrics, run/qrels IO, and the Fisher randomization test."""
 
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passagerank import (
     average_precision,
@@ -227,6 +231,11 @@ class TestFisher:
             assert 0.0 < p <= 1.0
 
 
+# query, document and tag ids: whitespace-free, as run files require
+RUN_ID = st.text(string.ascii_letters + string.digits + "-_.:", min_size=1,
+                 max_size=6)
+
+
 class TestRunIO:
     def test_write_then_read_preserves_order(self, tmp_path):
         run = {
@@ -262,6 +271,22 @@ class TestRunIO:
         path.write_text("1 Q0 dA 1 1.0\n")
         with pytest.raises(ValueError):
             read_run(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=st.dictionaries(
+               RUN_ID,
+               st.lists(st.tuples(RUN_ID, st.floats(-1e9, 1e9)), min_size=1,
+                        max_size=5, unique_by=lambda row: row[0]),
+               min_size=1, max_size=5),
+           tag=RUN_ID)
+    def test_round_trip_property(self, run, tag):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.txt"
+            write_run(path, run, tag)
+            back = read_run(path)
+        assert list(back) == sorted(run, key=qid_sort_key)
+        assert back == {qid: [(doc, float(f"{score:.6f}")) for doc, score in rows]
+                        for qid, rows in run.items()}
 
     def test_byte_identical_rewrites(self, tmp_path):
         run = {"1": [("d1", 1 / 3), ("d2", -2 / 7)]}
