@@ -1,8 +1,11 @@
-"""Timing comparison of the compiled and pure-numpy scoring kernels.
+"""Timing of one batched kernel call per query against one call per document.
 
-Runs the window-scoring hot loops over a synthetic corpus with both
-backends and reports per-document timings. The compiled side is skipped
-when numba is unavailable or disabled via PASSAGERANK_NO_NUMBA=1.
+Scores one synthetic query's candidate documents with the active kernel
+backend (numba when importable and not disabled via
+PASSAGERANK_NO_NUMBA=1, numpy otherwise) in two ways: one batched call
+over all candidates, as the reranker makes it, and one call per
+document. Reports microseconds per document for each and checks that
+both give bitwise the same scores.
 
 Usage: python3 benchmarks/bench_kernels.py [--docs N] [--doc-len N] ...
 """
@@ -16,31 +19,28 @@ from passagerank import _accel
 
 
 def make_inputs(rng, n_docs, doc_len, query_len, vocab=5000):
-    docs = [
-        rng.integers(0, vocab, size=rng.integers(doc_len // 2, doc_len + 1)).astype(np.int32)
-        for _ in range(n_docs)
-    ]
+    lengths = rng.integers(doc_len // 2, doc_len + 1, size=n_docs)
+    tokens = rng.integers(0, vocab, size=int(lengths.sum())).astype(np.int32)
     query = rng.integers(0, vocab, size=query_len).astype(np.int32)
     bias = rng.uniform(0.01, 2.0, size=query_len)
     background = rng.uniform(1e-6, 1e-2, size=query_len)
-    return docs, query, bias, background
+    return tokens, lengths.astype(np.int64), query, bias, background
 
 
-def time_pass(fn, docs, repeats):
+def best_of(fn, repeats):
     # one untimed pass so jit compilation stays out of the numbers
-    fn(docs[0])
+    fn()
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for d in docs:
-            fn(d)
+        fn()
         best = min(best, time.perf_counter() - t0)
     return best
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--docs", type=int, default=500)
+    ap.add_argument("--docs", type=int, default=300, help="candidates per query")
     ap.add_argument("--doc-len", type=int, default=1200)
     ap.add_argument("--query-len", type=int, default=4)
     ap.add_argument("--repeats", type=int, default=5)
@@ -48,39 +48,31 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    docs, query, bias, background = make_inputs(
+    tokens, lengths, query, bias, background = make_inputs(
         rng, args.docs, args.doc_len, args.query_len
     )
+    docs = np.split(tokens, np.cumsum(lengths)[:-1])
     ms = np.array([50, 150, -1], dtype=np.int64)
     taus = np.array([25, 75, 0], dtype=np.int64)
 
-    kernels = [
-        (
-            "window kernel",
-            lambda d: _accel.kernel_filter_scores_np(d, query, bias, ms, taus, False),
-            lambda d: _accel.kernel_filter_scores(d, query, bias, ms, taus, False),
-        ),
-        (
-            "span lm      ",
-            lambda d: _accel.lm_span_scores_np(d, query, background, 0.5, 50, 25),
-            lambda d: _accel.lm_span_scores(d, query, background, 0.5, 50, 25),
-        ),
-    ]
-    if not _accel.USING_NUMBA:
-        print("compiled backend unavailable (numba missing or disabled); "
-              "timing numpy only")
+    def window(toks, lens=None):
+        return _accel.kernel_filter_scores(toks, query, bias, ms, taus, False, lens)
 
-    print(f"{args.docs} docs, mean length ~{int(np.mean([len(d) for d in docs]))}, "
-          f"query length {args.query_len}, best of {args.repeats}")
-    for name, np_fn, jit_fn in kernels:
-        np_total = time_pass(np_fn, docs, args.repeats)
-        print(f"{name}  numpy: {np_total * 1e3:8.2f} ms total  "
-              f"{np_total / args.docs * 1e6:8.1f} us/doc")
-        if _accel.USING_NUMBA:
-            jit_total = time_pass(jit_fn, docs, args.repeats)
-            print(f"{name}  numba: {jit_total * 1e3:8.2f} ms total  "
-                  f"{jit_total / args.docs * 1e6:8.1f} us/doc  "
-                  f"({np_total / jit_total:5.1f}x vs numpy)")
+    def span_lm(toks, lens=None):
+        return _accel.lm_span_scores(toks, query, background, 0.5, 50, 25, lens)
+
+    print(f"backend {_accel.backend_name()}: {args.docs} docs, mean length "
+          f"{int(lengths.mean())}, query length {args.query_len}, "
+          f"best of {args.repeats}")
+    for name, kernel, stack in (("window kernel", window, np.vstack),
+                                ("span lm      ", span_lm, np.concatenate)):
+        batched = best_of(lambda: kernel(tokens, lengths), args.repeats)
+        per_doc = best_of(lambda: [kernel(d) for d in docs], args.repeats)
+        same = np.array_equal(kernel(tokens, lengths),
+                              stack([kernel(d) for d in docs]))
+        print(f"{name}  batched: {batched / args.docs * 1e6:7.1f} us/doc  "
+              f"per-document: {per_doc / args.docs * 1e6:7.1f} us/doc  "
+              f"({per_doc / batched:4.1f}x)  identical: {same}")
     return 0
 
 

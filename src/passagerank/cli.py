@@ -276,10 +276,8 @@ def _candidate_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(R, H) matrices for one query's candidates; rows follow doc_ids."""
     ctx = QueryContext(query, index, st.smoothing, st.floor)
-    R = np.empty((len(doc_ids), len(st.filters)), dtype=np.float64)
-    for i, doc_id in enumerate(doc_ids):
-        tokens = index.doc_tokens(index.doc_index(doc_id))
-        R[i] = score_tokens(ctx, tokens, st.filters, st.pooling, "lm")
+    tokens, lengths = index.batch_tokens(doc_ids)
+    R = score_tokens(ctx, tokens, st.filters, st.pooling, "lm", lengths)
     list_score = (
         mean_top_scores(run_scores, st.list_k) if extractor.with_query else 0.0
     )

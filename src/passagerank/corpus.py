@@ -210,6 +210,14 @@ class CorpusIndex:
         """Token ids of document ``idx`` (a view, do not mutate)."""
         return self.tokens[self.doc_offset[idx] : self.doc_offset[idx + 1]]
 
+    def batch_tokens(self, doc_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids of ``doc_ids`` concatenated in order, and their
+        lengths: the batch layout of the scoring kernels."""
+        idx = [self.doc_index(d) for d in doc_ids]
+        if not idx:
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
+        return np.concatenate([self.doc_tokens(i) for i in idx]), self.doc_len[idx]
+
     def document(self, doc_id: str) -> Document:
         idx = self.doc_index(doc_id)
         terms = tuple(self.vocab[t] for t in self.doc_tokens(idx))

@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 
 METRIC_NAMES = ("map", "ndcg@20", "p@20")
 _EXHAUSTIVE_LIMIT = 20
+_SIGN_CHUNK = 4096  # sampled sign patterns per draw
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,8 @@ def metric_by_name(name: str):
 
 
 def qid_sort_key(qid: str):
-    return (0, int(qid), "") if qid.isdigit() else (1, 0, qid)
+    """ASCII-numeric ids first, by value; every other id after, by text."""
+    return (0, int(qid), "") if qid.isascii() and qid.isdigit() else (1, 0, qid)
 
 
 @dataclass
@@ -211,7 +213,11 @@ def fisher_randomization(
     hits = 0
     remaining = permutations
     while remaining > 0:
-        chunk = min(remaining, 65536)
+        # 4096 x n signs per draw keeps the transient arrays small. Each
+        # sign takes 32 bits of a 64-bit output and the bit generator keeps
+        # an unused half in its state for the next draw, so chunked draws
+        # equal one large draw whatever the chunk size, odd ones included
+        chunk = min(remaining, _SIGN_CHUNK)
         signs = rng.integers(0, 2, size=(chunk, n)) * 2 - 1
         stats = _abs_mean(signs * diffs)
         hits += int((stats >= observed).sum())

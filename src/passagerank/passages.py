@@ -209,7 +209,7 @@ def pool_document(scores: Sequence[float], strategy: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fast per-document scoring
+# fast batched scoring
 # ---------------------------------------------------------------------------
 
 
@@ -286,36 +286,56 @@ def score_tokens(
     filters: Sequence[FilterSpec],
     pooling: str,
     scale: str,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Per-filter pooled scores of one document, or of a batch.
+
+    Without ``lengths``, ``tokens`` is one document and the result a
+    vector with one score per filter. With ``lengths``, ``tokens`` holds
+    the documents of a batch concatenated in order and the result has
+    one row per document.
+    """
     ms, taus = _filter_arrays(filters)
     raw = _accel.kernel_filter_scores(
-        tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling.lower() == POOL_MEAN
+        tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling.lower() == POOL_MEAN,
+        lengths,
     )
     if scale == SCALE_LM:
-        n_d = tokens.shape[0]
-        m_eff = np.array(
-            [n_d if f.is_infinite else f.m for f in filters], dtype=np.float64
-        )
+        n_d = np.array([tokens.shape[0]]) if lengths is None else lengths
+        m_eff = np.where(ms <= 0, n_d[:, np.newaxis], ms).astype(np.float64)
         raw = raw - ctx.query.n_q * np.log(m_eff / (1.0 - ctx.smoothing.lambda_c))
-    return raw
+    return raw[0] if lengths is None else raw
 
 
 def max_passage_lm(
-    ctx: QueryContext, tokens: np.ndarray, m: int, tau: int
-) -> float:
-    """Best span LM score for a finite window (m, tau)."""
+    ctx: QueryContext,
+    tokens: np.ndarray,
+    m: int,
+    tau: int,
+    lengths: np.ndarray | None = None,
+):
+    """Best span LM score for a finite window (m, tau): a float for one
+    document, one value per document for a batch (see ``score_tokens``)."""
     spans = _accel.lm_span_scores(
-        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau
+        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau,
+        lengths,
     )
-    return float(spans.max())
+    if lengths is None:
+        return float(spans.max())
+    _, offsets = _accel.span_layout(lengths, m, tau)
+    return np.maximum.reduceat(spans, offsets)
 
 
-def whole_doc_lm(ctx: QueryContext, tokens: np.ndarray) -> float:
-    """Whole-document smoothed query log-likelihood."""
+def whole_doc_lm(
+    ctx: QueryContext, tokens: np.ndarray, lengths: np.ndarray | None = None
+):
+    """Whole-document smoothed query log-likelihood: a float for one
+    document, one value per document for a batch."""
     spans = _accel.lm_span_scores(
-        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0
+        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0,
+        lengths,
     )
-    return float(spans[0])
+    return float(spans[0]) if lengths is None else spans
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +387,21 @@ def msp_rank(
     s = s or SmoothingConfig()
     f = FilterSpec.window(passage_size, tau)
     ctx = QueryContext(query, index, s, floor)
-    scored: list[tuple[str, float]] = []
-    for doc_id in candidates:
-        tokens = index.doc_tokens(index.doc_index(doc_id))
-        lm_psg = max_passage_lm(ctx, tokens, f.m, f.tau)
-        if homogeneity == "none":
-            scored.append((doc_id, lm_psg))
-            continue
-        lm_doc = whole_doc_lm(ctx, tokens)
-        if homogeneity_override is None:
-            key = (doc_id, f.m, f.tau, homogeneity)
-            h = hom_cache.get(key) if hom_cache is not None else None
-            if h is None:
-                h = features.homogeneity(doc_id, index, f).by_kind(homogeneity)
-                if hom_cache is not None:
-                    hom_cache[key] = h
-        elif isinstance(homogeneity_override, Mapping):
-            h = float(homogeneity_override[doc_id])
-        else:
-            h = float(homogeneity_override)
-        scored.append((doc_id, combine_homogeneous(h, lm_doc, lm_psg)))
-    scored.sort(key=lambda kv: (-kv[1], kv[0]))
-    return scored
+    tokens, lengths = index.batch_tokens(candidates)
+    scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths).tolist()
+    if homogeneity != "none":
+        lm_doc = whole_doc_lm(ctx, tokens, lengths).tolist()
+        for k, doc_id in enumerate(candidates):
+            if homogeneity_override is None:
+                key = (doc_id, f.m, f.tau, homogeneity)
+                h = hom_cache.get(key) if hom_cache is not None else None
+                if h is None:
+                    h = features.homogeneity(doc_id, index, f).by_kind(homogeneity)
+                    if hom_cache is not None:
+                        hom_cache[key] = h
+            elif isinstance(homogeneity_override, Mapping):
+                h = float(homogeneity_override[doc_id])
+            else:
+                h = float(homogeneity_override)
+            scores[k] = combine_homogeneous(h, lm_doc[k], scores[k])
+    return sorted(zip(candidates, scores), key=lambda kv: (-kv[1], kv[0]))

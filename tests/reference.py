@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from passagerank.corpus import CorpusIndex, Document
+from passagerank.evaluation import evaluate_run
 from passagerank.features import HomogeneityScores
 from passagerank.passages import FilterSpec, extract_passages
 
@@ -96,3 +97,20 @@ def postings_reference(index: CorpusIndex) -> list[tuple[np.ndarray, np.ndarray]
             entries[tid][1].append(c)
     return [(np.array(d, dtype=np.int64), np.array(c, dtype=np.int64))
             for d, c in entries]
+
+
+def fisher_sampled_reference(run_a, run_b, qrels, metric: str, permutations: int,
+                             seed: int) -> float:
+    """Sampled paired randomization p-value, drawing the sign patterns in
+    chunks of 65536 rows."""
+    ma = evaluate_run(run_a, qrels).per_query
+    mb = evaluate_run(run_b, qrels).per_query
+    diffs = np.array([ma[q][metric] - mb[q][metric] for q in sorted(set(ma) & set(mb))])
+    observed = abs(diffs.mean())
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for start in range(0, permutations, 65536):
+        chunk = min(permutations - start, 65536)
+        signs = rng.integers(0, 2, size=(chunk, diffs.size)) * 2 - 1
+        hits += int((np.abs((signs * diffs).mean(axis=1)) >= observed).sum())
+    return (1 + hits) / (1 + permutations)

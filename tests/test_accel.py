@@ -1,4 +1,9 @@
-"""Agreement between the compiled kernels and their numpy twins."""
+"""The batched numpy kernels against the plain-Python loop kernels.
+
+The loop versions score one document at a time from prefix-sum match
+counts; they run un-jitted here (``.py_func`` when numba compiled them),
+so every comparison is between two different implementations.
+"""
 
 import os
 import subprocess
@@ -6,46 +11,87 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passagerank import _accel
 from passagerank import USING_NUMBA, backend_name
+from passagerank.passages import FilterSpec, extract_passages
+
+# lengths that hit the edges of the filters below: a single token,
+# shorter than m, and multiples of tau
+EDGE_LENGTHS = (1, 2, 3, 6, 7, 24, 25, 50, 75)
 
 
-def random_case(rng, vocab=40, max_len=300, max_q=8):
-    n_d = int(rng.integers(1, max_len + 1))
+def loop(fn):
+    """The plain-Python loop version of a kernel, never compiled."""
+    return getattr(fn, "py_func", fn)
+
+
+def random_batch(rng, vocab=40, max_docs=5, max_len=300, max_q=8):
+    n_docs = int(rng.integers(1, max_docs + 1))
+    lengths = np.array(
+        [int(rng.choice(EDGE_LENGTHS)) if rng.random() < 0.5
+         else int(rng.integers(1, max_len + 1)) for _ in range(n_docs)],
+        dtype=np.int64,
+    )
+    tokens = rng.integers(0, vocab, size=int(lengths.sum()), dtype=np.int32)
     n_q = int(rng.integers(1, max_q + 1))
-    doc = rng.integers(0, vocab, size=n_d, dtype=np.int32)
-    query = rng.integers(0, vocab, size=n_q, dtype=np.int32)
+    query = rng.integers(-1, vocab, size=n_q).astype(np.int32)  # -1: OOV
     bias = rng.uniform(1e-6, 2.0, size=n_q)
-    return doc, query, bias
+    return tokens, lengths, query, bias
+
+
+def split(tokens, lengths):
+    bounds = np.cumsum(lengths)[:-1]
+    return np.split(tokens, bounds)
+
+
+def worst_relative(a, b) -> float:
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)))
 
 
 class TestMatchCounts:
     def test_prefix_sums_match_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            doc, query, _ = random_case(rng, max_len=80)
-            cum = _accel.match_counts_np(doc, query)
-            assert cum.shape == (query.size, doc.size + 1)
+            tokens, _, query, _ = random_batch(rng, max_docs=1, max_len=80)
+            cum = loop(_accel._match_counts)(tokens, query)
+            assert cum.shape == (query.size, tokens.size + 1)
             for i, q in enumerate(query):
-                for j in range(doc.size + 1):
-                    assert cum[i, j] == int((doc[:j] == q).sum())
+                for j in range(tokens.size + 1):
+                    assert cum[i, j] == int((tokens[:j] == q).sum())
 
     def test_oov_ids_never_match(self):
         doc = np.array([-1, 3, -1], dtype=np.int32)
         query = np.array([3, 7], dtype=np.int32)
-        cum = _accel.match_counts_np(doc, query)
+        cum = loop(_accel._match_counts)(doc, query)
         assert cum[0].tolist() == [0, 0, 1, 1]
         assert cum[1].tolist() == [0, 0, 0, 0]
+        doc = np.array([0, 3, 5], dtype=np.int32)
+        query = np.array([3, -1], dtype=np.int32)
+        wc = _accel.window_counts(_accel.match_positions(doc, query),
+                                  np.array([0]), np.array([3]))
+        assert wc.tolist() == [[1], [0]]
 
     def test_active_backend_agrees(self):
+        """Window counts from sorted match positions equal differences of
+        the loop prefix sums, for every span of every document."""
         rng = np.random.default_rng(1)
         for _ in range(30):
-            doc, query, _ = random_case(rng, max_len=120)
-            np.testing.assert_array_equal(
-                _accel.match_counts(doc, query),
-                _accel.match_counts_np(doc, query),
-            )
+            tokens, lengths, query, _ = random_batch(rng, max_len=120)
+            positions = _accel.match_positions(tokens, query)
+            for m, tau in ((7, 3), (50, 25), (-1, 0)):
+                starts, ends, counts, _ = _accel.span_grid(lengths, m, tau)
+                wc = _accel.window_counts(positions, starts, ends)
+                expect = []
+                for doc, begin in zip(split(tokens, lengths),
+                                      np.cumsum(lengths) - lengths):
+                    cum = loop(_accel._match_counts)(doc, query)
+                    for sp in extract_passages(doc.size, FilterSpec(
+                            None if m <= 0 else m, max(tau, 0))):
+                        expect.append(cum[:, sp.start + sp.length] - cum[:, sp.start])
+                np.testing.assert_array_equal(wc, np.array(expect).T)
+                assert counts.sum() == wc.shape[1]
 
 
 class TestKernelTwins:
@@ -56,28 +102,29 @@ class TestKernelTwins:
     def test_kernel_filter_scores(self, mean_pool):
         rng = np.random.default_rng(2)
         worst = 0.0
-        for _ in range(200):
-            doc, query, bias = random_case(rng)
-            a = _accel.kernel_filter_scores(doc, query, bias, self.MS,
-                                            self.TAUS, mean_pool)
-            b = _accel.kernel_filter_scores_np(doc, query, bias, self.MS,
-                                               self.TAUS, mean_pool)
-            rel = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30))
-            worst = max(worst, float(rel))
+        for _ in range(100):
+            tokens, lengths, query, bias = random_batch(rng)
+            args = (tokens, query, bias, self.MS, self.TAUS, mean_pool, lengths)
+            a = _accel.kernel_filter_scores_np(*args)
+            b = loop(_accel._kernel_filter_scores)(*args)
+            assert a.shape == b.shape == (lengths.size, self.MS.size)
+            worst = max(worst, worst_relative(a, b))
+            worst = max(worst, worst_relative(_accel.kernel_filter_scores(*args), b))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("m,tau", [(5, 2), (50, 25), (-1, 0)])
     def test_lm_span_scores(self, m, tau):
         rng = np.random.default_rng(3)
         worst = 0.0
-        for _ in range(200):
-            doc, query, _ = random_case(rng)
+        for _ in range(100):
+            tokens, lengths, query, _ = random_batch(rng)
             bg = rng.uniform(1e-8, 0.5, size=query.size)
-            a = _accel.lm_span_scores(doc, query, bg, 0.5, m, tau)
-            b = _accel.lm_span_scores_np(doc, query, bg, 0.5, m, tau)
-            assert a.shape == b.shape
-            rel = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30))
-            worst = max(worst, float(rel))
+            args = (tokens, query, bg, 0.5, m, tau, lengths)
+            a = _accel.lm_span_scores_np(*args)
+            b = loop(_accel._lm_span_scores)(*args)
+            assert a.shape == b.shape == (_accel.span_layout(lengths, m, tau)[0].sum(),)
+            worst = max(worst, worst_relative(a, b))
+            worst = max(worst, worst_relative(_accel.lm_span_scores(*args), b))
         assert worst < 1e-12
 
     def test_span_counts(self):
@@ -85,8 +132,101 @@ class TestKernelTwins:
         query = np.array([0], dtype=np.int32)
         bg = np.array([0.1])
         # ceil(10 / 3) spans at stride 3, single span for the whole doc
-        assert _accel.lm_span_scores_np(doc, query, bg, 0.5, 7, 3).size == 4
-        assert _accel.lm_span_scores_np(doc, query, bg, 0.5, -1, 0).size == 1
+        assert _accel.lm_span_scores(doc, query, bg, 0.5, 7, 3).size == 4
+        assert _accel.lm_span_scores(doc, query, bg, 0.5, -1, 0).size == 1
+        lengths = np.array([10, 3, 1])
+        tokens = np.zeros(14, dtype=np.int32)
+        assert _accel.lm_span_scores(tokens, query, bg, 0.5, 7, 3, lengths).size == 6
+        assert _accel.span_layout(lengths, 7, 3)[1].tolist() == [0, 4, 5]
+        assert _accel.span_layout(lengths, -1, 0)[1].tolist() == [0, 1, 2]
+
+    def test_span_grid_matches_extract_passages(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            _, lengths, _, _ = random_batch(rng)
+            for f in (FilterSpec(7, 3), FilterSpec(50, 25), FilterSpec(5, 5),
+                      FilterSpec.whole_document()):
+                m, tau = (-1, 0) if f.is_infinite else (f.m, f.tau)
+                starts, ends, counts, _ = _accel.span_grid(lengths, m, tau)
+                expect = [(begin + sp.start, begin + sp.start + sp.length)
+                          for n_d, begin in zip(lengths, np.cumsum(lengths) - lengths)
+                          for sp in extract_passages(int(n_d), f)]
+                assert list(zip(starts.tolist(), ends.tolist())) == expect
+                assert counts.tolist() == [len(extract_passages(int(n), f))
+                                           for n in lengths]
+
+
+class TestBatching:
+    """A batch scores bitwise like one call per document, so run files do
+    not depend on how candidates are grouped."""
+
+    MS = TestKernelTwins.MS
+    TAUS = TestKernelTwins.TAUS
+
+    def assert_batch_equals_singles(self, tokens, lengths, query, bias, bg):
+        docs = split(tokens, lengths)
+        for mean_pool in (False, True):
+            for kernel in (_accel.kernel_filter_scores, _accel.kernel_filter_scores_np):
+                batch = kernel(tokens, query, bias, self.MS, self.TAUS, mean_pool,
+                               lengths)
+                singles = np.vstack([
+                    kernel(d, query, bias, self.MS, self.TAUS, mean_pool,
+                           np.array([d.size])) for d in docs])
+                np.testing.assert_array_equal(batch, singles)
+        for m, tau in ((5, 2), (50, 25), (-1, 0)):
+            batch = _accel.lm_span_scores(tokens, query, bg, 0.5, m, tau, lengths)
+            singles = np.concatenate(
+                [_accel.lm_span_scores(d, query, bg, 0.5, m, tau) for d in docs])
+            np.testing.assert_array_equal(batch, singles)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            tokens, lengths, query, bias = random_batch(rng)
+            bg = rng.uniform(1e-8, 0.5, size=query.size)
+            self.assert_batch_equals_singles(tokens, lengths, query, bias, bg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=60),
+                      min_size=1, max_size=5),
+        query=st.lists(st.integers(-1, 6), min_size=1, max_size=5),
+        mean_pool=st.booleans(),
+        window=st.sampled_from([(1, 1), (4, 2), (6, 6), (10, 3)]),
+    )
+    def test_property_against_loops(self, docs, query, mean_pool, window):
+        tokens = np.array([t for d in docs for t in d], dtype=np.int32)
+        lengths = np.array([len(d) for d in docs], dtype=np.int64)
+        q = np.array(query, dtype=np.int32)
+        bias = np.linspace(0.05, 1.5, q.size)
+        bg = np.linspace(1e-4, 0.3, q.size)
+        ms = np.array([window[0], -1], dtype=np.int64)
+        taus = np.array([window[1], 0], dtype=np.int64)
+        a = _accel.kernel_filter_scores_np(tokens, q, bias, ms, taus, mean_pool, lengths)
+        b = loop(_accel._kernel_filter_scores)(tokens, q, bias, ms, taus, mean_pool,
+                                               lengths)
+        assert worst_relative(a, b) < 1e-12
+        a = _accel.lm_span_scores_np(tokens, q, bg, 0.5, *window, lengths)
+        b = loop(_accel._lm_span_scores)(tokens, q, bg, 0.5, *window, lengths)
+        assert worst_relative(a, b) < 1e-12
+        self.assert_batch_equals_singles(tokens, lengths, q, bias, bg)
+
+    def test_empty_batch(self):
+        query = np.array([1], dtype=np.int32)
+        out = _accel.kernel_filter_scores(
+            np.empty(0, dtype=np.int32), query, np.ones(1), self.MS, self.TAUS,
+            False, np.empty(0, dtype=np.int64))
+        assert out.shape == (0, self.MS.size)
+
+    @pytest.mark.parametrize("tokens,lengths", [
+        (np.zeros(5, dtype=np.int32), [2, 2]),   # lengths short of the tokens
+        (np.zeros(5, dtype=np.int32), [5, 0]),   # an empty document
+        (np.zeros(0, dtype=np.int32), None),     # one empty document
+    ])
+    def test_bad_lengths_raise(self, tokens, lengths):
+        query = np.array([0], dtype=np.int32)
+        with pytest.raises(ValueError, match="document lengths"):
+            _accel.lm_span_scores(tokens, query, np.ones(1), 0.5, 2, 1, lengths)
 
 
 class TestBackendSelection:

@@ -96,6 +96,14 @@ class TestIndex:
         terms = tuple(tiny_index.vocab[t] for t in toks)
         assert terms == ("a", "a", "c", "b", "c", "c", "c")
 
+    def test_batch_tokens_concatenates_in_order(self, tiny_index):
+        tokens, lengths = tiny_index.batch_tokens(["d2", "d1", "d2"])
+        d1, d2 = (tiny_index.doc_tokens(i).tolist() for i in (0, 1))
+        assert tokens.tolist() == d2 + d1 + d2
+        assert lengths.tolist() == [7, 3, 7]
+        tokens, lengths = tiny_index.batch_tokens([])
+        assert tokens.size == 0 and lengths.size == 0
+
     def test_unknown_doc_raises(self, tiny_index):
         with pytest.raises(CorpusError):
             tiny_index.doc_index("missing")

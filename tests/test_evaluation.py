@@ -3,6 +3,7 @@
 import math
 import string
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from passagerank import (
     average_precision,
+    evaluation,
     evaluate_run,
     fisher_randomization,
     ndcg_at_k,
@@ -26,6 +28,7 @@ from passagerank.evaluation import (
     write_eval_csv,
 )
 from oracle_metrics import ap_bruteforce, ndcg_bruteforce, p_at_k_bruteforce
+from reference import fisher_sampled_reference
 
 
 class TestSpecOracles:
@@ -105,6 +108,10 @@ class TestQidSortKey:
     def test_numeric_before_alpha_and_numeric_order(self):
         qids = ["10", "q2", "2", "1", "q10"]
         assert sorted(qids, key=qid_sort_key) == ["1", "2", "10", "q10", "q2"]
+
+    def test_non_ascii_digits_sort_as_text(self):
+        # "²".isdigit() is true, but int("²") raises
+        assert sorted(["²", "10", "2"], key=qid_sort_key) == ["2", "10", "²"]
 
 
 class TestEvaluateRun:
@@ -212,6 +219,32 @@ class TestFisher:
         se = math.sqrt(pi_ex * (1 - pi_ex) / 100_000)
         assert abs(pi_s - pi_ex) <= 3 * se
 
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_chunked_draws_match_one_large_chunk(self, n):
+        run_a, run_b, qrels = self.make_runs(n=n, seed=n)
+        for permutations in (3, 70_001):  # a multiple of no chunk size
+            p = fisher_randomization(run_a, run_b, qrels, permutations=permutations,
+                                     seed=11)
+            assert p == fisher_sampled_reference(run_a, run_b, qrels, "map",
+                                                 permutations, 11)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4095])
+    def test_odd_chunk_sizes_keep_the_sign_stream(self, monkeypatch, chunk):
+        run_a, run_b, qrels = self.make_runs(n=7, seed=7)
+        monkeypatch.setattr(evaluation, "_SIGN_CHUNK", chunk)
+        p = fisher_randomization(run_a, run_b, qrels, permutations=9001, seed=11)
+        assert p == fisher_sampled_reference(run_a, run_b, qrels, "map", 9001, 11)
+
+    def test_sampling_memory_is_bounded(self):
+        run_a, run_b, qrels = self.make_runs(n=40)
+        tracemalloc.start()
+        try:
+            fisher_randomization(run_a, run_b, qrels, permutations=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_mismatched_query_sets_raise(self):
         run_a, run_b, qrels = self.make_runs()
         del run_b["1"]
@@ -253,6 +286,14 @@ class TestRunIO:
         assert list(back) == ["2", "10"]
         assert [d for d, _ in back["2"]] == ["dB", "dA"]
         assert back["2"][0][1] == pytest.approx(-1.5)
+
+    def test_non_ascii_digit_query_ids(self, tmp_path):
+        run = {"²": [("d1", 1.0)], "10": [("d2", 0.5)], "2": [("d3", 0.25)]}
+        path = tmp_path / "run.txt"
+        write_run(path, run, "t")
+        back = read_run(path)
+        assert list(back) == ["2", "10", "²"]
+        assert back == run
 
     def test_read_preserves_file_order_not_score_order(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -26,6 +26,7 @@ from passagerank.passages import (
     kernel_bias,
     kernel_lm_shift,
     max_passage_lm,
+    score_tokens,
     whole_doc_lm,
 )
 
@@ -236,6 +237,21 @@ class TestScoreVector:
                               S05, pooling="mean")
             assert np.all(hi >= lo - 1e-12)
 
+    @pytest.mark.parametrize("pooling", ["max", "mean"])
+    @pytest.mark.parametrize("scale", ["kernel", "lm"])
+    def test_batch_rows_equal_single_documents(self, small_random_index,
+                                               pooling, scale):
+        idx = small_random_index
+        ctx = QueryContext(Query("q", ("t1", "t3", "never-seen")), idx, S05)
+        doc_ids = list(reversed(idx.doc_ids))[:12]
+        tokens, lengths = idx.batch_tokens(doc_ids)
+        batch = score_tokens(ctx, tokens, self.FILTERS, pooling, scale, lengths)
+        singles = np.vstack([
+            score_tokens(ctx, idx.doc_tokens(idx.doc_index(d)), self.FILTERS,
+                         pooling, scale)
+            for d in doc_ids])
+        np.testing.assert_array_equal(batch, singles)
+
 
 class TestQueryContext:
     def test_empty_query_raises(self, tiny_index):
@@ -327,6 +343,24 @@ class TestMspRank:
                               hom_cache=cache)
             assert len(ranked) == 10
             assert all(np.isfinite(s) for _, s in ranked)
+
+    @pytest.mark.parametrize("kind", ["none", "ent"])
+    def test_scores_equal_single_document_scores(self, corpus, kind):
+        q = Query("q", ("t1", "t4"))
+        cands = list(corpus.doc_ids)[::-1][:15]
+        h = None if kind == "none" else 0.5
+        ranked = dict(msp_rank(q, cands, corpus, 10, kind, s=S05,
+                               homogeneity_override=h))
+        ctx = QueryContext(q, corpus, S05, 1)
+        for d in cands:
+            tokens = corpus.doc_tokens(corpus.doc_index(d))
+            expect = max_passage_lm(ctx, tokens, 10, 5)
+            if h is not None:
+                expect = combine_homogeneous(h, whole_doc_lm(ctx, tokens), expect)
+            assert ranked[d] == expect
+
+    def test_no_candidates(self, corpus):
+        assert msp_rank(Query("q", ("t0",)), [], corpus, 10, "ent", s=S05) == []
 
     def test_unknown_candidate_raises(self, corpus):
         with pytest.raises(Exception):
