@@ -1,10 +1,8 @@
 """Timing of one batched kernel call per query against one call per document.
 
-Scores one synthetic query's candidate documents with the active kernel
-backend (numba when importable and not disabled via
-PASSAGERANK_NO_NUMBA=1, numpy otherwise) in two ways: one batched call
-over all candidates, as the reranker makes it, and one call per
-document. Reports microseconds per document for each and checks that
+Scores one synthetic query's candidate documents with the numpy window
+kernels in two ways: one batched call over all candidates, as the
+reranker makes it, and one call per document (a batch of one). Reports microseconds per document for each and checks that
 both give bitwise the same scores.
 
 Usage: python3 benchmarks/bench_kernels.py [--docs N] [--doc-len N] ...
@@ -28,7 +26,7 @@ def make_inputs(rng, n_docs, doc_len, query_len, vocab=5000):
 
 
 def best_of(fn, repeats):
-    # one untimed pass so jit compilation stays out of the numbers
+    # one untimed warm-up pass
     fn()
     best = float("inf")
     for _ in range(repeats):
@@ -52,24 +50,25 @@ def main() -> int:
         rng, args.docs, args.doc_len, args.query_len
     )
     docs = np.split(tokens, np.cumsum(lengths)[:-1])
+    one = [np.array([d.size]) for d in docs]  # per-document batches of one
     ms = np.array([50, 150, -1], dtype=np.int64)
     taus = np.array([25, 75, 0], dtype=np.int64)
 
-    def window(toks, lens=None):
+    def window(toks, lens):
         return _accel.kernel_filter_scores(toks, query, bias, ms, taus, False, lens)
 
-    def span_lm(toks, lens=None):
+    def span_lm(toks, lens):
         return _accel.lm_span_scores(toks, query, background, 0.5, 50, 25, lens)
 
-    print(f"backend {_accel.backend_name()}: {args.docs} docs, mean length "
-          f"{int(lengths.mean())}, query length {args.query_len}, "
-          f"best of {args.repeats}")
+    print(f"{args.docs} docs, mean length {int(lengths.mean())}, "
+          f"query length {args.query_len}, best of {args.repeats}")
     for name, kernel, stack in (("window kernel", window, np.vstack),
                                 ("span lm      ", span_lm, np.concatenate)):
         batched = best_of(lambda: kernel(tokens, lengths), args.repeats)
-        per_doc = best_of(lambda: [kernel(d) for d in docs], args.repeats)
+        per_doc = best_of(lambda: [kernel(d, n) for d, n in zip(docs, one)],
+                          args.repeats)
         same = np.array_equal(kernel(tokens, lengths),
-                              stack([kernel(d) for d in docs]))
+                              stack([kernel(d, n) for d, n in zip(docs, one)]))
         print(f"{name}  batched: {batched / args.docs * 1e6:7.1f} us/doc  "
               f"per-document: {per_doc / args.docs * 1e6:7.1f} us/doc  "
               f"({per_doc / batched:4.1f}x)  identical: {same}")

@@ -5,8 +5,8 @@ neural model fuses the per-window-size scores with document and query
 features to re-rank an initial query-likelihood run.
 """
 
-from ._accel import USING_NUMBA, backend_name
-from .config import ExperimentConfig, build_config, parse_filters, read_config_file
+from ._accel import backend_name
+from .config import ExperimentConfig, build_config, read_config_file
 from .corpus import (
     CorpusError,
     CorpusIndex,
@@ -36,23 +36,11 @@ from .features import (
     FeatureExtractor,
     feature_names,
     homogeneity,
-    list_feature,
     query_features,
     summary_stats,
 )
 from .fusion import AffineNorm, FusionModel, report_weights, softmax_rows
-from .matching import MatchingMatrix, build_matrix
-from .passages import (
-    FilterSpec,
-    PassageSpan,
-    SmoothingConfig,
-    extract_passages,
-    kernel_score,
-    lm_score,
-    msp_rank,
-    pool_document,
-    score_vector,
-)
+from .passages import FilterSpec, SmoothingConfig, msp_rank, parse_filters
 from .retrieval import ql_scores, rank_documents
 from .training import TrainConfig, make_folds, sample_triples, train
 
@@ -68,33 +56,24 @@ __all__ = [
     "FeatureExtractor",
     "FilterSpec",
     "FusionModel",
-    "MatchingMatrix",
-    "PassageSpan",
     "Query",
     "SmoothingConfig",
     "TokenizeConfig",
     "TrainConfig",
-    "USING_NUMBA",
     "average_precision",
     "backend_name",
     "build_config",
     "build_index",
-    "build_matrix",
     "evaluate_run",
-    "extract_passages",
     "feature_names",
     "fisher_randomization",
     "homogeneity",
     "iter_trectext",
-    "kernel_score",
-    "list_feature",
-    "lm_score",
     "load_index",
     "make_folds",
     "msp_rank",
     "ndcg_at_k",
     "parse_filters",
-    "pool_document",
     "precision_at_k",
     "ql_scores",
     "query_features",
@@ -107,7 +86,6 @@ __all__ = [
     "report_weights",
     "sample_triples",
     "save_index",
-    "score_vector",
     "softmax_rows",
     "summary_stats",
     "tokenize",

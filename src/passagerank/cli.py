@@ -5,8 +5,7 @@ whole-document QL run), ``rerank`` (max-scoring-passage baselines or the
 trained neural model), ``train`` (cross-validated fusion training),
 ``eval`` (metrics and paired significance), ``weights`` (fusion gate
 report). Tables go to stdout, diagnostics to stderr, artifacts to
-files. All stochastic behavior hangs off --seed; --threads bounds
-internal parallelism and never changes results.
+files. All stochastic behavior hangs off --seed.
 """
 
 from __future__ import annotations
@@ -14,20 +13,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    build_config,
-    parse_filters,
-    require,
-    require_set,
-)
+from .config import ExperimentConfig, build_config, require, require_set
 from .corpus import (
     CorpusIndex,
     Query,
@@ -51,8 +43,16 @@ from .evaluation import (
     write_run,
 )
 from .features import FeatureExtractor, feature_names, mean_top_scores, write_feature_matrix
-from .fusion import FusionModel, report_weights, serialize_filters
-from .passages import FilterSpec, QueryContext, SmoothingConfig, msp_rank, score_tokens
+from .fusion import FusionModel, report_weights
+from .passages import (
+    FilterSpec,
+    QueryContext,
+    SmoothingConfig,
+    msp_rank,
+    parse_filters,
+    score_tokens,
+    serialize_filters,
+)
 from .retrieval import rank_documents
 from .training import CandidateSet, TrainConfig, make_folds, train
 
@@ -89,7 +89,7 @@ _FLAG_DEFS: dict[str, dict] = {
     "permutations": dict(type=int, metavar="N", help="randomization test samples, default 100000"),
 }
 
-_CONFIG_KEYS = tuple(_FLAG_DEFS) + ("seed", "threads")
+_CONFIG_KEYS = tuple(_FLAG_DEFS) + ("seed",)
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -122,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE", help="key=value config file")
         p.add_argument("--seed", type=int, metavar="N")
-        p.add_argument("--threads", type=int, metavar="N")
         p.add_argument("-v", "--verbose", action="store_true")
         return p
 
@@ -189,14 +188,6 @@ def _tokenize_config(cfg: ExperimentConfig) -> TokenizeConfig | None:
     if cfg.stoplist is None:
         return None
     return TokenizeConfig(stopwords=read_stoplist(cfg.stoplist))
-
-
-def _pmap(fn, items: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally threaded; results are positional."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _queries_in_run(queries: list[Query], run: dict) -> list[Query]:
@@ -266,23 +257,25 @@ class ScoreSettings:
                                 self.floor)
 
 
-def _candidate_matrices(
-    index: CorpusIndex,
-    query: Query,
-    doc_ids: list[str],
-    run_scores: list[float],
-    st: ScoreSettings,
-    extractor: FeatureExtractor,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(R, H) matrices for one query's candidates; rows follow doc_ids."""
+def _candidate_features(
+    run_in: dict, query: Query, st: ScoreSettings, extractor: FeatureExtractor
+) -> tuple[list[str], np.ndarray]:
+    """One query's candidate doc_ids in run order and their feature rows H;
+    the run scores give the query's list feature."""
+    ranked = run_in[query.query_id]
+    doc_ids = [d for d, _ in ranked]
+    list_score = (mean_top_scores([s for _, s in ranked], st.list_k)
+                  if extractor.with_query else 0.0)
+    return doc_ids, extractor.matrix(query, doc_ids, list_score)
+
+
+def _candidate_scores(
+    index: CorpusIndex, query: Query, doc_ids: list[str], st: ScoreSettings
+) -> np.ndarray:
+    """R: the per-filter LM-scale scores of one query's candidates."""
     ctx = QueryContext(query, index, st.smoothing, st.floor)
     tokens, lengths = index.batch_tokens(doc_ids)
-    R = score_tokens(ctx, tokens, st.filters, st.pooling, "lm", lengths)
-    list_score = (
-        mean_top_scores(run_scores, st.list_k) if extractor.with_query else 0.0
-    )
-    H = extractor.matrix(query, doc_ids, list_score)
-    return R, H
+    return score_tokens(ctx, tokens, st.filters, st.pooling, "lm", lengths)
 
 
 def _rank_rows(doc_ids: list[str], scores: np.ndarray) -> list[tuple[str, float]]:
@@ -316,14 +309,9 @@ def cmd_retrieve(args) -> int:
     index = load_index(cfg.index)
     queries = read_topics(cfg.topics, _tokenize_config(cfg))
     smoothing = SmoothingConfig(cfg.lambda_c)
-    index.doc_sort_rank()  # fill the lazy cache before any threading
-
-    def one(q: Query):
-        return q.query_id, rank_documents(q, index, smoothing, cfg.top_k,
-                                          cfg.oov_floor)
-
-    results = _pmap(one, queries, cfg.threads)
-    run = {qid: ranked for qid, ranked in results}
+    run = {q.query_id: rank_documents(q, index, smoothing, cfg.top_k,
+                                      cfg.oov_floor)
+           for q in queries}
     write_run(args.output, run, cfg.run_tag("ql"))
     log.info("wrote %d queries to %s", len(run), args.output)
     return 0
@@ -347,16 +335,13 @@ def cmd_rerank(args) -> int:
         kind = "none" if args.mode == "msp" else args.mode.split("-", 1)[1]
         smoothing = SmoothingConfig(cfg.lambda_c)
         hom_cache: dict = {}
-
-        def one(q: Query):
-            cands = [d for d, _ in run_in[q.query_id]]
-            return q.query_id, msp_rank(
-                q, cands, index, cfg.passage_size, kind, s=smoothing,
-                floor=cfg.oov_floor, hom_cache=hom_cache,
+        out = {
+            q.query_id: msp_rank(
+                q, [d for d, _ in run_in[q.query_id]], index, cfg.passage_size,
+                kind, s=smoothing, floor=cfg.oov_floor, hom_cache=hom_cache,
             )
-
-        results = _pmap(one, queries, cfg.threads)
-        out = {qid: ranked for qid, ranked in results}
+            for q in queries
+        }
 
     write_run(args.output, out, cfg.run_tag(args.mode))
     log.info("wrote %d queries to %s", len(out), args.output)
@@ -373,9 +358,14 @@ def _load_fold_models(dir_path: Path) -> tuple[dict[int, FusionModel], dict[str,
         header = fh.readline()
         if header.strip() != "query_id,fold":
             raise ValueError(f"{folds_file}: unexpected header {header!r}")
-        for line in fh:
-            qid, fold = line.strip().split(",")
-            fold_of[qid] = int(fold)
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                # the fold is an int, so only the last comma separates
+                qid, fold = line.strip().rsplit(",", 1)
+                fold_of[qid] = int(fold)
+            except ValueError:
+                raise ValueError(f"{folds_file}:{lineno}: expected "
+                                 f"'query_id,fold', got {line!r}") from None
     models = {}
     for fold in sorted(set(fold_of.values())):
         models[fold] = FusionModel.load(dir_path / f"fold_{fold}.json")
@@ -408,20 +398,13 @@ def _rerank_npm(args, cfg, index, queries, run_in):
     extractor = st.extractor(index)
     log.info("npm rerank with model fingerprint %s", ref_model.fingerprint())
 
-    def one(q: Query):
-        qid = q.query_id
-        doc_ids = [d for d, _ in run_in[qid]]
-        run_scores = [s for _, s in run_in[qid]]
-        R, H = _candidate_matrices(index, q, doc_ids, run_scores, st, extractor)
-        lin = model_for[qid].linear_many(R, H)
-        return qid, _rank_rows(doc_ids, lin), doc_ids, H
-
-    results = _pmap(one, queries, cfg.threads)
-    out = {qid: ranked for qid, ranked, _, _ in results}
+    out = {}
     feat_rows = []
-    for qid, _, doc_ids, H in sorted(results, key=lambda r: qid_sort_key(r[0])):
-        for doc_id, vec in zip(doc_ids, H):
-            feat_rows.append((qid, doc_id, vec))
+    for q in sorted(queries, key=lambda q: qid_sort_key(q.query_id)):
+        doc_ids, H = _candidate_features(run_in, q, st, extractor)
+        R = _candidate_scores(index, q, doc_ids, st)
+        out[q.query_id] = _rank_rows(doc_ids, model_for[q.query_id].linear_many(R, H))
+        feat_rows.extend((q.query_id, doc_id, vec) for doc_id, vec in zip(doc_ids, H))
     return out, extractor.names, feat_rows
 
 
@@ -439,26 +422,20 @@ def cmd_train(args) -> int:
     extractor = st.extractor(index)
     names = feature_names(cfg.feature_set)
 
-    def one(q: Query) -> CandidateSet:
+    candidates = {}
+    for q in queries:
         qid = q.query_id
-        doc_ids = [d for d, _ in run_in[qid]]
-        run_scores = [s for _, s in run_in[qid]]
-        R, H = _candidate_matrices(index, q, doc_ids, run_scores, st, extractor)
+        doc_ids, H = _candidate_features(run_in, q, st, extractor)
+        R = _candidate_scores(index, q, doc_ids, st)
         rel = np.array(
             [qrels.get(qid, {}).get(d, 0) > 0 for d in doc_ids], dtype=bool
         )
-        return CandidateSet(q, doc_ids, R, H, rel)
-
-    all_sets = _pmap(one, queries, cfg.threads)
-    candidates = {}
-    for cs in all_sets:
-        qid = cs.query.query_id
-        if not cs.rel.any():
+        if not rel.any():
             log.warning("query %s has no relevant candidates, dropped", qid)
-        elif cs.rel.all():
+        elif rel.all():
             log.warning("query %s has no non-relevant candidates, dropped", qid)
         else:
-            candidates[qid] = cs
+            candidates[qid] = CandidateSet(q, doc_ids, R, H, rel)
     if len(candidates) < cfg.folds:
         raise ValueError(
             f"only {len(candidates)} trainable queries; need at least "
@@ -575,15 +552,8 @@ def cmd_weights(args) -> int:
     st = ScoreSettings.from_model(model, cfg)
     extractor = st.extractor(index)
 
-    def one(q: Query) -> np.ndarray:
-        qid = q.query_id
-        doc_ids = [d for d, _ in run_in[qid]]
-        run_scores = [s for _, s in run_in[qid]]
-        list_score = (mean_top_scores(run_scores, st.list_k)
-                      if extractor.with_query else 0.0)
-        return extractor.matrix(q, doc_ids, list_score)
-
-    H_all = np.vstack(_pmap(one, queries, cfg.threads))
+    H_all = np.vstack([_candidate_features(run_in, q, st, extractor)[1]
+                       for q in queries])
     means, stds = report_weights(model, H_all)
     log.info("weight report over %d pairs, model fingerprint %s",
              H_all.shape[0], model.fingerprint())

@@ -3,9 +3,8 @@
 The config file format is one `key = value` pair per line; blank lines
 and `#` comments are ignored; no includes, no sections. Command-line
 flags override file values, which override the built-in defaults. The
-fingerprint of a resolved configuration (everything except thread
-count, which must never change results) goes into run tags for
-provenance.
+fingerprint of a resolved configuration (everything except storage
+locations) goes into run tags for provenance.
 """
 
 from __future__ import annotations
@@ -14,16 +13,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .fusion import parse_filter_label, serialize_filters
-from .passages import FilterSpec
-
-
-def parse_filters(text: str) -> tuple[FilterSpec, ...]:
-    """Parse `50,150,inf` or `50:25,150:75,inf` into filter specs."""
-    parts = [p for p in (s.strip() for s in text.split(",")) if p]
-    if not parts:
-        raise ValueError("filter list is empty")
-    return tuple(parse_filter_label(p) for p in parts)
+from .passages import FilterSpec, parse_filters, serialize_filters
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,6 @@ class ExperimentConfig:
     folds: int = 5
     permutations: int = 100_000
     seed: int = 0
-    threads: int = 1
 
     def smallest_finite_filter(self) -> FilterSpec:
         finite = [f for f in self.filters if not f.is_infinite]
@@ -69,11 +58,10 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         """Short hash over every knob that can affect computed outputs.
 
-        Storage locations and thread count are excluded: the same
-        experiment run against the same data in a different directory,
-        or with more workers, must keep its tag.
+        Storage locations are excluded: the same experiment run against
+        the same data in a different directory must keep its tag.
         """
-        skip = {"threads", "corpus", "index", "topics", "qrels", "stoplist"}
+        skip = {"corpus", "index", "topics", "qrels", "stoplist"}
         lines = []
         for f in fields(self):
             if f.name in skip:
@@ -95,7 +83,7 @@ _STR_KEYS = {"corpus", "index", "topics", "qrels", "stoplist", "pooling",
              "feature_set"}
 _INT_KEYS = {"oov_floor", "top_k", "homogeneity_m", "passage_size",
              "batch_size", "max_epochs", "patience", "negatives_per_positive",
-             "folds", "permutations", "seed", "threads"}
+             "folds", "permutations", "seed"}
 _FLOAT_KEYS = {"lambda_c", "learning_rate"}
 
 
@@ -160,8 +148,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.filters:
         raise ValueError("at least one filter is required")
     for name in ("top_k", "passage_size", "batch_size", "max_epochs",
-                 "patience", "negatives_per_positive", "folds", "permutations",
-                 "threads"):
+                 "patience", "negatives_per_positive", "folds", "permutations"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
     if cfg.oov_floor < 0:

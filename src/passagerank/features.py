@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .corpus import CorpusIndex, Document, Query
-from .passages import FilterSpec, SmoothingConfig
+
+if TYPE_CHECKING:  # passages imports this module
+    from .passages import FilterSpec
 
 HOMOGENEITY_NAMES = ("h_length", "h_ent", "h_intpsg", "h_docpsg")
 QUERY_STAT_NAMES = ("sum", "std", "max_min_ratio", "max", "amean", "gmean", "hmean", "cv")
@@ -199,20 +201,6 @@ def mean_top_scores(scores: Sequence[float], k: int = 2000) -> float:
     return float(arr.mean())
 
 
-def list_feature(
-    query: Query,
-    index: CorpusIndex,
-    k: int = 2000,
-    s: SmoothingConfig | None = None,
-    floor: int = 1,
-) -> float:
-    """Mean whole-document QL log score of the top-min(k, |D|) documents."""
-    from .retrieval import rank_documents  # deferred: retrieval imports passages
-
-    ranked = rank_documents(query, index, s, top_k=k, floor=floor)
-    return mean_top_scores([score for _, score in ranked], k)
-
-
 # ---------------------------------------------------------------------------
 # fusion feature vectors
 # ---------------------------------------------------------------------------
@@ -291,30 +279,6 @@ class FeatureExtractor:
             qb = self.query_block(query, list_score)
             cols.append(np.broadcast_to(qb, (n, qb.shape[0])))
         return np.hstack(cols) if len(cols) > 1 else np.array(cols[0], dtype=np.float64)
-
-
-def fuse_features(
-    query: Query,
-    doc: Document | str,
-    index: CorpusIndex,
-    hom_filter: FilterSpec | None = None,
-    feature_set: str = "doc+query",
-    list_score: float | None = None,
-    floor: int = 1,
-) -> np.ndarray:
-    """One (query, document) fusion feature vector in documented order.
-
-    ``list_score`` must be supplied when query features are enabled (it
-    summarizes the query's initial retrieval, not this document).
-    """
-    extractor = FeatureExtractor(index, feature_set, hom_filter, floor)
-    if extractor.with_query:
-        if list_score is None:
-            raise ValueError("query features need the query's list score")
-    else:
-        list_score = 0.0
-    doc_id = doc if isinstance(doc, str) else doc.doc_id
-    return extractor.matrix(query, [doc_id], list_score)[0]
 
 
 def write_feature_matrix(

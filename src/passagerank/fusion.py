@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .passages import FilterSpec
+from .passages import FilterSpec, parse_filter_label, serialize_filters
 
 MODEL_FORMAT = "passagerank-fusion"
 MODEL_VERSION = 1
@@ -65,20 +65,6 @@ class AffineNorm:
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError("normalization needs a non-empty 2-D matrix")
         return cls(m.mean(axis=0), np.maximum(m.std(axis=0), _STD_FLOOR))
-
-
-def serialize_filters(filters: Sequence[FilterSpec]) -> list[str]:
-    return ["inf" if f.is_infinite else f"{f.m}:{f.tau}" for f in filters]
-
-
-def parse_filter_label(label: str) -> FilterSpec:
-    text = label.strip().lower()
-    if text in ("inf", "infinite", "whole"):
-        return FilterSpec.whole_document()
-    if ":" in text:
-        m_s, tau_s = text.split(":", 1)
-        return FilterSpec.window(int(m_s), int(tau_s))
-    return FilterSpec.window(int(text))
 
 
 class FusionModel:

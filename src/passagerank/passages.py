@@ -15,22 +15,22 @@ or by the logarithm kernel
 which equals the LM score plus the constant n_q * log(m_eff /
 (1 - lambda_c)) on full-length spans. Per-filter document scores come
 from pooling span scores (max, or log-mean-exp for the probability
-mean), and ``score_vector`` stacks one pooled score per configured
-filter. ``msp_rank`` is the standalone max-scoring-passage ranker with
-optional homogeneity mixing against the whole-document model.
+mean), and ``score_tokens`` stacks one pooled score per configured
+filter for each document of a batch. ``msp_rank`` is the standalone
+max-scoring-passage ranker with optional homogeneity mixing against the
+whole-document model.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _accel
-from .corpus import CorpusIndex, Document, Query
+from . import _accel, features
+from .corpus import CorpusIndex, Query
 
 POOL_MAX = "max"
 POOL_MEAN = "mean"
@@ -89,123 +89,26 @@ class FilterSpec:
         return "inf" if self.m is None else f"{self.m}:{self.tau}"
 
 
-@dataclass(frozen=True)
-class PassageSpan:
-    """A span [start, start+length) within one document."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.length < 1:
-            raise ValueError(f"invalid span ({self.start}, {self.length})")
+def serialize_filters(filters: Sequence[FilterSpec]) -> list[str]:
+    return [f.label for f in filters]
 
 
-def extract_passages(n_d: int, f: FilterSpec) -> list[PassageSpan]:
-    """All spans of filter ``f`` over a document of length ``n_d``.
-
-    Starts are i*tau for every i*tau < n_d; the final spans truncate at
-    the document end; a start exactly at n_d would be an empty passage
-    and is not produced. The whole-document filter yields (0, n_d).
-    """
-    if n_d < 1:
-        raise ValueError(f"document length must be >= 1, got {n_d}")
-    if f.is_infinite:
-        return [PassageSpan(0, n_d)]
-    return [
-        PassageSpan(start, min(f.m, n_d - start))
-        for start in range(0, n_d, f.tau)
-    ]
+def parse_filter_label(label: str) -> FilterSpec:
+    text = label.strip().lower()
+    if text in ("inf", "infinite", "whole"):
+        return FilterSpec.whole_document()
+    if ":" in text:
+        m_s, tau_s = text.split(":", 1)
+        return FilterSpec.window(int(m_s), int(tau_s))
+    return FilterSpec.window(int(text))
 
 
-# ---------------------------------------------------------------------------
-# reference scorers (readable, per-span; the hot paths live in _accel)
-# ---------------------------------------------------------------------------
-
-
-def kernel_bias(cf_t: int, m_eff: int, s: SmoothingConfig, total_len: int) -> float:
-    """b_t: the additive bias folding the collection model into the kernel."""
-    return s.lambda_c * m_eff * cf_t / ((1.0 - s.lambda_c) * total_len)
-
-
-def kernel_lm_shift(n_q: int, m_eff: int, s: SmoothingConfig) -> float:
-    """The constant separating kernel and LM scores on full-length spans."""
-    return n_q * math.log(m_eff / (1.0 - s.lambda_c))
-
-
-def lm_score(
-    query: Query,
-    span: PassageSpan,
-    doc: Document,
-    index: CorpusIndex,
-    s: SmoothingConfig,
-    floor: int = 1,
-) -> float:
-    """Smoothed log-likelihood of the query under the span's unigram model.
-
-    Uses the span's actual length as n, so truncated final spans are
-    scored over what they contain.
-    """
-    if span.start >= doc.n_d or span.start + span.length > doc.n_d:
-        raise ValueError(f"span {span} does not fit document of length {doc.n_d}")
-    window = doc.terms[span.start : span.start + span.length]
-    counts = Counter(window)
-    lam = s.lambda_c
-    total = 0.0
-    for t in query.terms:
-        p = (1.0 - lam) * counts.get(t, 0) / span.length + lam * index.corpus_freq(
-            t, floor
-        ) / index.total_len
-        if p <= 0.0:
-            raise ValueError(
-                f"zero probability for term {t!r} (OOV floor {floor})"
-            )
-        total += math.log(p)
-    return total
-
-
-def kernel_score(
-    query: Query,
-    span: PassageSpan,
-    matrix,
-    index: CorpusIndex,
-    s: SmoothingConfig,
-    m_eff: int,
-    floor: int = 1,
-) -> float:
-    """Logarithm-kernel span score: sum_t log(window_tf + b_t).
-
-    ``m_eff`` is the nominal filter length for finite filters (even on a
-    truncated final span) and the document length for the
-    whole-document filter.
-    """
-    total = 0.0
-    for i, t in enumerate(query.terms):
-        wc = matrix.window_tf(i, span.start, span.length)
-        b = kernel_bias(index.corpus_freq(t, floor), m_eff, s, index.total_len)
-        if wc + b <= 0.0:
-            raise ValueError(f"non-positive kernel argument for term {t!r}")
-        total += math.log(wc + b)
-    return total
-
-
-def pool_document(scores: Sequence[float], strategy: str) -> float:
-    """Pool per-passage scores to one document score.
-
-    MAX is winner-take-all; MEAN is the log of the arithmetic mean of
-    exponentiated scores (log-sum-exp based, safe for large-magnitude
-    log-likelihoods).
-    """
-    if len(scores) == 0:
-        raise ValueError("cannot pool an empty score list")
-    arr = np.asarray(scores, dtype=np.float64)
-    kind = strategy.lower()
-    if kind == POOL_MAX:
-        return float(arr.max())
-    if kind == POOL_MEAN:
-        mx = arr.max()
-        return float(mx + np.log(np.exp(arr - mx).mean()))
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
+def parse_filters(text: str) -> tuple[FilterSpec, ...]:
+    """Parse `50,150,inf` or `50:25,150:75,inf` into filter specs."""
+    parts = [p for p in (s.strip() for s in text.split(",")) if p]
+    if not parts:
+        raise ValueError("filter list is empty")
+    return tuple(parse_filter_label(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -247,53 +150,25 @@ def _filter_arrays(filters: Sequence[FilterSpec]):
     return ms, taus
 
 
-def score_vector(
-    query: Query,
-    doc: Document | str,
-    filters: Sequence[FilterSpec],
-    index: CorpusIndex,
-    s: SmoothingConfig | None = None,
-    pooling: str = POOL_MAX,
-    scale: str = SCALE_KERNEL,
-    floor: int = 1,
-) -> np.ndarray:
-    """Per-filter pooled kernel scores for one candidate document.
-
-    ``scale="kernel"`` returns raw pooled kernel scores. ``scale="lm"``
-    subtracts each filter's kernel-vs-LM shift, putting every component
-    on the log-likelihood scale; on that scale the whole-document filter
-    is exactly the document's smoothed query log-likelihood. The shift
-    is constant per (query, filter) for finite filters, so it never
-    changes orderings there; for the whole-document filter it varies
-    with document length, which is the point.
-    """
-    s = s or SmoothingConfig()
-    if len(filters) == 0:
-        raise ValueError("at least one filter is required")
-    if pooling.lower() not in (POOL_MAX, POOL_MEAN):
-        raise ValueError(f"unknown pooling strategy {pooling!r}")
-    if scale not in (SCALE_KERNEL, SCALE_LM):
-        raise ValueError(f"unknown score scale {scale!r}")
-    ctx = QueryContext(query, index, s, floor)
-    doc_id = doc if isinstance(doc, str) else doc.doc_id
-    tokens = index.doc_tokens(index.doc_index(doc_id))
-    return score_tokens(ctx, tokens, filters, pooling, scale)
-
-
 def score_tokens(
     ctx: QueryContext,
     tokens: np.ndarray,
     filters: Sequence[FilterSpec],
     pooling: str,
     scale: str,
-    lengths: np.ndarray | None = None,
+    lengths: np.ndarray,
 ) -> np.ndarray:
-    """Per-filter pooled scores of one document, or of a batch.
+    """Per-filter pooled scores of a batch: ``tokens`` holds the
+    documents concatenated in order, ``lengths`` their lengths, and the
+    result has one row per document and one column per filter.
 
-    Without ``lengths``, ``tokens`` is one document and the result a
-    vector with one score per filter. With ``lengths``, ``tokens`` holds
-    the documents of a batch concatenated in order and the result has
-    one row per document.
+    ``scale="kernel"`` gives raw pooled kernel scores. ``scale="lm"``
+    subtracts each filter's kernel-vs-LM shift, putting every column on
+    the log-likelihood scale; there the whole-document column is exactly
+    the document's smoothed query log-likelihood. The shift is constant
+    per (query, filter) for finite filters, so it never changes their
+    orderings; for the whole-document filter it varies with document
+    length, which is the point.
     """
     ms, taus = _filter_arrays(filters)
     raw = _accel.kernel_filter_scores(
@@ -301,10 +176,9 @@ def score_tokens(
         lengths,
     )
     if scale == SCALE_LM:
-        n_d = np.array([tokens.shape[0]]) if lengths is None else lengths
-        m_eff = np.where(ms <= 0, n_d[:, np.newaxis], ms).astype(np.float64)
+        m_eff = np.where(ms <= 0, lengths[:, np.newaxis], ms).astype(np.float64)
         raw = raw - ctx.query.n_q * np.log(m_eff / (1.0 - ctx.smoothing.lambda_c))
-    return raw[0] if lengths is None else raw
+    return raw
 
 
 def max_passage_lm(
@@ -312,30 +186,27 @@ def max_passage_lm(
     tokens: np.ndarray,
     m: int,
     tau: int,
-    lengths: np.ndarray | None = None,
-):
-    """Best span LM score for a finite window (m, tau): a float for one
-    document, one value per document for a batch (see ``score_tokens``)."""
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Best span LM score of each document of a batch (see
+    ``score_tokens``) for a finite window (m, tau)."""
     spans = _accel.lm_span_scores(
         tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau,
         lengths,
     )
-    if lengths is None:
-        return float(spans.max())
     _, offsets = _accel.span_layout(lengths, m, tau)
     return np.maximum.reduceat(spans, offsets)
 
 
 def whole_doc_lm(
-    ctx: QueryContext, tokens: np.ndarray, lengths: np.ndarray | None = None
-):
-    """Whole-document smoothed query log-likelihood: a float for one
-    document, one value per document for a batch."""
-    spans = _accel.lm_span_scores(
+    ctx: QueryContext, tokens: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Whole-document smoothed query log-likelihood of each document of a
+    batch."""
+    return _accel.lm_span_scores(
         tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0,
         lengths,
     )
-    return float(spans[0]) if lengths is None else spans
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +251,6 @@ def msp_rank(
     recomputing per-document homogeneity. Ties break by doc_id
     ascending.
     """
-    from . import features  # deferred: features imports this module
-
     if homogeneity not in HOMOGENEITY_KINDS:
         raise ValueError(f"unknown homogeneity kind {homogeneity!r}")
     s = s or SmoothingConfig()

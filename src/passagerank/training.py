@@ -81,11 +81,6 @@ class FoldResult:
         return max(row[2] for row in self.log_rows)
 
 
-def hinge_loss(s_pos: float, s_neg: float) -> float:
-    """max(0, 1 - s_pos + s_neg)."""
-    return max(0.0, 1.0 - s_pos + s_neg)
-
-
 def make_folds(query_ids: Sequence[str], k: int = 5, seed: int = 0) -> dict[str, int]:
     """Shuffle queries under the seed and split into k near-equal folds."""
     qids = sorted(query_ids)

@@ -1,19 +1,451 @@
 """Readable reference implementations that only the tests call.
 
 Each function here computes a quantity the package computes on a faster
-path, written the direct way so the two can be compared.
+path, written the direct way so the two can be compared: per-span LM
+and kernel scorers over a query/document matching matrix, plain-Python
+loop twins of the batched window kernels, single-document forms of the
+batch scorers, and the pairwise homogeneity, postings and Fisher
+references.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from passagerank.corpus import CorpusIndex, Document
+from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
-from passagerank.features import HomogeneityScores
-from passagerank.passages import FilterSpec, extract_passages
+from passagerank.features import FeatureExtractor, HomogeneityScores, mean_top_scores
+from passagerank.passages import (
+    POOL_MAX,
+    POOL_MEAN,
+    SCALE_KERNEL,
+    SCALE_LM,
+    FilterSpec,
+    QueryContext,
+    SmoothingConfig,
+    max_passage_lm,
+    score_tokens,
+    whole_doc_lm,
+)
+from passagerank.retrieval import rank_documents
+
+
+# ---------------------------------------------------------------------------
+# passages and the matching matrix
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PassageSpan:
+    """A span [start, start+length) within one document."""
+
+    start: int
+    length: int
+
+    def __post_init__(self):
+        if self.start < 0 or self.length < 1:
+            raise ValueError(f"invalid span ({self.start}, {self.length})")
+
+
+def extract_passages(n_d: int, f: FilterSpec) -> list[PassageSpan]:
+    """All spans of filter ``f`` over a document of length ``n_d``.
+
+    Starts are i*tau for every i*tau < n_d; the final spans truncate at
+    the document end; a start exactly at n_d would be an empty passage
+    and is not produced. The whole-document filter yields (0, n_d).
+    """
+    if n_d < 1:
+        raise ValueError(f"document length must be >= 1, got {n_d}")
+    if f.is_infinite:
+        return [PassageSpan(0, n_d)]
+    return [
+        PassageSpan(start, min(f.m, n_d - start))
+        for start in range(0, n_d, f.tau)
+    ]
+
+
+class MatchingMatrix:
+    """Binary query-term / document-position match matrix: entry (i, j) is
+    1 iff query term i equals document term j. Stored as per-row sorted
+    position lists, so a windowed row sum is a binary search."""
+
+    def __init__(self, n_q: int, n_d: int, positions: list[np.ndarray]):
+        self.n_q = n_q
+        self.n_d = n_d
+        self.positions = positions
+
+    def row_tf(self, row: int) -> int:
+        """Full-row sum: tf of query term ``row`` in the document."""
+        return int(self.positions[self._check_row(row)].shape[0])
+
+    def window_tf(self, row: int, start: int, length: int) -> int:
+        """Number of matches in columns [start, min(start+length, n_d))."""
+        pos = self.positions[self._check_row(row)]
+        if not 0 <= start < self.n_d:
+            raise ValueError(f"window start {start} outside document [0, {self.n_d})")
+        if length < 1:
+            raise ValueError(f"window length must be >= 1, got {length}")
+        end = min(start + length, self.n_d)
+        lo = np.searchsorted(pos, start, side="left")
+        hi = np.searchsorted(pos, end, side="left")
+        return int(hi - lo)
+
+    def dense(self) -> np.ndarray:
+        """Materialized (n_q, n_d) uint8 matrix."""
+        out = np.zeros((self.n_q, self.n_d), dtype=np.uint8)
+        for i, pos in enumerate(self.positions):
+            out[i, pos] = 1
+        return out
+
+    def dump(self) -> str:
+        """One line of 0/1 characters per query term."""
+        return "\n".join("".join(str(v) for v in row) for row in self.dense())
+
+    def _check_row(self, row: int) -> int:
+        if not 0 <= row < self.n_q:
+            raise IndexError(f"row {row} outside [0, {self.n_q})")
+        return row
+
+
+def build_matrix(q, d) -> MatchingMatrix:
+    """The matching matrix of a (query, document) pair, given as the
+    Query/Document dataclasses or as plain term sequences."""
+    q_terms = getattr(q, "terms", q)
+    d_terms = getattr(d, "terms", d)
+    if len(q_terms) == 0:
+        raise ValueError("query has no terms")
+    if len(d_terms) == 0:
+        raise ValueError("document has no terms")
+    by_term: dict[str, list[int]] = {}
+    for j, t in enumerate(d_terms):
+        by_term.setdefault(t, []).append(j)
+    positions = [
+        np.array(by_term.get(t, ()), dtype=np.int64) for t in q_terms
+    ]
+    return MatchingMatrix(len(q_terms), len(d_terms), positions)
+
+
+# ---------------------------------------------------------------------------
+# per-span scorers
+# ---------------------------------------------------------------------------
+
+
+def kernel_bias(cf_t: int, m_eff: int, s: SmoothingConfig, total_len: int) -> float:
+    """b_t: the additive bias folding the collection model into the kernel."""
+    return s.lambda_c * m_eff * cf_t / ((1.0 - s.lambda_c) * total_len)
+
+
+def kernel_lm_shift(n_q: int, m_eff: int, s: SmoothingConfig) -> float:
+    """The constant separating kernel and LM scores on full-length spans."""
+    return n_q * math.log(m_eff / (1.0 - s.lambda_c))
+
+
+def lm_score(
+    query: Query,
+    span: PassageSpan,
+    doc: Document,
+    index: CorpusIndex,
+    s: SmoothingConfig,
+    floor: int = 1,
+) -> float:
+    """Smoothed log-likelihood of the query under the span's unigram
+    model, with the span's actual length as n."""
+    if span.start >= doc.n_d or span.start + span.length > doc.n_d:
+        raise ValueError(f"span {span} does not fit document of length {doc.n_d}")
+    counts = Counter(doc.terms[span.start : span.start + span.length])
+    lam = s.lambda_c
+    total = 0.0
+    for t in query.terms:
+        p = (1.0 - lam) * counts.get(t, 0) / span.length + lam * index.corpus_freq(
+            t, floor
+        ) / index.total_len
+        if p <= 0.0:
+            raise ValueError(
+                f"zero probability for term {t!r} (OOV floor {floor})"
+            )
+        total += math.log(p)
+    return total
+
+
+def kernel_score(
+    query: Query,
+    span: PassageSpan,
+    matrix: MatchingMatrix,
+    index: CorpusIndex,
+    s: SmoothingConfig,
+    m_eff: int,
+    floor: int = 1,
+) -> float:
+    """Logarithm-kernel span score: sum_t log(window_tf + b_t).
+
+    ``m_eff`` is the nominal filter length for finite filters (even on a
+    truncated final span) and the document length for the
+    whole-document filter.
+    """
+    total = 0.0
+    for i, t in enumerate(query.terms):
+        wc = matrix.window_tf(i, span.start, span.length)
+        b = kernel_bias(index.corpus_freq(t, floor), m_eff, s, index.total_len)
+        if wc + b <= 0.0:
+            raise ValueError(f"non-positive kernel argument for term {t!r}")
+        total += math.log(wc + b)
+    return total
+
+
+def pool_document(scores: Sequence[float], strategy: str) -> float:
+    """MAX, or MEAN as the log of the mean of exponentiated scores."""
+    if len(scores) == 0:
+        raise ValueError("cannot pool an empty score list")
+    arr = np.asarray(scores, dtype=np.float64)
+    kind = strategy.lower()
+    if kind == POOL_MAX:
+        return float(arr.max())
+    if kind == POOL_MEAN:
+        mx = arr.max()
+        return float(mx + np.log(np.exp(arr - mx).mean()))
+    raise ValueError(f"unknown pooling strategy {strategy!r}")
+
+
+# ---------------------------------------------------------------------------
+# single-document forms of the batch scorers
+# ---------------------------------------------------------------------------
+
+
+def _one(tokens: np.ndarray) -> np.ndarray:
+    return np.array([tokens.shape[0]], dtype=np.int64)
+
+
+def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters, pooling: str,
+                     scale: str) -> np.ndarray:
+    """``score_tokens`` of one document: one score per filter."""
+    return score_tokens(ctx, tokens, filters, pooling, scale, _one(tokens))[0]
+
+
+def max_passage_lm_one(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int) -> float:
+    """``max_passage_lm`` of one document."""
+    return float(max_passage_lm(ctx, tokens, m, tau, _one(tokens))[0])
+
+
+def whole_doc_lm_one(ctx: QueryContext, tokens: np.ndarray) -> float:
+    """``whole_doc_lm`` of one document."""
+    return float(whole_doc_lm(ctx, tokens, _one(tokens))[0])
+
+
+def score_vector(
+    query: Query,
+    doc: Document | str,
+    filters: Sequence[FilterSpec],
+    index: CorpusIndex,
+    s: SmoothingConfig | None = None,
+    pooling: str = POOL_MAX,
+    scale: str = SCALE_KERNEL,
+    floor: int = 1,
+) -> np.ndarray:
+    """Per-filter pooled scores of one candidate document, by id or
+    Document, on the kernel or the LM scale."""
+    s = s or SmoothingConfig()
+    if len(filters) == 0:
+        raise ValueError("at least one filter is required")
+    if pooling.lower() not in (POOL_MAX, POOL_MEAN):
+        raise ValueError(f"unknown pooling strategy {pooling!r}")
+    if scale not in (SCALE_KERNEL, SCALE_LM):
+        raise ValueError(f"unknown score scale {scale!r}")
+    ctx = QueryContext(query, index, s, floor)
+    doc_id = doc if isinstance(doc, str) else doc.doc_id
+    tokens = index.doc_tokens(index.doc_index(doc_id))
+    return score_tokens_one(ctx, tokens, filters, pooling, scale)
+
+
+# ---------------------------------------------------------------------------
+# loop twins of the batched window kernels
+# ---------------------------------------------------------------------------
+
+
+def match_counts(doc_tokens, query_ids):
+    """Prefix-sum match counts: out[i, j] = #{p < j : d[p] == q[i]}."""
+    n_d = doc_tokens.shape[0]
+    n_q = query_ids.shape[0]
+    out = np.zeros((n_q, n_d + 1), dtype=np.int64)
+    for i in range(n_q):
+        q = query_ids[i]
+        c = 0
+        for j in range(n_d):
+            if doc_tokens[j] == q:
+                c += 1
+            out[i, j + 1] = c
+    return out
+
+
+def pool_loop(scores, mean_pool):
+    """MAX pooling, or MEAN pooling as log-mean-exp over span scores."""
+    mx = scores[0]
+    for k in range(1, scores.shape[0]):
+        if scores[k] > mx:
+            mx = scores[k]
+    if not mean_pool:
+        return mx
+    acc = 0.0
+    for k in range(scores.shape[0]):
+        acc += np.exp(scores[k] - mx)
+    return mx + np.log(acc / scores.shape[0])
+
+
+def doc_filter_scores(doc_tokens, query_ids, bias_coeff, ms, taus, mean_pool):
+    """Pooled log-kernel score per window filter, for one document.
+
+    Span score: sum_i log(window_count_i + bias_coeff[i] * m_eff) with
+    m_eff the nominal window size (the document length when m <= 0).
+    """
+    n_d = doc_tokens.shape[0]
+    n_q = query_ids.shape[0]
+    n_f = ms.shape[0]
+    cum = match_counts(doc_tokens, query_ids)
+    out = np.empty(n_f, dtype=np.float64)
+    for f in range(n_f):
+        m = ms[f]
+        if m <= 0:
+            width = n_d
+            step = n_d
+            m_eff = float(n_d)
+            n_spans = 1
+        else:
+            width = m
+            step = taus[f]
+            m_eff = float(m)
+            n_spans = (n_d + step - 1) // step
+        spans = np.empty(n_spans, dtype=np.float64)
+        start = 0
+        s = 0
+        while start < n_d:
+            end = start + width
+            if end > n_d:
+                end = n_d
+            acc = 0.0
+            for i in range(n_q):
+                wc = cum[i, end] - cum[i, start]
+                acc += np.log(wc + bias_coeff[i] * m_eff)
+            spans[s] = acc
+            s += 1
+            start += step
+        out[f] = pool_loop(spans, mean_pool)
+    return out
+
+
+def doc_lm_span_scores(doc_tokens, query_ids, background, one_minus_lam, m, tau):
+    """Smoothed LM log-likelihood per span of one document, actual span
+    length as n.
+
+    Span score: sum_i log(one_minus_lam * window_count_i / n + background[i]);
+    background[i] already folds the smoothing weight into the collection
+    probability.
+    """
+    n_d = doc_tokens.shape[0]
+    n_q = query_ids.shape[0]
+    cum = match_counts(doc_tokens, query_ids)
+    if m <= 0:
+        width = n_d
+        step = n_d
+        n_spans = 1
+    else:
+        width = m
+        step = tau
+        n_spans = (n_d + step - 1) // step
+    out = np.empty(n_spans, dtype=np.float64)
+    start = 0
+    s = 0
+    while start < n_d:
+        end = start + width
+        if end > n_d:
+            end = n_d
+        n = float(end - start)
+        acc = 0.0
+        for i in range(n_q):
+            wc = cum[i, end] - cum[i, start]
+            acc += np.log(one_minus_lam * wc / n + background[i])
+        out[s] = acc
+        s += 1
+        start += step
+    return out
+
+
+def kernel_filter_scores_loop(tokens, query_ids, bias_coeff, ms, taus, mean_pool,
+                              lengths):
+    """(D, F) pooled scores of a batch, one document at a time."""
+    out = np.empty((lengths.shape[0], ms.shape[0]), dtype=np.float64)
+    start = 0
+    for d in range(lengths.shape[0]):
+        end = start + lengths[d]
+        out[d] = doc_filter_scores(
+            tokens[start:end], query_ids, bias_coeff, ms, taus, mean_pool
+        )
+        start = end
+    return out
+
+
+def lm_span_scores_loop(tokens, query_ids, background, one_minus_lam, m, tau, lengths):
+    """Span scores of a batch, concatenated, one document at a time."""
+    out = []
+    start = 0
+    for d in range(lengths.shape[0]):
+        end = start + lengths[d]
+        out.append(doc_lm_span_scores(
+            tokens[start:end], query_ids, background, one_minus_lam, m, tau
+        ))
+        start = end
+    return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# features and training
+# ---------------------------------------------------------------------------
+
+
+def list_feature(
+    query: Query,
+    index: CorpusIndex,
+    k: int = 2000,
+    s: SmoothingConfig | None = None,
+    floor: int = 1,
+) -> float:
+    """Mean whole-document QL log score of the top-min(k, |D|) documents."""
+    ranked = rank_documents(query, index, s, top_k=k, floor=floor)
+    return mean_top_scores([score for _, score in ranked], k)
+
+
+def fuse_features(
+    query: Query,
+    doc: Document | str,
+    index: CorpusIndex,
+    hom_filter: FilterSpec | None = None,
+    feature_set: str = "doc+query",
+    list_score: float | None = None,
+    floor: int = 1,
+) -> np.ndarray:
+    """One (query, document) fusion feature vector in documented order;
+    ``list_score`` is required when query features are enabled."""
+    extractor = FeatureExtractor(index, feature_set, hom_filter, floor)
+    if extractor.with_query:
+        if list_score is None:
+            raise ValueError("query features need the query's list score")
+    else:
+        list_score = 0.0
+    doc_id = doc if isinstance(doc, str) else doc.doc_id
+    return extractor.matrix(query, [doc_id], list_score)[0]
+
+
+def hinge_loss(s_pos: float, s_neg: float) -> float:
+    """max(0, 1 - s_pos + s_neg)."""
+    return max(0.0, 1.0 - s_pos + s_neg)
+
+
+# ---------------------------------------------------------------------------
+# homogeneity, postings, significance
+# ---------------------------------------------------------------------------
 
 
 def _clamp01(x: float) -> float:

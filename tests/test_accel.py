@@ -1,30 +1,26 @@
 """The batched numpy kernels against the plain-Python loop kernels.
 
-The loop versions score one document at a time from prefix-sum match
-counts; they run un-jitted here (``.py_func`` when numba compiled them),
-so every comparison is between two different implementations.
+The loop versions in ``reference`` score one document at a time from
+prefix-sum match counts, so every comparison is between two different
+implementations.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from passagerank import _accel
-from passagerank import USING_NUMBA, backend_name
-from passagerank.passages import FilterSpec, extract_passages
+from passagerank import _accel, backend_name
+from passagerank.passages import FilterSpec
+from reference import (
+    extract_passages,
+    kernel_filter_scores_loop,
+    lm_span_scores_loop,
+    match_counts,
+)
 
 # lengths that hit the edges of the filters below: a single token,
 # shorter than m, and multiples of tau
 EDGE_LENGTHS = (1, 2, 3, 6, 7, 24, 25, 50, 75)
-
-
-def loop(fn):
-    """The plain-Python loop version of a kernel, never compiled."""
-    return getattr(fn, "py_func", fn)
 
 
 def random_batch(rng, vocab=40, max_docs=5, max_len=300, max_q=8):
@@ -55,7 +51,7 @@ class TestMatchCounts:
         rng = np.random.default_rng(0)
         for _ in range(50):
             tokens, _, query, _ = random_batch(rng, max_docs=1, max_len=80)
-            cum = loop(_accel._match_counts)(tokens, query)
+            cum = match_counts(tokens, query)
             assert cum.shape == (query.size, tokens.size + 1)
             for i, q in enumerate(query):
                 for j in range(tokens.size + 1):
@@ -64,7 +60,7 @@ class TestMatchCounts:
     def test_oov_ids_never_match(self):
         doc = np.array([-1, 3, -1], dtype=np.int32)
         query = np.array([3, 7], dtype=np.int32)
-        cum = loop(_accel._match_counts)(doc, query)
+        cum = match_counts(doc, query)
         assert cum[0].tolist() == [0, 0, 1, 1]
         assert cum[1].tolist() == [0, 0, 0, 0]
         doc = np.array([0, 3, 5], dtype=np.int32)
@@ -86,7 +82,7 @@ class TestMatchCounts:
                 expect = []
                 for doc, begin in zip(split(tokens, lengths),
                                       np.cumsum(lengths) - lengths):
-                    cum = loop(_accel._match_counts)(doc, query)
+                    cum = match_counts(doc, query)
                     for sp in extract_passages(doc.size, FilterSpec(
                             None if m <= 0 else m, max(tau, 0))):
                         expect.append(cum[:, sp.start + sp.length] - cum[:, sp.start])
@@ -105,11 +101,10 @@ class TestKernelTwins:
         for _ in range(100):
             tokens, lengths, query, bias = random_batch(rng)
             args = (tokens, query, bias, self.MS, self.TAUS, mean_pool, lengths)
-            a = _accel.kernel_filter_scores_np(*args)
-            b = loop(_accel._kernel_filter_scores)(*args)
+            a = _accel.kernel_filter_scores(*args)
+            b = kernel_filter_scores_loop(*args)
             assert a.shape == b.shape == (lengths.size, self.MS.size)
             worst = max(worst, worst_relative(a, b))
-            worst = max(worst, worst_relative(_accel.kernel_filter_scores(*args), b))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("m,tau", [(5, 2), (50, 25), (-1, 0)])
@@ -120,11 +115,10 @@ class TestKernelTwins:
             tokens, lengths, query, _ = random_batch(rng)
             bg = rng.uniform(1e-8, 0.5, size=query.size)
             args = (tokens, query, bg, 0.5, m, tau, lengths)
-            a = _accel.lm_span_scores_np(*args)
-            b = loop(_accel._lm_span_scores)(*args)
+            a = _accel.lm_span_scores(*args)
+            b = lm_span_scores_loop(*args)
             assert a.shape == b.shape == (_accel.span_layout(lengths, m, tau)[0].sum(),)
             worst = max(worst, worst_relative(a, b))
-            worst = max(worst, worst_relative(_accel.lm_span_scores(*args), b))
         assert worst < 1e-12
 
     def test_span_counts(self):
@@ -132,8 +126,9 @@ class TestKernelTwins:
         query = np.array([0], dtype=np.int32)
         bg = np.array([0.1])
         # ceil(10 / 3) spans at stride 3, single span for the whole doc
-        assert _accel.lm_span_scores(doc, query, bg, 0.5, 7, 3).size == 4
-        assert _accel.lm_span_scores(doc, query, bg, 0.5, -1, 0).size == 1
+        one = np.array([10])
+        assert _accel.lm_span_scores(doc, query, bg, 0.5, 7, 3, one).size == 4
+        assert _accel.lm_span_scores(doc, query, bg, 0.5, -1, 0, one).size == 1
         lengths = np.array([10, 3, 1])
         tokens = np.zeros(14, dtype=np.int32)
         assert _accel.lm_span_scores(tokens, query, bg, 0.5, 7, 3, lengths).size == 6
@@ -165,18 +160,18 @@ class TestBatching:
 
     def assert_batch_equals_singles(self, tokens, lengths, query, bias, bg):
         docs = split(tokens, lengths)
+        kernel = _accel.kernel_filter_scores
         for mean_pool in (False, True):
-            for kernel in (_accel.kernel_filter_scores, _accel.kernel_filter_scores_np):
-                batch = kernel(tokens, query, bias, self.MS, self.TAUS, mean_pool,
-                               lengths)
-                singles = np.vstack([
-                    kernel(d, query, bias, self.MS, self.TAUS, mean_pool,
-                           np.array([d.size])) for d in docs])
-                np.testing.assert_array_equal(batch, singles)
+            batch = kernel(tokens, query, bias, self.MS, self.TAUS, mean_pool, lengths)
+            singles = np.vstack([
+                kernel(d, query, bias, self.MS, self.TAUS, mean_pool,
+                       np.array([d.size])) for d in docs])
+            np.testing.assert_array_equal(batch, singles)
         for m, tau in ((5, 2), (50, 25), (-1, 0)):
             batch = _accel.lm_span_scores(tokens, query, bg, 0.5, m, tau, lengths)
             singles = np.concatenate(
-                [_accel.lm_span_scores(d, query, bg, 0.5, m, tau) for d in docs])
+                [_accel.lm_span_scores(d, query, bg, 0.5, m, tau, np.array([d.size]))
+                 for d in docs])
             np.testing.assert_array_equal(batch, singles)
 
     def test_random_batches(self):
@@ -202,12 +197,11 @@ class TestBatching:
         bg = np.linspace(1e-4, 0.3, q.size)
         ms = np.array([window[0], -1], dtype=np.int64)
         taus = np.array([window[1], 0], dtype=np.int64)
-        a = _accel.kernel_filter_scores_np(tokens, q, bias, ms, taus, mean_pool, lengths)
-        b = loop(_accel._kernel_filter_scores)(tokens, q, bias, ms, taus, mean_pool,
-                                               lengths)
+        a = _accel.kernel_filter_scores(tokens, q, bias, ms, taus, mean_pool, lengths)
+        b = kernel_filter_scores_loop(tokens, q, bias, ms, taus, mean_pool, lengths)
         assert worst_relative(a, b) < 1e-12
-        a = _accel.lm_span_scores_np(tokens, q, bg, 0.5, *window, lengths)
-        b = loop(_accel._lm_span_scores)(tokens, q, bg, 0.5, *window, lengths)
+        a = _accel.lm_span_scores(tokens, q, bg, 0.5, *window, lengths)
+        b = lm_span_scores_loop(tokens, q, bg, 0.5, *window, lengths)
         assert worst_relative(a, b) < 1e-12
         self.assert_batch_equals_singles(tokens, lengths, q, bias, bg)
 
@@ -221,7 +215,7 @@ class TestBatching:
     @pytest.mark.parametrize("tokens,lengths", [
         (np.zeros(5, dtype=np.int32), [2, 2]),   # lengths short of the tokens
         (np.zeros(5, dtype=np.int32), [5, 0]),   # an empty document
-        (np.zeros(0, dtype=np.int32), None),     # one empty document
+        (np.zeros(0, dtype=np.int32), [0]),      # one empty document
     ])
     def test_bad_lengths_raise(self, tokens, lengths):
         query = np.array([0], dtype=np.int32)
@@ -231,38 +225,4 @@ class TestBatching:
 
 class TestBackendSelection:
     def test_backend_name_tracks_flag(self):
-        assert backend_name() == ("numba" if USING_NUMBA else "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, PASSAGERANK_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from passagerank import USING_NUMBA, backend_name;"
-             "print(USING_NUMBA, backend_name())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.split() == ["False", "numpy"]
-
-    def test_default_uses_numba_when_available(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("numba not installed")
-        env = {k: v for k, v in os.environ.items()
-               if k != "PASSAGERANK_NO_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from passagerank import USING_NUMBA; print(USING_NUMBA)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.split() == ["True"]
-
-    def test_flag_zero_means_enabled(self):
-        env = dict(os.environ, PASSAGERANK_NO_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from passagerank._accel import _numba_disabled;"
-             "print(_numba_disabled())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.split() == ["False"]
+        assert backend_name() == "numpy"

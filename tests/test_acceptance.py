@@ -16,17 +16,13 @@ from passagerank import (
     AffineNorm,
     FilterSpec,
     FusionModel,
-    PassageSpan,
     Query,
     SmoothingConfig,
     average_precision,
     build_index,
-    build_matrix,
     evaluate_run,
     feature_names,
     fisher_randomization,
-    kernel_score,
-    lm_score,
     msp_rank,
     ndcg_at_k,
     precision_at_k,
@@ -37,13 +33,21 @@ from passagerank import (
 from passagerank.cli import main
 from passagerank.features import FeatureExtractor, homogeneity, mean_top_scores
 from passagerank.fusion import score_gradients
-from passagerank.passages import QueryContext, score_tokens, whole_doc_lm
+from passagerank.passages import QueryContext
 from passagerank.training import CandidateSet, TrainConfig
 
 from conftest import planted_corpus, random_documents, random_queries
 from oracle_metrics import ap_bruteforce, ndcg_bruteforce, p_at_k_bruteforce
 from test_cli import TRAIN_CONF, write_qrels, write_topics, write_trectext
 from test_evaluation import CATALOG
+from reference import (
+    PassageSpan,
+    build_matrix,
+    kernel_score,
+    lm_score,
+    score_tokens_one,
+    whole_doc_lm_one,
+)
 
 
 @contextmanager
@@ -123,7 +127,7 @@ def test_criterion_2_special_case_collapses():
             ql = rank_documents(q, index, s, len(docs), 1)
             ctx = QueryContext(q, index, s, 1)
             R = np.array([
-                [whole_doc_lm(ctx, index.doc_tokens(index.doc_index(d)))]
+                [whole_doc_lm_one(ctx, index.doc_tokens(index.doc_index(d)))]
                 for d in doc_ids
             ])
             lin = model.linear_many(R, np.zeros((len(doc_ids), 1)))
@@ -142,7 +146,7 @@ def test_criterion_2_special_case_collapses():
                           homogeneity_override=1.0)
             ctx = QueryContext(q, index, s, 1)
             whole = sorted(
-                ((d, whole_doc_lm(ctx, index.doc_tokens(index.doc_index(d))))
+                ((d, whole_doc_lm_one(ctx, index.doc_tokens(index.doc_index(d))))
                  for d in cand),
                 key=lambda kv: (-kv[1], kv[0]),
             )
@@ -189,8 +193,8 @@ def test_criterion_3_planted_passage_discrimination():
                 scores = [sc for _, sc in top]
                 ctx = QueryContext(q, index, s, 1)
                 R = np.array([
-                    score_tokens(ctx, index.doc_tokens(index.doc_index(d)),
-                                 filters, "max", "lm")
+                    score_tokens_one(ctx, index.doc_tokens(index.doc_index(d)),
+                                     filters, "max", "lm")
                     for d in doc_ids
                 ])
                 H = extractor.matrix(q, doc_ids,

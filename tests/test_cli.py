@@ -2,11 +2,15 @@
 
 import filecmp
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import passagerank
 from passagerank import evaluate_run, read_qrels, read_run
 from passagerank.cli import main
 from conftest import corrupt_index_file, planted_corpus, set_first
@@ -176,14 +180,13 @@ class TestDeterminism:
             assert filecmp.cmp(out_dir / name, pipeline["model_dir"] / name,
                                shallow=False), name
 
-    def test_rerank_is_byte_identical_and_thread_safe(self, pipeline, tmp_path):
+    def test_rerank_is_byte_identical(self, pipeline, tmp_path):
         out = tmp_path / "npm2.run"
         assert main(["rerank", "--config", str(pipeline["conf"]),
                      "--index", str(pipeline["index"]),
                      "--topics", str(pipeline["topics"]),
                      "--run", str(pipeline["ql_run"]), "--mode", "npm",
                      "--model", str(pipeline["model_dir"]),
-                     "--threads", "4",
                      "--output", str(out)]) == 0
         assert out.read_bytes() == pipeline["npm_run"].read_bytes()
 
@@ -200,7 +203,65 @@ class TestDeterminism:
                                shallow=False)
 
 
+class TestFoldManifest:
+    """``folds.csv`` maps query ids, which may hold commas, to folds."""
+
+    @staticmethod
+    def rename_query(pipeline, tmp_path, new_qid):
+        """Copies of the topics, QL run and model directory in which
+        query 1 is called ``new_qid``."""
+        topics = tmp_path / "topics.txt"
+        topics.write_text(pipeline["topics"].read_text().replace(
+            "<num> Number: 1\n", f"<num> Number: {new_qid}\n"))
+        run = tmp_path / "ql.run"
+        run.write_text("".join(
+            new_qid + line[1:] if line.startswith("1 ") else line
+            for line in pipeline["ql_run"].read_text().splitlines(True)))
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["model_dir"], models)
+        folds = models / "folds.csv"
+        folds.write_text("".join(
+            new_qid + line[1:] if line.startswith("1,") else line
+            for line in folds.read_text().splitlines(True)))
+        return topics, run, models
+
+    def rerank(self, pipeline, topics, run, models, out):
+        return main(["rerank", "--index", str(pipeline["index"]),
+                     "--topics", str(topics), "--run", str(run),
+                     "--mode", "npm", "--model", str(models),
+                     "--output", str(out)])
+
+    def test_query_id_with_comma(self, pipeline, tmp_path):
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1,2")
+        assert "1,2," in (models / "folds.csv").read_text()
+        out = tmp_path / "npm.run"
+        assert self.rerank(pipeline, topics, run, models, out) == 0
+        got = read_run(out)
+        want = read_run(pipeline["npm_run"])
+        assert got["1,2"] == want["1"]
+        assert {q: r for q, r in got.items() if q != "1,2"} == \
+            {q: r for q, r in want.items() if q != "1"}
+
+    def test_malformed_line(self, pipeline, tmp_path, capsys):
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1")
+        with open(models / "folds.csv", "a", encoding="utf-8") as fh:
+            fh.write("7;0\n")
+        rc = self.rerank(pipeline, topics, run, models, tmp_path / "x.run")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{models / 'folds.csv'}:8:" in err and "'7;0\\n'" in err
+
+
 class TestStdout:
+    def test_no_stderr_output(self):
+        src = str(Path(passagerank.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-m", "passagerank.cli", "eval", "--help"],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stderr == ""
+        assert "--qrels" in out.stdout
+
     def test_index_summary(self, pipeline, tmp_path, capsys):
         assert main(["index", "--corpus", str(pipeline["corpus"]),
                      "--index", str(tmp_path / "idx")]) == 0

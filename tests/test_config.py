@@ -70,13 +70,19 @@ class TestConfigFile:
             read_config_file(path)
 
 
+    def test_threads_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "exp.conf"
+        path.write_text("threads = 4\n")
+        with pytest.raises(ValueError, match="unknown config key 'threads'"):
+            read_config_file(path)
+
+
 class TestBuildConfig:
     def test_defaults(self):
         cfg = build_config()
         assert cfg.lambda_c == 0.5
         assert [f.label for f in cfg.filters] == ["50:25", "150:75", "inf"]
         assert cfg.pooling == "max"
-        assert cfg.threads == 1
 
     def test_file_overlays_defaults(self, tmp_path):
         path = tmp_path / "exp.conf"
@@ -130,11 +136,6 @@ class TestSmallestFiniteFilter:
 
 
 class TestFingerprint:
-    def test_threads_do_not_change_it(self):
-        a = build_config(None, {"threads": 1})
-        b = build_config(None, {"threads": 8})
-        assert a.fingerprint() == b.fingerprint()
-
     def test_paths_do_not_change_it(self):
         # same experiment against the same data elsewhere keeps its tag
         a = build_config(None, {"index": "/data/run1/index",

@@ -14,7 +14,6 @@ from passagerank import (
     build_index,
     feature_names,
     homogeneity,
-    list_feature,
     query_features,
     summary_stats,
 )
@@ -22,11 +21,11 @@ from passagerank.features import (
     HOMOGENEITY_NAMES,
     QUERY_BASE_NAMES,
     QUERY_STAT_NAMES,
-    fuse_features,
     mean_top_scores,
     write_feature_matrix,
 )
 from conftest import random_documents
+from reference import fuse_features, list_feature
 
 
 @pytest.fixture(scope="module")

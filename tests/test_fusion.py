@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from passagerank import AffineNorm, FilterSpec, FusionModel, report_weights, softmax_rows
-from passagerank.fusion import (
-    forward_parts,
-    linear_rows,
-    parse_filter_label,
-    score_gradients,
-    serialize_filters,
-)
+from passagerank.fusion import forward_parts, linear_rows, score_gradients
+from passagerank.passages import parse_filter_label, serialize_filters
 
 FILTERS = (FilterSpec.window(50), FilterSpec.window(150), FilterSpec.whole_document())
 FEATS = ("f1", "f2", "f3", "f4", "f5")

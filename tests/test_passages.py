@@ -5,29 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from passagerank import (
-    Document,
-    FilterSpec,
+from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
+from passagerank.passages import QueryContext, combine_homogeneous, score_tokens
+from reference import (
     PassageSpan,
-    Query,
-    SmoothingConfig,
-    build_index,
     build_matrix,
     extract_passages,
-    kernel_score,
-    lm_score,
-    msp_rank,
-    pool_document,
-    score_vector,
-)
-from passagerank.passages import (
-    QueryContext,
-    combine_homogeneous,
     kernel_bias,
     kernel_lm_shift,
-    max_passage_lm,
-    score_tokens,
-    whole_doc_lm,
+    kernel_score,
+    lm_score,
+    max_passage_lm_one,
+    pool_document,
+    score_tokens_one,
+    score_vector,
+    whole_doc_lm_one,
 )
 
 S05 = SmoothingConfig(0.5)
@@ -247,8 +239,8 @@ class TestScoreVector:
         tokens, lengths = idx.batch_tokens(doc_ids)
         batch = score_tokens(ctx, tokens, self.FILTERS, pooling, scale, lengths)
         singles = np.vstack([
-            score_tokens(ctx, idx.doc_tokens(idx.doc_index(d)), self.FILTERS,
-                         pooling, scale)
+            score_tokens_one(ctx, idx.doc_tokens(idx.doc_index(d)), self.FILTERS,
+                             pooling, scale)
             for d in doc_ids])
         np.testing.assert_array_equal(batch, singles)
 
@@ -302,8 +294,8 @@ class TestMspRank:
         best_id = ranked[0][0]
         ctx = QueryContext(q, corpus, S05, 1)
         f = FilterSpec.window(10)
-        expect = max_passage_lm(ctx, corpus.doc_tokens(corpus.doc_index(best_id)),
-                                f.m, f.tau)
+        expect = max_passage_lm_one(ctx, corpus.doc_tokens(corpus.doc_index(best_id)),
+                                    f.m, f.tau)
         assert ranked[0][1] == pytest.approx(expect, rel=1e-12)
 
     def test_ties_break_on_doc_id(self, tiny_index):
@@ -329,7 +321,7 @@ class TestMspRank:
                           homogeneity_override=1.0)
         ctx = QueryContext(q, corpus, S05, 1)
         ref = sorted(
-            ((d, whole_doc_lm(ctx, corpus.doc_tokens(corpus.doc_index(d))))
+            ((d, whole_doc_lm_one(ctx, corpus.doc_tokens(corpus.doc_index(d))))
              for d in cands),
             key=lambda t: (-t[1], t[0]))
         assert [d for d, _ in locked] == [d for d, _ in ref]
@@ -354,9 +346,9 @@ class TestMspRank:
         ctx = QueryContext(q, corpus, S05, 1)
         for d in cands:
             tokens = corpus.doc_tokens(corpus.doc_index(d))
-            expect = max_passage_lm(ctx, tokens, 10, 5)
+            expect = max_passage_lm_one(ctx, tokens, 10, 5)
             if h is not None:
-                expect = combine_homogeneous(h, whole_doc_lm(ctx, tokens), expect)
+                expect = combine_homogeneous(h, whole_doc_lm_one(ctx, tokens), expect)
             assert ranked[d] == expect
 
     def test_no_candidates(self, corpus):

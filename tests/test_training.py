@@ -5,7 +5,8 @@ import pytest
 
 from passagerank import FilterSpec, Query, TrainConfig, make_folds, sample_triples, train
 from passagerank.fusion import forward_parts
-from passagerank.training import CandidateSet, hinge_loss, train_fold
+from passagerank.training import CandidateSet, train_fold
+from reference import hinge_loss
 
 FILTERS2 = (FilterSpec.window(10), FilterSpec.whole_document())
 FEATS3 = ("f1", "f2", "f3")
