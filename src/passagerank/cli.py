@@ -11,6 +11,7 @@ files. All stochastic behavior hangs off --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, build_config, require, require_set
+from .config import ExperimentConfig, build_config, parse_value, require, require_set
 from .corpus import (
     CorpusIndex,
     Query,
@@ -41,6 +42,7 @@ from .evaluation import (
     read_run,
     write_eval_csv,
     write_run,
+    write_table,
 )
 from .features import FeatureExtractor, feature_names, mean_top_scores, write_feature_matrix
 from .fusion import FusionModel, report_weights
@@ -49,7 +51,6 @@ from .passages import (
     QueryContext,
     SmoothingConfig,
     msp_rank,
-    parse_filters,
     score_tokens,
     serialize_filters,
 )
@@ -103,11 +104,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is None:
             continue
-        if key == "filters":
-            value = parse_filters(value)
-        elif key == "text_tags":
-            value = tuple(t.strip() for t in value.split(",") if t.strip())
-        overrides[key] = value
+        overrides[key] = parse_value(key, value) if isinstance(value, str) else value
     return build_config(args.config, overrides)
 
 
@@ -275,7 +272,7 @@ def _candidate_scores(
     """R: the per-filter LM-scale scores of one query's candidates."""
     ctx = QueryContext(query, index, st.smoothing, st.floor)
     tokens, lengths = index.batch_tokens(doc_ids)
-    return score_tokens(ctx, tokens, st.filters, st.pooling, "lm", lengths)
+    return score_tokens(ctx, tokens, st.filters, st.pooling, lengths)
 
 
 def _rank_rows(doc_ids: list[str], scores: np.ndarray) -> list[tuple[str, float]]:
@@ -353,19 +350,18 @@ def _load_fold_models(dir_path: Path) -> tuple[dict[int, FusionModel], dict[str,
     if not folds_file.exists():
         raise ValueError(f"{dir_path} has no folds.csv; pass a model file or "
                          f"a train output directory")
-    fold_of: dict[str, int] = {}
-    with open(folds_file, encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "query_id,fold":
-            raise ValueError(f"{folds_file}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                # the fold is an int, so only the last comma separates
-                qid, fold = line.strip().rsplit(",", 1)
-                fold_of[qid] = int(fold)
-            except ValueError:
-                raise ValueError(f"{folds_file}:{lineno}: expected "
-                                 f"'query_id,fold', got {line!r}") from None
+    with open(folds_file, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    rows = csv.reader(lines)
+    try:
+        if next(rows, None) != ["query_id", "fold"]:
+            raise ValueError("unexpected header")
+        fold_of = {qid: int(fold) for qid, fold in rows}
+    except (ValueError, csv.Error):
+        # line_num is the last line read: 0 in an empty file
+        line = "".join(lines[rows.line_num - 1:rows.line_num])
+        raise ValueError(f"{folds_file}:{rows.line_num}: expected "
+                         f"'query_id,fold', got {line!r}") from None
     models = {}
     for fold in sorted(set(fold_of.values())):
         models[fold] = FusionModel.load(dir_path / f"fold_{fold}.json")
@@ -463,19 +459,16 @@ def cmd_train(args) -> int:
     fold_of = make_folds(sorted(candidates), cfg.folds, cfg.seed)
     results = train(candidates, tc, meta, cfg.filters, names, fold_of)
 
-    with open(out_dir / "folds.csv", "w", encoding="utf-8") as fh:
-        fh.write("query_id,fold\n")
-        for qid in sorted(fold_of, key=qid_sort_key):
-            fh.write(f"{qid},{fold_of[qid]}\n")
+    write_table(out_dir / "folds.csv", ["query_id", "fold"],
+                [[qid, fold_of[qid]] for qid in sorted(fold_of, key=qid_sort_key)])
     print(f"{'fold':>4}  {'train':>5}  {'val':>4}  {'test':>4}  "
           f"{'best_epoch':>10}  {'val_map':>8}")
     for res in results:
         res.model.save(out_dir / f"fold_{res.fold}.json")
-        with open(out_dir / f"train_log_fold_{res.fold}.csv", "w",
-                  encoding="utf-8") as fh:
-            fh.write("epoch,mean_loss,val_map\n")
-            for epoch, loss, vm in res.log_rows:
-                fh.write(f"{epoch},{loss:.10g},{vm:.10g}\n")
+        write_table(out_dir / f"train_log_fold_{res.fold}.csv",
+                    ["epoch", "mean_loss", "val_map"],
+                    [[epoch, f"{loss:.10g}", f"{vm:.10g}"]
+                     for epoch, loss, vm in res.log_rows])
         print(f"{res.fold:>4}  {len(res.train_qids):>5}  {len(res.val_qids):>4}  "
               f"{len(res.test_qids):>4}  {res.model.meta['best_epoch']:>10}  "
               f"{res.best_val_map:>8.4f}")
@@ -518,24 +511,20 @@ def cmd_eval(args) -> int:
 
 
 def _write_paired_csv(path, report_a, report_b, p_values, name_a, name_b):
+    """Both runs' metrics side by side per query and for the means, then
+    each metric's p-value under the first run's column."""
+    def pair(a, b):
+        return [f"{x[m]:.6f}" for m in METRIC_NAMES for x in (a, b)]
+
     qids = sorted(set(report_a.per_query) & set(report_b.per_query),
                   key=qid_sort_key)
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"{m}_{s}" for m in METRIC_NAMES for s in (name_a, name_b)]
-        fh.write("query," + ",".join(cols) + "\n")
-        for qid in qids:
-            vals = []
-            for m in METRIC_NAMES:
-                vals.append(f"{report_a.per_query[qid][m]:.6f}")
-                vals.append(f"{report_b.per_query[qid][m]:.6f}")
-            fh.write(qid + "," + ",".join(vals) + "\n")
-        means = []
-        for m in METRIC_NAMES:
-            means.append(f"{report_a.means[m]:.6f}")
-            means.append(f"{report_b.means[m]:.6f}")
-        fh.write("all," + ",".join(means) + "\n")
-        fh.write("p_value," + ",".join(f"{p_values[m]:.6f},"
-                                       for m in METRIC_NAMES).rstrip(",") + "\n")
+    rows = [[qid, *pair(report_a.per_query[qid], report_b.per_query[qid])]
+            for qid in qids]
+    rows.append(["all", *pair(report_a.means, report_b.means)])
+    rows.append(["p_value", *(v for m in METRIC_NAMES
+                              for v in (f"{p_values[m]:.6f}", ""))])
+    header = ["query", *(f"{m}_{s}" for m in METRIC_NAMES for s in (name_a, name_b))]
+    write_table(path, header, rows)
 
 
 def cmd_weights(args) -> int:
@@ -561,10 +550,9 @@ def cmd_weights(args) -> int:
     for f, mean, std in zip(model.filters, means, stds):
         print(f"{f.label:>8}  {mean:>9.4f}  {std:>9.4f}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("filter,mean_phi,std_phi\n")
-            for f, mean, std in zip(model.filters, means, stds):
-                fh.write(f"{f.label},{mean:.6f},{std:.6f}\n")
+        write_table(args.csv, ["filter", "mean_phi", "std_phi"],
+                    [[f.label, f"{mean:.6f}", f"{std:.6f}"]
+                     for f, mean, std in zip(model.filters, means, stds)])
     return 0
 
 

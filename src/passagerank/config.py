@@ -87,7 +87,8 @@ _INT_KEYS = {"oov_floor", "top_k", "homogeneity_m", "passage_size",
 _FLOAT_KEYS = {"lambda_c", "learning_rate"}
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """The typed value of one key given as text, in a file or a flag."""
     if key in _STR_KEYS:
         return raw
     if key in _INT_KEYS:
@@ -115,7 +116,7 @@ def read_config_file(path: str | Path) -> dict:
                 )
             key, raw = (s.strip() for s in text.split("=", 1))
             try:
-                values[key] = _parse_value(key, raw)
+                values[key] = parse_value(key, raw)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
     return values

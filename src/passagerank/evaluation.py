@@ -1,4 +1,5 @@
-"""Rank metrics, TREC run/qrels IO, and the Fisher randomization test.
+"""Rank metrics, TREC run/qrels IO, CSV/TSV tables, and the Fisher
+randomization test.
 
 Metrics follow the standard conventions: AP divides by the total number
 of judged relevant documents (retrieved or not); NDCG@k uses
@@ -14,11 +15,12 @@ against a from-the-definitions reference implementation.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -226,7 +228,7 @@ def fisher_randomization(
 
 
 # ---------------------------------------------------------------------------
-# TREC formats
+# TREC formats and tables
 # ---------------------------------------------------------------------------
 
 
@@ -296,15 +298,28 @@ def write_run(
                 fh.write(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n")
 
 
+def write_table(
+    path: str | Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    delimiter: str = ",",
+) -> None:
+    """Write a header and rows with the ``csv`` module's quoting: a field
+    holding the delimiter, a double quote or a newline is quoted, every
+    other field is written as is. Lines end in a bare newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_eval_csv(path: str | Path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("query," + ",".join(METRIC_NAMES) + "\n")
-        for qid in report.query_ids():
-            row = report.per_query[qid]
-            fh.write(
-                qid + "," + ",".join(f"{row[m]:.6f}" for m in METRIC_NAMES) + "\n"
-            )
-        fh.write("all," + ",".join(f"{report.means[m]:.6f}" for m in METRIC_NAMES) + "\n")
+    def fields(values: Mapping[str, float]) -> list[str]:
+        return [f"{values[m]:.6f}" for m in METRIC_NAMES]
+
+    rows = [[qid, *fields(report.per_query[qid])] for qid in report.query_ids()]
+    rows.append(["all", *fields(report.means)])
+    write_table(path, ["query", *METRIC_NAMES], rows)
 
 
 def format_eval_table(report: EvalReport) -> str:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .corpus import CorpusIndex, Document, Query
+from .evaluation import write_table
 
 if TYPE_CHECKING:  # passages imports this module
     from .passages import FilterSpec
@@ -236,8 +237,7 @@ class FeatureExtractor:
         hom_filter: FilterSpec | None = None,
         floor: int = 1,
     ):
-        if feature_set not in FEATURE_SETS:
-            raise ValueError(f"unknown feature set {feature_set!r}")
+        self.names = feature_names(feature_set)  # rejects an unknown set
         self.index = index
         self.feature_set = feature_set
         self.with_doc = feature_set in ("doc", "doc+query")
@@ -249,7 +249,6 @@ class FeatureExtractor:
                 )
         self.hom_filter = hom_filter
         self.floor = floor
-        self.names = feature_names(feature_set)
         self._hom_cache: dict[int, np.ndarray] = {}
 
     def doc_block(self, doc_id: str) -> np.ndarray:
@@ -287,13 +286,13 @@ def write_feature_matrix(
     rows: Sequence[tuple[str, str, np.ndarray]],
 ) -> None:
     """Export feature vectors as a TSV matrix (documented column order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("query_id\tdoc_id\t" + "\t".join(names) + "\n")
-        for qid, doc_id, vec in rows:
-            if len(vec) != len(names):
-                raise ValueError(
-                    f"feature vector for ({qid}, {doc_id}) has {len(vec)} "
-                    f"dimensions, expected {len(names)}"
-                )
-            vals = "\t".join(format(float(x), ".12g") for x in vec)
-            fh.write(f"{qid}\t{doc_id}\t{vals}\n")
+    for qid, doc_id, vec in rows:
+        if len(vec) != len(names):
+            raise ValueError(
+                f"feature vector for ({qid}, {doc_id}) has {len(vec)} "
+                f"dimensions, expected {len(names)}"
+            )
+    write_table(path, ["query_id", "doc_id", *names],
+                ([qid, doc_id, *(format(float(x), ".12g") for x in vec)]
+                 for qid, doc_id, vec in rows),
+                delimiter="\t")

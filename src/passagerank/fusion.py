@@ -55,10 +55,6 @@ class AffineNorm:
         return int(self.mean.shape[0])
 
     @classmethod
-    def identity(cls, n: int) -> "AffineNorm":
-        return cls(np.zeros(n, dtype=np.float64), np.ones(n, dtype=np.float64))
-
-    @classmethod
     def fit(cls, matrix: np.ndarray) -> "AffineNorm":
         """Fit on training rows; constant dimensions get the std floor."""
         m = np.asarray(matrix, dtype=np.float64)
@@ -129,30 +125,6 @@ class FusionModel:
             raise ValueError("NaN or infinite score input")
         return R
 
-    def phi(self, h_norm: np.ndarray) -> np.ndarray:
-        """Softmax gate over filters for one normalized feature vector."""
-        h = np.asarray(h_norm, dtype=np.float64)
-        if h.shape != (self.beta,):
-            raise ValueError(
-                f"feature vector has shape {h.shape}, expected ({self.beta},)"
-            )
-        if not np.isfinite(h).all():
-            raise ValueError("NaN or infinite feature input")
-        return softmax_rows(h[np.newaxis, :] @ self.W.T)[0]
-
-    def score(self, r_raw: np.ndarray, h_raw: np.ndarray) -> float:
-        """Final score in (-1, 1) for one candidate."""
-        return float(
-            self.score_many(
-                np.asarray(r_raw, dtype=np.float64)[np.newaxis, :],
-                np.asarray(h_raw, dtype=np.float64)[np.newaxis, :],
-            )[0]
-        )
-
-    def score_many(self, R_raw: np.ndarray, H_raw: np.ndarray) -> np.ndarray:
-        """Vectorized scores for a candidate list (rows align)."""
-        return np.tanh(self.linear_many(R_raw, H_raw))
-
     def linear_many(self, R_raw: np.ndarray, H_raw: np.ndarray) -> np.ndarray:
         """Pre-tanh scores r_norm . phi + b.
 
@@ -164,8 +136,7 @@ class FusionModel:
         """
         R = self.score_norm.apply(self._check_r(R_raw))
         H = self.feature_norm.apply(self._check_h(H_raw))
-        phi = softmax_rows(H @ self.W.T)
-        return (R * phi).sum(axis=1) + self.b
+        return linear_rows(self.W, self.b, R, H)
 
     def weights_many(self, H_raw: np.ndarray) -> np.ndarray:
         """phi rows for a batch of raw feature vectors."""
@@ -255,7 +226,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 def linear_rows(
     W: np.ndarray, b: float, R_norm: np.ndarray, H_norm: np.ndarray
 ) -> np.ndarray:
-    """Pre-tanh scores for already-normalized batches (training internals)."""
+    """Pre-tanh scores r_norm . phi + b of already-normalized batches."""
     phi = softmax_rows(H_norm @ W.T)
     return (R_norm * phi).sum(axis=1) + b
 
@@ -277,16 +248,6 @@ def forward_parts(
     rbar = (R_norm * phi).sum(axis=1, keepdims=True)
     C = sech2[:, np.newaxis] * phi * (R_norm - rbar)
     return s, phi, C, sech2
-
-
-def score_gradients(
-    W: np.ndarray, b: float, r_norm: np.ndarray, h_norm: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """(score, d score/dW, d score/db) for one normalized instance."""
-    s, _, C, dB = forward_parts(
-        W, b, r_norm[np.newaxis, :], h_norm[np.newaxis, :]
-    )
-    return float(s[0]), np.outer(C[0], h_norm), float(dB[0])
 
 
 def report_weights(

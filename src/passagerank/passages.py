@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .corpus import CorpusIndex, Query
 
 POOL_MAX = "max"
 POOL_MEAN = "mean"
-
-SCALE_KERNEL = "kernel"
-SCALE_LM = "lm"
 
 HOMOGENEITY_KINDS = ("none", "length", "ent", "intpsg", "docpsg")
 
@@ -155,30 +152,28 @@ def score_tokens(
     tokens: np.ndarray,
     filters: Sequence[FilterSpec],
     pooling: str,
-    scale: str,
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """Per-filter pooled scores of a batch: ``tokens`` holds the
-    documents concatenated in order, ``lengths`` their lengths, and the
-    result has one row per document and one column per filter.
+    """Per-filter pooled scores of a batch on the log-likelihood scale:
+    ``tokens`` holds the documents concatenated in order, ``lengths``
+    their lengths, and the result has one row per document and one
+    column per filter.
 
-    ``scale="kernel"`` gives raw pooled kernel scores. ``scale="lm"``
-    subtracts each filter's kernel-vs-LM shift, putting every column on
-    the log-likelihood scale; there the whole-document column is exactly
-    the document's smoothed query log-likelihood. The shift is constant
-    per (query, filter) for finite filters, so it never changes their
+    Each column is the pooled kernel score minus the filter's
+    kernel-vs-LM shift, so the whole-document column is exactly the
+    document's smoothed query log-likelihood. The shift is constant per
+    (query, filter) for finite filters, so it never changes their
     orderings; for the whole-document filter it varies with document
     length, which is the point.
     """
+    if pooling not in (POOL_MAX, POOL_MEAN):
+        raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
     ms, taus = _filter_arrays(filters)
     raw = _accel.kernel_filter_scores(
-        tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling.lower() == POOL_MEAN,
-        lengths,
+        tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling == POOL_MEAN, lengths,
     )
-    if scale == SCALE_LM:
-        m_eff = np.where(ms <= 0, lengths[:, np.newaxis], ms).astype(np.float64)
-        raw = raw - ctx.query.n_q * np.log(m_eff / (1.0 - ctx.smoothing.lambda_c))
-    return raw
+    m_eff = np.where(ms <= 0, lengths[:, np.newaxis], ms).astype(np.float64)
+    return raw - ctx.query.n_q * np.log(m_eff / (1.0 - ctx.smoothing.lambda_c))
 
 
 def max_passage_lm(
@@ -235,42 +230,34 @@ def msp_rank(
     index: CorpusIndex,
     passage_size: int,
     homogeneity: str = "none",
-    tau: int | None = None,
     s: SmoothingConfig | None = None,
     floor: int = 1,
-    homogeneity_override: float | Mapping[str, float] | None = None,
     hom_cache: dict | None = None,
 ) -> list[tuple[str, float]]:
-    """Rank candidate doc_ids by their best passage's LM score.
+    """Rank candidate doc_ids by their best passage's LM score, window
+    ``passage_size`` with stride half of it.
 
     With a homogeneity kind other than "none", the score becomes the
     homogeneity-weighted probability mix of the whole-document model and
-    the best passage. ``homogeneity_override`` (a constant or a per-doc
-    mapping) substitutes the h values; it exists for the collapse tests
-    and diagnostics. ``hom_cache`` may be shared across queries to avoid
-    recomputing per-document homogeneity. Ties break by doc_id
+    the best passage. ``hom_cache`` may be shared across queries to
+    avoid recomputing per-document homogeneity. Ties break by doc_id
     ascending.
     """
     if homogeneity not in HOMOGENEITY_KINDS:
         raise ValueError(f"unknown homogeneity kind {homogeneity!r}")
     s = s or SmoothingConfig()
-    f = FilterSpec.window(passage_size, tau)
+    f = FilterSpec.window(passage_size)
     ctx = QueryContext(query, index, s, floor)
     tokens, lengths = index.batch_tokens(candidates)
     scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths).tolist()
     if homogeneity != "none":
         lm_doc = whole_doc_lm(ctx, tokens, lengths).tolist()
         for k, doc_id in enumerate(candidates):
-            if homogeneity_override is None:
-                key = (doc_id, f.m, f.tau, homogeneity)
-                h = hom_cache.get(key) if hom_cache is not None else None
-                if h is None:
-                    h = features.homogeneity(doc_id, index, f).by_kind(homogeneity)
-                    if hom_cache is not None:
-                        hom_cache[key] = h
-            elif isinstance(homogeneity_override, Mapping):
-                h = float(homogeneity_override[doc_id])
-            else:
-                h = float(homogeneity_override)
+            key = (doc_id, f.m, f.tau, homogeneity)
+            h = hom_cache.get(key) if hom_cache is not None else None
+            if h is None:
+                h = features.homogeneity(doc_id, index, f).by_kind(homogeneity)
+                if hom_cache is not None:
+                    hom_cache[key] = h
             scores[k] = combine_homogeneous(h, lm_doc[k], scores[k])
     return sorted(zip(candidates, scores), key=lambda kv: (-kv[1], kv[0]))

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from passagerank import Document, Query, build_index
+from passagerank import Document, Query, build_index, features
+from passagerank.features import HomogeneityScores
 
 
 def random_documents(rng, n_docs, vocab_size=50, min_len=5, max_len=120,
@@ -92,6 +93,15 @@ def tiny_index():
 def small_random_index():
     rng = np.random.default_rng(42)
     return build_index(random_documents(rng, 30, vocab_size=20, max_len=60))
+
+
+@pytest.fixture
+def fixed_homogeneity(monkeypatch):
+    """Call with h to make every homogeneity score of every document h."""
+    def fix(h):
+        monkeypatch.setattr(features, "homogeneity",
+                            lambda doc, index, f: HomogeneityScores(h, h, h, h))
+    return fix
 
 
 def rewrite_index_file(index_dir, name, data, fix_digest=False):

@@ -17,17 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
+from passagerank import _accel
 from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
 from passagerank.features import FeatureExtractor, HomogeneityScores, mean_top_scores
 from passagerank.passages import (
     POOL_MAX,
     POOL_MEAN,
-    SCALE_KERNEL,
-    SCALE_LM,
     FilterSpec,
     QueryContext,
     SmoothingConfig,
+    _filter_arrays,
     max_passage_lm,
     score_tokens,
     whole_doc_lm,
@@ -220,10 +220,21 @@ def _one(tokens: np.ndarray) -> np.ndarray:
     return np.array([tokens.shape[0]], dtype=np.int64)
 
 
+def score_batch(ctx: QueryContext, tokens: np.ndarray, filters, pooling: str,
+                scale: str, lengths: np.ndarray) -> np.ndarray:
+    """``score_tokens`` on the "lm" scale; on the "kernel" scale the raw
+    pooled kernel scores it shifts."""
+    if scale == "lm":
+        return score_tokens(ctx, tokens, filters, pooling, lengths)
+    ms, taus = _filter_arrays(filters)
+    return _accel.kernel_filter_scores(tokens, ctx.ids, ctx.bias_coeff, ms, taus,
+                                       pooling == POOL_MEAN, lengths)
+
+
 def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters, pooling: str,
                      scale: str) -> np.ndarray:
-    """``score_tokens`` of one document: one score per filter."""
-    return score_tokens(ctx, tokens, filters, pooling, scale, _one(tokens))[0]
+    """``score_batch`` of one document: one score per filter."""
+    return score_batch(ctx, tokens, filters, pooling, scale, _one(tokens))[0]
 
 
 def max_passage_lm_one(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int) -> float:
@@ -243,7 +254,7 @@ def score_vector(
     index: CorpusIndex,
     s: SmoothingConfig | None = None,
     pooling: str = POOL_MAX,
-    scale: str = SCALE_KERNEL,
+    scale: str = "kernel",
     floor: int = 1,
 ) -> np.ndarray:
     """Per-filter pooled scores of one candidate document, by id or
@@ -251,9 +262,9 @@ def score_vector(
     s = s or SmoothingConfig()
     if len(filters) == 0:
         raise ValueError("at least one filter is required")
-    if pooling.lower() not in (POOL_MAX, POOL_MEAN):
+    if pooling not in (POOL_MAX, POOL_MEAN):
         raise ValueError(f"unknown pooling strategy {pooling!r}")
-    if scale not in (SCALE_KERNEL, SCALE_LM):
+    if scale not in ("kernel", "lm"):
         raise ValueError(f"unknown score scale {scale!r}")
     ctx = QueryContext(query, index, s, floor)
     doc_id = doc if isinstance(doc, str) else doc.doc_id

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from passagerank import (
-    AffineNorm,
     FilterSpec,
     FusionModel,
     Query,
@@ -32,7 +31,7 @@ from passagerank import (
 )
 from passagerank.cli import main
 from passagerank.features import FeatureExtractor, homogeneity, mean_top_scores
-from passagerank.fusion import score_gradients
+from passagerank.fusion import forward_parts
 from passagerank.passages import QueryContext
 from passagerank.training import CandidateSet, TrainConfig
 
@@ -40,6 +39,7 @@ from conftest import planted_corpus, random_documents, random_queries
 from oracle_metrics import ap_bruteforce, ndcg_bruteforce, p_at_k_bruteforce
 from test_cli import TRAIN_CONF, write_qrels, write_topics, write_trectext
 from test_evaluation import CATALOG
+from test_fusion import identity_norm
 from reference import (
     PassageSpan,
     build_matrix,
@@ -95,7 +95,7 @@ def test_criterion_1_kernel_reproduces_lm_score():
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
 
-def test_criterion_2_special_case_collapses():
+def test_criterion_2_special_case_collapses(fixed_homogeneity):
     """Degenerate configurations reproduce whole-document rankings.
 
     (a) Fusion ranker with one whole-document filter, zero weights
@@ -119,8 +119,8 @@ def test_criterion_2_special_case_collapses():
             feature_names=["list_mean"],
             W=np.zeros((1, 1)),
             b=0.0,
-            score_norm=AffineNorm.identity(1),
-            feature_norm=AffineNorm.identity(1),
+            score_norm=identity_norm(1),
+            feature_norm=identity_norm(1),
         )
         doc_ids = [d.doc_id for d in docs]
         for q in queries:
@@ -139,11 +139,11 @@ def test_criterion_2_special_case_collapses():
         cand = doc_ids[:200]
         for q in queries[:10]:
             base = msp_rank(q, cand, index, 50, "none", s=s)
-            h0 = msp_rank(q, cand, index, 50, "docpsg", s=s,
-                          homogeneity_override=0.0)
+            fixed_homogeneity(0.0)
+            h0 = msp_rank(q, cand, index, 50, "docpsg", s=s)
             assert h0 == base
-            h1 = msp_rank(q, cand, index, 50, "docpsg", s=s,
-                          homogeneity_override=1.0)
+            fixed_homogeneity(1.0)
+            h1 = msp_rank(q, cand, index, 50, "docpsg", s=s)
             ctx = QueryContext(q, index, s, 1)
             whole = sorted(
                 ((d, whole_doc_lm_one(ctx, index.doc_tokens(index.doc_index(d))))
@@ -251,20 +251,21 @@ def test_criterion_4_analytic_gradients_match_finite_differences():
             rp, hp = rng.normal(size=alpha), rng.normal(size=beta)
             rn, hn = rng.normal(size=alpha), rng.normal(size=beta)
 
+            R, H = np.vstack([rp, rn]), np.vstack([hp, hn])
+
             def loss(Wx, bx):
-                sp, _, _ = score_gradients(Wx, bx, rp, hp)
-                sn, _, _ = score_gradients(Wx, bx, rn, hn)
+                (sp, sn), _, _, _ = forward_parts(Wx, bx, R, H)
                 return max(0.0, 1.0 - sp + sn)
 
-            sp, dWp, dbp = score_gradients(W, b, rp, hp)
-            sn, dWn, dbn = score_gradients(W, b, rn, hn)
+            (sp, sn), _, C, dB = forward_parts(W, b, R, H)
             margin = 1.0 - sp + sn
             if abs(margin) <= 1e-2:
                 continue
             checked += 1
             active = margin > 0.0
-            dW = (dWn - dWp) if active else np.zeros_like(W)
-            db = (dbn - dbp) if active else 0.0
+            dW = (np.outer(C[1], hn) - np.outer(C[0], hp) if active
+                  else np.zeros_like(W))
+            db = (dB[1] - dB[0]) if active else 0.0
 
             fd_W = np.zeros_like(W)
             for i in range(alpha):

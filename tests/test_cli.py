@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline on a small planted corpus."""
 
+import csv
 import filecmp
 import json
 import os
@@ -203,6 +204,24 @@ class TestDeterminism:
                                shallow=False)
 
 
+def rename_query(pipeline, dest, new_qid):
+    """Copies of the topics, qrels and QL run under ``dest`` in which
+    query 1 is called ``new_qid``."""
+    topics, qrels, run = dest / "topics.txt", dest / "qrels.txt", dest / "ql.run"
+    topics.write_text(pipeline["topics"].read_text().replace(
+        "<num> Number: 1\n", f"<num> Number: {new_qid}\n"))
+    for src, out in ((pipeline["qrels"], qrels), (pipeline["ql_run"], run)):
+        out.write_text("".join(
+            new_qid + line[1:] if line.startswith("1 ") else line
+            for line in src.read_text().splitlines(True)))
+    return topics, qrels, run
+
+
+def read_table(path, delimiter=","):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh, delimiter=delimiter))
+
+
 class TestFoldManifest:
     """``folds.csv`` maps query ids, which may hold commas, to folds."""
 
@@ -210,19 +229,13 @@ class TestFoldManifest:
     def rename_query(pipeline, tmp_path, new_qid):
         """Copies of the topics, QL run and model directory in which
         query 1 is called ``new_qid``."""
-        topics = tmp_path / "topics.txt"
-        topics.write_text(pipeline["topics"].read_text().replace(
-            "<num> Number: 1\n", f"<num> Number: {new_qid}\n"))
-        run = tmp_path / "ql.run"
-        run.write_text("".join(
-            new_qid + line[1:] if line.startswith("1 ") else line
-            for line in pipeline["ql_run"].read_text().splitlines(True)))
+        topics, _, run = rename_query(pipeline, tmp_path, new_qid)
         models = tmp_path / "models"
         shutil.copytree(pipeline["model_dir"], models)
-        folds = models / "folds.csv"
-        folds.write_text("".join(
-            new_qid + line[1:] if line.startswith("1,") else line
-            for line in folds.read_text().splitlines(True)))
+        rows = [[new_qid if qid == "1" else qid, fold]
+                for qid, fold in read_table(models / "folds.csv")]
+        with open(models / "folds.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         return topics, run, models
 
     def rerank(self, pipeline, topics, run, models, out):
@@ -233,7 +246,7 @@ class TestFoldManifest:
 
     def test_query_id_with_comma(self, pipeline, tmp_path):
         topics, run, models = self.rename_query(pipeline, tmp_path, "1,2")
-        assert "1,2," in (models / "folds.csv").read_text()
+        assert '"1,2",' in (models / "folds.csv").read_text()
         out = tmp_path / "npm.run"
         assert self.rerank(pipeline, topics, run, models, out) == 0
         got = read_run(out)
@@ -250,6 +263,70 @@ class TestFoldManifest:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{models / 'folds.csv'}:8:" in err and "'7;0\\n'" in err
+
+    def test_unquoted_comma_is_rejected(self, pipeline, tmp_path, capsys):
+        # the form written before folds.csv used csv quoting
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1,2")
+        folds = models / "folds.csv"
+        folds.write_text(folds.read_text().replace('"1,2"', "1,2"))
+        rc = self.rerank(pipeline, topics, run, models, tmp_path / "x.run")
+        assert rc == 2
+        assert f"{folds}:" in capsys.readouterr().err
+        assert not (tmp_path / "x.run").exists()
+
+
+QID = '1,"2'  # a query id holding the delimiter and the quote character
+TABLES = {"eval": "eval.csv", "paired": "paired.csv", "weights": "weights.csv",
+          "folds": "models/folds.csv", "train_log": "models/train_log_fold_0.csv"}
+
+
+@pytest.fixture(scope="module")
+def renamed(pipeline, tmp_path_factory):
+    """Every CLI table, written for inputs in which query 1 is ``QID``."""
+    root = tmp_path_factory.mktemp("renamed")
+    topics, qrels, run = rename_query(pipeline, root, QID)
+    common = ["--index", str(pipeline["index"]), "--topics", str(topics)]
+    assert main(["train", "--config", str(pipeline["conf"]), *common,
+                 "--qrels", str(qrels), "--run", str(run),
+                 "--output-dir", str(root / "models"), "--seed", "0"]) == 0
+    assert main(["rerank", "--config", str(pipeline["conf"]), *common,
+                 "--run", str(run), "--mode", "npm", "--model", str(root / "models"),
+                 "--dump-features", str(root / "features.tsv"),
+                 "--output", str(root / "npm.run")]) == 0
+    assert main(["eval", "--qrels", str(qrels), "--run", str(root / "npm.run"),
+                 "--csv", str(root / "eval.csv")]) == 0
+    assert main(["eval", "--qrels", str(qrels), "--run", str(root / "npm.run"),
+                 "--baseline", str(run), "--exhaustive",
+                 "--csv", str(root / "paired.csv")]) == 0
+    assert main(["weights", *common, "--model", str(root / "models" / "fold_0.json"),
+                 "--run", str(run), "--csv", str(root / "weights.csv")]) == 0
+    return {"root": root, "common": common, "run": run}
+
+
+class TestTables:
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_rows_have_the_header_width(self, renamed, table):
+        rows = read_table(renamed["root"] / TABLES[table])
+        assert len(rows) > 1
+        assert {len(r) for r in rows} == {len(rows[0])}
+
+    @pytest.mark.parametrize("table", ["eval", "paired", "folds"])
+    def test_query_id_round_trips(self, renamed, table):
+        rows = read_table(renamed["root"] / TABLES[table])
+        assert [r[0] for r in rows[1:]].count(QID) == 1
+
+    def test_feature_tsv_round_trips(self, renamed):
+        rows = read_table(renamed["root"] / "features.tsv", delimiter="\t")
+        assert [r[0] for r in rows[1:]].count(QID) == 40
+        assert {len(r) for r in rows} == {2 + 29}
+
+    def test_held_out_rerank_uses_the_query_fold(self, renamed, tmp_path):
+        fold = dict(read_table(renamed["root"] / "models" / "folds.csv")[1:])[QID]
+        out = tmp_path / "fold.run"
+        assert main(["rerank", *renamed["common"], "--run", str(renamed["run"]),
+                     "--mode", "npm", "--output", str(out), "--model",
+                     str(renamed["root"] / "models" / f"fold_{fold}.json")]) == 0
+        assert read_run(renamed["root"] / "npm.run")[QID] == read_run(out)[QID]
 
 
 class TestStdout:
@@ -278,14 +355,14 @@ class TestStdout:
         assert lines[-1].split()[0] == "all"
 
     def test_eval_paired_with_csv(self, pipeline, tmp_path, capsys):
-        csv = tmp_path / "paired.csv"
+        table = tmp_path / "paired.csv"
         assert main(["eval", "--qrels", str(pipeline["qrels"]),
                      "--run", str(pipeline["npm_run"]),
                      "--baseline", str(pipeline["ql_run"]),
-                     "--exhaustive", "--csv", str(csv)]) == 0
+                     "--exhaustive", "--csv", str(table)]) == 0
         out = capsys.readouterr().out
         assert "p-value" in out
-        rows = csv.read_text().splitlines()
+        rows = table.read_text().splitlines()
         assert rows[0].startswith("query,")
         assert rows[-1].startswith("p_value,")
         assert any(r.startswith("all,") for r in rows)
@@ -302,16 +379,16 @@ class TestStdout:
         assert len(out.strip().splitlines()) == 4
 
     def test_weights_report(self, pipeline, tmp_path, capsys):
-        csv = tmp_path / "weights.csv"
+        table = tmp_path / "weights.csv"
         assert main(["weights", "--index", str(pipeline["index"]),
                      "--topics", str(pipeline["topics"]),
                      "--model", str(pipeline["model_dir"] / "fold_0.json"),
                      "--run", str(pipeline["ql_run"]),
-                     "--csv", str(csv)]) == 0
+                     "--csv", str(table)]) == 0
         out = capsys.readouterr().out
         for label in ("50:25", "150:75", "inf"):
             assert label in out
-        rows = csv.read_text().splitlines()
+        rows = table.read_text().splitlines()
         assert rows[0] == "filter,mean_phi,std_phi"
         assert len(rows) == 4
 
@@ -402,6 +479,20 @@ class TestErrors:
                    "--output", str(tmp_path / "x.run")])
         assert rc == 2
         assert "folds.csv" in capsys.readouterr().err
+
+    def test_model_pooling_is_validated(self, pipeline, tmp_path, capsys):
+        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
+        model["meta"]["pooling"] = "avg"
+        doctored = tmp_path / "fold_0.json"
+        doctored.write_text(json.dumps(model))
+        rc = main(["rerank", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                   "--model", str(doctored), "--output", str(tmp_path / "x.run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'avg'" in err
+        assert not (tmp_path / "x.run").exists()
 
     def test_run_with_unknown_topics_errors(self, pipeline, tmp_path, capsys):
         orphan = tmp_path / "orphan.run"

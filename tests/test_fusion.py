@@ -7,11 +7,20 @@ import numpy as np
 import pytest
 
 from passagerank import AffineNorm, FilterSpec, FusionModel, report_weights, softmax_rows
-from passagerank.fusion import forward_parts, linear_rows, score_gradients
+from passagerank.fusion import forward_parts, linear_rows
 from passagerank.passages import parse_filter_label, serialize_filters
 
 FILTERS = (FilterSpec.window(50), FilterSpec.window(150), FilterSpec.whole_document())
 FEATS = ("f1", "f2", "f3", "f4", "f5")
+
+
+def identity_norm(n):
+    return AffineNorm(np.zeros(n), np.ones(n))
+
+
+def tanh_score(model, R, H):
+    """The final fusion score in (-1, 1) of each row."""
+    return np.tanh(model.linear_many(R, H))
 
 
 def make_model(rng=None, alpha=3, beta=5, meta=None):
@@ -23,8 +32,8 @@ def make_model(rng=None, alpha=3, beta=5, meta=None):
         feature_names=FEATS[:beta],
         W=W,
         b=0.0,
-        score_norm=AffineNorm.identity(alpha),
-        feature_norm=AffineNorm.identity(beta),
+        score_norm=identity_norm(alpha),
+        feature_norm=identity_norm(beta),
         meta=meta or {},
     )
 
@@ -74,7 +83,7 @@ class TestAffineNorm:
 
     def test_identity(self):
         X = np.array([[1.0, -2.0]])
-        assert np.array_equal(AffineNorm.identity(2).apply(X), X)
+        assert np.array_equal(identity_norm(2).apply(X), X)
 
 
 class TestFusionModel:
@@ -85,16 +94,18 @@ class TestFusionModel:
         h = rng.normal(size=5)
         phi = softmax_rows((model.W @ h)[None, :])[0]
         expect = math.tanh(float(r @ phi) + model.b)
-        assert model.score(r, h) == pytest.approx(expect, rel=1e-12)
+        score = tanh_score(model, r[None, :], h[None, :])[0]
+        assert score == pytest.approx(expect, rel=1e-12)
 
     def test_score_many_matches_single(self):
         model = make_model()
         rng = np.random.default_rng(6)
         R = rng.normal(size=(20, 3))
         H = rng.normal(size=(20, 5))
-        many = model.score_many(R, H)
+        many = tanh_score(model, R, H)
         for i in range(20):
-            assert many[i] == pytest.approx(model.score(R[i], H[i]), rel=1e-12)
+            assert many[i] == pytest.approx(tanh_score(model, R[i:i + 1], H[i:i + 1])[0],
+                                            rel=1e-12)
 
     def test_linear_score_orders_like_tanh_when_unsaturated(self):
         model = make_model()
@@ -102,7 +113,7 @@ class TestFusionModel:
         R = rng.uniform(-2, 2, size=(50, 3))
         H = rng.normal(size=(50, 5))
         lin = model.linear_many(R, H)
-        tan = model.score_many(R, H)
+        tan = tanh_score(model, R, H)
         assert np.array_equal(np.argsort(-lin), np.argsort(-tan))
         assert np.allclose(np.tanh(lin), tan)
 
@@ -113,7 +124,7 @@ class TestFusionModel:
         rng = np.random.default_rng(8)
         R = -40.0 + rng.uniform(-1, 1, size=(30, 3))
         H = rng.normal(size=(30, 5))
-        tan = model.score_many(R, H)
+        tan = tanh_score(model, R, H)
         lin = model.linear_many(R, H)
         assert np.unique(tan).size == 1  # saturated: useless for ranking
         assert np.unique(lin).size == 30
@@ -137,29 +148,29 @@ class TestFusionModel:
                              model.b, rn, hn, {})
         ident = make_model()
         assert np.allclose(
-            normed.score_many(R, H),
-            ident.score_many(rn.apply(R), hn.apply(H)))
+            tanh_score(normed, R, H),
+            tanh_score(ident, rn.apply(R), hn.apply(H)))
 
     def test_dimension_errors(self):
         model = make_model()
         with pytest.raises(ValueError):
-            model.score(np.zeros(2), np.zeros(5))
+            model.linear_many(np.zeros((1, 2)), np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            model.score(np.zeros(3), np.zeros(4))
+            model.linear_many(np.zeros((1, 3)), np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            model.score_many(np.zeros((5, 3)), np.zeros((4, 5)))
+            model.linear_many(np.zeros((5, 3)), np.zeros((4, 5)))
 
     def test_nan_features_rejected(self):
         model = make_model()
         h = np.zeros(5)
         h[2] = np.nan
         with pytest.raises(ValueError):
-            model.score(np.zeros(3), h)
+            model.linear_many(np.zeros((1, 3)), h[None, :])
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError):
             FusionModel(FILTERS, FEATS, np.full((3, 5), np.inf), 0.0,
-                        AffineNorm.identity(3), AffineNorm.identity(5), {})
+                        identity_norm(3), identity_norm(5), {})
 
 
 class TestSerialization:
@@ -181,7 +192,7 @@ class TestSerialization:
         model = make_model(rng, meta={"feature_set": "query", "list_k": 100})
         norm = AffineNorm(rng.normal(size=3), rng.uniform(0.5, 2, size=3))
         model = FusionModel(model.filters, model.feature_names,
-                            model.W, 0.125, norm, AffineNorm.identity(5),
+                            model.W, 0.125, norm, identity_norm(5),
                             model.meta)
         path = tmp_path / "model.json"
         model.save(path)
@@ -227,7 +238,8 @@ class TestGradients:
             b = float(rng.uniform(-0.5, 0.5))
             r = rng.normal(size=alpha)
             h = rng.normal(size=beta)
-            _, dW, db = score_gradients(W, b, r, h)
+            _, _, C, dB = forward_parts(W, b, r[None, :], h[None, :])
+            dW, db = np.outer(C[0], h), dB[0]
 
             def s(Wx, bx):
                 sval, _, _, _ = forward_parts(Wx, bx, r[None, :], h[None, :])

@@ -17,6 +17,7 @@ from reference import (
     lm_score,
     max_passage_lm_one,
     pool_document,
+    score_batch,
     score_tokens_one,
     score_vector,
     whole_doc_lm_one,
@@ -237,12 +238,21 @@ class TestScoreVector:
         ctx = QueryContext(Query("q", ("t1", "t3", "never-seen")), idx, S05)
         doc_ids = list(reversed(idx.doc_ids))[:12]
         tokens, lengths = idx.batch_tokens(doc_ids)
-        batch = score_tokens(ctx, tokens, self.FILTERS, pooling, scale, lengths)
+        batch = score_batch(ctx, tokens, self.FILTERS, pooling, scale, lengths)
         singles = np.vstack([
             score_tokens_one(ctx, idx.doc_tokens(idx.doc_index(d)), self.FILTERS,
                              pooling, scale)
             for d in doc_ids])
         np.testing.assert_array_equal(batch, singles)
+
+
+class TestScoreTokens:
+    @pytest.mark.parametrize("pooling", ["avg", "MAX", "Mean"])
+    def test_unknown_pooling_raises(self, tiny_index, pooling):
+        ctx = QueryContext(Query("q", ("a",)), tiny_index, S05)
+        tokens, lengths = tiny_index.batch_tokens(["d1"])
+        with pytest.raises(ValueError, match="pooling"):
+            score_tokens(ctx, tokens, (FilterSpec.window(4),), pooling, lengths)
 
 
 class TestQueryContext:
@@ -305,20 +315,20 @@ class TestMspRank:
         ranked = msp_rank(Query("q", ("a",)), ["dB", "dA", "dC"], idx, 5, s=S05)
         assert [d for d, _ in ranked][:2] == ["dA", "dB"]
 
-    def test_homogeneity_zero_reproduces_base(self, corpus):
+    def test_homogeneity_zero_reproduces_base(self, corpus, fixed_homogeneity):
         q = Query("q", ("t3", "t5"))
         cands = list(corpus.doc_ids)
         base = msp_rank(q, cands, corpus, 10, s=S05)
+        fixed_homogeneity(0.0)
         for kind in ("length", "ent", "intpsg", "docpsg"):
-            locked = msp_rank(q, cands, corpus, 10, kind, s=S05,
-                              homogeneity_override=0.0)
+            locked = msp_rank(q, cands, corpus, 10, kind, s=S05)
             assert [d for d, _ in locked] == [d for d, _ in base]
 
-    def test_homogeneity_one_reproduces_whole_doc(self, corpus):
+    def test_homogeneity_one_reproduces_whole_doc(self, corpus, fixed_homogeneity):
         q = Query("q", ("t3", "t5"))
         cands = list(corpus.doc_ids)
-        locked = msp_rank(q, cands, corpus, 10, "ent", s=S05,
-                          homogeneity_override=1.0)
+        fixed_homogeneity(1.0)
+        locked = msp_rank(q, cands, corpus, 10, "ent", s=S05)
         ctx = QueryContext(q, corpus, S05, 1)
         ref = sorted(
             ((d, whole_doc_lm_one(ctx, corpus.doc_tokens(corpus.doc_index(d))))
@@ -337,12 +347,14 @@ class TestMspRank:
             assert all(np.isfinite(s) for _, s in ranked)
 
     @pytest.mark.parametrize("kind", ["none", "ent"])
-    def test_scores_equal_single_document_scores(self, corpus, kind):
+    def test_scores_equal_single_document_scores(self, corpus, kind,
+                                                 fixed_homogeneity):
         q = Query("q", ("t1", "t4"))
         cands = list(corpus.doc_ids)[::-1][:15]
         h = None if kind == "none" else 0.5
-        ranked = dict(msp_rank(q, cands, corpus, 10, kind, s=S05,
-                               homogeneity_override=h))
+        if h is not None:
+            fixed_homogeneity(h)
+        ranked = dict(msp_rank(q, cands, corpus, 10, kind, s=S05))
         ctx = QueryContext(q, corpus, S05, 1)
         for d in cands:
             tokens = corpus.doc_tokens(corpus.doc_index(d))
