@@ -44,13 +44,22 @@ from .evaluation import (
     write_run,
     write_table,
 )
-from .features import FeatureExtractor, feature_names, mean_top_scores, write_feature_matrix
+from .features import (
+    FEATURE_SETS,
+    HOMOGENEITY_KINDS,
+    FeatureExtractor,
+    feature_names,
+    mean_top_scores,
+    write_feature_matrix,
+)
 from .fusion import FusionModel, report_weights
 from .passages import (
+    POOLINGS,
     FilterSpec,
     QueryContext,
     SmoothingConfig,
     msp_rank,
+    parse_filter_label,
     score_tokens,
     serialize_filters,
 )
@@ -59,7 +68,7 @@ from .training import CandidateSet, TrainConfig, make_folds, train
 
 log = logging.getLogger(__name__)
 
-RERANK_MODES = ("msp", "msp-length", "msp-ent", "msp-intpsg", "msp-docpsg", "npm")
+RERANK_MODES = ("msp", *(f"msp-{kind}" for kind in HOMOGENEITY_KINDS), "npm")
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +86,8 @@ _FLAG_DEFS: dict[str, dict] = {
     "lambda_c": dict(type=float, metavar="F", help="smoothing weight in (0,1), default 0.5"),
     "oov_floor": dict(type=int, metavar="N", help="corpus-frequency floor for unseen terms, default 1"),
     "top_k": dict(type=int, metavar="N", help="initial retrieval depth, default 2000"),
-    "pooling": dict(choices=["max", "mean"], help="passage pooling, default max"),
-    "feature_set": dict(choices=["doc", "query", "doc+query"], help="fusion feature toggles"),
+    "pooling": dict(choices=POOLINGS, help="passage pooling, default max"),
+    "feature_set": dict(choices=FEATURE_SETS, help="fusion feature toggles"),
     "homogeneity_m": dict(type=int, metavar="M", help="passage size for homogeneity features (default: smallest finite filter)"),
     "passage_size": dict(type=int, metavar="M", help="window size for msp modes, default 50"),
     "learning_rate": dict(type=float, metavar="F"),
@@ -221,6 +230,17 @@ class ScoreSettings:
         return cls(cfg.filters, SmoothingConfig(cfg.lambda_c), cfg.oov_floor,
                    cfg.pooling, cfg.feature_set, hom, cfg.top_k)
 
+    def meta(self) -> dict:
+        """The model metadata that ``from_model`` reads back."""
+        return {
+            "feature_set": self.feature_set,
+            "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
+            "list_k": self.list_k,
+            "lambda_c": self.smoothing.lambda_c,
+            "oov_floor": self.floor,
+            "pooling": self.pooling,
+        }
+
     @classmethod
     def from_model(cls, model: FusionModel, cfg: ExperimentConfig) -> "ScoreSettings":
         """Model metadata wins over config so reranking matches training."""
@@ -234,11 +254,12 @@ class ScoreSettings:
             )
         if feature_set == "query":
             hom = None
-        elif meta.get("homogeneity_m"):
+        elif meta.get("homogeneity_filter"):
+            hom = parse_filter_label(meta["homogeneity_filter"])
+        elif meta.get("homogeneity_m"):  # written before the stride was recorded
             hom = FilterSpec.window(int(meta["homogeneity_m"]))
         else:
-            finite = [f for f in model.filters if not f.is_infinite]
-            hom = min(finite, key=lambda f: f.m) if finite else cfg.smallest_finite_filter()
+            hom = cfg.smallest_finite_filter()
         return cls(
             filters=model.filters,
             smoothing=SmoothingConfig(float(meta.get("lambda_c", cfg.lambda_c))),
@@ -331,11 +352,10 @@ def cmd_rerank(args) -> int:
     else:
         kind = "none" if args.mode == "msp" else args.mode.split("-", 1)[1]
         smoothing = SmoothingConfig(cfg.lambda_c)
-        hom_cache: dict = {}
         out = {
             q.query_id: msp_rank(
                 q, [d for d, _ in run_in[q.query_id]], index, cfg.passage_size,
-                kind, s=smoothing, floor=cfg.oov_floor, hom_cache=hom_cache,
+                kind, s=smoothing, floor=cfg.oov_floor,
             )
             for q in queries
         }
@@ -362,6 +382,8 @@ def _load_fold_models(dir_path: Path) -> tuple[dict[int, FusionModel], dict[str,
         line = "".join(lines[rows.line_num - 1:rows.line_num])
         raise ValueError(f"{folds_file}:{rows.line_num}: expected "
                          f"'query_id,fold', got {line!r}") from None
+    if not fold_of:
+        raise ValueError(f"{folds_file} lists no queries")
     models = {}
     for fold in sorted(set(fold_of.values())):
         models[fold] = FusionModel.load(dir_path / f"fold_{fold}.json")
@@ -416,7 +438,6 @@ def cmd_train(args) -> int:
                               run_in)
     st = ScoreSettings.from_config(cfg)
     extractor = st.extractor(index)
-    names = feature_names(cfg.feature_set)
 
     candidates = {}
     for q in queries:
@@ -447,17 +468,9 @@ def cmd_train(args) -> int:
         negatives_per_positive=cfg.negatives_per_positive,
         folds=cfg.folds,
     )
-    meta = {
-        "feature_set": cfg.feature_set,
-        "homogeneity_m": st.hom_filter.m if st.hom_filter else None,
-        "list_k": st.list_k,
-        "lambda_c": cfg.lambda_c,
-        "oov_floor": cfg.oov_floor,
-        "pooling": cfg.pooling,
-        "config_fingerprint": cfg.fingerprint(),
-    }
+    meta = dict(st.meta(), config_fingerprint=cfg.fingerprint())
     fold_of = make_folds(sorted(candidates), cfg.folds, cfg.seed)
-    results = train(candidates, tc, meta, cfg.filters, names, fold_of)
+    results = train(candidates, tc, meta, cfg.filters, extractor.names, fold_of)
 
     write_table(out_dir / "folds.csv", ["query_id", "fold"],
                 [[qid, fold_of[qid]] for qid in sorted(fold_of, key=qid_sort_key)])

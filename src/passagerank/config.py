@@ -13,7 +13,14 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .passages import FilterSpec, parse_filters, serialize_filters
+from .features import feature_names
+from .passages import (
+    FilterSpec,
+    SmoothingConfig,
+    check_pooling,
+    parse_filters,
+    serialize_filters,
+)
 
 
 @dataclass(frozen=True)
@@ -140,12 +147,11 @@ def build_config(
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if not 0.0 < cfg.lambda_c < 1.0:
-        raise ValueError(f"lambda_c must be in (0, 1), got {cfg.lambda_c}")
-    if cfg.pooling not in ("max", "mean"):
-        raise ValueError(f"pooling must be 'max' or 'mean', got {cfg.pooling!r}")
-    if cfg.feature_set not in ("doc", "query", "doc+query"):
-        raise ValueError(f"unknown feature_set {cfg.feature_set!r}")
+    """Reject bad values before any input is read; the scoring code owns
+    the lambda_c, pooling and feature-set rules."""
+    SmoothingConfig(cfg.lambda_c)
+    check_pooling(cfg.pooling)
+    feature_names(cfg.feature_set)
     if not cfg.filters:
         raise ValueError("at least one filter is required")
     for name in ("top_k", "passage_size", "batch_size", "max_epochs",

@@ -21,18 +21,18 @@ the wrong layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, Document, Query
+from .corpus import CorpusIndex, Query
 from .evaluation import write_table
 
 if TYPE_CHECKING:  # passages imports this module
     from .passages import FilterSpec
 
-HOMOGENEITY_NAMES = ("h_length", "h_ent", "h_intpsg", "h_docpsg")
+HOMOGENEITY_KINDS = ("length", "ent", "intpsg", "docpsg")
+HOMOGENEITY_NAMES = tuple(f"h_{kind}" for kind in HOMOGENEITY_KINDS)
 QUERY_STAT_NAMES = ("sum", "std", "max_min_ratio", "max", "amean", "gmean", "hmean", "cv")
 QUERY_BASE_NAMES = ("idf", "nicf", "scq")
 LIST_FEATURE_NAME = "list_mean"
@@ -41,38 +41,13 @@ FEATURE_SETS = ("doc", "query", "doc+query")
 _POSITIVE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class HomogeneityScores:
-    length: float
-    ent: float
-    intpsg: float
-    docpsg: float
-
-    def by_kind(self, kind: str) -> float:
-        try:
-            return {
-                "length": self.length,
-                "ent": self.ent,
-                "intpsg": self.intpsg,
-                "docpsg": self.docpsg,
-            }[kind]
-        except KeyError:
-            raise ValueError(f"unknown homogeneity kind {kind!r}") from None
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.length, self.ent, self.intpsg, self.docpsg], dtype=np.float64
-        )
-
-
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def homogeneity(
-    doc: Document | str, index: CorpusIndex, f: FilterSpec
-) -> HomogeneityScores:
-    """The four homogeneity scores of one indexed document.
+def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.ndarray:
+    """The four homogeneity scores of one indexed document, a float64
+    row in ``HOMOGENEITY_KINDS`` order.
 
     The passage-based scores (intpsg, docpsg) use filter ``f``'s spans;
     tf-idf weights are tf * ln(|D| / D_t). Degenerate cases: a corpus
@@ -85,9 +60,7 @@ def homogeneity(
     """
     if f.is_infinite:
         raise ValueError("homogeneity needs a finite passage filter")
-    doc_id = doc if isinstance(doc, str) else doc.doc_id
-    idx = index.doc_index(doc_id)
-    tokens = index.doc_tokens(idx)
+    tokens = index.doc_tokens(index.doc_index(doc_id))
     n_d = int(tokens.shape[0])
 
     if index.max_log_len == index.min_log_len:
@@ -134,7 +107,17 @@ def homogeneity(
     doc_norm = float(np.linalg.norm(doc_vec)) or 1.0  # zero only with all spans zero
     cos = np.where(nonzero, np.clip(dot / (doc_norm * norm), 0.0, 1.0), float(z == n_spans))
     h_docpsg = _clamp01(float(cos.sum()) / n_spans)
-    return HomogeneityScores(h_length, h_ent, h_intpsg, h_docpsg)
+    return np.array([h_length, h_ent, h_intpsg, h_docpsg], dtype=np.float64)
+
+
+def cached_homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.ndarray:
+    """``homogeneity``, computed once per (document, filter) for the
+    lifetime of ``index``; do not mutate the returned row."""
+    key = (doc_id, f)
+    row = index.homogeneity_rows.get(key)
+    if row is None:
+        row = index.homogeneity_rows[key] = homogeneity(doc_id, index, f)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +206,12 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 
 
 class FeatureExtractor:
-    """Assembles fusion feature vectors with per-document caching.
+    """Assembles fusion feature vectors.
 
-    Homogeneity scores depend only on the document, so they are cached
-    across queries; the query block and list feature are computed once
-    per query by the caller and broadcast over its candidates.
+    Homogeneity scores depend only on the document and come from the
+    index's cache (``cached_homogeneity``); the query block and list
+    feature are computed once per query and broadcast over its
+    candidates.
     """
 
     def __init__(
@@ -249,15 +233,9 @@ class FeatureExtractor:
                 )
         self.hom_filter = hom_filter
         self.floor = floor
-        self._hom_cache: dict[int, np.ndarray] = {}
 
     def doc_block(self, doc_id: str) -> np.ndarray:
-        idx = self.index.doc_index(doc_id)
-        cached = self._hom_cache.get(idx)
-        if cached is None:
-            cached = homogeneity(doc_id, self.index, self.hom_filter).as_array()
-            self._hom_cache[idx] = cached
-        return cached
+        return cached_homogeneity(doc_id, self.index, self.hom_filter)
 
     def query_block(self, query: Query, list_score: float) -> np.ndarray:
         block = query_features(query, self.index, self.floor)

@@ -34,8 +34,9 @@ from .corpus import CorpusIndex, Query
 
 POOL_MAX = "max"
 POOL_MEAN = "mean"
+POOLINGS = (POOL_MAX, POOL_MEAN)
 
-HOMOGENEITY_KINDS = ("none", "length", "ent", "intpsg", "docpsg")
+HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,11 @@ class QueryContext:
         self.background = lam * cf / index.total_len
 
 
+def check_pooling(pooling: str) -> None:
+    if pooling not in POOLINGS:
+        raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
+
+
 def _filter_arrays(filters: Sequence[FilterSpec]):
     ms = np.array([-1 if f.is_infinite else f.m for f in filters], dtype=np.int64)
     taus = np.array([0 if f.is_infinite else f.tau for f in filters], dtype=np.int64)
@@ -166,8 +172,7 @@ def score_tokens(
     orderings; for the whole-document filter it varies with document
     length, which is the point.
     """
-    if pooling not in (POOL_MAX, POOL_MEAN):
-        raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
+    check_pooling(pooling)
     ms, taus = _filter_arrays(filters)
     raw = _accel.kernel_filter_scores(
         tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling == POOL_MEAN, lengths,
@@ -232,16 +237,14 @@ def msp_rank(
     homogeneity: str = "none",
     s: SmoothingConfig | None = None,
     floor: int = 1,
-    hom_cache: dict | None = None,
 ) -> list[tuple[str, float]]:
     """Rank candidate doc_ids by their best passage's LM score, window
     ``passage_size`` with stride half of it.
 
     With a homogeneity kind other than "none", the score becomes the
     homogeneity-weighted probability mix of the whole-document model and
-    the best passage. ``hom_cache`` may be shared across queries to
-    avoid recomputing per-document homogeneity. Ties break by doc_id
-    ascending.
+    the best passage; each document's homogeneity comes from the index's
+    cache. Ties break by doc_id ascending.
     """
     if homogeneity not in HOMOGENEITY_KINDS:
         raise ValueError(f"unknown homogeneity kind {homogeneity!r}")
@@ -251,13 +254,9 @@ def msp_rank(
     tokens, lengths = index.batch_tokens(candidates)
     scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths).tolist()
     if homogeneity != "none":
+        col = features.HOMOGENEITY_KINDS.index(homogeneity)
         lm_doc = whole_doc_lm(ctx, tokens, lengths).tolist()
         for k, doc_id in enumerate(candidates):
-            key = (doc_id, f.m, f.tau, homogeneity)
-            h = hom_cache.get(key) if hom_cache is not None else None
-            if h is None:
-                h = features.homogeneity(doc_id, index, f).by_kind(homogeneity)
-                if hom_cache is not None:
-                    hom_cache[key] = h
+            h = float(features.cached_homogeneity(doc_id, index, f)[col])
             scores[k] = combine_homogeneous(h, lm_doc[k], scores[k])
     return sorted(zip(candidates, scores), key=lambda kv: (-kv[1], kv[0]))

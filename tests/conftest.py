@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from passagerank import Document, Query, build_index, features
-from passagerank.features import HomogeneityScores
 
 
 def random_documents(rng, n_docs, vocab_size=50, min_len=5, max_len=120,
@@ -97,10 +96,13 @@ def small_random_index():
 
 @pytest.fixture
 def fixed_homogeneity(monkeypatch):
-    """Call with h to make every homogeneity score of every document h."""
+    """Call with h to make every homogeneity score of every document h.
+
+    It patches the cached lookup, so rows the index already holds (or an
+    earlier h) cannot leak through."""
     def fix(h):
-        monkeypatch.setattr(features, "homogeneity",
-                            lambda doc, index, f: HomogeneityScores(h, h, h, h))
+        monkeypatch.setattr(features, "cached_homogeneity",
+                            lambda doc_id, index, f: np.full(len(features.HOMOGENEITY_KINDS), float(h)))
     return fix
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from passagerank import _accel
 from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
-from passagerank.features import FeatureExtractor, HomogeneityScores, mean_top_scores
+from passagerank.features import FeatureExtractor, mean_top_scores
 from passagerank.passages import (
     POOL_MAX,
     POOL_MEAN,
@@ -474,16 +474,13 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return _clamp01(float(np.dot(a, b)) / (na * nb))
 
 
-def homogeneity_pairwise(
-    doc: Document | str, index: CorpusIndex, f: FilterSpec
-) -> HomogeneityScores:
-    """The four homogeneity scores, with h_intpsg averaged over every
-    pair of dense span vectors and h_docpsg over every span."""
+def homogeneity_pairwise(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.ndarray:
+    """The four homogeneity scores (``HOMOGENEITY_KINDS`` order), with
+    h_intpsg averaged over every pair of dense span vectors and h_docpsg
+    over every span."""
     if f.is_infinite:
         raise ValueError("homogeneity needs a finite passage filter")
-    doc_id = doc if isinstance(doc, str) else doc.doc_id
-    idx = index.doc_index(doc_id)
-    tokens = index.doc_tokens(idx)
+    tokens = index.doc_tokens(index.doc_index(doc_id))
     n_d = int(tokens.shape[0])
 
     if index.max_log_len == index.min_log_len:
@@ -526,7 +523,7 @@ def homogeneity_pairwise(
     h_docpsg = _clamp01(
         sum(_cosine(doc_vec, span_vecs[k]) for k in range(len(spans))) / len(spans)
     )
-    return HomogeneityScores(h_length, h_ent, h_intpsg, h_docpsg)
+    return np.array([h_length, h_ent, h_intpsg, h_docpsg], dtype=np.float64)
 
 
 def postings_reference(index: CorpusIndex) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -30,7 +30,12 @@ from passagerank import (
     train,
 )
 from passagerank.cli import main
-from passagerank.features import FeatureExtractor, homogeneity, mean_top_scores
+from passagerank.features import (
+    HOMOGENEITY_KINDS,
+    FeatureExtractor,
+    homogeneity,
+    mean_top_scores,
+)
 from passagerank.fusion import forward_parts
 from passagerank.passages import QueryContext
 from passagerank.training import CandidateSet, TrainConfig
@@ -375,21 +380,21 @@ def test_criterion_8_homogeneity_bounds_and_extremes():
         f = FilterSpec.window(20)
         lengths = {d.doc_id: d.n_d for d in docs}
         for d in docs:
-            h = homogeneity(d.doc_id, index, f)
-            for kind in ("length", "ent", "intpsg", "docpsg"):
-                v = h.by_kind(kind)
+            h = dict(zip(HOMOGENEITY_KINDS, homogeneity(d.doc_id, index, f)))
+            for kind, v in h.items():
                 assert 0.0 <= v <= 1.0, f"{kind}={v} on {d.doc_id}"
             if d.n_d == max(lengths.values()):
-                assert h.length == 0.0
+                assert h["length"] == 0.0
             if d.n_d == min(lengths.values()):
-                assert h.length == 1.0
+                assert h["length"] == 1.0
 
         from passagerank import Document
         single = [Document(f"s{i}", (f"t{i}",) * (10 + i)) for i in range(5)]
         filler = random_documents(rng, 5, vocab_size=30, prefix="f")
         idx2 = build_index(single + filler)
         for d in single:
-            assert homogeneity(d.doc_id, idx2, f).ent == 1.0
+            h = dict(zip(HOMOGENEITY_KINDS, homogeneity(d.doc_id, idx2, f)))
+            assert h["ent"] == 1.0
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):

@@ -12,8 +12,16 @@ from pathlib import Path
 import pytest
 
 import passagerank
-from passagerank import evaluate_run, read_qrels, read_run
+from passagerank import (
+    FeatureExtractor,
+    FilterSpec,
+    evaluate_run,
+    load_index,
+    read_qrels,
+    read_run,
+)
 from passagerank.cli import main
+from passagerank.features import HOMOGENEITY_NAMES
 from conftest import corrupt_index_file, planted_corpus, set_first
 
 
@@ -264,6 +272,14 @@ class TestFoldManifest:
         err = capsys.readouterr().err
         assert f"{models / 'folds.csv'}:8:" in err and "'7;0\\n'" in err
 
+    def test_header_only(self, pipeline, tmp_path, capsys):
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1")
+        folds = models / "folds.csv"
+        folds.write_text("query_id,fold\n")
+        rc = self.rerank(pipeline, topics, run, models, tmp_path / "x.run")
+        assert rc == 2
+        assert f"error: {folds} lists no queries" in capsys.readouterr().err
+
     def test_unquoted_comma_is_rejected(self, pipeline, tmp_path, capsys):
         # the form written before folds.csv used csv quoting
         topics, run, models = self.rename_query(pipeline, tmp_path, "1,2")
@@ -273,6 +289,37 @@ class TestFoldManifest:
         assert rc == 2
         assert f"{folds}:" in capsys.readouterr().err
         assert not (tmp_path / "x.run").exists()
+
+
+def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
+    """A strided homogeneity filter is recorded whole in the model and
+    reused by rerank, not rebuilt from its window length."""
+    # 60 documents, so terms miss some of them and the passage
+    # homogeneity scores depend on the stride
+    docs, queries, qrels = planted_corpus(n_queries=6, n_docs=60, doc_len=1100,
+                                          bg_vocab=500, seed=0)
+    corpus, index = tmp_path / "corpus.trectext", tmp_path / "index"
+    topics, qrels_file = tmp_path / "topics.txt", tmp_path / "qrels.txt"
+    run, models, dump = tmp_path / "ql.run", tmp_path / "models", tmp_path / "f.tsv"
+    write_trectext(corpus, docs)
+    write_topics(topics, queries)
+    write_qrels(qrels_file, qrels)
+    common = ["--index", str(index), "--topics", str(topics), "--run", str(run)]
+    assert main(["index", "--corpus", str(corpus), "--index", str(index)]) == 0
+    assert main(["retrieve", *common[:4], "--top-k", "40", "--output", str(run)]) == 0
+    assert main(["train", "--config", str(pipeline["conf"]), *common,
+                 "--qrels", str(qrels_file), "--filters", "50:10,150,inf",
+                 "--output-dir", str(models), "--seed", "0"]) == 0
+    assert main(["rerank", *common, "--mode", "npm", "--model", str(models),
+                 "--dump-features", str(dump),
+                 "--output", str(tmp_path / "npm.run")]) == 0
+    rows = read_table(dump, delimiter="\t")
+    assert rows[0][2:6] == list(HOMOGENEITY_NAMES)
+    extractor = FeatureExtractor(load_index(index), "doc", FilterSpec(50, 10))
+    for _, doc_id, *values in rows[1:]:
+        assert values[:4] == [format(x, ".12g") for x in extractor.doc_block(doc_id)]
+    meta = json.loads((models / "fold_0.json").read_text())["meta"]
+    assert meta["homogeneity_filter"] == "50:10" and "homogeneity_m" not in meta
 
 
 QID = '1,"2'  # a query id holding the delimiter and the quote character

@@ -13,11 +13,14 @@ from passagerank import (
     SmoothingConfig,
     build_index,
     feature_names,
+    features,
     homogeneity,
+    msp_rank,
     query_features,
     summary_stats,
 )
 from passagerank.features import (
+    HOMOGENEITY_KINDS,
     HOMOGENEITY_NAMES,
     QUERY_BASE_NAMES,
     QUERY_STAT_NAMES,
@@ -115,6 +118,11 @@ class TestSummaryStats:
         assert got["cv"] == 0.0
 
 
+def kinds(doc_id, index, f):
+    """A document's homogeneity row by kind."""
+    return dict(zip(HOMOGENEITY_KINDS, homogeneity(doc_id, index, f)))
+
+
 class TestHomogeneity:
     F = FilterSpec.window(10)
 
@@ -123,9 +131,7 @@ class TestHomogeneity:
         docs = random_documents(rng, 100, vocab_size=30, min_len=1, max_len=200)
         idx = build_index(docs)
         for doc_id in idx.doc_ids:
-            h = homogeneity(idx.document(doc_id), idx, self.F)
-            for kind in ("length", "ent", "intpsg", "docpsg"):
-                v = h.by_kind(kind)
+            for kind, v in kinds(doc_id, idx, self.F).items():
                 assert 0.0 <= v <= 1.0, (doc_id, kind, v)
 
     def test_length_extrema(self):
@@ -133,44 +139,43 @@ class TestHomogeneity:
                 Document("dmid", ("a",) * 50),
                 Document("dlong", ("a",) * 500)]
         idx = build_index(docs)
-        assert homogeneity(idx.document("dlong"), idx, self.F).by_kind("length") == 0.0
-        assert homogeneity(idx.document("dshort"), idx, self.F).by_kind("length") == 1.0
+        assert kinds("dlong", idx, self.F)["length"] == 0.0
+        assert kinds("dshort", idx, self.F)["length"] == 1.0
 
     def test_length_degenerate_same_lengths(self):
         docs = [Document("d1", ("a",) * 9), Document("d2", ("b",) * 9)]
         idx = build_index(docs)
-        assert homogeneity(idx.document("d1"), idx, self.F).by_kind("length") == 1.0
+        assert kinds("d1", idx, self.F)["length"] == 1.0
 
     def test_entropy_single_term_doc(self):
         docs = [Document("d1", ("a",) * 40), Document("d2", ("a", "b", "c", "d"))]
         idx = build_index(docs)
-        assert homogeneity(idx.document("d1"), idx, self.F).by_kind("ent") == 1.0
+        assert kinds("d1", idx, self.F)["ent"] == 1.0
 
     def test_entropy_all_distinct_terms_is_zero(self):
         docs = [Document("d1", tuple(f"u{i}" for i in range(30))),
                 Document("d2", ("x",) * 30)]
         idx = build_index(docs)
-        assert homogeneity(idx.document("d1"), idx, self.F).by_kind("ent") \
-            == pytest.approx(0.0, abs=1e-12)
+        assert kinds("d1", idx, self.F)["ent"] == pytest.approx(0.0, abs=1e-12)
 
     def test_entropy_length_one_doc(self):
         docs = [Document("d1", ("a",)), Document("d2", ("a", "b"))]
         idx = build_index(docs)
-        assert homogeneity(idx.document("d1"), idx, self.F).by_kind("ent") == 1.0
+        assert kinds("d1", idx, self.F)["ent"] == 1.0
 
     def test_identical_passages_fully_homogeneous(self):
         block = ("a", "b", "c", "d", "e") * 2
         docs = [Document("d1", block * 4), Document("d2", ("x", "y") * 20)]
         idx = build_index(docs)
-        h = homogeneity(idx.document("d1"), idx, FilterSpec(10, 10))
-        assert h.by_kind("intpsg") == pytest.approx(1.0, rel=1e-12)
-        assert h.by_kind("docpsg") == pytest.approx(1.0, rel=1e-12)
+        h = kinds("d1", idx, FilterSpec(10, 10))
+        assert h["intpsg"] == pytest.approx(1.0, rel=1e-12)
+        assert h["docpsg"] == pytest.approx(1.0, rel=1e-12)
 
     def test_single_passage_convention(self):
         docs = [Document("d1", ("a", "b")), Document("d2", ("c",) * 30)]
         idx = build_index(docs)
-        h = homogeneity(idx.document("d1"), idx, self.F)
-        assert h.by_kind("intpsg") == 1.0
+        h = kinds("d1", idx, self.F)
+        assert h["intpsg"] == 1.0
 
     def test_disjoint_passages_score_zero(self):
         # idf of a term in every document is ln(1) = 0, so pad with a
@@ -178,22 +183,23 @@ class TestHomogeneity:
         docs = [Document("d1", ("a",) * 10 + ("b",) * 10),
                 Document("d2", ("z",) * 10)]
         idx = build_index(docs)
-        h = homogeneity(idx.document("d1"), idx, FilterSpec(10, 10))
-        assert h.by_kind("intpsg") == pytest.approx(0.0, abs=1e-12)
+        h = kinds("d1", idx, FilterSpec(10, 10))
+        assert h["intpsg"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_as_array_matches_names(self):
+    def test_row_matches_names(self):
         docs = [Document("d1", ("a", "b") * 10), Document("d2", ("c",) * 7)]
         idx = build_index(docs)
-        h = homogeneity(idx.document("d1"), idx, self.F)
-        arr = h.as_array()
-        assert arr.shape == (4,)
-        for i, name in enumerate(HOMOGENEITY_NAMES):
-            assert arr[i] == h.by_kind(name.removeprefix("h_"))
+        row = homogeneity("d1", idx, self.F)
+        assert row.dtype == np.float64 and row.shape == (4,)
+        assert HOMOGENEITY_NAMES == tuple(f"h_{k}" for k in HOMOGENEITY_KINDS)
+        by_name = dict(zip(HOMOGENEITY_NAMES, row))
+        assert by_name["h_length"] == 0.0  # the longest document
+        assert by_name["h_ent"] == pytest.approx(1 - math.log(2) / math.log(20),
+                                                 rel=1e-12)
 
     def test_infinite_filter_rejected(self, tiny_index):
         with pytest.raises(ValueError):
-            homogeneity(tiny_index.document("d1"), tiny_index,
-                        FilterSpec.whole_document())
+            homogeneity("d1", tiny_index, FilterSpec.whole_document())
 
 
 class TestListFeature:
@@ -258,6 +264,30 @@ class TestFeatureNamesAndExtractor:
         row = fuse_features(q, idx.doc_ids[0], idx, FilterSpec.window(10),
                             "doc+query", list_score=-1.0)
         assert np.array_equal(H[0], row)
+
+    def test_one_homogeneity_cache_per_index(self, small_random_index,
+                                             monkeypatch):
+        idx = small_random_index
+        calls = []
+
+        def counted(doc_id, index, f):
+            calls.append((doc_id, f))
+            return homogeneity(doc_id, index, f)
+
+        monkeypatch.setattr(features, "homogeneity", counted)
+        ex = FeatureExtractor(idx, "doc", FilterSpec.window(10))
+        first, second = list(idx.doc_ids[:8]), list(idx.doc_ids[4:12])
+        H1 = ex.matrix(Query("q1", ("t1",)), first, 0.0)
+        H2 = ex.matrix(Query("q2", ("t2",)), second, 0.0)
+        ranked = msp_rank(Query("q3", ("t3",)), first + second[4:], idx, 10,
+                          "intpsg")
+        assert sorted(d for d, _ in calls) == sorted(idx.doc_ids[:12])
+        assert {f for _, f in calls} == {FilterSpec(10, 5)}
+        assert np.array_equal(H1[4:], H2[:4])
+        assert len(ranked) == 12
+        # a second filter is a second key
+        msp_rank(Query("q3", ("t3",)), first, idx, 20, "intpsg")
+        assert len(calls) == 12 + 8
 
     def test_write_feature_matrix(self, tmp_path, small_random_index):
         idx = small_random_index

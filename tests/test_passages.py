@@ -339,10 +339,8 @@ class TestMspRank:
     def test_all_homogeneity_kinds_run(self, corpus):
         q = Query("q", ("t0", "t7"))
         cands = list(corpus.doc_ids)[:10]
-        cache = {}
         for kind in ("none", "length", "ent", "intpsg", "docpsg"):
-            ranked = msp_rank(q, cands, corpus, 10, kind, s=S05,
-                              hom_cache=cache)
+            ranked = msp_rank(q, cands, corpus, 10, kind, s=S05)
             assert len(ranked) == 10
             assert all(np.isfinite(s) for _, s in ranked)
 
