@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, build_config, parse_value, require, require_set
+from .config import (ExperimentConfig, build_config, format_value, parse_value,
+                     require, require_set)
 from .corpus import (
     CorpusIndex,
     Query,
@@ -58,13 +59,13 @@ from .passages import (
     FilterSpec,
     QueryContext,
     SmoothingConfig,
+    check_pooling,
     msp_rank,
     parse_filter_label,
     score_tokens,
-    serialize_filters,
 )
 from .retrieval import rank_documents
-from .training import CandidateSet, TrainConfig, make_folds, train
+from .training import CandidateSet, make_folds, train
 
 log = logging.getLogger(__name__)
 
@@ -75,45 +76,48 @@ RERANK_MODES = ("msp", *(f"msp-{kind}" for kind in HOMOGENEITY_KINDS), "npm")
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+# flag values are text, typed by config.parse_value like config-file values
 _FLAG_DEFS: dict[str, dict] = {
     "corpus": dict(metavar="PATH", help="trectext file or directory"),
     "index": dict(metavar="DIR", help="index directory"),
     "topics": dict(metavar="FILE", help="TREC topics file"),
     "qrels": dict(metavar="FILE", help="TREC qrels file"),
     "stoplist": dict(metavar="FILE", help="stopword list, one term per line"),
-    "text_tags": dict(metavar="TAGS", help="comma-separated text-bearing tags (default TEXT)"),
+    "text_tags": dict(metavar="TAGS", help="comma-separated text-bearing tags"),
     "filters": dict(metavar="LIST", help="window filters, e.g. 50,150,inf or 50:25,inf"),
-    "lambda_c": dict(type=float, metavar="F", help="smoothing weight in (0,1), default 0.5"),
-    "oov_floor": dict(type=int, metavar="N", help="corpus-frequency floor for unseen terms, default 1"),
-    "top_k": dict(type=int, metavar="N", help="initial retrieval depth, default 2000"),
-    "pooling": dict(choices=POOLINGS, help="passage pooling, default max"),
-    "feature_set": dict(choices=FEATURE_SETS, help="fusion feature toggles"),
-    "homogeneity_m": dict(type=int, metavar="M", help="passage size for homogeneity features (default: smallest finite filter)"),
-    "passage_size": dict(type=int, metavar="M", help="window size for msp modes, default 50"),
-    "learning_rate": dict(type=float, metavar="F"),
-    "batch_size": dict(type=int, metavar="N"),
-    "max_epochs": dict(type=int, metavar="N"),
-    "patience": dict(type=int, metavar="N"),
-    "negatives_per_positive": dict(type=int, metavar="N"),
-    "folds": dict(type=int, metavar="K"),
-    "permutations": dict(type=int, metavar="N", help="randomization test samples, default 100000"),
+    "lambda_c": dict(metavar="F", help="smoothing weight in (0,1)"),
+    "oov_floor": dict(metavar="N", help="corpus-frequency floor for unseen terms"),
+    "top_k": dict(metavar="N", help="initial retrieval depth"),
+    "pooling": dict(metavar="|".join(POOLINGS), help="passage pooling"),
+    "feature_set": dict(metavar="|".join(FEATURE_SETS), help="fusion feature toggles"),
+    "homogeneity_m": dict(metavar="M", help="passage size for homogeneity features "
+                                            "(default: smallest finite filter)"),
+    "passage_size": dict(metavar="M", help="window size for msp modes"),
+    "learning_rate": dict(metavar="F", help="SGD step size"),
+    "batch_size": dict(metavar="N", help="triples per SGD step"),
+    "max_epochs": dict(metavar="N", help="epoch limit"),
+    "patience": dict(metavar="N", help="epochs without a validation gain before stopping"),
+    "negatives_per_positive": dict(metavar="N", help="non-relevant samples per relevant one"),
+    "folds": dict(metavar="K", help="cross-validation folds, at least 3"),
+    "permutations": dict(metavar="N", help="randomization test samples"),
+    "seed": dict(metavar="N", help="seed of every stochastic choice"),
 }
-
-_CONFIG_KEYS = tuple(_FLAG_DEFS) + ("seed",)
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    defaults = ExperimentConfig()
     for name in names:
-        parser.add_argument(f"--{name.replace('_', '-')}", **_FLAG_DEFS[name])
+        spec = dict(_FLAG_DEFS[name])
+        default = getattr(defaults, name)
+        if default is not None:
+            spec["help"] = (f"{spec.get('help', '')} "
+                            f"(default {format_value(name, default)})").lstrip()
+        parser.add_argument(f"--{name.replace('_', '-')}", **spec)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides: dict = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        overrides[key] = parse_value(key, value) if isinstance(value, str) else value
+    overrides = {key: parse_value(key, getattr(args, key))
+                 for key in _FLAG_DEFS if getattr(args, key, None) is not None}
     return build_config(args.config, overrides)
 
 
@@ -127,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE", help="key=value config file")
-        p.add_argument("--seed", type=int, metavar="N")
+        _add_flags(p, "seed")
         p.add_argument("-v", "--verbose", action="store_true")
         return p
 
@@ -141,9 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_retrieve)
 
     p = command("rerank", "re-score an initial run's candidates")
+    # npm reads every scoring setting from the model; --filters and
+    # --top-k only enter the run tag
     _add_flags(p, "index", "topics", "stoplist", "passage_size", "filters",
-               "lambda_c", "oov_floor", "pooling", "feature_set",
-               "homogeneity_m", "top_k")
+               "lambda_c", "oov_floor", "top_k")
     p.add_argument("--run", required=True, metavar="RUN", help="input run file")
     p.add_argument("--output", required=True, metavar="RUN")
     p.add_argument("--mode", required=True, choices=RERANK_MODES)
@@ -242,33 +247,36 @@ class ScoreSettings:
         }
 
     @classmethod
-    def from_model(cls, model: FusionModel, cfg: ExperimentConfig) -> "ScoreSettings":
-        """Model metadata wins over config so reranking matches training."""
+    def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
+        """The settings the model at ``path`` was trained with, read only
+        from its metadata, so reranking scores as training did."""
         meta = model.meta
-        feature_set = meta.get("feature_set", cfg.feature_set)
-        expected = feature_names(feature_set)
-        if tuple(model.feature_names) != expected:
-            raise ValueError(
-                f"model feature names do not match feature set "
-                f"{feature_set!r}: {list(model.feature_names)}"
-            )
-        if feature_set == "query":
-            hom = None
-        elif meta.get("homogeneity_filter"):
-            hom = parse_filter_label(meta["homogeneity_filter"])
-        elif meta.get("homogeneity_m"):  # written before the stride was recorded
-            hom = FilterSpec.window(int(meta["homogeneity_m"]))
-        else:
-            hom = cfg.smallest_finite_filter()
-        return cls(
-            filters=model.filters,
-            smoothing=SmoothingConfig(float(meta.get("lambda_c", cfg.lambda_c))),
-            floor=int(meta.get("oov_floor", cfg.oov_floor)),
-            pooling=str(meta.get("pooling", cfg.pooling)),
-            feature_set=feature_set,
-            hom_filter=hom,
-            list_k=int(meta.get("list_k", cfg.top_k)),
-        )
+
+        def setting(key: str):
+            if meta.get(key) is None:
+                raise ValueError(f"no {key!r} setting recorded")
+            return meta[key]
+
+        try:
+            feature_set = setting("feature_set")
+            if tuple(model.feature_names) != feature_names(feature_set):
+                raise ValueError(
+                    f"model feature names do not match feature set "
+                    f"{feature_set!r}: {list(model.feature_names)}"
+                )
+            if feature_set == "query":
+                hom = None
+            elif "homogeneity_filter" not in meta and meta.get("homogeneity_m"):
+                # written before the stride was recorded
+                hom = FilterSpec.window(int(meta["homogeneity_m"]))
+            else:
+                hom = parse_filter_label(setting("homogeneity_filter"))
+            check_pooling(setting("pooling"))
+            return cls(model.filters, SmoothingConfig(float(setting("lambda_c"))),
+                       int(setting("oov_floor")), meta["pooling"], feature_set,
+                       hom, int(setting("list_k")))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"model file {path}: {e}") from None
 
     def extractor(self, index: CorpusIndex) -> FeatureExtractor:
         return FeatureExtractor(index, self.feature_set, self.hom_filter,
@@ -346,7 +354,7 @@ def cmd_rerank(args) -> int:
                               run_in)
 
     if args.mode == "npm":
-        out, names, feat_rows = _rerank_npm(args, cfg, index, queries, run_in)
+        out, names, feat_rows = _rerank_npm(args, index, queries, run_in)
         if args.dump_features:
             write_feature_matrix(args.dump_features, names, feat_rows)
     else:
@@ -365,7 +373,9 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _load_fold_models(dir_path: Path) -> tuple[dict[int, FusionModel], dict[str, int]]:
+def _load_fold_models(
+    dir_path: Path,
+) -> tuple[dict[int, FusionModel], dict[str, int], ScoreSettings]:
     folds_file = dir_path / "folds.csv"
     if not folds_file.exists():
         raise ValueError(f"{dir_path} has no folds.csv; pass a model file or "
@@ -384,23 +394,22 @@ def _load_fold_models(dir_path: Path) -> tuple[dict[int, FusionModel], dict[str,
                          f"'query_id,fold', got {line!r}") from None
     if not fold_of:
         raise ValueError(f"{folds_file} lists no queries")
-    models = {}
+    models, settings = {}, set()
     for fold in sorted(set(fold_of.values())):
-        models[fold] = FusionModel.load(dir_path / f"fold_{fold}.json")
-    first = models[min(models)]
-    for m in models.values():
-        if (m.feature_names != first.feature_names
-                or serialize_filters(m.filters) != serialize_filters(first.filters)):
-            raise ValueError(f"{dir_path}: fold models disagree on configuration")
-    return models, fold_of
+        path = dir_path / f"fold_{fold}.json"
+        models[fold] = FusionModel.load(path)
+        settings.add(ScoreSettings.from_model(models[fold], path))
+    if len(settings) > 1:
+        raise ValueError(f"{dir_path}: fold models disagree on configuration")
+    return models, fold_of, settings.pop()
 
 
-def _rerank_npm(args, cfg, index, queries, run_in):
+def _rerank_npm(args, index, queries, run_in):
     if not args.model:
         raise ValueError("npm mode requires --model")
     model_path = Path(args.model)
     if model_path.is_dir():
-        models, fold_of = _load_fold_models(model_path)
+        models, fold_of, st = _load_fold_models(model_path)
         missing = [q.query_id for q in queries if q.query_id not in fold_of]
         if missing:
             raise ValueError(
@@ -412,7 +421,7 @@ def _rerank_npm(args, cfg, index, queries, run_in):
     else:
         ref_model = FusionModel.load(model_path)
         model_for = {q.query_id: ref_model for q in queries}
-    st = ScoreSettings.from_model(ref_model, cfg)
+        st = ScoreSettings.from_model(ref_model, model_path)
     extractor = st.extractor(index)
     log.info("npm rerank with model fingerprint %s", ref_model.fingerprint())
 
@@ -453,24 +462,11 @@ def cmd_train(args) -> int:
             log.warning("query %s has no non-relevant candidates, dropped", qid)
         else:
             candidates[qid] = CandidateSet(q, doc_ids, R, H, rel)
-    if len(candidates) < cfg.folds:
-        raise ValueError(
-            f"only {len(candidates)} trainable queries; need at least "
-            f"{cfg.folds} for {cfg.folds}-fold cross-validation"
-        )
 
-    tc = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        seed=cfg.seed,
-        negatives_per_positive=cfg.negatives_per_positive,
-        folds=cfg.folds,
-    )
     meta = dict(st.meta(), config_fingerprint=cfg.fingerprint())
     fold_of = make_folds(sorted(candidates), cfg.folds, cfg.seed)
-    results = train(candidates, tc, meta, cfg.filters, extractor.names, fold_of)
+    results = train(candidates, cfg.train_config(), meta, cfg.filters,
+                    extractor.names, fold_of)
 
     write_table(out_dir / "folds.csv", ["query_id", "fold"],
                 [[qid, fold_of[qid]] for qid in sorted(fold_of, key=qid_sort_key)])
@@ -551,7 +547,7 @@ def cmd_weights(args) -> int:
     run_in = read_run(args.run)
     queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),
                               run_in)
-    st = ScoreSettings.from_model(model, cfg)
+    st = ScoreSettings.from_model(model, model_path)
     extractor = st.extractor(index)
 
     H_all = np.vstack([_candidate_features(run_in, q, st, extractor)[1]

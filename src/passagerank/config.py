@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .features import feature_names
 from .passages import (
@@ -21,6 +22,7 @@ from .passages import (
     parse_filters,
     serialize_filters,
 )
+from .training import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,14 @@ class ExperimentConfig:
     feature_set: str = "doc+query"
     homogeneity_m: int | None = None  # None: smallest finite filter
     passage_size: int = 50
-    learning_rate: float = 0.05
-    batch_size: int = 64
-    max_epochs: int = 50
-    patience: int = 5
-    negatives_per_positive: int = 5
-    folds: int = 5
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    negatives_per_positive: int = TrainConfig.negatives_per_positive
+    folds: int = TrainConfig.folds
     permutations: int = 100_000
-    seed: int = 0
+    seed: int = TrainConfig.seed
 
     def smallest_finite_filter(self) -> FilterSpec:
         finite = [f for f in self.filters if not f.is_infinite]
@@ -74,10 +76,8 @@ class ExperimentConfig:
             if f.name in skip:
                 continue
             value = getattr(self, f.name)
-            if f.name == "filters":
-                value = ",".join(serialize_filters(value))
-            elif f.name == "text_tags":
-                value = ",".join(value)
+            if f.name in _LIST_KEYS:
+                value = format_value(f.name, value)
             lines.append(f"{f.name}={value!r}")
         digest = hashlib.sha1("\n".join(sorted(lines)).encode("utf-8"))
         return digest.hexdigest()[:10]
@@ -85,28 +85,39 @@ class ExperimentConfig:
     def run_tag(self, mode: str) -> str:
         return f"{mode}-{self.fingerprint()}"
 
+    def train_config(self) -> TrainConfig:
+        """The training settings; TrainConfig checks their ranges."""
+        return TrainConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(TrainConfig)})
 
-_STR_KEYS = {"corpus", "index", "topics", "qrels", "stoplist", "pooling",
-             "feature_set"}
-_INT_KEYS = {"oov_floor", "top_k", "homogeneity_m", "passage_size",
-             "batch_size", "max_epochs", "patience", "negatives_per_positive",
-             "folds", "permutations", "seed"}
-_FLOAT_KEYS = {"lambda_c", "learning_rate"}
+
+# the comma-separated keys: (parse, format); every other key is read
+# with the type of its ExperimentConfig annotation
+_LIST_KEYS = {
+    "filters": (parse_filters, lambda v: ",".join(serialize_filters(v))),
+    "text_tags": (lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip()),
+                  ",".join),
+}
+_TYPES = {key: next((a for a in get_args(hint) if a is not type(None)), hint)
+          for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_value(key: str, raw: str):
     """The typed value of one key given as text, in a file or a flag."""
-    if key in _STR_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key == "filters":
-        return parse_filters(raw)
-    if key == "text_tags":
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
-    raise ValueError(f"unknown config key {key!r}")
+    if key in _LIST_KEYS:
+        return _LIST_KEYS[key][0](raw)
+    if key not in _TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = _TYPES[key]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {raw!r}") from None
+
+
+def format_value(key: str, value) -> str:
+    """The text form of a key's value, which ``parse_value`` reads back."""
+    return _LIST_KEYS[key][1](value) if key in _LIST_KEYS else str(value)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -148,20 +159,19 @@ def build_config(
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Reject bad values before any input is read; the scoring code owns
-    the lambda_c, pooling and feature-set rules."""
+    the lambda_c, pooling and feature-set rules, TrainConfig the
+    training rules."""
     SmoothingConfig(cfg.lambda_c)
     check_pooling(cfg.pooling)
     feature_names(cfg.feature_set)
+    cfg.train_config()
     if not cfg.filters:
         raise ValueError("at least one filter is required")
-    for name in ("top_k", "passage_size", "batch_size", "max_epochs",
-                 "patience", "negatives_per_positive", "folds", "permutations"):
+    for name in ("top_k", "passage_size", "permutations"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
     if cfg.oov_floor < 0:
         raise ValueError("oov_floor must be >= 0")
-    if cfg.learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
     if cfg.homogeneity_m is not None and cfg.homogeneity_m < 1:
         raise ValueError("homogeneity_m must be >= 1")
 

@@ -220,11 +220,6 @@ class CorpusIndex:
             return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
         return np.concatenate([self.doc_tokens(i) for i in idx]), self.doc_len[idx]
 
-    def document(self, doc_id: str) -> Document:
-        idx = self.doc_index(doc_id)
-        terms = tuple(self.vocab[t] for t in self.doc_tokens(idx))
-        return Document(doc_id, terms)
-
     def term_ids(self, terms: Sequence[str]) -> np.ndarray:
         """Map terms to int32 ids; unseen terms map to OOV_ID (-1)."""
         return np.array(
@@ -254,24 +249,6 @@ class CorpusIndex:
                 rank[i] = r
             self._doc_sort_rank = rank
         return self._doc_sort_rank
-
-    # -- equality (round-trip tests) ----------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CorpusIndex):
-            return NotImplemented
-        return (
-            self.vocab == other.vocab
-            and self.doc_ids == other.doc_ids
-            and np.array_equal(self.cf, other.cf)
-            and np.array_equal(self.df, other.df)
-            and np.array_equal(self.doc_len, other.doc_len)
-            and np.array_equal(self.tokens, other.tokens)
-            and np.array_equal(self.postings_docs, other.postings_docs)
-            and np.array_equal(self.postings_tf, other.postings_tf)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------

@@ -180,21 +180,26 @@ class FusionModel:
             raise ValueError(f"{path} is not a fusion model file")
         if raw.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {raw.get('version')!r}")
-        return cls(
-            filters=[parse_filter_label(s) for s in raw["filters"]],
-            feature_names=raw["feature_names"],
-            W=np.array(raw["W"], dtype=np.float64),
-            b=raw["b"],
-            score_norm=AffineNorm(
-                np.array(raw["score_norm"]["mean"], dtype=np.float64),
-                np.array(raw["score_norm"]["std"], dtype=np.float64),
-            ),
-            feature_norm=AffineNorm(
-                np.array(raw["feature_norm"]["mean"], dtype=np.float64),
-                np.array(raw["feature_norm"]["std"], dtype=np.float64),
-            ),
-            meta=raw.get("meta", {}),
-        )
+        try:
+            return cls(
+                filters=[parse_filter_label(s) for s in raw["filters"]],
+                feature_names=raw["feature_names"],
+                W=np.array(raw["W"], dtype=np.float64),
+                b=raw["b"],
+                score_norm=AffineNorm(
+                    np.array(raw["score_norm"]["mean"], dtype=np.float64),
+                    np.array(raw["score_norm"]["std"], dtype=np.float64),
+                ),
+                feature_norm=AffineNorm(
+                    np.array(raw["feature_norm"]["mean"], dtype=np.float64),
+                    np.array(raw["feature_norm"]["std"], dtype=np.float64),
+                ),
+                meta=raw.get("meta", {}),
+            )
+        except KeyError as e:
+            raise ValueError(f"model file {path} lacks key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"model file {path}: {e}") from None
 
     def fingerprint(self) -> str:
         """Short hash of the configuration the parameters were fitted to."""

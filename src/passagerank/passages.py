@@ -92,13 +92,16 @@ def serialize_filters(filters: Sequence[FilterSpec]) -> list[str]:
 
 
 def parse_filter_label(label: str) -> FilterSpec:
-    text = label.strip().lower()
+    text = str(label).strip().lower()
     if text in ("inf", "infinite", "whole"):
         return FilterSpec.whole_document()
-    if ":" in text:
-        m_s, tau_s = text.split(":", 1)
-        return FilterSpec.window(int(m_s), int(tau_s))
-    return FilterSpec.window(int(text))
+    m_s, colon, tau_s = text.partition(":")
+    try:
+        m, tau = int(m_s), int(tau_s) if colon else None
+    except ValueError:
+        raise ValueError(f"bad filter label {label!r}: expected m, m:tau "
+                         f"or inf") from None
+    return FilterSpec.window(m, tau)
 
 
 def parse_filters(text: str) -> tuple[FilterSpec, ...]:

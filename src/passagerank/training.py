@@ -40,12 +40,15 @@ class TrainConfig:
     folds: int = 5
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN too
             raise ValueError("learning_rate must be >= 0")
         for name in ("batch_size", "max_epochs", "patience",
-                     "negatives_per_positive", "folds"):
+                     "negatives_per_positive"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.folds < 3:
+            raise ValueError("folds must be >= 3: every fold needs a test, "
+                             "a validation and a training fold")
 
 
 @dataclass

@@ -5,7 +5,9 @@ path, written the direct way so the two can be compared: per-span LM
 and kernel scorers over a query/document matching matrix, plain-Python
 loop twins of the batched window kernels, single-document forms of the
 batch scorers, and the pairwise homogeneity, postings and Fisher
-references.
+references. It also holds the index helpers that only tests need: a
+document rebuilt from the token store, and index equality for the
+round-trip tests.
 """
 
 from __future__ import annotations
@@ -524,6 +526,24 @@ def homogeneity_pairwise(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.n
         sum(_cosine(doc_vec, span_vecs[k]) for k in range(len(spans))) / len(spans)
     )
     return np.array([h_length, h_ent, h_intpsg, h_docpsg], dtype=np.float64)
+
+
+def index_document(index: CorpusIndex, doc_id: str) -> Document:
+    """Document ``doc_id`` rebuilt from the index's token store."""
+    tokens = index.doc_tokens(index.doc_index(doc_id))
+    return Document(doc_id, tuple(index.vocab[t] for t in tokens))
+
+
+def same_index(a: CorpusIndex, b: CorpusIndex) -> bool:
+    """Whether two indexes hold the same vocabulary, documents, statistics,
+    tokens and postings."""
+    return (
+        a.vocab == b.vocab
+        and a.doc_ids == b.doc_ids
+        and all(np.array_equal(getattr(a, name), getattr(b, name))
+                for name in ("cf", "df", "doc_len", "tokens", "postings_docs",
+                             "postings_tf"))
+    )
 
 
 def postings_reference(index: CorpusIndex) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -541,6 +541,97 @@ class TestErrors:
         assert err.startswith("error:") and "'avg'" in err
         assert not (tmp_path / "x.run").exists()
 
+    def test_train_needs_three_folds(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "models"
+        rc = main(["train", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--qrels", str(pipeline["qrels"]),
+                   "--run", str(pipeline["ql_run"]), "--folds", "2",
+                   "--output-dir", str(out)])
+        assert rc == 2
+        assert "folds must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def doctored_rerank(pipeline, tmp_path, edit, *flags):
+        """Rerank with a copy of fold 0's model that ``edit`` changed;
+        returns the exit code, the model copy and the output run."""
+        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
+        edit(model)
+        doctored, out = tmp_path / "fold_0.json", tmp_path / "x.run"
+        doctored.write_text(json.dumps(model))
+        rc = main(["rerank", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                   "--model", str(doctored), *flags, "--output", str(out)])
+        return rc, doctored, out
+
+    def test_model_missing_key(self, pipeline, tmp_path, capsys):
+        rc, doctored, out = self.doctored_rerank(pipeline, tmp_path,
+                                                 lambda m: m.pop("W"))
+        assert rc == 2 and not out.exists()
+        assert f"error: model file {doctored} lacks key 'W'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
+    def test_model_bad_filter_label(self, pipeline, tmp_path, capsys, field):
+        def edit(model):
+            if field == "filters":
+                model["filters"][0] = "50:x"
+            else:
+                model["meta"]["homogeneity_filter"] = "50:x"
+        rc, doctored, out = self.doctored_rerank(pipeline, tmp_path, edit)
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: model file {doctored}: bad filter label '50:x'" in err
+        assert "expected m, m:tau or inf" in err
+
+    @pytest.mark.parametrize("key", ["lambda_c", "homogeneity_filter"])
+    def test_model_missing_setting(self, pipeline, tmp_path, capsys, key):
+        # a config value does not stand in for the trained one
+        rc, doctored, out = self.doctored_rerank(
+            pipeline, tmp_path, lambda m: m["meta"].pop(key),
+            "--lambda-c", "0.3", "--filters", "30,inf")
+        assert rc == 2 and not out.exists()
+        assert (f"error: model file {doctored}: no {key!r} setting recorded"
+                in capsys.readouterr().err)
+
+    def test_legacy_homogeneity_m_model(self, pipeline, tmp_path):
+        # written before the stride was recorded: read as window m, stride m/2
+        def legacy(model):
+            assert model["meta"].pop("homogeneity_filter") == "50:25"
+            model["meta"]["homogeneity_m"] = 50
+        (tmp_path / "legacy").mkdir()
+        (tmp_path / "current").mkdir()
+        rc, _, legacy_run = self.doctored_rerank(pipeline, tmp_path / "legacy", legacy)
+        assert rc == 0
+        rc, _, current_run = self.doctored_rerank(pipeline, tmp_path / "current",
+                                                  lambda m: None)
+        assert rc == 0
+        assert filecmp.cmp(legacy_run, current_run, shallow=False)
+
+    @pytest.mark.parametrize("flag", ["--pooling", "--feature-set",
+                                      "--homogeneity-m"])
+    def test_rerank_has_no_model_setting_flags(self, pipeline, tmp_path, flag):
+        # npm takes these from the model file, and no msp mode reads them
+        with pytest.raises(SystemExit):
+            main(["rerank", "--index", str(pipeline["index"]),
+                  "--topics", str(pipeline["topics"]),
+                  "--run", str(pipeline["ql_run"]), "--mode", "msp",
+                  flag, "1", "--output", str(tmp_path / "x.run")])
+
+    def test_fold_models_must_agree(self, pipeline, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["model_dir"], models)
+        model = json.loads((models / "fold_1.json").read_text())
+        model["meta"]["lambda_c"] = 0.3
+        (models / "fold_1.json").write_text(json.dumps(model))
+        rc = main(["rerank", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                   "--model", str(models), "--output", str(tmp_path / "x.run")])
+        assert rc == 2
+        assert "fold models disagree" in capsys.readouterr().err
+
     def test_run_with_unknown_topics_errors(self, pipeline, tmp_path, capsys):
         orphan = tmp_path / "orphan.run"
         orphan.write_text("99 Q0 d000 1 1.000000 t\n")

@@ -5,8 +5,10 @@ import dataclasses
 import pytest
 
 from passagerank import ExperimentConfig, build_config, parse_filters, read_config_file
-from passagerank.config import require, require_set
+from passagerank.cli import _FLAG_DEFS, _build_parser, main
+from passagerank.config import format_value, parse_value, require, require_set
 from passagerank.passages import FilterSpec
+from passagerank.training import TrainConfig
 
 
 class TestParseFilters:
@@ -28,6 +30,11 @@ class TestParseFilters:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
             parse_filters("50:zz")
+
+    @pytest.mark.parametrize("label", ["50:x", "abc", "50:"])
+    def test_bad_label_names_label_and_forms(self, label):
+        with pytest.raises(ValueError, match=f"'{label}': expected m, m:tau or inf"):
+            parse_filters(f"{label},inf")
 
 
 class TestConfigFile:
@@ -114,6 +121,8 @@ class TestBuildConfig:
         {"oov_floor": -1},
         {"learning_rate": -0.1},
         {"homogeneity_m": 0},
+        {"folds": 2},  # a fold needs a test, a validation and a training fold
+        {"learning_rate": float("nan")},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -186,3 +195,53 @@ class TestRequire:
         cfg = build_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.seed = 3
+
+
+class TestSchema:
+    """Each key is declared once, in ExperimentConfig; flags, files,
+    help text and fingerprints all derive from it."""
+
+    FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_every_flag_is_a_config_key(self):
+        assert set(_FLAG_DEFS) <= set(self.FIELDS)
+
+    @pytest.mark.parametrize("key", sorted(k for k, f in FIELDS.items()
+                                           if f.default is not None))
+    def test_defaults_round_trip(self, key):
+        default = getattr(ExperimentConfig(), key)
+        assert parse_value(key, format_value(key, default)) == default
+
+    def test_training_defaults_come_from_train_config(self):
+        assert ExperimentConfig().train_config() == TrainConfig()
+
+    def test_flag_and_file_give_one_message(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("top_k = x\n")
+        common = ["retrieve", "--index", str(tmp_path), "--topics", str(conf),
+                  "--output", str(tmp_path / "x.run")]
+        assert main([*common, "--top-k", "x"]) == 2
+        flag_err = capsys.readouterr().err
+        assert main([*common, "--config", str(conf)]) == 2
+        file_err = capsys.readouterr().err
+        message = "top_k must be of type int, got 'x'"
+        assert flag_err == f"error: {message}\n"
+        assert file_err == f"error: {conf}:1: {message}\n"
+
+    def test_help_shows_dataclass_defaults(self):
+        defaults = ExperimentConfig()
+        parser = _build_parser()
+        commands = parser._subparsers._group_actions[0].choices.values()
+        seen = set()
+        for command in commands:
+            for action in command._actions:
+                default = getattr(defaults, action.dest, None)
+                if action.dest in self.FIELDS and default is not None:
+                    assert action.help.endswith(
+                        f"(default {format_value(action.dest, default)})")
+                    seen.add(action.dest)
+        assert {"lambda_c", "filters", "seed", "folds", "text_tags"} <= seen
+
+    def test_default_fingerprint_is_stable(self):
+        # run tags carry the fingerprint: its bytes must not move
+        assert ExperimentConfig().fingerprint() == "ac2626dc22"

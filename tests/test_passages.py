@@ -11,6 +11,7 @@ from reference import (
     PassageSpan,
     build_matrix,
     extract_passages,
+    index_document,
     kernel_bias,
     kernel_lm_shift,
     kernel_score,
@@ -88,7 +89,7 @@ class TestScoringOracles:
     def test_lm_score(self, tiny_index):
         # span [a b a], query (a): (1-0.5)*2/3 + 0.5*4/10 = 8/15
         q = Query("q", ("a",))
-        doc = tiny_index.document("d1")
+        doc = index_document(tiny_index, "d1")
         got = lm_score(q, PassageSpan(0, 3), doc, tiny_index, S05)
         assert got == pytest.approx(math.log(8 / 15), rel=1e-12)
 
@@ -98,14 +99,14 @@ class TestScoringOracles:
 
     def test_kernel_score(self, tiny_index):
         q = Query("q", ("a",))
-        doc = tiny_index.document("d1")
+        doc = index_document(tiny_index, "d1")
         m = build_matrix(q, doc)
         got = kernel_score(q, PassageSpan(0, 3), m, tiny_index, S05, 3)
         assert got == pytest.approx(math.log(2 + 1.2), rel=1e-12)
 
     def test_kernel_minus_shift_equals_lm(self, tiny_index):
         q = Query("q", ("a",))
-        doc = tiny_index.document("d1")
+        doc = index_document(tiny_index, "d1")
         m = build_matrix(q, doc)
         shift = kernel_lm_shift(q.n_q, 3, S05)
         assert shift == pytest.approx(math.log(6), rel=1e-12)
@@ -118,7 +119,7 @@ class TestScoringOracles:
         idx = small_random_index
         for _ in range(200):
             di = int(rng.integers(0, idx.num_docs))
-            doc = idx.document(idx.doc_ids[di])
+            doc = index_document(idx, idx.doc_ids[di])
             n_d = doc.n_d
             m_len = int(rng.integers(1, n_d + 1))
             start = int(rng.integers(0, n_d - m_len + 1))
@@ -170,13 +171,13 @@ class TestScoreVector:
 
     def test_shape_and_order(self, tiny_index):
         q = Query("q", ("a", "c"))
-        vec = score_vector(q, tiny_index.document("d2"), self.FILTERS,
+        vec = score_vector(q, index_document(tiny_index, "d2"), self.FILTERS,
                            tiny_index, S05)
         assert vec.shape == (3,)
 
     def test_lm_scale_infinite_matches_whole_doc(self, tiny_index):
         q = Query("q", ("a", "c"))
-        doc = tiny_index.document("d2")
+        doc = index_document(tiny_index, "d2")
         vec = score_vector(q, doc, (FilterSpec.whole_document(),), tiny_index,
                            S05, scale="lm")
         ref = lm_score(q, PassageSpan(0, doc.n_d), doc, tiny_index, S05)
@@ -187,7 +188,7 @@ class TestScoreVector:
         q = Query("q", ("t1", "t3", "t3"))
         f = FilterSpec.window(8, 4)
         for doc_id in idx.doc_ids[:10]:
-            doc = idx.document(doc_id)
+            doc = index_document(idx, doc_id)
             vec = score_vector(q, doc, (f,), idx, S05, scale="lm")
             # truncated spans keep the nominal window size in the shift
             spans = extract_passages(doc.n_d, f)
@@ -202,8 +203,8 @@ class TestScoreVector:
         q = Query("q", ("t0", "t2"))
         f = FilterSpec.window(5, 5)
         doc_id = next(d for d in idx.doc_ids
-                      if idx.document(d).n_d % 5 == 0)
-        doc = idx.document(doc_id)
+                      if index_document(idx, d).n_d % 5 == 0)
+        doc = index_document(idx, doc_id)
         vec = score_vector(q, doc, (f,), idx, S05, scale="lm")
         ref = max(lm_score(q, sp, doc, idx, S05)
                   for sp in extract_passages(doc.n_d, f))
@@ -212,7 +213,7 @@ class TestScoreVector:
     def test_accepts_doc_id(self, tiny_index):
         q = Query("q", ("a",))
         by_id = score_vector(q, "d1", self.FILTERS, tiny_index, S05)
-        by_doc = score_vector(q, tiny_index.document("d1"), self.FILTERS,
+        by_doc = score_vector(q, index_document(tiny_index, "d1"), self.FILTERS,
                               tiny_index, S05)
         assert np.array_equal(by_id, by_doc)
 

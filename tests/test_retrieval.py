@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from passagerank import Document, Query, SmoothingConfig, build_index, ql_scores, rank_documents
+from reference import index_document
 
 S05 = SmoothingConfig(0.5)
 
@@ -26,7 +27,7 @@ class TestQlScores:
         scores = ql_scores(q, idx, S05)
         assert scores.shape == (idx.num_docs,)
         for i, doc_id in enumerate(idx.doc_ids):
-            ref = brute_ql(q, idx.document(doc_id), idx, 0.5)
+            ref = brute_ql(q, index_document(idx, doc_id), idx, 0.5)
             assert scores[i] == pytest.approx(ref, rel=1e-12)
 
     def test_tiny_corpus_value(self, tiny_index):
