@@ -40,8 +40,8 @@ from .features import (
     summary_stats,
 )
 from .fusion import AffineNorm, FusionModel, report_weights, softmax_rows
-from .passages import FilterSpec, SmoothingConfig, msp_rank, parse_filters
-from .retrieval import ql_scores, rank_documents
+from .passages import FilterSpec, msp_rank, parse_filters
+from .retrieval import SmoothingConfig, ql_scores, rank_documents
 from .training import TrainConfig, make_folds, sample_triples, train
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import logging
 import sys
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from .evaluation import (
     fisher_randomization,
     format_eval_table,
     qid_sort_key,
+    rank_by_score,
     read_qrels,
     read_run,
     write_eval_csv,
@@ -57,14 +59,12 @@ from .fusion import FusionModel, report_weights
 from .passages import (
     POOLINGS,
     FilterSpec,
-    QueryContext,
-    SmoothingConfig,
     check_pooling,
     msp_rank,
     parse_filter_label,
     score_tokens,
 )
-from .retrieval import rank_documents
+from .retrieval import QueryContext, SmoothingConfig, rank_documents
 from .training import CandidateSet, make_folds, train
 
 log = logging.getLogger(__name__)
@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_retrieve)
 
     p = command("rerank", "re-score an initial run's candidates")
-    # npm reads every scoring setting from the model; --filters and
-    # --top-k only enter the run tag
+    # npm reads every scoring setting from the model and is tagged with
+    # its fingerprint; --filters and --top-k only enter the msp run tags
     _add_flags(p, "index", "topics", "stoplist", "passage_size", "filters",
                "lambda_c", "oov_floor", "top_k")
     p.add_argument("--run", required=True, metavar="RUN", help="input run file")
@@ -223,7 +223,6 @@ class ScoreSettings:
 
     filters: tuple[FilterSpec, ...]
     smoothing: SmoothingConfig
-    floor: int
     pooling: str
     feature_set: str
     hom_filter: FilterSpec | None
@@ -232,8 +231,8 @@ class ScoreSettings:
     @classmethod
     def from_config(cls, cfg: ExperimentConfig) -> "ScoreSettings":
         hom = cfg.smallest_finite_filter() if cfg.feature_set != "query" else None
-        return cls(cfg.filters, SmoothingConfig(cfg.lambda_c), cfg.oov_floor,
-                   cfg.pooling, cfg.feature_set, hom, cfg.top_k)
+        return cls(cfg.filters, cfg.smoothing(), cfg.pooling, cfg.feature_set,
+                   hom, cfg.top_k)
 
     def meta(self) -> dict:
         """The model metadata that ``from_model`` reads back."""
@@ -242,7 +241,7 @@ class ScoreSettings:
             "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
             "list_k": self.list_k,
             "lambda_c": self.smoothing.lambda_c,
-            "oov_floor": self.floor,
+            "oov_floor": self.smoothing.oov_floor,
             "pooling": self.pooling,
         }
 
@@ -272,15 +271,16 @@ class ScoreSettings:
             else:
                 hom = parse_filter_label(setting("homogeneity_filter"))
             check_pooling(setting("pooling"))
-            return cls(model.filters, SmoothingConfig(float(setting("lambda_c"))),
-                       int(setting("oov_floor")), meta["pooling"], feature_set,
+            smoothing = SmoothingConfig(float(setting("lambda_c")),
+                                        int(setting("oov_floor")))
+            return cls(model.filters, smoothing, meta["pooling"], feature_set,
                        hom, int(setting("list_k")))
         except (TypeError, ValueError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 
     def extractor(self, index: CorpusIndex) -> FeatureExtractor:
         return FeatureExtractor(index, self.feature_set, self.hom_filter,
-                                self.floor)
+                                self.smoothing.oov_floor)
 
 
 def _candidate_features(
@@ -299,14 +299,9 @@ def _candidate_scores(
     index: CorpusIndex, query: Query, doc_ids: list[str], st: ScoreSettings
 ) -> np.ndarray:
     """R: the per-filter LM-scale scores of one query's candidates."""
-    ctx = QueryContext(query, index, st.smoothing, st.floor)
+    ctx = QueryContext(query, index, st.smoothing)
     tokens, lengths = index.batch_tokens(doc_ids)
     return score_tokens(ctx, tokens, st.filters, st.pooling, lengths)
-
-
-def _rank_rows(doc_ids: list[str], scores: np.ndarray) -> list[tuple[str, float]]:
-    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-    return [(doc_ids[i], float(scores[i])) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +329,7 @@ def cmd_retrieve(args) -> int:
     require(cfg, "index", "topics")
     index = load_index(cfg.index)
     queries = read_topics(cfg.topics, _tokenize_config(cfg))
-    smoothing = SmoothingConfig(cfg.lambda_c)
-    run = {q.query_id: rank_documents(q, index, smoothing, cfg.top_k,
-                                      cfg.oov_floor)
+    run = {q.query_id: rank_documents(q, index, cfg.smoothing(), cfg.top_k)
            for q in queries}
     write_run(args.output, run, cfg.run_tag("ql"))
     log.info("wrote %d queries to %s", len(run), args.output)
@@ -354,21 +347,20 @@ def cmd_rerank(args) -> int:
                               run_in)
 
     if args.mode == "npm":
-        out, names, feat_rows = _rerank_npm(args, index, queries, run_in)
+        out, names, feat_rows, model_fp = _rerank_npm(args, index, queries, run_in)
         if args.dump_features:
             write_feature_matrix(args.dump_features, names, feat_rows)
+        tag = f"npm-{model_fp}"
     else:
         kind = "none" if args.mode == "msp" else args.mode.split("-", 1)[1]
-        smoothing = SmoothingConfig(cfg.lambda_c)
         out = {
-            q.query_id: msp_rank(
-                q, [d for d, _ in run_in[q.query_id]], index, cfg.passage_size,
-                kind, s=smoothing, floor=cfg.oov_floor,
-            )
+            q.query_id: msp_rank(q, [d for d, _ in run_in[q.query_id]], index,
+                                 cfg.passage_size, kind, s=cfg.smoothing())
             for q in queries
         }
+        tag = cfg.run_tag(args.mode)
 
-    write_run(args.output, out, cfg.run_tag(args.mode))
+    write_run(args.output, out, tag)
     log.info("wrote %d queries to %s", len(out), args.output)
     return 0
 
@@ -417,22 +409,24 @@ def _rerank_npm(args, index, queries, run_in):
                 f"(model directory was trained on different topics)"
             )
         model_for = {q.query_id: models[fold_of[q.query_id]] for q in queries}
-        ref_model = models[min(models)]
+        fold_fps = "\n".join(models[fold].fingerprint() for fold in sorted(models))
+        model_fp = hashlib.sha1(fold_fps.encode("utf-8")).hexdigest()[:10]
     else:
-        ref_model = FusionModel.load(model_path)
-        model_for = {q.query_id: ref_model for q in queries}
-        st = ScoreSettings.from_model(ref_model, model_path)
+        model = FusionModel.load(model_path)
+        model_for = {q.query_id: model for q in queries}
+        st = ScoreSettings.from_model(model, model_path)
+        model_fp = model.fingerprint()
     extractor = st.extractor(index)
-    log.info("npm rerank with model fingerprint %s", ref_model.fingerprint())
+    log.info("npm rerank with model fingerprint %s", model_fp)
 
     out = {}
     feat_rows = []
     for q in sorted(queries, key=lambda q: qid_sort_key(q.query_id)):
         doc_ids, H = _candidate_features(run_in, q, st, extractor)
         R = _candidate_scores(index, q, doc_ids, st)
-        out[q.query_id] = _rank_rows(doc_ids, model_for[q.query_id].linear_many(R, H))
+        out[q.query_id] = rank_by_score(doc_ids, model_for[q.query_id].linear_many(R, H))
         feat_rows.extend((q.query_id, doc_id, vec) for doc_id, vec in zip(doc_ids, H))
-    return out, extractor.names, feat_rows
+    return out, extractor.names, feat_rows, model_fp
 
 
 def cmd_train(args) -> int:

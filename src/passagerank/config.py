@@ -15,13 +15,8 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .features import feature_names
-from .passages import (
-    FilterSpec,
-    SmoothingConfig,
-    check_pooling,
-    parse_filters,
-    serialize_filters,
-)
+from .passages import FilterSpec, check_pooling, parse_filters, serialize_filters
+from .retrieval import SmoothingConfig
 from .training import TrainConfig
 
 
@@ -84,6 +79,10 @@ class ExperimentConfig:
 
     def run_tag(self, mode: str) -> str:
         return f"{mode}-{self.fingerprint()}"
+
+    def smoothing(self) -> SmoothingConfig:
+        """The collection model settings; SmoothingConfig checks them."""
+        return SmoothingConfig(self.lambda_c, self.oov_floor)
 
     def train_config(self) -> TrainConfig:
         """The training settings; TrainConfig checks their ranges."""
@@ -159,9 +158,9 @@ def build_config(
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Reject bad values before any input is read; the scoring code owns
-    the lambda_c, pooling and feature-set rules, TrainConfig the
-    training rules."""
-    SmoothingConfig(cfg.lambda_c)
+    the pooling and feature-set rules, SmoothingConfig the lambda_c and
+    oov_floor rules, TrainConfig the training rules."""
+    cfg.smoothing()
     check_pooling(cfg.pooling)
     feature_names(cfg.feature_set)
     cfg.train_config()
@@ -170,8 +169,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("top_k", "passage_size", "permutations"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
-    if cfg.oov_floor < 0:
-        raise ValueError("oov_floor must be >= 0")
     if cfg.homogeneity_m is not None and cfg.homogeneity_m < 1:
         raise ValueError("homogeneity_m must be >= 1")
 

@@ -5,11 +5,12 @@ Everything downstream (scoring, features, training) consumes the
 per-document token id sequences, the inverted index (postings), and the
 corpus-level length extrema.
 
-Ingestion is streaming: documents are consumed one at a time, so the raw
-text of the corpus never has to fit in memory. The token-id index itself
-(4 bytes per token), the postings (8 bytes per distinct (term, document)
-pair) and all statistics do stay in memory; that is the same footprint
-the scorer needs at query time anyway.
+Ingestion streams documents into the index one at a time, but each
+trectext file is read whole (``read_bytes``), so the raw text of the
+largest file has to fit in memory. The token-id index itself (4 bytes
+per token), the postings (8 bytes per distinct (term, document) pair)
+and all statistics stay in memory too; that is the same footprint the
+scorer needs at query time anyway.
 
 On-disk format (version 2), one directory per index:
 
@@ -370,10 +371,15 @@ def load_index(path: str | Path) -> CorpusIndex:
     """Load a persisted index; verifies format, version, checksums, counts
     and the structure of the arrays."""
     src = Path(path)
+    manifest_path = src / "manifest.json"
     try:
-        manifest = json.loads((src / "manifest.json").read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CorpusError(f"not an index directory: {src}") from None
+    except ValueError as e:  # JSON and UTF-8 errors
+        raise CorpusError(f"{manifest_path} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{manifest_path} does not hold a JSON object")
     if manifest.get("format") != INDEX_FORMAT:
         raise CorpusError(f"unrecognized index format in {src}")
     version = manifest.get("version")
@@ -382,7 +388,9 @@ def load_index(path: str | Path) -> CorpusIndex:
             f"index in {src} is format version {version!r}, this release "
             f"reads version {INDEX_VERSION}; rebuild it with `passagerank index`"
         )
-    digests = manifest.get("sha256", {})
+    digests = manifest.get("sha256")
+    if not isinstance(digests, dict):
+        raise CorpusError(f"{manifest_path} has no sha256 table")
 
     def read(name: str) -> bytes:
         try:
@@ -408,10 +416,10 @@ def load_index(path: str | Path) -> CorpusIndex:
         postings_docs=np.frombuffer(read("postings_docs.bin"), dtype="<i4"),
         postings_tf=np.frombuffer(read("postings_tf.bin"), dtype="<i4"),
     )
-    if (index.num_docs, index.total_len, len(index.vocab)) != (
-        manifest["num_docs"], manifest["total_len"], manifest["vocab_size"]
-    ):
-        raise CorpusError(f"index in {src} fails manifest consistency check")
+    counts = (index.num_docs, index.total_len, len(index.vocab))
+    if counts != tuple(manifest.get(k) for k in ("num_docs", "total_len", "vocab_size")):
+        raise CorpusError(f"{manifest_path}: num_docs, total_len and vocab_size "
+                          f"do not match the index files")
     return index
 
 

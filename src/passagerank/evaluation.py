@@ -81,6 +81,12 @@ def precision_at_k(
     return hits / k
 
 
+def rank_by_score(doc_ids: Sequence[str], scores) -> list[tuple[str, float]]:
+    """(doc_id, score) pairs by score descending, ties by doc_id ascending:
+    the ranking order of every run the package writes."""
+    return sorted(zip(doc_ids, map(float, scores)), key=lambda kv: (-kv[1], kv[0]))
+
+
 def metric_by_name(name: str):
     if name == "map":
         return average_precision
@@ -250,14 +256,19 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate judgment for ({qid}, {doc})"
                 )
-            by_doc[doc] = int(rel)
+            try:
+                by_doc[doc] = int(rel)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: relevance grade must be an "
+                                 f"integer, got {rel!r}") from None
     if not qrels:
         raise ValueError(f"{path}: no judgments found")
     return qrels
 
 
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Parse a TREC run file, preserving file order within each query."""
+    """Parse a TREC run file, preserving file order within each query;
+    every score must be a finite number."""
     run: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as fh:
@@ -276,7 +287,13 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
                     f"{path}:{lineno}: duplicate document {doc} for query {qid}"
                 )
             seen.add((qid, doc))
-            run.setdefault(qid, []).append((doc, float(score)))
+            try:
+                if not math.isfinite(value := float(score)):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score must be a finite "
+                                 f"number, got {score!r}") from None
+            run.setdefault(qid, []).append((doc, value))
     if not run:
         raise ValueError(f"{path}: empty run file")
     return run

@@ -174,9 +174,9 @@ class FusionModel:
     def load(cls, path: str | Path) -> "FusionModel":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
             raise ValueError(f"cannot read model file {path}: {e}") from None
-        if raw.get("format") != MODEL_FORMAT:
+        if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path} is not a fusion model file")
         if raw.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {raw.get('version')!r}")

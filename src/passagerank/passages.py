@@ -18,7 +18,7 @@ from pooling span scores (max, or log-mean-exp for the probability
 mean), and ``score_tokens`` stacks one pooled score per configured
 filter for each document of a batch. ``msp_rank`` is the standalone
 max-scoring-passage ranker with optional homogeneity mixing against the
-whole-document model.
+whole-document query likelihood of ``retrieval.ql_scores``.
 """
 
 from __future__ import annotations
@@ -31,23 +31,14 @@ import numpy as np
 
 from . import _accel, features
 from .corpus import CorpusIndex, Query
+from .evaluation import rank_by_score
+from .retrieval import QueryContext, SmoothingConfig, ql_scores
 
 POOL_MAX = "max"
 POOL_MEAN = "mean"
 POOLINGS = (POOL_MAX, POOL_MEAN)
 
 HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Collection-interpolation weight for the unigram model."""
-
-    lambda_c: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_c < 1.0:
-            raise ValueError(f"lambda_c must be in (0, 1), got {self.lambda_c}")
 
 
 @dataclass(frozen=True)
@@ -117,34 +108,6 @@ def parse_filters(text: str) -> tuple[FilterSpec, ...]:
 # ---------------------------------------------------------------------------
 
 
-class QueryContext:
-    """Per-query arrays reused across candidate documents."""
-
-    def __init__(
-        self,
-        query: Query,
-        index: CorpusIndex,
-        s: SmoothingConfig,
-        floor: int = 1,
-    ):
-        if query.n_q < 1:
-            raise ValueError(f"query {query.query_id!r} has no terms")
-        lam = s.lambda_c
-        cf = np.array(
-            [index.corpus_freq(t, floor) for t in query.terms], dtype=np.float64
-        )
-        if np.any(cf <= 0):
-            raise ValueError(
-                f"query {query.query_id!r} has a zero-frequency term under "
-                f"OOV floor {floor}; scores would be -inf"
-            )
-        self.query = query
-        self.smoothing = s
-        self.ids = index.term_ids(query.terms)
-        self.bias_coeff = lam * cf / ((1.0 - lam) * index.total_len)
-        self.background = lam * cf / index.total_len
-
-
 def check_pooling(pooling: str) -> None:
     if pooling not in POOLINGS:
         raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
@@ -201,17 +164,6 @@ def max_passage_lm(
     return np.maximum.reduceat(spans, offsets)
 
 
-def whole_doc_lm(
-    ctx: QueryContext, tokens: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Whole-document smoothed query log-likelihood of each document of a
-    batch."""
-    return _accel.lm_span_scores(
-        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0,
-        lengths,
-    )
-
-
 # ---------------------------------------------------------------------------
 # max-scoring-passage ranking
 # ---------------------------------------------------------------------------
@@ -239,27 +191,27 @@ def msp_rank(
     passage_size: int,
     homogeneity: str = "none",
     s: SmoothingConfig | None = None,
-    floor: int = 1,
 ) -> list[tuple[str, float]]:
     """Rank candidate doc_ids by their best passage's LM score, window
     ``passage_size`` with stride half of it.
 
     With a homogeneity kind other than "none", the score becomes the
-    homogeneity-weighted probability mix of the whole-document model and
-    the best passage; each document's homogeneity comes from the index's
-    cache. Ties break by doc_id ascending.
+    homogeneity-weighted probability mix of the whole-document model
+    (``ql_scores``) and the best passage; each document's homogeneity
+    comes from the index's cache. Ties break by doc_id ascending.
     """
     if homogeneity not in HOMOGENEITY_KINDS:
         raise ValueError(f"unknown homogeneity kind {homogeneity!r}")
     s = s or SmoothingConfig()
     f = FilterSpec.window(passage_size)
-    ctx = QueryContext(query, index, s, floor)
+    ctx = QueryContext(query, index, s)
     tokens, lengths = index.batch_tokens(candidates)
     scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths).tolist()
     if homogeneity != "none":
         col = features.HOMOGENEITY_KINDS.index(homogeneity)
-        lm_doc = whole_doc_lm(ctx, tokens, lengths).tolist()
+        rows = [index.doc_index(d) for d in candidates]
+        lm_doc = ql_scores(query, index, s)[rows].tolist()
         for k, doc_id in enumerate(candidates):
             h = float(features.cached_homogeneity(doc_id, index, f)[col])
             scores[k] = combine_homogeneous(h, lm_doc[k], scores[k])
-    return sorted(zip(candidates, scores), key=lambda kv: (-kv[1], kv[0]))
+    return rank_by_score(candidates, scores)

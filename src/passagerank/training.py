@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Query
-from .evaluation import average_precision
+from .evaluation import average_precision, rank_by_score
 from .fusion import AffineNorm, FusionModel, forward_parts, linear_rows
 
 log = logging.getLogger(__name__)
@@ -151,9 +151,7 @@ def _ranking_map(
             continue
         # linear scores: same ordering as tanh scores, immune to saturation
         s = linear_rows(W, b, score_norm.apply(cs.R), feature_norm.apply(cs.H))
-        order = sorted(range(len(cs.doc_ids)),
-                       key=lambda i: (-s[i], cs.doc_ids[i]))
-        ranking = [cs.doc_ids[i] for i in order]
+        ranking = [d for d, _ in rank_by_score(cs.doc_ids, s)]
         grades = {d: 1 for d, r in zip(cs.doc_ids, cs.rel) if r}
         ap = average_precision(ranking, grades)
         if ap is not None:

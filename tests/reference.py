@@ -27,14 +27,11 @@ from passagerank.passages import (
     POOL_MAX,
     POOL_MEAN,
     FilterSpec,
-    QueryContext,
-    SmoothingConfig,
     _filter_arrays,
     max_passage_lm,
     score_tokens,
-    whole_doc_lm,
 )
-from passagerank.retrieval import rank_documents
+from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +242,12 @@ def max_passage_lm_one(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int) 
 
 
 def whole_doc_lm_one(ctx: QueryContext, tokens: np.ndarray) -> float:
-    """``whole_doc_lm`` of one document."""
-    return float(whole_doc_lm(ctx, tokens, _one(tokens))[0])
+    """Whole-document LM score of one document from the span kernel (a
+    single span of the document's length), not from ``ql_scores``."""
+    return float(_accel.lm_span_scores(
+        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0,
+        _one(tokens),
+    )[0])
 
 
 def score_vector(
@@ -257,7 +258,6 @@ def score_vector(
     s: SmoothingConfig | None = None,
     pooling: str = POOL_MAX,
     scale: str = "kernel",
-    floor: int = 1,
 ) -> np.ndarray:
     """Per-filter pooled scores of one candidate document, by id or
     Document, on the kernel or the LM scale."""
@@ -268,7 +268,7 @@ def score_vector(
         raise ValueError(f"unknown pooling strategy {pooling!r}")
     if scale not in ("kernel", "lm"):
         raise ValueError(f"unknown score scale {scale!r}")
-    ctx = QueryContext(query, index, s, floor)
+    ctx = QueryContext(query, index, s)
     doc_id = doc if isinstance(doc, str) else doc.doc_id
     tokens = index.doc_tokens(index.doc_index(doc_id))
     return score_tokens_one(ctx, tokens, filters, pooling, scale)
@@ -423,10 +423,9 @@ def list_feature(
     index: CorpusIndex,
     k: int = 2000,
     s: SmoothingConfig | None = None,
-    floor: int = 1,
 ) -> float:
     """Mean whole-document QL log score of the top-min(k, |D|) documents."""
-    ranked = rank_documents(query, index, s, top_k=k, floor=floor)
+    ranked = rank_documents(query, index, s, top_k=k)
     return mean_top_scores([score for _, score in ranked], k)
 
 

@@ -37,7 +37,7 @@ from passagerank.features import (
     mean_top_scores,
 )
 from passagerank.fusion import forward_parts
-from passagerank.passages import QueryContext
+from passagerank.retrieval import QueryContext
 from passagerank.training import CandidateSet, TrainConfig
 
 from conftest import planted_corpus, random_documents, random_queries
@@ -129,8 +129,8 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
         )
         doc_ids = [d.doc_id for d in docs]
         for q in queries:
-            ql = rank_documents(q, index, s, len(docs), 1)
-            ctx = QueryContext(q, index, s, 1)
+            ql = rank_documents(q, index, s, len(docs))
+            ctx = QueryContext(q, index, s)
             R = np.array([
                 [whole_doc_lm_one(ctx, index.doc_tokens(index.doc_index(d)))]
                 for d in doc_ids
@@ -149,7 +149,7 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
             assert h0 == base
             fixed_homogeneity(1.0)
             h1 = msp_rank(q, cand, index, 50, "docpsg", s=s)
-            ctx = QueryContext(q, index, s, 1)
+            ctx = QueryContext(q, index, s)
             whole = sorted(
                 ((d, whole_doc_lm_one(ctx, index.doc_tokens(index.doc_index(d))))
                  for d in cand),
@@ -175,7 +175,7 @@ def test_criterion_3_planted_passage_discrimination():
         s = SmoothingConfig(0.5)
         all_ids = [d.doc_id for d in docs]
 
-        ql_run = {q.query_id: rank_documents(q, index, s, 200, 1)
+        ql_run = {q.query_id: rank_documents(q, index, s, 200)
                   for q in queries}
         map_ql = evaluate_run(ql_run, qrels).means["map"]
 
@@ -196,7 +196,7 @@ def test_criterion_3_planted_passage_discrimination():
                 top = ql_run[q.query_id][:50]
                 doc_ids = [d for d, _ in top]
                 scores = [sc for _, sc in top]
-                ctx = QueryContext(q, index, s, 1)
+                ctx = QueryContext(q, index, s)
                 R = np.array([
                     score_tokens_one(ctx, index.doc_tokens(index.doc_index(d)),
                                      filters, "max", "lm")

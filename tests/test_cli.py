@@ -2,7 +2,9 @@
 
 import csv
 import filecmp
+import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -15,6 +17,7 @@ import passagerank
 from passagerank import (
     FeatureExtractor,
     FilterSpec,
+    FusionModel,
     evaluate_run,
     load_index,
     read_qrels,
@@ -212,6 +215,44 @@ class TestDeterminism:
                                shallow=False)
 
 
+class TestNpmTag:
+    """An npm run is tagged with the fingerprint of the model that
+    scored it, not with the rerank command's own flags."""
+
+    @staticmethod
+    def rerank(pipeline, out, model, *flags):
+        assert main(["rerank", "--index", str(pipeline["index"]),
+                     "--topics", str(pipeline["topics"]),
+                     "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                     "--model", str(model), *flags, "--output", str(out)]) == 0
+        return out
+
+    def test_flags_do_not_move_the_tag(self, pipeline, tmp_path):
+        fold_0 = pipeline["model_dir"] / "fold_0.json"
+        plain = self.rerank(pipeline, tmp_path / "plain.run", fold_0)
+        flagged = self.rerank(pipeline, tmp_path / "flagged.run", fold_0,
+                              "--lambda-c", "0.3", "--top-k", "7")
+        assert plain.read_bytes() == flagged.read_bytes()
+        assert run_tag(plain) == f"npm-{FusionModel.load(fold_0).fingerprint()}"
+
+    def test_fold_files_get_different_tags(self, pipeline, tmp_path):
+        tags = {run_tag(self.rerank(pipeline, tmp_path / f"{fold}.run",
+                                    pipeline["model_dir"] / f"fold_{fold}.json"))
+                for fold in range(3)}
+        assert len(tags) == 3
+
+    def test_directory_tag_hashes_the_fold_fingerprints(self, pipeline, tmp_path,
+                                                        caplog):
+        fps = [FusionModel.load(pipeline["model_dir"] / f"fold_{fold}.json")
+               .fingerprint() for fold in range(3)]
+        expect = hashlib.sha1("\n".join(fps).encode()).hexdigest()[:10]
+        with caplog.at_level(logging.INFO, logger="passagerank.cli"):
+            out = self.rerank(pipeline, tmp_path / "npm.run", pipeline["model_dir"],
+                              "--lambda-c", "0.3", "--filters", "30,inf")
+        assert run_tag(out) == run_tag(pipeline["npm_run"]) == f"npm-{expect}"
+        assert f"model fingerprint {expect}" in caplog.text
+
+
 def rename_query(pipeline, dest, new_qid):
     """Copies of the topics, qrels and QL run under ``dest`` in which
     query 1 is called ``new_qid``."""
@@ -223,6 +264,15 @@ def rename_query(pipeline, dest, new_qid):
             new_qid + line[1:] if line.startswith("1 ") else line
             for line in src.read_text().splitlines(True)))
     return topics, qrels, run
+
+
+def untagged_lines(run_path):
+    """A run file's lines without their tag column."""
+    return [line.rsplit(" ", 1)[0] for line in run_path.read_text().splitlines()]
+
+
+def run_tag(run_path):
+    return run_path.read_text().split("\n", 1)[0].split()[-1]
 
 
 def read_table(path, delimiter=","):
@@ -607,7 +657,39 @@ class TestErrors:
         rc, _, current_run = self.doctored_rerank(pipeline, tmp_path / "current",
                                                   lambda m: None)
         assert rc == 0
-        assert filecmp.cmp(legacy_run, current_run, shallow=False)
+        # the two files differ in their metadata, so in their run tags
+        assert untagged_lines(legacy_run) == untagged_lines(current_run)
+
+    def test_model_negative_oov_floor(self, pipeline, tmp_path, capsys):
+        rc, doctored, out = self.doctored_rerank(
+            pipeline, tmp_path, lambda m: m["meta"].update(oov_floor=-3))
+        assert rc == 2 and not out.exists()
+        assert (f"error: model file {doctored}: oov_floor must be >= 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["[]", "7", "{", "\"model\""])
+    def test_model_file_not_a_json_object(self, pipeline, tmp_path, capsys, text):
+        model = tmp_path / "fold_0.json"
+        model.write_text(text)
+        rc = main(["rerank", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                   "--model", str(model), "--output", str(tmp_path / "x.run")])
+        assert rc == 2 and not (tmp_path / "x.run").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err
+
+    def test_index_manifest_not_a_json_object(self, pipeline, tmp_path, capsys):
+        # the other malformed manifests are in test_corpus
+        index = tmp_path / "index"
+        shutil.copytree(pipeline["index"], index)
+        (index / "manifest.json").write_text("[1]")
+        rc = main(["retrieve", "--index", str(index),
+                   "--topics", str(pipeline["topics"]),
+                   "--output", str(tmp_path / "x.run")])
+        assert rc == 2 and not (tmp_path / "x.run").exists()
+        assert (f"error: {index / 'manifest.json'} does not hold a JSON object"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag", ["--pooling", "--feature-set",
                                       "--homogeneity-m"])

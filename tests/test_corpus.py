@@ -1,6 +1,7 @@
 """Tokenization, index construction, persistence, and TREC file parsing."""
 
 import json
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -262,6 +263,19 @@ class TestPersistence:
             manifest.read_text().replace('"num_docs": 30', '"num_docs": 7'))
         with pytest.raises(CorpusError):
             load_index(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "[1]",
+        lambda text: text[:-3],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "num_docs"}),
+        lambda text: json.dumps(dict(json.loads(text), sha256=[])),
+    ], ids=["list", "truncated", "no-num-docs", "sha256-list"])
+    def test_malformed_manifest_names_the_file(self, saved_index, edit):
+        manifest = saved_index / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(CorpusError, match=re.escape(str(manifest))):
+            load_index(saved_index)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises((CorpusError, OSError)):

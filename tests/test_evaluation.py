@@ -1,6 +1,7 @@
 """Rank metrics, run/qrels IO, and the Fisher randomization test."""
 
 import math
+import re
 import string
 import tempfile
 import tracemalloc
@@ -25,6 +26,7 @@ from passagerank.evaluation import (
     EvalReport,
     format_eval_table,
     qid_sort_key,
+    rank_by_score,
     write_eval_csv,
 )
 from oracle_metrics import ap_bruteforce, ndcg_bruteforce, p_at_k_bruteforce
@@ -313,6 +315,14 @@ class TestRunIO:
         with pytest.raises(ValueError):
             read_run(path)
 
+    @pytest.mark.parametrize("score", ["abc", "nan", "inf", "-Infinity"])
+    def test_score_that_is_not_finite_names_the_line(self, tmp_path, score):
+        path = tmp_path / "run.txt"
+        path.write_text(f"1 Q0 dA 1 1.0 t\n1 Q0 dB 2 {score} t\n")
+        message = f"{path}:2: score must be a finite number, got {score!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_run(path)
+
     @settings(max_examples=100, deadline=None)
     @given(run=st.dictionaries(
                RUN_ID,
@@ -354,6 +364,20 @@ class TestQrelsIO:
         path.write_text("1 0 dA\n")
         with pytest.raises(ValueError):
             read_qrels(path)
+
+    @pytest.mark.parametrize("grade", ["x", "1.5"])
+    def test_grade_that_is_not_an_integer_names_the_line(self, tmp_path, grade):
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"1 0 dA 1\n1 0 dB {grade}\n")
+        message = f"{path}:2: relevance grade must be an integer, got {grade!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_qrels(path)
+
+
+def test_rank_by_score_breaks_ties_by_doc_id():
+    ranked = rank_by_score(["dB", "dC", "dA", "dD"], np.array([1.0, 2.0, 1.0, -3.0]))
+    assert ranked == [("dC", 2.0), ("dA", 1.0), ("dB", 1.0), ("dD", -3.0)]
+    assert all(type(score) is float for _, score in ranked)
 
 
 class TestReports:

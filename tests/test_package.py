@@ -26,6 +26,46 @@ def test_no_function_body_imports():
     assert found == []
 
 
+def package_imports() -> dict[str, set[str]]:
+    """Each module's package imports: the modules its module-level
+    ``from .x import`` and ``from . import x`` statements name. Imports
+    inside ``if TYPE_CHECKING:`` (or any other block) are not module-level
+    statements, so they are not counted."""
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        graph[path.stem] = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem] |= ({node.module} if node.module
+                                     else {alias.name for alias in node.names})
+    return graph
+
+
+def test_import_graph_is_acyclic_and_layered():
+    """The query-likelihood model sits below the passage scorers:
+    retrieval imports nothing from passages, and no module reaches
+    itself through its imports."""
+    graph = package_imports()
+    assert "corpus" in graph["retrieval"]
+    assert "passages" not in graph["retrieval"]
+
+    done, on_path = set(), []
+
+    def visit(module):
+        assert module not in on_path, " -> ".join(on_path + [module])
+        if module in done:
+            return
+        on_path.append(module)
+        for dep in sorted(graph[module]):
+            visit(dep)
+        on_path.pop()
+        done.add(module)
+
+    for module in graph:
+        visit(module)
+
+
 def test_benchmark_tracer_targets_resolve():
     """The benchmark's tracer patches package functions by module and
     name and reads msp_rank's arguments by position; a rename fails

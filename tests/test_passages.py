@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
-from passagerank.passages import QueryContext, combine_homogeneous, score_tokens
+from passagerank.passages import combine_homogeneous, score_tokens
+from passagerank.retrieval import QueryContext
 from reference import (
     PassageSpan,
     build_matrix,
@@ -219,7 +220,7 @@ class TestScoreVector:
 
     def test_oov_terms_use_floor(self, tiny_index):
         q = Query("q", ("a", "never-seen"))
-        vec = score_vector(q, "d1", self.FILTERS, tiny_index, S05, floor=1)
+        vec = score_vector(q, "d1", self.FILTERS, tiny_index, S05)
         assert np.all(np.isfinite(vec))
 
     def test_mean_pooling_bounded_by_max(self, small_random_index):
@@ -259,14 +260,14 @@ class TestScoreTokens:
 class TestQueryContext:
     def test_empty_query_raises(self, tiny_index):
         with pytest.raises(ValueError):
-            QueryContext(Query("q", ()), tiny_index, S05, 1)
+            QueryContext(Query("q", ()), tiny_index, S05)
 
     def test_zero_floor_oov_raises(self, tiny_index):
         with pytest.raises(ValueError):
-            QueryContext(Query("q", ("missing",)), tiny_index, S05, 0)
+            QueryContext(Query("q", ("missing",)), tiny_index, SmoothingConfig(0.5, 0))
 
     def test_background_and_bias(self, tiny_index):
-        ctx = QueryContext(Query("q", ("a",)), tiny_index, S05, 1)
+        ctx = QueryContext(Query("q", ("a",)), tiny_index, S05)
         assert ctx.background[0] == pytest.approx(0.5 * 4 / 10, rel=1e-12)
         assert ctx.bias_coeff[0] == pytest.approx(0.5 * 4 / (0.5 * 10), rel=1e-12)
 
@@ -303,7 +304,7 @@ class TestMspRank:
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
         best_id = ranked[0][0]
-        ctx = QueryContext(q, corpus, S05, 1)
+        ctx = QueryContext(q, corpus, S05)
         f = FilterSpec.window(10)
         expect = max_passage_lm_one(ctx, corpus.doc_tokens(corpus.doc_index(best_id)),
                                     f.m, f.tau)
@@ -330,7 +331,7 @@ class TestMspRank:
         cands = list(corpus.doc_ids)
         fixed_homogeneity(1.0)
         locked = msp_rank(q, cands, corpus, 10, "ent", s=S05)
-        ctx = QueryContext(q, corpus, S05, 1)
+        ctx = QueryContext(q, corpus, S05)
         ref = sorted(
             ((d, whole_doc_lm_one(ctx, corpus.doc_tokens(corpus.doc_index(d))))
              for d in cands),
@@ -354,7 +355,7 @@ class TestMspRank:
         if h is not None:
             fixed_homogeneity(h)
         ranked = dict(msp_rank(q, cands, corpus, 10, kind, s=S05))
-        ctx = QueryContext(q, corpus, S05, 1)
+        ctx = QueryContext(q, corpus, S05)
         for d in cands:
             tokens = corpus.doc_tokens(corpus.doc_index(d))
             expect = max_passage_lm_one(ctx, tokens, 10, 5)

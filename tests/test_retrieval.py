@@ -37,6 +37,20 @@ class TestQlScores:
         i = tiny_index.doc_index("d1")
         assert scores[i] == pytest.approx(math.log(8 / 15), rel=1e-12)
 
+    def test_oov_floor_comes_from_the_smoothing(self, small_random_index):
+        idx = small_random_index
+        q = Query("q", ("t1", "zz"))
+        scores = ql_scores(q, idx, SmoothingConfig(0.5, 3))
+        for i, doc_id in enumerate(idx.doc_ids[:5]):
+            ref = brute_ql(q, index_document(idx, doc_id), idx, 0.5, floor=3)
+            assert scores[i] == pytest.approx(ref, rel=1e-12)
+        with pytest.raises(ValueError, match="OOV floor 0"):
+            ql_scores(q, idx, SmoothingConfig(0.5, 0))
+
+    def test_negative_oov_floor_rejected(self):
+        with pytest.raises(ValueError, match="oov_floor must be >= 0"):
+            SmoothingConfig(0.5, -1)
+
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
             SmoothingConfig(0.0)
