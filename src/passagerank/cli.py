@@ -70,6 +70,8 @@ from .training import CandidateSet, make_folds, train
 log = logging.getLogger(__name__)
 
 RERANK_MODES = ("msp", *(f"msp-{kind}" for kind in HOMOGENEITY_KINDS), "npm")
+# scoring settings of the msp modes that npm reads from its model instead
+NPM_MODEL_SETTINGS = ("passage_size", "lambda_c", "oov_floor")
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +106,21 @@ _FLAG_DEFS: dict[str, dict] = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+def _add_flags(parser: argparse.ArgumentParser, *names: str, note: str = "") -> None:
     defaults = ExperimentConfig()
     for name in names:
         spec = dict(_FLAG_DEFS[name])
+        if note:
+            spec["help"] = f"{spec['help']}; {note}"
         default = getattr(defaults, name)
         if default is not None:
             spec["help"] = (f"{spec.get('help', '')} "
                             f"(default {format_value(name, default)})").lstrip()
-        parser.add_argument(f"--{name.replace('_', '-')}", **spec)
+        parser.add_argument(_flag(name), **spec)
+
+
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -147,8 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("rerank", "re-score an initial run's candidates")
     # npm reads every scoring setting from the model and is tagged with
     # its fingerprint; --filters and --top-k only enter the msp run tags
-    _add_flags(p, "index", "topics", "stoplist", "passage_size", "filters",
-               "lambda_c", "oov_floor", "top_k")
+    _add_flags(p, "index", "topics", "stoplist")
+    _add_flags(p, *NPM_MODEL_SETTINGS,
+               note="npm takes it from the model and rejects the flag")
+    _add_flags(p, "filters", "top_k", note="enters only the msp run tag; npm ignores it")
     p.add_argument("--run", required=True, metavar="RUN", help="input run file")
     p.add_argument("--output", required=True, metavar="RUN")
     p.add_argument("--mode", required=True, choices=RERANK_MODES)
@@ -341,6 +351,13 @@ def cmd_rerank(args) -> int:
     require(cfg, "index", "topics")
     if args.dump_features and args.mode != "npm":
         raise ValueError("--dump-features requires --mode npm")
+    if args.mode == "npm":
+        # a config file may serve train and rerank alike, so only a flag
+        # given here for npm is an error
+        given = [_flag(k) for k in NPM_MODEL_SETTINGS if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"npm mode takes {' and '.join(given)} from the "
+                             f"model, not from the command line")
     index = load_index(cfg.index)
     run_in = read_run(args.run)
     queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),

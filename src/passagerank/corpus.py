@@ -12,6 +12,13 @@ per token), the postings (8 bytes per distinct (term, document) pair)
 and all statistics stay in memory too; that is the same footprint the
 scorer needs at query time anyway.
 
+A record's text is its configured text tags concatenated tag by tag in
+``text_tags`` order, each tag's occurrences in record order. A token is
+a run of ``[a-z0-9]`` in the lowercased text, for documents and topics
+alike (:func:`tokenize`). ASCII records and text take ``find`` and a
+byte ``translate``; any other keeps the case-insensitive regexes, whose
+results the fast path reproduces exactly where it applies.
+
 On-disk format (version 2), one directory per index:
 
 * ``manifest.json`` - format name, version, counts, and the sha256 of
@@ -39,9 +46,12 @@ import hashlib
 import json
 import logging
 import re
+import string
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import AnyStr, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +72,12 @@ class CorpusError(ValueError):
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte table of the ASCII path: A-Z lowercased, a-z and 0-9 kept, every
+# other byte a separator.
+_ASCII_TOKEN_TABLE = bytes(
+    ord(ch) if ch in string.ascii_lowercase + string.digits else ord(" ")
+    for ch in (chr(c).lower() for c in range(256))
+)
 
 
 @dataclass(frozen=True)
@@ -72,8 +88,18 @@ class TokenizeConfig:
 
 
 def tokenize(raw_text: str, config: TokenizeConfig | None = None) -> list[str]:
-    """Split raw text into normalized tokens, document order preserved."""
-    tokens = _TOKEN_RE.findall(raw_text.lower())
+    """Split raw text into normalized tokens, document order preserved.
+
+    A token is a run of ``[a-z0-9]`` in the lowercased text. ASCII text
+    takes one byte translate and ``split``, which yields the same tokens;
+    other text keeps the regex, because ``str.lower`` maps some non-ASCII
+    code points to ASCII letters (KELVIN SIGN U+212A becomes ``k``).
+    """
+    if raw_text.isascii():
+        tokens = (raw_text.encode("ascii").translate(_ASCII_TOKEN_TABLE)
+                  .decode("ascii").split())
+    else:
+        tokens = _TOKEN_RE.findall(raw_text.lower())
     if config is not None and config.stopwords:
         tokens = [t for t in tokens if t not in config.stopwords]
     return tokens
@@ -264,7 +290,8 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
     raise; zero-length documents are skipped with a warning; at least one
     non-empty document is required.
     """
-    term_to_id: dict[str, int] = {}
+    # a missing term gets the next id as it is first looked up
+    term_to_id: defaultdict[str, int] = defaultdict(count().__next__)
     doc_ids: list[str] = []
     seen: set[str] = set()
     doc_len: list[int] = []
@@ -279,10 +306,8 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
         if doc.n_d == 0:
             log.warning("skipping empty document %s", doc.doc_id)
             continue
-        ids = np.array(
-            [term_to_id.setdefault(t, len(term_to_id)) for t in doc.terms],
-            dtype=np.int32,
-        )
+        ids = np.fromiter(map(term_to_id.__getitem__, doc.terms), np.int32,
+                          count=doc.n_d)
         distinct, counts = np.unique(ids, return_counts=True)
         doc_ids.append(doc.doc_id)
         doc_len.append(doc.n_d)
@@ -427,12 +452,28 @@ def load_index(path: str | Path) -> CorpusIndex:
 # TREC-format readers
 # ---------------------------------------------------------------------------
 
-_DOC_RE = re.compile(rb"<DOC>(.*?)</DOC>", re.S)
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TAG_RE = re.compile(r"<[^>]+>")
 _TOPIC_RE = re.compile(rb"<top>(.*?)</top>", re.S)
 _NUM_RE = re.compile(r"<num>\s*(?:Number:)?\s*([^<\s]+)", re.I)
 _TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
+
+
+def _between(text: AnyStr, open_tag: AnyStr, close_tag: AnyStr,
+             lowered: AnyStr | None = None) -> Iterator[AnyStr]:
+    """Yield the pieces of ``text`` between ``open_tag`` and the first
+    ``close_tag`` after it, left to right: what ``finditer`` of the lazy
+    regex ``open(.*?)close`` finds. With ``lowered`` (the ASCII text
+    lowercased, tags given in lowercase) the tags match in any case."""
+    haystack = text if lowered is None else lowered
+    start = haystack.find(open_tag)
+    while start != -1:
+        begin = start + len(open_tag)
+        end = haystack.find(close_tag, begin)
+        if end == -1:  # no later opening tag can be closed either
+            return
+        yield text[begin:end]
+        start = haystack.find(open_tag, end + len(close_tag))
 
 
 def _corpus_files(path: Path) -> list[Path]:
@@ -453,23 +494,28 @@ def iter_trectext(
 ) -> Iterator[Document]:
     """Stream Documents out of trectext files (a file or a directory).
 
-    Records are ``<DOC><DOCNO>id</DOCNO>...<TEXT>...</TEXT></DOC>``; all
-    configured text-bearing tags are concatenated in record order and any
+    Records are ``<DOC><DOCNO>id</DOCNO>...<TEXT>...</TEXT></DOC>``; the
+    ``<DOC>`` and ``<DOCNO>`` tags are case-sensitive, the text tags are
+    not. The configured text tags are concatenated tag by tag in
+    ``text_tags`` order, each tag's occurrences in record order, and any
     interleaved markup inside them is stripped. Other tags are ignored.
     """
+    # Case-insensitive matching of a str pattern also folds some non-ASCII
+    # letters (``<KEYWORDS>`` matches ``<\u212aEYWORDS>``), so only ASCII
+    # records and tags take the lowercased find path.
     tag_res = [
         re.compile(rf"<{re.escape(t)}>(.*?)</{re.escape(t)}>", re.S | re.I)
         for t in text_tags
     ]
+    ascii_tags = all(t.isascii() for t in text_tags)
+    bounds = [(f"<{t}>".lower(), f"</{t}>".lower()) for t in text_tags]
     for fp in _corpus_files(Path(path)):
         blob = fp.read_bytes()
-        for ordinal, m in enumerate(_DOC_RE.finditer(blob), start=1):
+        for ordinal, body in enumerate(_between(blob, b"<DOC>", b"</DOC>"), start=1):
             try:
-                record = m.group(1).decode("utf-8")
+                record = body.decode("utf-8")
             except UnicodeDecodeError:
-                docno_m = _DOCNO_RE.search(
-                    m.group(1).decode("utf-8", errors="replace")
-                )
+                docno_m = _DOCNO_RE.search(body.decode("utf-8", errors="replace"))
                 name = docno_m.group(1).strip() if docno_m else f"record #{ordinal}"
                 raise CorpusError(
                     f"{fp}: undecodable text in document {name}"
@@ -481,10 +527,15 @@ def iter_trectext(
             if doc_id.split() != [doc_id]:  # run files split on whitespace
                 raise CorpusError(f"{fp}: record #{ordinal} has an empty DOCNO or "
                                   f"whitespace inside it: {doc_id!r}")
-            parts = []
-            for tag_re in tag_res:
-                parts.extend(tag_re.findall(record))
-            raw = _TAG_RE.sub(" ", " ".join(parts))
+            if ascii_tags and record.isascii():
+                lowered = record.lower()
+                parts = [piece for open_tag, close_tag in bounds
+                         for piece in _between(record, open_tag, close_tag, lowered)]
+            else:
+                parts = [piece for tag_re in tag_res for piece in tag_re.findall(record)]
+            raw = " ".join(parts)
+            if "<" in raw:
+                raw = _TAG_RE.sub(" ", raw)
             yield Document(doc_id, tuple(tokenize(raw, config)))
 
 

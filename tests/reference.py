@@ -7,12 +7,14 @@ loop twins of the batched window kernels, single-document forms of the
 batch scorers, and the pairwise homogeneity, postings and Fisher
 references. It also holds the index helpers that only tests need: a
 document rebuilt from the token store, and index equality for the
-round-trip tests.
+round-trip tests; and the regex tokenizer and TRECTEXT reader that the
+find and translate ingest path must agree with.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from passagerank import _accel
-from passagerank.corpus import CorpusIndex, Document, Query
+from passagerank.corpus import CorpusIndex, Document, Query, TokenizeConfig
 from passagerank.evaluation import evaluate_run
 from passagerank.features import FeatureExtractor, mean_top_scores
 from passagerank.passages import (
@@ -32,6 +34,38 @@ from passagerank.passages import (
     score_tokens,
 )
 from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
+
+
+# ---------------------------------------------------------------------------
+# ingest
+# ---------------------------------------------------------------------------
+
+
+def tokenize_reference(raw_text: str, config: TokenizeConfig | None = None) -> list[str]:
+    """Runs of ``[a-z0-9]`` in the lowercased text, stopwords dropped."""
+    tokens = re.findall(r"[a-z0-9]+", raw_text.lower())
+    stopwords = config.stopwords if config is not None else frozenset()
+    return [t for t in tokens if t not in stopwords]
+
+
+def trectext_reference(blob: bytes, config: TokenizeConfig | None = None,
+                       text_tags: Sequence[str] = ("TEXT",)) -> list[Document]:
+    """The documents of one TRECTEXT file, read by lazy regexes: a record
+    is ``<DOC>...</DOC>`` (case-sensitive), its id the first
+    ``<DOCNO>...</DOCNO>``, and its text every case-insensitive match of
+    each tag in ``text_tags`` order, joined by spaces with markup
+    replaced by a space."""
+    docs = []
+    for m in re.finditer(rb"<DOC>(.*?)</DOC>", blob, re.S):
+        record = m.group(1).decode("utf-8")
+        doc_id = re.search(r"<DOCNO>(.*?)</DOCNO>", record, re.S).group(1).strip()
+        parts = []
+        for tag in text_tags:
+            t = re.escape(tag)
+            parts.extend(re.findall(rf"<{t}>(.*?)</{t}>", record, re.S | re.I))
+        raw = re.sub(r"<[^>]+>", " ", " ".join(parts))
+        docs.append(Document(doc_id, tuple(tokenize_reference(raw, config))))
+    return docs
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ class TestNpmTag:
         fold_0 = pipeline["model_dir"] / "fold_0.json"
         plain = self.rerank(pipeline, tmp_path / "plain.run", fold_0)
         flagged = self.rerank(pipeline, tmp_path / "flagged.run", fold_0,
-                              "--lambda-c", "0.3", "--top-k", "7")
+                              "--filters", "30,inf", "--top-k", "7")
         assert plain.read_bytes() == flagged.read_bytes()
         assert run_tag(plain) == f"npm-{FusionModel.load(fold_0).fingerprint()}"
 
@@ -248,7 +248,7 @@ class TestNpmTag:
         expect = hashlib.sha1("\n".join(fps).encode()).hexdigest()[:10]
         with caplog.at_level(logging.INFO, logger="passagerank.cli"):
             out = self.rerank(pipeline, tmp_path / "npm.run", pipeline["model_dir"],
-                              "--lambda-c", "0.3", "--filters", "30,inf")
+                              "--top-k", "7", "--filters", "30,inf")
         assert run_tag(out) == run_tag(pipeline["npm_run"]) == f"npm-{expect}"
         assert f"model fingerprint {expect}" in caplog.text
 
@@ -542,6 +542,21 @@ class TestErrors:
         assert rc == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--lambda-c", "0.3"),
+                                            ("--oov-floor", "2"),
+                                            ("--passage-size", "50")])
+    def test_npm_rejects_model_setting_flags(self, pipeline, tmp_path, capsys,
+                                             flag, value):
+        out = tmp_path / "x.run"
+        rc = main(["rerank", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                   "--model", str(pipeline["model_dir"]), flag, value,
+                   "--output", str(out)])
+        assert rc == 2 and not out.exists()
+        assert (f"error: npm mode takes {flag} from the model"
+                in capsys.readouterr().err)
+
     def test_weights_rejects_directory_model(self, pipeline, tmp_path, capsys):
         rc = main(["weights", "--index", str(pipeline["index"]),
                    "--topics", str(pipeline["topics"]),
@@ -638,9 +653,10 @@ class TestErrors:
     @pytest.mark.parametrize("key", ["lambda_c", "homogeneity_filter"])
     def test_model_missing_setting(self, pipeline, tmp_path, capsys, key):
         # a config value does not stand in for the trained one
+        conf = tmp_path / "rerank.conf"
+        conf.write_text("lambda_c = 0.3\nfilters = 30,inf\n")
         rc, doctored, out = self.doctored_rerank(
-            pipeline, tmp_path, lambda m: m["meta"].pop(key),
-            "--lambda-c", "0.3", "--filters", "30,inf")
+            pipeline, tmp_path, lambda m: m["meta"].pop(key), "--config", str(conf))
         assert rc == 2 and not out.exists()
         assert (f"error: model file {doctored}: no {key!r} setting recorded"
                 in capsys.readouterr().err)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from passagerank import (
     CorpusError,
@@ -24,7 +24,8 @@ from passagerank import (
 )
 from conftest import (corrupt_index_file, planted_corpus, rewrite_index_file,
                       set_first)
-from reference import postings_reference, same_index
+from reference import (postings_reference, same_index, tokenize_reference,
+                       trectext_reference)
 
 
 def assert_postings_match_reference(index):
@@ -50,6 +51,10 @@ def saved_index(tmp_path, small_random_index):
     return path
 
 
+TRICKY_CHARS = "\u212a\u0130\u017f\u00b2\uff11\u00e9"
+TOKEN_CHARS = "aAzZkKsS09 _-.,@[`{\t\n" + TRICKY_CHARS
+
+
 class TestTokenize:
     def test_lowercases_and_splits_on_nonalnum(self):
         assert tokenize("The CAT, sat-on 2 mats!") == [
@@ -65,6 +70,19 @@ class TestTokenize:
     def test_stopwords_removed(self):
         cfg = TokenizeConfig(stopwords=frozenset({"the", "on"}))
         assert tokenize("The cat ON the mat", cfg) == ["cat", "mat"]
+
+    # KELVIN SIGN lowercases to "k", DOTTED CAPITAL I to "i" plus a
+    # combining dot; LONG S, superscript two and the full-width digit
+    # stay non-ASCII, so none of them is a token
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(alphabet=TOKEN_CHARS), st.text()),
+           stopwords=st.sets(st.sampled_from(["k", "i", "the", "a1", "9"])))
+    @example(text="\u212aelvin \u0130stanbul \u017fun x\u00b2 \uff11st",
+             stopwords=set())
+    @example(text="The K\u212a 9 A1 i\u0130", stopwords={"k", "i", "a1"})
+    def test_matches_the_regex_reference(self, text, stopwords):
+        cfg = TokenizeConfig(stopwords=frozenset(stopwords))
+        assert tokenize(text, cfg) == tokenize_reference(text, cfg)
 
 
 class TestIndex:
@@ -298,6 +316,44 @@ The quick <em>brown</em> fox.
 """
 
 
+# each text tag as it may be spelled in a record; case-insensitive regex
+# matching folds KELVIN SIGN to K, LONG S to S and DOTTED CAPITAL I to I,
+# and lowercasing DOTTED CAPITAL I adds a character
+TAG_SPELLINGS = {
+    "TEXT": ["TEXT", "text", "tExT"],
+    "TITLE": ["TITLE", "Title"],
+    "KEYWORDS": ["KEYWORDS", "keywords", "\u212aEYWORDS", "KEYWORD\u017f"],
+    "NOTE\u0130": ["NOTE\u0130", "note\u0130", "NOTEI"],
+}
+MARKUP = ["<em>", "</em>", "<b class='x'>", "<", ">", "<>", "<doc>", "</Doc>"]
+
+
+@st.composite
+def trectext_files(draw):
+    """TRECTEXT bytes: records of text, markup and text tags in any case,
+    opened and closed in any order, between noise; the last record may
+    lack its ``</DOC>``."""
+    ascii_only = draw(st.booleans())
+    chars = "aAkKzZ09 \n.-" + ("" if ascii_only else TRICKY_CHARS)
+    spellings = st.sampled_from(list(TAG_SPELLINGS.values())).flatmap(
+        lambda names: st.sampled_from([n for n in names if n.isascii() or not ascii_only]))
+    text = st.text(alphabet=chars, max_size=10)
+    segment = st.one_of(
+        text,
+        st.sampled_from(MARKUP),
+        st.builds("<{}{}>".format, st.sampled_from(["", "/"]), spellings),
+        st.builds("<{}>{}</{}>".format, spellings, text, spellings),
+    )
+    parts = []
+    for i in range(draw(st.integers(0, 4))):
+        gap = draw(st.sampled_from(["", "\n", "x"]))
+        body = "".join(draw(st.lists(segment, max_size=10)))
+        parts.append(f"{gap}<DOC><DOCNO> d{i} </DOCNO>{body}</DOC>")
+    if draw(st.booleans()):
+        parts.append("<DOC><DOCNO>open</DOCNO><TEXT>never closed")
+    return "".join(parts).encode("utf-8")
+
+
 class TestTrectext:
     def test_parses_documents(self, tmp_path):
         f = tmp_path / "corpus.trectext"
@@ -339,6 +395,35 @@ class TestTrectext:
             "<DOC><DOCNO>A1</DOCNO><TEXT>alpha</TEXT></DOC>", encoding="utf-8")
         docs = list(iter_trectext(d))
         assert [x.doc_id for x in docs] == ["A1", "B1"]
+
+    def test_text_tags_concatenate_in_text_tags_order(self, tmp_path):
+        f = tmp_path / "corpus.trectext"
+        f.write_text("<DOC><DOCNO>D1</DOCNO><TEXT>b</TEXT><TITLE>a</TITLE></DOC>",
+                     encoding="utf-8")
+        docs = list(iter_trectext(f, text_tags=("TITLE", "TEXT")))
+        assert docs[0].terms == ("a", "b")
+
+    def test_case_folded_non_ascii_tag_matches(self, tmp_path):
+        # KELVIN SIGN makes the record non-ASCII; case-insensitive regex
+        # matching folds it to the K of the configured tag
+        f = tmp_path / "corpus.trectext"
+        f.write_text("<DOC><DOCNO>D1</DOCNO>"
+                     "<\u212aEYWORDS>hot</\u212aEYWORDS></DOC>", encoding="utf-8")
+        docs = list(iter_trectext(f, text_tags=("KEYWORDS",)))
+        assert docs[0].terms == ("hot",)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=trectext_files(),
+           text_tags=st.lists(st.sampled_from(list(TAG_SPELLINGS) + ["text"]),
+                              min_size=1, max_size=3, unique=True),
+           stopwords=st.sets(st.sampled_from(["a", "k", "zz"])))
+    def test_matches_the_regex_reference(self, blob, text_tags, stopwords):
+        cfg = TokenizeConfig(stopwords=frozenset(stopwords))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "corpus.trectext"
+            f.write_bytes(blob)
+            docs = list(iter_trectext(f, cfg, text_tags))
+        assert docs == trectext_reference(blob, cfg, text_tags)
 
     def test_bad_encoding_names_document(self, tmp_path):
         f = tmp_path / "bad.trectext"
@@ -389,6 +474,24 @@ class TestTopics:
             "<top><num>1</num><title>b</title></top>", encoding="utf-8")
         with pytest.raises(CorpusError, match="duplicate"):
             read_topics(f)
+
+
+def test_documents_and_topics_share_one_tokenizer(tmp_path, monkeypatch):
+    # perfbench's tracer times ingest through corpus.tokenize
+    calls = []
+
+    def counting(raw_text, config=None):
+        calls.append(raw_text)
+        return tokenize(raw_text, config)
+
+    monkeypatch.setattr("passagerank.corpus.tokenize", counting)
+    corpus_file, topics_file = tmp_path / "corpus.trectext", tmp_path / "topics.txt"
+    corpus_file.write_text(TRECTEXT, encoding="utf-8")
+    topics_file.write_text(TOPICS, encoding="utf-8")
+    assert len(list(iter_trectext(corpus_file))) == len(calls) == 2
+    calls.clear()
+    read_topics(topics_file)
+    assert len(calls) == TOPICS.count("<top>") == 3
 
 
 def test_read_stoplist(tmp_path):
