@@ -349,8 +349,9 @@ def cmd_retrieve(args) -> int:
 def cmd_rerank(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "index", "topics")
-    if args.dump_features and args.mode != "npm":
-        raise ValueError("--dump-features requires --mode npm")
+    for flag in ("model", "dump_features"):
+        if getattr(args, flag) and args.mode != "npm":
+            raise ValueError(f"{_flag(flag)} requires --mode npm")
     if args.mode == "npm":
         # a config file may serve train and rerank alike, so only a flag
         # given here for npm is an error

@@ -180,7 +180,7 @@ class CorpusIndex:
         self.min_log_len = float(np.log(self.doc_len.min()))
         self.max_log_len = float(np.log(self.doc_len.max()))
         self._doc_sort_rank: np.ndarray | None = None
-        # (doc_id, FilterSpec) -> homogeneity row; see features.cached_homogeneity
+        # (doc_id, FilterSpec, kinds) -> row in kinds order; see features.cached_homogeneity
         self.homogeneity_rows: dict = {}
 
     def _check_structure(self) -> None:

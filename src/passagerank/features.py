@@ -45,13 +45,18 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.ndarray:
-    """The four homogeneity scores of one indexed document, a float64
-    row in ``HOMOGENEITY_KINDS`` order.
+def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec,
+                kinds: tuple[str, ...] = HOMOGENEITY_KINDS) -> np.ndarray:
+    """The homogeneity scores ``kinds`` of one indexed document, a
+    float64 row in ``kinds`` order; ``cached_homogeneity`` keeps one row
+    per (document, filter, kinds).
 
-    The passage-based scores (intpsg, docpsg) use filter ``f``'s spans;
-    tf-idf weights are tf * ln(|D| / D_t). Degenerate cases: a corpus
-    where every document has the same length gives h_length = 1; a
+    A kind costs only its own work: length is closed-form in the length
+    n_d, ent takes one ``np.unique`` of the tokens, and only intpsg and
+    docpsg build the tf-idf span vectors (docpsg also the document
+    vector). The passage-based scores use filter ``f``'s spans; tf-idf
+    weights are tf * ln(|D| / D_t). Degenerate cases: a corpus where
+    every document has the same length gives h_length = 1; a
     single-token document gives h_ent = 1; fewer than two passages give
     h_intpsg = 1; cosines follow cos(0,0)=1, cos(0,x)=0. Span vectors
     are non-negative, so for the unit vectors u_k of the n non-zero
@@ -60,63 +65,71 @@ def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.ndarray:
     """
     if f.is_infinite:
         raise ValueError("homogeneity needs a finite passage filter")
+    if not kinds or not set(kinds) <= set(HOMOGENEITY_KINDS):
+        raise ValueError(f"homogeneity kinds must be drawn from "
+                         f"{HOMOGENEITY_KINDS}, got {kinds!r}")
     tokens = index.doc_tokens(index.doc_index(doc_id))
     n_d = int(tokens.shape[0])
+    h: dict[str, float] = {}
 
-    if index.max_log_len == index.min_log_len:
-        h_length = 1.0
-    else:
-        h_length = 1.0 - (math.log(n_d) - index.min_log_len) / (
-            index.max_log_len - index.min_log_len
-        )
-    h_length = _clamp01(h_length)
+    if "length" in kinds:
+        lo, hi = index.min_log_len, index.max_log_len
+        h["length"] = 1.0 if hi == lo else _clamp01(1.0 - (math.log(n_d) - lo) / (hi - lo))
 
-    uniq, inv, counts = np.unique(tokens, return_inverse=True, return_counts=True)
-    if n_d == 1:
-        h_ent = 1.0
-    else:
+    with_spans = "intpsg" in kinds or "docpsg" in kinds
+    if with_spans:
+        uniq, inv, counts = np.unique(tokens, return_inverse=True, return_counts=True)
+    elif "ent" in kinds:
+        uniq, counts = np.unique(tokens, return_counts=True)
+
+    if "ent" in kinds:
         p = counts / n_d
         entropy = float(-(p * np.log(p)).sum())
-        h_ent = _clamp01(1.0 - entropy / math.log(n_d))
+        h["ent"] = 1.0 if n_d == 1 else _clamp01(1.0 - entropy / math.log(n_d))
 
-    idf = np.log(index.num_docs / index.df[uniq])
-    doc_vec = counts * idf
-    # position i lies in span k = i//tau - j, j < ceil(m/tau), when k >= 0
-    # and i < k*tau + m; every span ends by n_d, as the positions do
-    pos = np.arange(n_d)
-    span = pos // f.tau - np.arange(-(-f.m // f.tau))[:, np.newaxis]
-    covered = (span >= 0) & (pos < span * f.tau + f.m)
-    keys = span[covered] * len(uniq) + np.broadcast_to(inv, span.shape)[covered]
-    keys, tf = np.unique(keys, return_counts=True)
-    span_of, term_of = np.divmod(keys, len(uniq))
-    w = tf * idf[term_of]
-    n_spans = -(-n_d // f.tau)
-    norm = np.sqrt(np.bincount(span_of, w * w, n_spans))
-    nonzero = norm > 0.0
-    norm[~nonzero] = 1.0
-    z = n_spans - int(nonzero.sum())
+    if with_spans:
+        idf = np.log(index.num_docs / index.df[uniq])
+        # position i lies in span k = i//tau - j, j < ceil(m/tau), when k >= 0
+        # and i < k*tau + m; every span ends by n_d, as the positions do
+        pos = np.arange(n_d)
+        span = pos // f.tau - np.arange(-(-f.m // f.tau))[:, np.newaxis]
+        covered = (span >= 0) & (pos < span * f.tau + f.m)
+        keys = span[covered] * len(uniq) + np.broadcast_to(inv, span.shape)[covered]
+        keys, tf = np.unique(keys, return_counts=True)
+        span_of, term_of = np.divmod(keys, len(uniq))
+        w = tf * idf[term_of]
+        n_spans = -(-n_d // f.tau)
+        norm = np.sqrt(np.bincount(span_of, w * w, n_spans))
+        nonzero = norm > 0.0
+        norm[~nonzero] = 1.0
+        z = n_spans - int(nonzero.sum())
 
-    if n_spans < 2:
-        h_intpsg = 1.0
-    else:
-        u_sum = np.bincount(term_of, w / norm[span_of], len(uniq))
-        pair_sum = (float(u_sum @ u_sum) - (n_spans - z)) / 2 + z * (z - 1) / 2
-        h_intpsg = _clamp01(pair_sum / (n_spans * (n_spans - 1) / 2))
+    if "intpsg" in kinds:
+        if n_spans < 2:
+            h["intpsg"] = 1.0
+        else:
+            u_sum = np.bincount(term_of, w / norm[span_of], len(uniq))
+            pair_sum = (float(u_sum @ u_sum) - (n_spans - z)) / 2 + z * (z - 1) / 2
+            h["intpsg"] = _clamp01(pair_sum / (n_spans * (n_spans - 1) / 2))
 
-    dot = np.bincount(span_of, w * doc_vec[term_of], n_spans)
-    doc_norm = float(np.linalg.norm(doc_vec)) or 1.0  # zero only with all spans zero
-    cos = np.where(nonzero, np.clip(dot / (doc_norm * norm), 0.0, 1.0), float(z == n_spans))
-    h_docpsg = _clamp01(float(cos.sum()) / n_spans)
-    return np.array([h_length, h_ent, h_intpsg, h_docpsg], dtype=np.float64)
+    if "docpsg" in kinds:
+        doc_vec = counts * idf
+        dot = np.bincount(span_of, w * doc_vec[term_of], n_spans)
+        doc_norm = float(np.linalg.norm(doc_vec)) or 1.0  # zero only with all spans zero
+        cos = np.where(nonzero, np.clip(dot / (doc_norm * norm), 0.0, 1.0),
+                       float(z == n_spans))
+        h["docpsg"] = _clamp01(float(cos.sum()) / n_spans)
+    return np.array([h[kind] for kind in kinds], dtype=np.float64)
 
 
-def cached_homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec) -> np.ndarray:
-    """``homogeneity``, computed once per (document, filter) for the
-    lifetime of ``index``; do not mutate the returned row."""
-    key = (doc_id, f)
+def cached_homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec,
+                       kinds: tuple[str, ...] = HOMOGENEITY_KINDS) -> np.ndarray:
+    """``homogeneity``, computed once per (document, filter, kinds) for
+    the lifetime of ``index``; do not mutate the returned row."""
+    key = (doc_id, f, kinds)
     row = index.homogeneity_rows.get(key)
     if row is None:
-        row = index.homogeneity_rows[key] = homogeneity(doc_id, index, f)
+        row = index.homogeneity_rows[key] = homogeneity(doc_id, index, f, kinds)
     return row
 
 

@@ -169,19 +169,30 @@ def max_passage_lm(
 # ---------------------------------------------------------------------------
 
 
-def combine_homogeneous(h: float, lm_doc: float, lm_psg: float) -> float:
-    """log(h * P(q|d) + (1-h) * max_g P(q|g)), log-space safe.
+def combine_homogeneous(
+    h: Sequence[float], lm_doc: np.ndarray, lm_psg: np.ndarray
+) -> np.ndarray:
+    """log(h * P(q|d) + (1-h) * max_g P(q|g)) for each document of a
+    batch, log-space safe.
 
-    The h = 0 and h = 1 collapses are exact by construction, not a
-    floating-point coincidence.
+    log(h) and log1p(-h) come from ``math`` one document at a time, as
+    numpy's array forms differ from them in the last bit on some
+    inputs; only ``np.logaddexp`` runs over the batch. The h = 0 and
+    h = 1 collapses are exact by construction, not a floating-point
+    coincidence.
     """
-    if not 0.0 <= h <= 1.0:
-        raise ValueError(f"homogeneity must be in [0, 1], got {h}")
-    if h == 0.0:
-        return lm_psg
-    if h == 1.0:
-        return lm_doc
-    return float(np.logaddexp(math.log(h) + lm_doc, math.log1p(-h) + lm_psg))
+    h = np.asarray(h, dtype=np.float64)
+    bad = ~((h >= 0.0) & (h <= 1.0))  # NaN included
+    if bad.any():
+        raise ValueError(f"homogeneity must be in [0, 1], got {h[bad][0]}")
+    lm_doc = np.asarray(lm_doc, dtype=np.float64)
+    out = np.array(lm_psg, dtype=np.float64)
+    mix = (h > 0.0) & (h < 1.0)
+    hs = h[mix].tolist()
+    out[mix] = np.logaddexp(np.array([math.log(x) for x in hs]) + lm_doc[mix],
+                            np.array([math.log1p(-x) for x in hs]) + out[mix])
+    out[h == 1.0] = lm_doc[h == 1.0]
+    return out
 
 
 def msp_rank(
@@ -206,12 +217,10 @@ def msp_rank(
     f = FilterSpec.window(passage_size)
     ctx = QueryContext(query, index, s)
     tokens, lengths = index.batch_tokens(candidates)
-    scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths).tolist()
+    scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths)
     if homogeneity != "none":
-        col = features.HOMOGENEITY_KINDS.index(homogeneity)
+        h = [features.cached_homogeneity(d, index, f, (homogeneity,))[0]
+             for d in candidates]
         rows = [index.doc_index(d) for d in candidates]
-        lm_doc = ql_scores(query, index, s)[rows].tolist()
-        for k, doc_id in enumerate(candidates):
-            h = float(features.cached_homogeneity(doc_id, index, f)[col])
-            scores[k] = combine_homogeneous(h, lm_doc[k], scores[k])
-    return rank_by_score(candidates, scores)
+        scores = combine_homogeneous(h, ql_scores(query, index, s)[rows], scores)
+    return rank_by_score(candidates, scores.tolist())

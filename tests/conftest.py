@@ -96,13 +96,15 @@ def small_random_index():
 
 @pytest.fixture
 def fixed_homogeneity(monkeypatch):
-    """Call with h to make every homogeneity score of every document h.
+    """Call with h to make every homogeneity kind of every document h.
 
-    It patches the cached lookup, so rows the index already holds (or an
-    earlier h) cannot leak through."""
+    It patches the cached lookup, for whatever kinds it is asked, so
+    rows the index already holds (or an earlier h) cannot leak through."""
     def fix(h):
-        monkeypatch.setattr(features, "cached_homogeneity",
-                            lambda doc_id, index, f: np.full(len(features.HOMOGENEITY_KINDS), float(h)))
+        monkeypatch.setattr(
+            features, "cached_homogeneity",
+            lambda doc_id, index, f, kinds=features.HOMOGENEITY_KINDS:
+                np.full(len(kinds), float(h)))
     return fix
 
 

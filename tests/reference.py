@@ -4,11 +4,12 @@ Each function here computes a quantity the package computes on a faster
 path, written the direct way so the two can be compared: per-span LM
 and kernel scorers over a query/document matching matrix, plain-Python
 loop twins of the batched window kernels, single-document forms of the
-batch scorers, and the pairwise homogeneity, postings and Fisher
-references. It also holds the index helpers that only tests need: a
-document rebuilt from the token store, and index equality for the
-round-trip tests; and the regex tokenizer and TRECTEXT reader that the
-find and translate ingest path must agree with.
+batch scorers and of the homogeneity mix, and the pairwise homogeneity,
+postings and Fisher references. It also holds the index helpers that
+only tests need: a document rebuilt from the token store, and index
+equality for the round-trip tests; and the regex tokenizer and
+TRECTEXT reader that the find and translate ingest path must agree
+with.
 """
 
 from __future__ import annotations
@@ -282,6 +283,18 @@ def whole_doc_lm_one(ctx: QueryContext, tokens: np.ndarray) -> float:
         tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0,
         _one(tokens),
     )[0])
+
+
+def combine_homogeneous_one(h: float, lm_doc: float, lm_psg: float) -> float:
+    """``combine_homogeneous`` of one document: log(h * P(q|d) +
+    (1-h) * max_g P(q|g)), with exact h = 0 and h = 1 collapses."""
+    if not 0.0 <= h <= 1.0:
+        raise ValueError(f"homogeneity must be in [0, 1], got {h}")
+    if h == 0.0:
+        return lm_psg
+    if h == 1.0:
+        return lm_doc
+    return float(np.logaddexp(math.log(h) + lm_doc, math.log1p(-h) + lm_psg))
 
 
 def score_vector(

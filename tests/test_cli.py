@@ -534,6 +534,18 @@ class TestErrors:
         assert rc == 2
         assert "npm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["msp", "msp-ent"])
+    def test_model_needs_npm(self, pipeline, tmp_path, capsys, mode):
+        out = tmp_path / "x.run"
+        rc = main(["rerank", "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]),
+                   "--run", str(pipeline["ql_run"]), "--mode", mode,
+                   "--model", str(tmp_path / "missing.json"),
+                   "--output", str(out)])
+        assert rc == 2
+        assert "--model requires --mode npm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_npm_needs_model(self, pipeline, tmp_path, capsys):
         rc = main(["rerank", "--index", str(pipeline["index"]),
                    "--topics", str(pipeline["topics"]),

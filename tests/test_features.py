@@ -270,24 +270,28 @@ class TestFeatureNamesAndExtractor:
         idx = small_random_index
         calls = []
 
-        def counted(doc_id, index, f):
-            calls.append((doc_id, f))
-            return homogeneity(doc_id, index, f)
+        def counted(doc_id, index, f, kinds):
+            calls.append((doc_id, f, kinds))
+            return homogeneity(doc_id, index, f, kinds)
 
         monkeypatch.setattr(features, "homogeneity", counted)
         ex = FeatureExtractor(idx, "doc", FilterSpec.window(10))
         first, second = list(idx.doc_ids[:8]), list(idx.doc_ids[4:12])
         H1 = ex.matrix(Query("q1", ("t1",)), first, 0.0)
         H2 = ex.matrix(Query("q2", ("t2",)), second, 0.0)
-        ranked = msp_rank(Query("q3", ("t3",)), first + second[4:], idx, 10,
-                          "intpsg")
-        assert sorted(d for d, _ in calls) == sorted(idx.doc_ids[:12])
-        assert {f for _, f in calls} == {FilterSpec(10, 5)}
+        assert sorted(d for d, _, _ in calls) == sorted(idx.doc_ids[:12])
+        assert {(f, k) for _, f, k in calls} == {(FilterSpec(10, 5), HOMOGENEITY_KINDS)}
         assert np.array_equal(H1[4:], H2[:4])
-        assert len(ranked) == 12
+        # msp_rank reads the same cache for its one kind, a key of its own
+        for _ in range(2):
+            ranked = msp_rank(Query("q3", ("t3",)), first + second[4:], idx, 10,
+                              "intpsg")
+            assert len(ranked) == 12
+            assert len(calls) == 12 + 12
+        assert {k for _, _, k in calls[12:]} == {("intpsg",)}
         # a second filter is a second key
         msp_rank(Query("q3", ("t3",)), first, idx, 20, "intpsg")
-        assert len(calls) == 12 + 8
+        assert len(calls) == 24 + 8
 
     def test_write_feature_matrix(self, tmp_path, small_random_index):
         idx = small_random_index

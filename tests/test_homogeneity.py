@@ -1,5 +1,6 @@
 """Closed-form document homogeneity against the pairwise-cosine oracle."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passagerank import Document, FilterSpec, build_index
-from passagerank.features import homogeneity
+from passagerank.features import HOMOGENEITY_KINDS, cached_homogeneity, homogeneity
 from conftest import planted_corpus, random_documents
 from reference import extract_passages, homogeneity_pairwise
 
 TOL = 1e-12
 FILTERS = [FilterSpec(50, 25), FilterSpec(10, 10), FilterSpec(150, 75),
            FilterSpec(7, 3)]  # 7:3 leaves stride and window out of step
+ORDERED_KINDS = [kinds for r in range(1, len(HOMOGENEITY_KINDS) + 1)
+                 for kinds in itertools.permutations(HOMOGENEITY_KINDS, r)]
 
 
 def assert_matches_oracle(index, doc_ids, f):
@@ -101,6 +104,62 @@ class TestEdgeCases:
         f = FilterSpec(10, 4)
         assert [s.length for s in extract_passages(23, f)] == [10, 10, 10, 10, 7, 3]
         assert_matches_oracle(index, index.doc_ids, f)
+
+
+def assert_kinds_match_full_row(index, doc_id, f, orders=ORDERED_KINDS):
+    full = homogeneity(doc_id, index, f)
+    for kinds in orders:
+        cols = [HOMOGENEITY_KINDS.index(k) for k in kinds]
+        got = homogeneity(doc_id, index, f, kinds)
+        assert got.tobytes() == full[cols].tobytes(), (doc_id, f.label, kinds)
+
+
+class TestPerKind:
+    """A row of some kinds is, bit for bit, those columns of the full row."""
+
+    @pytest.mark.parametrize("f", [FilterSpec(8, 4), FilterSpec(4, 4)],
+                             ids=lambda f: f.label)
+    def test_every_ordered_subset(self, f):
+        # "a" is in every document, so it has idf 0 and "zero" has only
+        # all-zero span vectors
+        lengths = {"one": 1, "below_tau": 3, "tau": 4, "m": 8, "many": 30}
+        docs = [Document(name, ("a",) + tuple(f"t{i % 5}" for i in range(n - 1)))
+                for name, n in lengths.items()]
+        index = build_index(docs + [Document("zero", ("a",) * 12)])
+        assert len(extract_passages(4, f)) == 1
+        for doc_id in index.doc_ids:
+            assert_kinds_match_full_row(index, doc_id, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=60),
+                         min_size=1, max_size=4),
+           m=st.integers(1, 16), order=st.permutations(HOMOGENEITY_KINDS),
+           data=st.data())
+    def test_random_tokens_filters_and_kinds(self, docs, m, order, data):
+        f = FilterSpec(m, data.draw(st.integers(1, m), label="tau"))
+        kinds = tuple(order[:data.draw(st.integers(1, len(order)), label="r")])
+        index = build_index([Document(f"d{i}", tuple(f"t{t}" for t in toks))
+                             for i, toks in enumerate(docs)])
+        for doc_id in index.doc_ids:
+            assert_kinds_match_full_row(index, doc_id, f, [kinds])
+
+    @pytest.mark.parametrize("kinds", [(), ("entropy",), ("ent", "none")])
+    def test_unknown_or_no_kinds_raise(self, tiny_index, kinds):
+        with pytest.raises(ValueError):
+            homogeneity("d1", tiny_index, FilterSpec(2, 1), kinds)
+
+    def test_cache_keys_on_kinds_and_their_order(self, tiny_index):
+        f = FilterSpec(2, 1)
+        ent = cached_homogeneity("d2", tiny_index, f, ("ent",))
+        assert ent.shape == (1,)
+        others = [HOMOGENEITY_KINDS, ("length",), ("ent", "length"),
+                  ("length", "ent")]
+        for kinds in others:
+            row = cached_homogeneity("d2", tiny_index, f, kinds)
+            assert row.tobytes() == homogeneity("d2", tiny_index, f, kinds).tobytes()
+        assert cached_homogeneity("d2", tiny_index, f, ("ent",)) is ent
+        assert set(tiny_index.homogeneity_rows) == {
+            ("d2", f, kinds) for kinds in [("ent",), *others]}
 
 
 def test_peak_memory_stays_sparse():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
 from passagerank.passages import combine_homogeneous, score_tokens
@@ -11,6 +12,7 @@ from passagerank.retrieval import QueryContext
 from reference import (
     PassageSpan,
     build_matrix,
+    combine_homogeneous_one,
     extract_passages,
     index_document,
     kernel_bias,
@@ -275,16 +277,46 @@ class TestQueryContext:
 class TestCombineHomogeneous:
     def test_interpolates_in_probability_domain(self):
         lm_doc, lm_psg = math.log(0.2), math.log(0.6)
-        got = combine_homogeneous(0.25, lm_doc, lm_psg)
-        assert got == pytest.approx(math.log(0.25 * 0.2 + 0.75 * 0.6), rel=1e-12)
+        got = combine_homogeneous([0.25], [lm_doc], [lm_psg])
+        assert got[0] == pytest.approx(math.log(0.25 * 0.2 + 0.75 * 0.6), rel=1e-12)
 
     def test_exact_endpoints(self):
-        assert combine_homogeneous(0.0, -5.0, -2.0) == -2.0
-        assert combine_homogeneous(1.0, -5.0, -2.0) == -5.0
+        assert combine_homogeneous([0.0, 1.0], [-5.0, -5.0], [-2.0, -2.0]).tolist() \
+            == [-2.0, -5.0]
 
     def test_bad_h_raises(self):
-        with pytest.raises(ValueError):
-            combine_homogeneous(1.5, -1.0, -1.0)
+        for h in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                combine_homogeneous([0.5, h], [-1.0, -1.0], [-1.0, -1.0])
+            with pytest.raises(ValueError):
+                combine_homogeneous_one(h, -1.0, -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
+                  st.floats(0.0, 1e-300), st.floats(1.0 - 1e-12, 1.0)),
+        st.floats(-1e4, 0.0), st.floats(-1e4, 0.0)), max_size=40))
+    def test_matches_the_scalar_oracle_bitwise(self, rows):
+        h, lm_doc, lm_psg = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+        got = combine_homogeneous(h, lm_doc, lm_psg)
+        want = np.array([combine_homogeneous_one(*r) for r in rows], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        for k, (hk, doc, psg) in enumerate(rows):
+            if hk in (0.0, 1.0):
+                assert got[k] == (psg if hk == 0.0 else doc)
+
+    def test_matches_the_scalar_oracle_on_a_large_batch(self):
+        # numpy's array log differs from math.log in the last bit on a
+        # fraction of a percent of such inputs, so a batch this size
+        # catches an array log in place of the per-document one
+        rng = np.random.default_rng(0)
+        h = rng.random(20_000)
+        h[::97], h[1::89] = 0.0, 1.0
+        lm_doc, lm_psg = rng.uniform(-50.0, 0.0, (2, h.size))
+        got = combine_homogeneous(h, lm_doc, lm_psg)
+        want = [combine_homogeneous_one(*r) for r in zip(h.tolist(), lm_doc.tolist(),
+                                                         lm_psg.tolist())]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 class TestMspRank:
@@ -360,7 +392,7 @@ class TestMspRank:
             tokens = corpus.doc_tokens(corpus.doc_index(d))
             expect = max_passage_lm_one(ctx, tokens, 10, 5)
             if h is not None:
-                expect = combine_homogeneous(h, whole_doc_lm_one(ctx, tokens), expect)
+                expect = combine_homogeneous_one(h, whole_doc_lm_one(ctx, tokens), expect)
             assert ranked[d] == expect
 
     def test_no_candidates(self, corpus):
