@@ -40,14 +40,17 @@ from .features import (
     summary_stats,
 )
 from .fusion import AffineNorm, FusionModel, report_weights, softmax_rows
+from .npm import (NpmModel, ScoreSettings, candidate_features, candidate_matrices,
+                  npm_rank, save_training)
 from .passages import FilterSpec, msp_rank, parse_filters
 from .retrieval import SmoothingConfig, ql_scores, rank_documents
-from .training import TrainConfig, make_folds, sample_triples, train
+from .training import CandidateSet, TrainConfig, make_folds, sample_triples, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineNorm",
+    "CandidateSet",
     "CorpusError",
     "CorpusIndex",
     "Document",
@@ -56,7 +59,9 @@ __all__ = [
     "FeatureExtractor",
     "FilterSpec",
     "FusionModel",
+    "NpmModel",
     "Query",
+    "ScoreSettings",
     "SmoothingConfig",
     "TokenizeConfig",
     "TrainConfig",
@@ -64,6 +69,8 @@ __all__ = [
     "backend_name",
     "build_config",
     "build_index",
+    "candidate_features",
+    "candidate_matrices",
     "evaluate_run",
     "feature_names",
     "fisher_randomization",
@@ -73,6 +80,7 @@ __all__ = [
     "make_folds",
     "msp_rank",
     "ndcg_at_k",
+    "npm_rank",
     "parse_filters",
     "precision_at_k",
     "ql_scores",
@@ -86,6 +94,7 @@ __all__ = [
     "report_weights",
     "sample_triples",
     "save_index",
+    "save_training",
     "softmax_rows",
     "summary_stats",
     "tokenize",

@@ -11,11 +11,8 @@ files. All stochastic behavior hangs off --seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -23,48 +20,18 @@ import numpy as np
 
 from .config import (ExperimentConfig, build_config, format_value, parse_value,
                      require, require_set)
-from .corpus import (
-    CorpusIndex,
-    Query,
-    TokenizeConfig,
-    build_index,
-    iter_trectext,
-    load_index,
-    read_stoplist,
-    read_topics,
-    save_index,
-)
-from .evaluation import (
-    METRIC_NAMES,
-    evaluate_run,
-    fisher_randomization,
-    format_eval_table,
-    qid_sort_key,
-    rank_by_score,
-    read_qrels,
-    read_run,
-    write_eval_csv,
-    write_run,
-    write_table,
-)
-from .features import (
-    FEATURE_SETS,
-    HOMOGENEITY_KINDS,
-    FeatureExtractor,
-    feature_names,
-    mean_top_scores,
-    write_feature_matrix,
-)
+from .corpus import (Query, TokenizeConfig, build_index, iter_trectext, load_index,
+                     read_stoplist, read_topics, save_index)
+from .evaluation import (METRIC_NAMES, evaluate_run, fisher_randomization,
+                         format_eval_table, qid_sort_key, read_qrels, read_run,
+                         write_eval_csv, write_run, write_table)
+from .features import (FEATURE_SETS, HOMOGENEITY_KINDS, feature_names,
+                       write_feature_matrix)
 from .fusion import FusionModel, report_weights
-from .passages import (
-    POOLINGS,
-    FilterSpec,
-    check_pooling,
-    msp_rank,
-    parse_filter_label,
-    score_tokens,
-)
-from .retrieval import QueryContext, SmoothingConfig, rank_documents
+from .npm import (NpmModel, ScoreSettings, candidate_features, candidate_matrices,
+                  npm_rank, save_training)
+from .passages import POOLINGS, msp_rank
+from .retrieval import rank_documents
 from .training import CandidateSet, make_folds, train
 
 log = logging.getLogger(__name__)
@@ -227,93 +194,6 @@ def _queries_in_run(queries: list[Query], run: dict) -> list[Query]:
     return kept
 
 
-@dataclass(frozen=True)
-class ScoreSettings:
-    """Everything needed to rebuild r and h for candidate documents."""
-
-    filters: tuple[FilterSpec, ...]
-    smoothing: SmoothingConfig
-    pooling: str
-    feature_set: str
-    hom_filter: FilterSpec | None
-    list_k: int
-
-    @classmethod
-    def from_config(cls, cfg: ExperimentConfig) -> "ScoreSettings":
-        hom = cfg.smallest_finite_filter() if cfg.feature_set != "query" else None
-        return cls(cfg.filters, cfg.smoothing(), cfg.pooling, cfg.feature_set,
-                   hom, cfg.top_k)
-
-    def meta(self) -> dict:
-        """The model metadata that ``from_model`` reads back."""
-        return {
-            "feature_set": self.feature_set,
-            "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
-            "list_k": self.list_k,
-            "lambda_c": self.smoothing.lambda_c,
-            "oov_floor": self.smoothing.oov_floor,
-            "pooling": self.pooling,
-        }
-
-    @classmethod
-    def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
-        """The settings the model at ``path`` was trained with, read only
-        from its metadata, so reranking scores as training did."""
-        meta = model.meta
-
-        def setting(key: str):
-            if meta.get(key) is None:
-                raise ValueError(f"no {key!r} setting recorded")
-            return meta[key]
-
-        try:
-            feature_set = setting("feature_set")
-            if tuple(model.feature_names) != feature_names(feature_set):
-                raise ValueError(
-                    f"model feature names do not match feature set "
-                    f"{feature_set!r}: {list(model.feature_names)}"
-                )
-            if feature_set == "query":
-                hom = None
-            elif "homogeneity_filter" not in meta and meta.get("homogeneity_m"):
-                # written before the stride was recorded
-                hom = FilterSpec.window(int(meta["homogeneity_m"]))
-            else:
-                hom = parse_filter_label(setting("homogeneity_filter"))
-            check_pooling(setting("pooling"))
-            smoothing = SmoothingConfig(float(setting("lambda_c")),
-                                        int(setting("oov_floor")))
-            return cls(model.filters, smoothing, meta["pooling"], feature_set,
-                       hom, int(setting("list_k")))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"model file {path}: {e}") from None
-
-    def extractor(self, index: CorpusIndex) -> FeatureExtractor:
-        return FeatureExtractor(index, self.feature_set, self.hom_filter,
-                                self.smoothing.oov_floor)
-
-
-def _candidate_features(
-    run_in: dict, query: Query, st: ScoreSettings, extractor: FeatureExtractor
-) -> tuple[list[str], np.ndarray]:
-    """One query's candidate doc_ids in run order and their feature rows H;
-    the run scores give the query's list feature."""
-    ranked = run_in[query.query_id]
-    doc_ids = [d for d, _ in ranked]
-    list_score = (mean_top_scores([s for _, s in ranked], st.list_k)
-                  if extractor.with_query else 0.0)
-    return doc_ids, extractor.matrix(query, doc_ids, list_score)
-
-
-def _candidate_scores(
-    index: CorpusIndex, query: Query, doc_ids: list[str], st: ScoreSettings
-) -> np.ndarray:
-    """R: the per-filter LM-scale scores of one query's candidates."""
-    ctx = QueryContext(query, index, st.smoothing)
-    tokens, lengths = index.batch_tokens(doc_ids)
-    return score_tokens(ctx, tokens, st.filters, st.pooling, lengths)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -365,10 +245,22 @@ def cmd_rerank(args) -> int:
                               run_in)
 
     if args.mode == "npm":
-        out, names, feat_rows, model_fp = _rerank_npm(args, index, queries, run_in)
+        if not args.model:
+            raise ValueError("npm mode requires --model")
+        model = NpmModel.load(args.model)
+        model.check_queries(q.query_id for q in queries)
+        log.info("npm rerank with model fingerprint %s", model.fingerprint)
+        out = {q.query_id: npm_rank(q, *zip(*run_in[q.query_id]), index, model)
+               for q in queries}
         if args.dump_features:
-            write_feature_matrix(args.dump_features, names, feat_rows)
-        tag = f"npm-{model_fp}"
+            rows = []
+            for q in sorted(queries, key=lambda q: qid_sort_key(q.query_id)):
+                doc_ids, scores = zip(*run_in[q.query_id])
+                H = candidate_features(q, doc_ids, scores, index, model.settings)
+                rows.extend((q.query_id, d, h) for d, h in zip(doc_ids, H))
+            write_feature_matrix(args.dump_features,
+                                 feature_names(model.settings.feature_set), rows)
+        tag = f"npm-{model.fingerprint}"
     else:
         kind = "none" if args.mode == "msp" else args.mode.split("-", 1)[1]
         out = {
@@ -383,70 +275,6 @@ def cmd_rerank(args) -> int:
     return 0
 
 
-def _load_fold_models(
-    dir_path: Path,
-) -> tuple[dict[int, FusionModel], dict[str, int], ScoreSettings]:
-    folds_file = dir_path / "folds.csv"
-    if not folds_file.exists():
-        raise ValueError(f"{dir_path} has no folds.csv; pass a model file or "
-                         f"a train output directory")
-    with open(folds_file, encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    rows = csv.reader(lines)
-    try:
-        if next(rows, None) != ["query_id", "fold"]:
-            raise ValueError("unexpected header")
-        fold_of = {qid: int(fold) for qid, fold in rows}
-    except (ValueError, csv.Error):
-        # line_num is the last line read: 0 in an empty file
-        line = "".join(lines[rows.line_num - 1:rows.line_num])
-        raise ValueError(f"{folds_file}:{rows.line_num}: expected "
-                         f"'query_id,fold', got {line!r}") from None
-    if not fold_of:
-        raise ValueError(f"{folds_file} lists no queries")
-    models, settings = {}, set()
-    for fold in sorted(set(fold_of.values())):
-        path = dir_path / f"fold_{fold}.json"
-        models[fold] = FusionModel.load(path)
-        settings.add(ScoreSettings.from_model(models[fold], path))
-    if len(settings) > 1:
-        raise ValueError(f"{dir_path}: fold models disagree on configuration")
-    return models, fold_of, settings.pop()
-
-
-def _rerank_npm(args, index, queries, run_in):
-    if not args.model:
-        raise ValueError("npm mode requires --model")
-    model_path = Path(args.model)
-    if model_path.is_dir():
-        models, fold_of, st = _load_fold_models(model_path)
-        missing = [q.query_id for q in queries if q.query_id not in fold_of]
-        if missing:
-            raise ValueError(
-                f"queries not in the fold manifest: {missing[:5]} "
-                f"(model directory was trained on different topics)"
-            )
-        model_for = {q.query_id: models[fold_of[q.query_id]] for q in queries}
-        fold_fps = "\n".join(models[fold].fingerprint() for fold in sorted(models))
-        model_fp = hashlib.sha1(fold_fps.encode("utf-8")).hexdigest()[:10]
-    else:
-        model = FusionModel.load(model_path)
-        model_for = {q.query_id: model for q in queries}
-        st = ScoreSettings.from_model(model, model_path)
-        model_fp = model.fingerprint()
-    extractor = st.extractor(index)
-    log.info("npm rerank with model fingerprint %s", model_fp)
-
-    out = {}
-    feat_rows = []
-    for q in sorted(queries, key=lambda q: qid_sort_key(q.query_id)):
-        doc_ids, H = _candidate_features(run_in, q, st, extractor)
-        R = _candidate_scores(index, q, doc_ids, st)
-        out[q.query_id] = rank_by_score(doc_ids, model_for[q.query_id].linear_many(R, H))
-        feat_rows.extend((q.query_id, doc_id, vec) for doc_id, vec in zip(doc_ids, H))
-    return out, extractor.names, feat_rows, model_fp
-
-
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "index", "topics", "qrels")
@@ -457,39 +285,30 @@ def cmd_train(args) -> int:
     run_in = read_run(args.run)
     queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),
                               run_in)
-    st = ScoreSettings.from_config(cfg)
-    extractor = st.extractor(index)
+    settings = cfg.score_settings()
 
     candidates = {}
     for q in queries:
         qid = q.query_id
-        doc_ids, H = _candidate_features(run_in, q, st, extractor)
-        R = _candidate_scores(index, q, doc_ids, st)
-        rel = np.array(
-            [qrels.get(qid, {}).get(d, 0) > 0 for d in doc_ids], dtype=bool
-        )
+        doc_ids, scores = zip(*run_in[qid])
+        R, H = candidate_matrices(q, doc_ids, scores, index, settings)
+        rel = np.array([qrels.get(qid, {}).get(d, 0) > 0 for d in doc_ids], dtype=bool)
         if not rel.any():
             log.warning("query %s has no relevant candidates, dropped", qid)
         elif rel.all():
             log.warning("query %s has no non-relevant candidates, dropped", qid)
         else:
-            candidates[qid] = CandidateSet(q, doc_ids, R, H, rel)
+            candidates[qid] = CandidateSet(q, list(doc_ids), R, H, rel)
 
-    meta = dict(st.meta(), config_fingerprint=cfg.fingerprint())
+    meta = dict(settings.meta(), config_fingerprint=cfg.fingerprint())
     fold_of = make_folds(sorted(candidates), cfg.folds, cfg.seed)
     results = train(candidates, cfg.train_config(), meta, cfg.filters,
-                    extractor.names, fold_of)
+                    feature_names(cfg.feature_set), fold_of)
+    save_training(out_dir, results, fold_of)
 
-    write_table(out_dir / "folds.csv", ["query_id", "fold"],
-                [[qid, fold_of[qid]] for qid in sorted(fold_of, key=qid_sort_key)])
     print(f"{'fold':>4}  {'train':>5}  {'val':>4}  {'test':>4}  "
           f"{'best_epoch':>10}  {'val_map':>8}")
     for res in results:
-        res.model.save(out_dir / f"fold_{res.fold}.json")
-        write_table(out_dir / f"train_log_fold_{res.fold}.csv",
-                    ["epoch", "mean_loss", "val_map"],
-                    [[epoch, f"{loss:.10g}", f"{vm:.10g}"]
-                     for epoch, loss, vm in res.log_rows])
         print(f"{res.fold:>4}  {len(res.train_qids):>5}  {len(res.val_qids):>4}  "
               f"{len(res.test_qids):>4}  {res.model.meta['best_epoch']:>10}  "
               f"{res.best_val_map:>8.4f}")
@@ -559,10 +378,8 @@ def cmd_weights(args) -> int:
     run_in = read_run(args.run)
     queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),
                               run_in)
-    st = ScoreSettings.from_model(model, model_path)
-    extractor = st.extractor(index)
-
-    H_all = np.vstack([_candidate_features(run_in, q, st, extractor)[1]
+    settings = ScoreSettings.from_model(model, model_path)
+    H_all = np.vstack([candidate_features(q, *zip(*run_in[q.query_id]), index, settings)
                        for q in queries])
     means, stds = report_weights(model, H_all)
     log.info("weight report over %d pairs, model fingerprint %s",

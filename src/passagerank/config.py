@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .features import feature_names
+from .npm import ScoreSettings
 from .passages import FilterSpec, check_pooling, parse_filters, serialize_filters
 from .retrieval import SmoothingConfig
 from .training import TrainConfig
@@ -83,6 +84,12 @@ class ExperimentConfig:
     def smoothing(self) -> SmoothingConfig:
         """The collection model settings; SmoothingConfig checks them."""
         return SmoothingConfig(self.lambda_c, self.oov_floor)
+
+    def score_settings(self) -> ScoreSettings:
+        """The candidate scoring settings that train records in each model."""
+        hom = self.smallest_finite_filter() if self.feature_set != "query" else None
+        return ScoreSettings(self.filters, self.smoothing(), self.pooling,
+                             self.feature_set, hom, self.top_k)
 
     def train_config(self) -> TrainConfig:
         """The training settings; TrainConfig checks their ranges."""

@@ -87,16 +87,6 @@ def rank_by_score(doc_ids: Sequence[str], scores) -> list[tuple[str, float]]:
     return sorted(zip(doc_ids, map(float, scores)), key=lambda kv: (-kv[1], kv[0]))
 
 
-def metric_by_name(name: str):
-    if name == "map":
-        return average_precision
-    if name == "ndcg@20":
-        return ndcg_at_k
-    if name == "p@20":
-        return precision_at_k
-    raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
-
-
 # ---------------------------------------------------------------------------
 # evaluation over runs
 # ---------------------------------------------------------------------------
@@ -122,19 +112,9 @@ def evaluate_run(
     k: int = 20,
 ) -> EvalReport:
     """Per-query and mean metrics for one run against the judgments."""
-    per_query: dict[str, dict[str, float]] = {}
-    for qid in sorted(run, key=qid_sort_key):
-        grades = qrels.get(qid, {})
-        ranking = [doc for doc, _ in run[qid]]
-        ap = average_precision(ranking, grades)
-        if ap is None:
-            log.warning("query %s has no relevant documents, excluded", qid)
-            continue
-        per_query[qid] = {
-            "map": ap,
-            "ndcg@20": ndcg_at_k(ranking, grades, k),
-            "p@20": precision_at_k(ranking, grades, k),
-        }
+    per_query = _per_query_metrics(run, qrels, k)
+    for qid in sorted(set(run) - set(per_query), key=qid_sort_key):
+        log.warning("query %s has no relevant documents, excluded", qid)
     if not per_query:
         raise ValueError("no query in the run has relevant documents")
     means = {
@@ -149,19 +129,18 @@ def evaluate_run(
 # ---------------------------------------------------------------------------
 
 
-def _per_query_metric(run, qrels, metric: str, k: int) -> dict[str, float]:
-    fn = metric_by_name(metric)
-    out: dict[str, float] = {}
-    for qid, ranked in run.items():
+def _per_query_metrics(run, qrels, k: int) -> dict[str, dict[str, float]]:
+    """qid -> metric -> value, queries in id order; a query without
+    relevant documents has no row."""
+    per_query = {}
+    for qid in sorted(run, key=qid_sort_key):
         grades = qrels.get(qid, {})
-        if not any(g > 0 for g in grades.values()):
-            continue
-        ranking = [doc for doc, _ in ranked]
-        value = fn(ranking, grades, k) if fn is not average_precision else fn(
-            ranking, grades
-        )
-        out[qid] = float(value)
-    return out
+        ranking = [doc for doc, _ in run[qid]]
+        ap = average_precision(ranking, grades)
+        if ap is not None:
+            per_query[qid] = {"map": ap, "ndcg@20": ndcg_at_k(ranking, grades, k),
+                              "p@20": precision_at_k(ranking, grades, k)}
+    return per_query
 
 
 def _abs_mean(rows: np.ndarray) -> np.ndarray:
@@ -194,12 +173,14 @@ def fisher_randomization(
             f"runs cover different query sets (e.g. only in a: {only_a}, "
             f"only in b: {only_b})"
         )
-    ma = _per_query_metric(run_a, qrels, metric, k)
-    mb = _per_query_metric(run_b, qrels, metric, k)
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
+    ma = _per_query_metrics(run_a, qrels, k)
+    mb = _per_query_metrics(run_b, qrels, k)
     qids = sorted(set(ma) & set(mb))
     if not qids:
         raise ValueError("no evaluated query has relevant documents")
-    diffs = np.array([ma[q] - mb[q] for q in qids], dtype=np.float64)
+    diffs = np.array([ma[q][metric] - mb[q][metric] for q in qids], dtype=np.float64)
     observed = float(_abs_mean(diffs))
     n = diffs.shape[0]
 

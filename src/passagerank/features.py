@@ -125,8 +125,10 @@ def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec,
 def cached_homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec,
                        kinds: tuple[str, ...] = HOMOGENEITY_KINDS) -> np.ndarray:
     """``homogeneity``, computed once per (document, filter, kinds) for
-    the lifetime of ``index``; do not mutate the returned row."""
-    key = (doc_id, f, kinds)
+    the lifetime of ``index``; do not mutate the returned row. The key
+    holds the filter's window and stride, not the dataclass, whose hash
+    runs Python code on every lookup."""
+    key = (doc_id, f.m, f.tau, kinds)
     row = index.homogeneity_rows.get(key)
     if row is None:
         row = index.homogeneity_rows[key] = homogeneity(doc_id, index, f, kinds)

@@ -93,37 +93,17 @@ class FusionModel:
         if not (np.isfinite(self.W).all() and math.isfinite(self.b)):
             raise ValueError("model parameters must be finite")
 
-    @property
-    def alpha(self) -> int:
-        return len(self.filters)
-
-    @property
-    def beta(self) -> int:
-        return len(self.feature_names)
-
     # -- inference ----------------------------------------------------------
 
-    def _check_h(self, H: np.ndarray) -> np.ndarray:
-        H = np.asarray(H, dtype=np.float64)
-        if H.shape[-1] != self.beta:
-            raise ValueError(
-                f"feature dimension {H.shape[-1]} does not match model beta "
-                f"{self.beta}"
-            )
-        if not np.isfinite(H).all():
-            raise ValueError("NaN or infinite feature input")
-        return H
-
-    def _check_r(self, R: np.ndarray) -> np.ndarray:
-        R = np.asarray(R, dtype=np.float64)
-        if R.shape[-1] != self.alpha:
-            raise ValueError(
-                f"score dimension {R.shape[-1]} does not match model alpha "
-                f"{self.alpha}"
-            )
-        if not np.isfinite(R).all():
-            raise ValueError("NaN or infinite score input")
-        return R
+    @staticmethod
+    def _normalized(x: np.ndarray, norm: AffineNorm, kind: str, dim: str) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != norm.size:
+            raise ValueError(f"{kind} dimension {x.shape[-1]} does not match "
+                             f"model {dim} {norm.size}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"NaN or infinite {kind} input")
+        return norm.apply(x)
 
     def linear_many(self, R_raw: np.ndarray, H_raw: np.ndarray) -> np.ndarray:
         """Pre-tanh scores r_norm . phi + b.
@@ -134,13 +114,13 @@ class FusionModel:
         |x| ~ 19 and would collapse distinct large-magnitude scores into
         ties. Rankers sort by this value.
         """
-        R = self.score_norm.apply(self._check_r(R_raw))
-        H = self.feature_norm.apply(self._check_h(H_raw))
+        R = self._normalized(R_raw, self.score_norm, "score", "alpha")
+        H = self._normalized(H_raw, self.feature_norm, "feature", "beta")
         return linear_rows(self.W, self.b, R, H)
 
     def weights_many(self, H_raw: np.ndarray) -> np.ndarray:
         """phi rows for a batch of raw feature vectors."""
-        H = self.feature_norm.apply(self._check_h(H_raw))
+        H = self._normalized(H_raw, self.feature_norm, "feature", "beta")
         return softmax_rows(H @ self.W.T)
 
     # -- persistence ---------------------------------------------------------

@@ -1,0 +1,204 @@
+"""Applying the trained fusion model: the npm reranker.
+
+``ScoreSettings`` is what rebuilds a candidate's per-filter scores R and
+features H; each model file records it, so a model is applied the way
+it was trained. ``candidate_matrices`` builds (R, H) for one query's
+candidates. ``save_training`` writes a train output directory and
+``NpmModel.load`` reads it, or one model file, back. ``npm_rank`` ranks
+a query's candidates with the fold model that never saw the query, as
+``passages.msp_rank`` does with a fixed window.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from .corpus import CorpusIndex, Query
+from .evaluation import qid_sort_key, rank_by_score, write_table
+from .features import FeatureExtractor, feature_names, mean_top_scores
+from .fusion import FusionModel
+from .passages import FilterSpec, check_pooling, parse_filter_label, score_tokens
+from .retrieval import QueryContext, SmoothingConfig
+from .training import FoldResult
+
+
+@dataclass(frozen=True)
+class ScoreSettings:
+    """Everything needed to rebuild R and H for candidate documents."""
+
+    filters: tuple[FilterSpec, ...]
+    smoothing: SmoothingConfig
+    pooling: str
+    feature_set: str
+    hom_filter: FilterSpec | None
+    list_k: int
+
+    def meta(self) -> dict:
+        """The model metadata that ``from_model`` reads back."""
+        return {
+            "feature_set": self.feature_set,
+            "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
+            "list_k": self.list_k,
+            "lambda_c": self.smoothing.lambda_c,
+            "oov_floor": self.smoothing.oov_floor,
+            "pooling": self.pooling,
+        }
+
+    @classmethod
+    def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
+        """The settings the model at ``path`` was trained with, read only
+        from its metadata, so reranking scores as training did."""
+        meta = model.meta
+
+        def setting(key: str):
+            if meta.get(key) is None:
+                raise ValueError(f"no {key!r} setting recorded")
+            return meta[key]
+
+        try:
+            feature_set = setting("feature_set")
+            if tuple(model.feature_names) != feature_names(feature_set):
+                raise ValueError(
+                    f"model feature names do not match feature set "
+                    f"{feature_set!r}: {list(model.feature_names)}"
+                )
+            if feature_set == "query":
+                hom = None
+            elif "homogeneity_filter" not in meta and meta.get("homogeneity_m"):
+                # written before the stride was recorded
+                hom = FilterSpec.window(int(meta["homogeneity_m"]))
+            else:
+                hom = parse_filter_label(setting("homogeneity_filter"))
+            check_pooling(setting("pooling"))
+            smoothing = SmoothingConfig(float(setting("lambda_c")),
+                                        int(setting("oov_floor")))
+            return cls(model.filters, smoothing, meta["pooling"], feature_set,
+                       hom, int(setting("list_k")))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"model file {path}: {e}") from None
+
+
+def candidate_features(query: Query, candidates: Sequence[str],
+                       run_scores: Sequence[float], index: CorpusIndex,
+                       settings: ScoreSettings) -> np.ndarray:
+    """H, the fusion feature rows of one query's candidate doc_ids in
+    their order; ``run_scores`` are the initial run's scores for the
+    query, which give the list feature."""
+    extractor = FeatureExtractor(index, settings.feature_set, settings.hom_filter,
+                                 settings.smoothing.oov_floor)
+    list_score = (mean_top_scores(run_scores, settings.list_k)
+                  if extractor.with_query else 0.0)
+    return extractor.matrix(query, candidates, list_score)
+
+
+def candidate_matrices(query: Query, candidates: Sequence[str],
+                       run_scores: Sequence[float], index: CorpusIndex,
+                       settings: ScoreSettings) -> tuple[np.ndarray, np.ndarray]:
+    """R, the per-filter LM-scale scores, and H (``candidate_features``)
+    of one query's candidate doc_ids in their order."""
+    H = candidate_features(query, candidates, run_scores, index, settings)
+    ctx = QueryContext(query, index, settings.smoothing)
+    tokens, lengths = index.batch_tokens(candidates)
+    return score_tokens(ctx, tokens, settings.filters, settings.pooling, lengths), H
+
+
+def save_training(out_dir: str | Path, results: Sequence[FoldResult],
+                  fold_of: Mapping[str, int]) -> None:
+    """Write a train output directory into the existing ``out_dir``:
+    ``folds.csv``, and each fold's ``fold_K.json`` model and
+    ``train_log_fold_K.csv``. ``NpmModel.load`` reads it back."""
+    out_dir = Path(out_dir)
+    write_table(out_dir / "folds.csv", ["query_id", "fold"],
+                [[qid, fold_of[qid]] for qid in sorted(fold_of, key=qid_sort_key)])
+    for res in results:
+        res.model.save(out_dir / f"fold_{res.fold}.json")
+        write_table(out_dir / f"train_log_fold_{res.fold}.csv",
+                    ["epoch", "mean_loss", "val_map"],
+                    [[epoch, f"{loss:.10g}", f"{vm:.10g}"]
+                     for epoch, loss, vm in res.log_rows])
+
+
+@dataclass(frozen=True)
+class NpmModel:
+    """A fusion model file, or a train output directory's fold models,
+    with the settings they share and the fingerprint that tags their
+    runs (``npm-<fingerprint>``). ``fold_of`` maps each query of a
+    directory's ``folds.csv`` to its fold, whose model was trained
+    without it; a model file has no ``fold_of`` and scores every query."""
+
+    models: Mapping[int, FusionModel]  # by fold; a model file is fold 0
+    settings: ScoreSettings
+    fingerprint: str
+    fold_of: Mapping[str, int] | None = None
+
+    @classmethod
+    def load(cls, path: str | Path) -> "NpmModel":
+        path = Path(path)
+        if not path.is_dir():
+            model = FusionModel.load(path)
+            return cls({0: model}, ScoreSettings.from_model(model, path),
+                       model.fingerprint())
+        folds_file = path / "folds.csv"
+        if not folds_file.exists():
+            raise ValueError(f"{path} has no folds.csv; pass a model file or "
+                             f"a train output directory")
+        with open(folds_file, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+        rows = csv.reader(lines)
+        try:
+            if next(rows, None) != ["query_id", "fold"]:
+                raise ValueError("unexpected header")
+            fold_of = {qid: int(fold) for qid, fold in rows}
+        except (ValueError, csv.Error):
+            # line_num is the last line read: 0 in an empty file
+            line = "".join(lines[rows.line_num - 1:rows.line_num])
+            raise ValueError(f"{folds_file}:{rows.line_num}: expected "
+                             f"'query_id,fold', got {line!r}") from None
+        if not fold_of:
+            raise ValueError(f"{folds_file} lists no queries")
+        models, settings = {}, set()
+        for fold in sorted(set(fold_of.values())):
+            model_path = path / f"fold_{fold}.json"
+            models[fold] = FusionModel.load(model_path)
+            settings.add(ScoreSettings.from_model(models[fold], model_path))
+        if len(settings) > 1:
+            raise ValueError(f"{path}: fold models disagree on configuration")
+        fold_fps = "\n".join(models[fold].fingerprint() for fold in sorted(models))
+        return cls(models, settings.pop(),
+                   hashlib.sha1(fold_fps.encode("utf-8")).hexdigest()[:10], fold_of)
+
+    def check_queries(self, query_ids: Iterable[str]) -> None:
+        """Fail, naming up to five of them, if some queries have no fold
+        model."""
+        if self.fold_of is None:
+            return
+        missing = [qid for qid in query_ids if qid not in self.fold_of]
+        if missing:
+            raise ValueError(
+                f"queries not in the fold manifest: {missing[:5]} "
+                f"(model directory was trained on different topics)"
+            )
+
+    def model_for(self, query_id: str) -> FusionModel:
+        """The model that scores ``query_id``."""
+        if self.fold_of is None:
+            return self.models[0]
+        self.check_queries([query_id])
+        return self.models[self.fold_of[query_id]]
+
+
+def npm_rank(query: Query, candidates: Sequence[str], run_scores: Sequence[float],
+             index: CorpusIndex, model: NpmModel) -> list[tuple[str, float]]:
+    """Rank candidate doc_ids by the query's fusion model
+    (``FusionModel.linear_many`` over ``candidate_matrices``);
+    ``run_scores`` are the initial run's scores for the query. Ties
+    break by doc_id ascending."""
+    fusion = model.model_for(query.query_id)
+    R, H = candidate_matrices(query, candidates, run_scores, index, model.settings)
+    return rank_by_score(candidates, fusion.linear_many(R, H))

@@ -179,30 +179,25 @@ def train_fold(
     """
     alpha = len(filters)
     beta = len(feature_names)
-    train_R = np.vstack([candidates[q].R for q in sorted(train_qids)])
-    train_H = np.vstack([candidates[q].H for q in sorted(train_qids)])
+    order = sorted(train_qids)
+    train_R = np.vstack([candidates[q].R for q in order])
+    train_H = np.vstack([candidates[q].H for q in order])
     score_norm = AffineNorm.fit(train_R)
     feature_norm = AffineNorm.fit(train_H)
-
-    norm_cache = {
-        qid: (
-            score_norm.apply(candidates[qid].R),
-            feature_norm.apply(candidates[qid].H),
-        )
-        for qid in sorted(set(train_qids) | set(val_qids))
-    }
 
     triples = sample_triples(
         candidates, train_qids, config.negatives_per_positive, rng
     )
-    t_qid = [t[0] for t in triples]
-    Rp = np.vstack([norm_cache[q][0][p] for q, p, _ in triples])
-    Hp = np.vstack([norm_cache[q][1][p] for q, p, _ in triples])
-    Rn = np.vstack([norm_cache[q][0][n] for q, _, n in triples])
-    Hn = np.vstack([norm_cache[q][1][n] for q, _, n in triples])
+    # each triple's rows in the stacked training matrices; normalization
+    # is elementwise, so one gather per side equals normalizing per query
+    start = dict(zip(order, np.cumsum([0] + [len(candidates[q].doc_ids)
+                                             for q in order]).tolist()))
+    pos, neg = np.array([(start[q] + p, start[q] + n) for q, p, n in triples]).T
+    R_norm, H_norm = score_norm.apply(train_R), feature_norm.apply(train_H)
+    Rp, Hp, Rn, Hn = R_norm[pos], H_norm[pos], R_norm[neg], H_norm[neg]
     n_triples = len(triples)
     log.info("fold training on %d triples from %d queries",
-             n_triples, len(set(t_qid)))
+             n_triples, len({q for q, _, _ in triples}))
 
     W = rng.uniform(-0.1, 0.1, size=(alpha, beta))
     b = 0.0

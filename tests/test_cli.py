@@ -18,10 +18,17 @@ from passagerank import (
     FeatureExtractor,
     FilterSpec,
     FusionModel,
+    NpmModel,
+    Query,
+    ScoreSettings,
+    build_config,
     evaluate_run,
     load_index,
+    npm_rank,
     read_qrels,
     read_run,
+    read_topics,
+    write_run,
 )
 from passagerank.cli import main
 from passagerank.features import HOMOGENEITY_NAMES
@@ -251,6 +258,47 @@ class TestNpmTag:
                               "--top-k", "7", "--filters", "30,inf")
         assert run_tag(out) == run_tag(pipeline["npm_run"]) == f"npm-{expect}"
         assert f"model fingerprint {expect}" in caplog.text
+
+
+class TestLibrary:
+    """``rerank --mode npm`` is ``npm_rank`` over a loaded model."""
+
+    def test_npm_rank_writes_the_rerank_run(self, pipeline, tmp_path):
+        model = NpmModel.load(pipeline["model_dir"])
+        index = load_index(pipeline["index"])
+        run_in = read_run(pipeline["ql_run"])
+        out = {}
+        for q in read_topics(pipeline["topics"]):
+            doc_ids, scores = zip(*run_in[q.query_id])
+            out[q.query_id] = npm_rank(q, doc_ids, scores, index, model)
+        write_run(tmp_path / "npm.run", out, f"npm-{model.fingerprint}")
+        assert (tmp_path / "npm.run").read_bytes() == pipeline["npm_run"].read_bytes()
+
+    def test_directory_scores_each_query_with_its_fold_model(self, pipeline):
+        model = NpmModel.load(pipeline["model_dir"])
+        rows = read_table(pipeline["model_dir"] / "folds.csv")[1:]
+        assert model.fold_of == {qid: int(fold) for qid, fold in rows}
+        for qid, fold in model.fold_of.items():
+            assert model.model_for(qid) is model.models[fold]
+            assert model.models[fold].meta["fold"] == fold
+
+    def test_models_record_the_training_settings(self, pipeline):
+        cfg = build_config(pipeline["conf"])
+        assert NpmModel.load(pipeline["model_dir"]).settings == cfg.score_settings()
+
+    def test_query_outside_the_manifest(self, pipeline):
+        model = NpmModel.load(pipeline["model_dir"])
+        with pytest.raises(ValueError, match=r"not in the fold manifest: \['99'\]"):
+            npm_rank(Query("99", ("q0a",)), ["d000"], [0.0],
+                     load_index(pipeline["index"]), model)
+
+    def test_model_file_scores_every_query(self, pipeline):
+        path = pipeline["model_dir"] / "fold_1.json"
+        model = NpmModel.load(path)
+        assert model.fold_of is None
+        assert model.model_for("99").fingerprint() == model.fingerprint
+        assert model.fingerprint == FusionModel.load(path).fingerprint()
+        assert model.settings == ScoreSettings.from_model(model.models[0], path)
 
 
 def rename_query(pipeline, dest, new_qid):

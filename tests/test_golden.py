@@ -79,8 +79,9 @@ def test_rerank_digest(ql_run, mode):
 
 
 def planted_outputs(root: Path) -> dict[str, bytes]:
-    """Run the planted pipeline under ``root``; every output file (by
-    its path under ``root``) and every command's stdout (``<name>.stdout``), ``root`` read as ROOT."""
+    """Run the planted pipeline under ``root``: every output file, by its
+    path under ``root``, and every command's stdout as ``<name>.stdout``
+    with ``root`` written ROOT."""
     docs, queries, qrels = planted_corpus(n_queries=6, n_docs=40, doc_len=1100,
                                           bg_vocab=100, seed=2)
     # two distractors judged relevant and two planted documents not, per

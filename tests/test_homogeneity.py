@@ -159,7 +159,15 @@ class TestPerKind:
             assert row.tobytes() == homogeneity("d2", tiny_index, f, kinds).tobytes()
         assert cached_homogeneity("d2", tiny_index, f, ("ent",)) is ent
         assert set(tiny_index.homogeneity_rows) == {
-            ("d2", f, kinds) for kinds in [("ent",), *others]}
+            ("d2", f.m, f.tau, kinds) for kinds in [("ent",), *others]}
+
+    def test_cache_keys_on_the_stride(self, tiny_index):
+        rows = [cached_homogeneity("d2", tiny_index, FilterSpec(2, tau))
+                for tau in (1, 2)]
+        assert rows[0] is not rows[1]
+        expect = homogeneity("d2", tiny_index, FilterSpec(2, 2))
+        assert rows[1].tobytes() == expect.tobytes()
+        assert rows[0][2] != rows[1][2]  # intpsg sees other spans
 
 
 def test_peak_memory_stays_sparse():

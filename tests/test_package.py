@@ -1,15 +1,19 @@
 """Structural rules the package source keeps."""
 
 import ast
+import contextlib
 import importlib.util
 import inspect
+import io
+import re
 from pathlib import Path
 
 import passagerank
 from passagerank import msp_rank
 
 SRC = Path(passagerank.__file__).parent
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_no_function_body_imports():
@@ -77,3 +81,17 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(tracer.resolve(module, attribute)[2]), (module, attribute)
     params = list(inspect.signature(msp_rank).parameters)
     assert (params[1], params[4]) == ("candidates", "homogeneity")
+
+
+def test_readme_library_example_runs():
+    """The README's Library example runs as written and prints what the
+    README says it prints."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    assert out.getvalue().split("\n") == ["ql 0.5", "msp 1.0", "npm 1.0", ""]
+    for line in out.getvalue().splitlines():
+        assert f"`{line}`" in section
