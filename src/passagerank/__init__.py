@@ -41,7 +41,7 @@ from .features import (
 )
 from .fusion import AffineNorm, FusionModel, report_weights, softmax_rows
 from .npm import (NpmModel, ScoreSettings, candidate_features, candidate_matrices,
-                  npm_rank, save_training)
+                  npm_rank, npm_train, save_training)
 from .passages import FilterSpec, msp_rank, parse_filters
 from .retrieval import SmoothingConfig, ql_scores, rank_documents
 from .training import CandidateSet, TrainConfig, make_folds, sample_triples, train
@@ -81,6 +81,7 @@ __all__ = [
     "msp_rank",
     "ndcg_at_k",
     "npm_rank",
+    "npm_train",
     "parse_filters",
     "precision_at_k",
     "ql_scores",

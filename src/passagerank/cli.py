@@ -28,11 +28,10 @@ from .evaluation import (METRIC_NAMES, evaluate_run, fisher_randomization,
 from .features import (FEATURE_SETS, HOMOGENEITY_KINDS, feature_names,
                        write_feature_matrix)
 from .fusion import FusionModel, report_weights
-from .npm import (NpmModel, ScoreSettings, candidate_features, candidate_matrices,
-                  npm_rank, save_training)
+from .npm import (NpmModel, ScoreSettings, candidate_features, npm_rank, npm_train,
+                  save_training)
 from .passages import POOLINGS, msp_rank
 from .retrieval import rank_documents
-from .training import CandidateSet, make_folds, train
 
 log = logging.getLogger(__name__)
 
@@ -178,7 +177,8 @@ def _tokenize_config(cfg: ExperimentConfig) -> TokenizeConfig | None:
     return TokenizeConfig(stopwords=read_stoplist(cfg.stoplist))
 
 
-def _queries_in_run(queries: list[Query], run: dict) -> list[Query]:
+def _queries_in_run(cfg: ExperimentConfig, run: dict) -> list[Query]:
+    queries = read_topics(cfg.topics, _tokenize_config(cfg))
     kept = []
     for q in queries:
         if q.query_id in run:
@@ -241,8 +241,7 @@ def cmd_rerank(args) -> int:
                              f"model, not from the command line")
     index = load_index(cfg.index)
     run_in = read_run(args.run)
-    queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),
-                              run_in)
+    queries = _queries_in_run(cfg, run_in)
 
     if args.mode == "npm":
         if not args.model:
@@ -278,41 +277,21 @@ def cmd_rerank(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "index", "topics", "qrels")
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     index = load_index(cfg.index)
     qrels = read_qrels(cfg.qrels)
     run_in = read_run(args.run)
-    queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),
-                              run_in)
-    settings = cfg.score_settings()
-
-    candidates = {}
-    for q in queries:
-        qid = q.query_id
-        doc_ids, scores = zip(*run_in[qid])
-        R, H = candidate_matrices(q, doc_ids, scores, index, settings)
-        rel = np.array([qrels.get(qid, {}).get(d, 0) > 0 for d in doc_ids], dtype=bool)
-        if not rel.any():
-            log.warning("query %s has no relevant candidates, dropped", qid)
-        elif rel.all():
-            log.warning("query %s has no non-relevant candidates, dropped", qid)
-        else:
-            candidates[qid] = CandidateSet(q, list(doc_ids), R, H, rel)
-
-    meta = dict(settings.meta(), config_fingerprint=cfg.fingerprint())
-    fold_of = make_folds(sorted(candidates), cfg.folds, cfg.seed)
-    results = train(candidates, cfg.train_config(), meta, cfg.filters,
-                    feature_names(cfg.feature_set), fold_of)
-    save_training(out_dir, results, fold_of)
+    queries = _queries_in_run(cfg, run_in)
+    results = npm_train(queries, run_in, qrels, index, cfg.score_settings(),
+                        cfg.train_config(), {"config_fingerprint": cfg.fingerprint()})
+    save_training(args.output_dir, results)
 
     print(f"{'fold':>4}  {'train':>5}  {'val':>4}  {'test':>4}  "
           f"{'best_epoch':>10}  {'val_map':>8}")
     for res in results:
         print(f"{res.fold:>4}  {len(res.train_qids):>5}  {len(res.val_qids):>4}  "
               f"{len(res.test_qids):>4}  {res.model.meta['best_epoch']:>10}  "
-              f"{res.best_val_map:>8.4f}")
-    log.info("wrote %d fold models to %s", len(results), out_dir)
+              f"{res.model.meta['best_val_map']:>8.4f}")
+    log.info("wrote %d fold models to %s", len(results), args.output_dir)
     return 0
 
 
@@ -376,8 +355,7 @@ def cmd_weights(args) -> int:
     model = FusionModel.load(model_path)
     index = load_index(cfg.index)
     run_in = read_run(args.run)
-    queries = _queries_in_run(read_topics(cfg.topics, _tokenize_config(cfg)),
-                              run_in)
+    queries = _queries_in_run(cfg, run_in)
     settings = ScoreSettings.from_model(model, model_path)
     H_all = np.vstack([candidate_features(q, *zip(*run_in[q.query_id]), index, settings)
                        for q in queries])

@@ -1,18 +1,19 @@
-"""Applying the trained fusion model: the npm reranker.
+"""Training and applying the fusion model: the npm reranker.
 
 ``ScoreSettings`` is what rebuilds a candidate's per-filter scores R and
 features H; each model file records it, so a model is applied the way
 it was trained. ``candidate_matrices`` builds (R, H) for one query's
-candidates. ``save_training`` writes a train output directory and
-``NpmModel.load`` reads it, or one model file, back. ``npm_rank`` ranks
-a query's candidates with the fold model that never saw the query, as
-``passages.msp_rank`` does with a fixed window.
+candidates, ``npm_train`` fits the fold models on them, ``save_training``
+writes those and ``NpmModel.load`` reads them, or one model file, back.
+``npm_rank`` ranks a query's candidates with the fold model that never
+saw the query, as ``passages.msp_rank`` does with a fixed window.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +26,9 @@ from .features import FeatureExtractor, feature_names, mean_top_scores
 from .fusion import FusionModel
 from .passages import FilterSpec, check_pooling, parse_filter_label, score_tokens
 from .retrieval import QueryContext, SmoothingConfig
-from .training import FoldResult
+from .training import CandidateSet, FoldResult, TrainConfig, train
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,13 @@ class ScoreSettings:
     feature_set: str
     hom_filter: FilterSpec | None
     list_k: int
+
+    def __post_init__(self):
+        if self.feature_set != "query" and (self.hom_filter is None
+                                            or self.hom_filter.is_infinite):
+            raise ValueError("document features need a finite homogeneity_filter")
+        if self.list_k < 1:
+            raise ValueError(f"list_k must be >= 1, got {self.list_k}")
 
     def meta(self) -> dict:
         """The model metadata that ``from_model`` reads back."""
@@ -68,13 +78,8 @@ class ScoreSettings:
                     f"model feature names do not match feature set "
                     f"{feature_set!r}: {list(model.feature_names)}"
                 )
-            if feature_set == "query":
-                hom = None
-            elif "homogeneity_filter" not in meta and meta.get("homogeneity_m"):
-                # written before the stride was recorded
-                hom = FilterSpec.window(int(meta["homogeneity_m"]))
-            else:
-                hom = parse_filter_label(setting("homogeneity_filter"))
+            hom = (None if feature_set == "query"
+                   else parse_filter_label(setting("homogeneity_filter")))
             check_pooling(setting("pooling"))
             smoothing = SmoothingConfig(float(setting("lambda_c")),
                                         int(setting("oov_floor")))
@@ -108,12 +113,36 @@ def candidate_matrices(query: Query, candidates: Sequence[str],
     return score_tokens(ctx, tokens, settings.filters, settings.pooling, lengths), H
 
 
-def save_training(out_dir: str | Path, results: Sequence[FoldResult],
-                  fold_of: Mapping[str, int]) -> None:
-    """Write a train output directory into the existing ``out_dir``:
-    ``folds.csv``, and each fold's ``fold_K.json`` model and
+def npm_train(queries: Sequence[Query], run: Mapping, qrels: Mapping,
+              index: CorpusIndex, settings: ScoreSettings, config: TrainConfig,
+              meta: Mapping | None = None) -> list[FoldResult]:
+    """Cross-validated fusion models over each query's candidates, the
+    (doc_id, score) list ``run[query_id]``; a candidate is relevant where
+    its ``qrels[query_id][doc_id]`` grade is positive, and a query with no
+    relevant or no non-relevant candidate is dropped. Each fold model
+    records ``settings.meta()``, then ``meta``."""
+    candidates = {}
+    for q in queries:
+        qid = q.query_id
+        doc_ids, scores = zip(*run[qid])
+        rel = np.array([qrels.get(qid, {}).get(d, 0) > 0 for d in doc_ids], dtype=bool)
+        if rel.all() or not rel.any():
+            log.warning("query %s has no %s candidates, dropped", qid,
+                        "non-relevant" if rel.any() else "relevant")
+        else:
+            R, H = candidate_matrices(q, doc_ids, scores, index, settings)
+            candidates[qid] = CandidateSet(q, list(doc_ids), R, H, rel)
+    return train(candidates, config, {**settings.meta(), **(meta or {})},
+                 settings.filters, feature_names(settings.feature_set))
+
+
+def save_training(out_dir: str | Path, results: Sequence[FoldResult]) -> None:
+    """Write ``out_dir``, created if missing: ``folds.csv``, each query's
+    test fold, and each fold's ``fold_K.json`` model and
     ``train_log_fold_K.csv``. ``NpmModel.load`` reads it back."""
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fold_of = {qid: res.fold for res in results for qid in res.test_qids}
     write_table(out_dir / "folds.csv", ["query_id", "fold"],
                 [[qid, fold_of[qid]] for qid in sorted(fold_of, key=qid_sort_key)])
     for res in results:

@@ -132,8 +132,8 @@ def score_tokens(
     column per filter.
 
     Each column is the pooled kernel score minus the filter's
-    kernel-vs-LM shift, so the whole-document column is exactly the
-    document's smoothed query log-likelihood. The shift is constant per
+    kernel-vs-LM shift, so the whole-document column is the document's
+    smoothed query log-likelihood up to rounding. The shift is constant per
     (query, filter) for finite filters, so it never changes their
     orderings; for the whole-document filter it varies with document
     length, which is the point.

@@ -79,10 +79,6 @@ class FoldResult:
     val_qids: list[str]
     test_qids: list[str]
 
-    @property
-    def best_val_map(self) -> float:
-        return max(row[2] for row in self.log_rows)
-
 
 def make_folds(query_ids: Sequence[str], k: int = 5, seed: int = 0) -> dict[str, int]:
     """Shuffle queries under the seed and split into k near-equal folds."""
@@ -271,15 +267,14 @@ def train(
     model_meta: dict,
     filters,
     feature_names: Sequence[str],
-    fold_of: Mapping[str, int] | None = None,
 ) -> list[FoldResult]:
     """Cross-validated training: one FusionModel per fold.
 
-    ``fold_of`` is the query->fold assignment (computed from the config
-    seed when omitted). For fold i the validation fold is (i+1) mod k.
+    The query->fold assignment is ``make_folds`` under the config's fold
+    count and seed. For fold i the validation fold is (i+1) mod k.
     """
     qids = sorted(candidates)
-    fold_of = fold_of or make_folds(qids, config.folds, config.seed)
+    fold_of = make_folds(qids, config.folds, config.seed)
     k = config.folds
     results: list[FoldResult] = []
     for fold in range(k):

@@ -25,9 +25,11 @@ from passagerank import (
     evaluate_run,
     load_index,
     npm_rank,
+    npm_train,
     read_qrels,
     read_run,
     read_topics,
+    save_training,
     write_run,
 )
 from passagerank.cli import main
@@ -261,7 +263,8 @@ class TestNpmTag:
 
 
 class TestLibrary:
-    """``rerank --mode npm`` is ``npm_rank`` over a loaded model."""
+    """``train`` is ``npm_train`` plus ``save_training``, and ``rerank
+    --mode npm`` is ``npm_rank`` over a loaded model."""
 
     def test_npm_rank_writes_the_rerank_run(self, pipeline, tmp_path):
         model = NpmModel.load(pipeline["model_dir"])
@@ -291,6 +294,37 @@ class TestLibrary:
         with pytest.raises(ValueError, match=r"not in the fold manifest: \['99'\]"):
             npm_rank(Query("99", ("q0a",)), ["d000"], [0.0],
                      load_index(pipeline["index"]), model)
+
+    def test_npm_train_writes_the_train_directory(self, pipeline, tmp_path):
+        cfg = build_config(pipeline["conf"])
+        results = npm_train(
+            read_topics(pipeline["topics"]), read_run(pipeline["ql_run"]),
+            read_qrels(pipeline["qrels"]), load_index(pipeline["index"]),
+            cfg.score_settings(), cfg.train_config(),
+            {"config_fingerprint": cfg.fingerprint()})
+        save_training(tmp_path / "models", results)
+        names = sorted(p.name for p in pipeline["model_dir"].iterdir())
+        assert sorted(p.name for p in (tmp_path / "models").iterdir()) == names
+        match, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "models", pipeline["model_dir"], names, shallow=False)
+        assert (mismatch, errors) == ([], [])
+
+    def test_npm_train_drops_one_sided_queries(self, pipeline, caplog):
+        qrels = read_qrels(pipeline["qrels"])
+        run = read_run(pipeline["ql_run"])
+        qrels["1"] = {}
+        qrels["2"] = {d: 1 for d, _ in run["2"]}
+        cfg = build_config(pipeline["conf"])
+        with caplog.at_level(logging.WARNING, logger="passagerank.npm"):
+            results = npm_train(read_topics(pipeline["topics"]), run, qrels,
+                                load_index(pipeline["index"]), cfg.score_settings(),
+                                cfg.train_config())
+        assert "query 1 has no relevant candidates, dropped" in caplog.text
+        assert "query 2 has no non-relevant candidates, dropped" in caplog.text
+        assert sorted(q for r in results for q in r.test_qids) == ["3", "4", "5", "6"]
+        model = results[0].model
+        assert ScoreSettings.from_model(model, "fold_0.json") == cfg.score_settings()
+        assert "config_fingerprint" not in model.meta
 
     def test_model_file_scores_every_query(self, pipeline):
         path = pipeline["model_dir"] / "fold_1.json"
@@ -666,6 +700,30 @@ class TestErrors:
         assert err.startswith("error:") and "'avg'" in err
         assert not (tmp_path / "x.run").exists()
 
+    @pytest.mark.parametrize("case", ["filters_inf", "empty_manifest",
+                                      "no_relevant"])
+    def test_failed_train_leaves_no_output_dir(self, pipeline, tmp_path, capsys,
+                                               case):
+        index, qrels, flags = pipeline["index"], pipeline["qrels"], []
+        if case == "filters_inf":
+            flags = ["--filters", "inf"]
+        elif case == "empty_manifest":
+            index = tmp_path / "index"
+            shutil.copytree(pipeline["index"], index)
+            (index / "manifest.json").write_text("{}")
+        else:
+            # every query is dropped for want of a relevant candidate
+            qrels = tmp_path / "qrels.txt"
+            qrels.write_text("99 0 d000 1\n")
+        out = tmp_path / "models"
+        rc = main(["train", "--config", str(pipeline["conf"]),
+                   "--index", str(index), "--topics", str(pipeline["topics"]),
+                   "--qrels", str(qrels), "--run", str(pipeline["ql_run"]),
+                   *flags, "--output-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_train_needs_three_folds(self, pipeline, tmp_path, capsys):
         out = tmp_path / "models"
         rc = main(["train", "--index", str(pipeline["index"]),
@@ -721,20 +779,28 @@ class TestErrors:
         assert (f"error: model file {doctored}: no {key!r} setting recorded"
                 in capsys.readouterr().err)
 
-    def test_legacy_homogeneity_m_model(self, pipeline, tmp_path):
-        # written before the stride was recorded: read as window m, stride m/2
+    def test_legacy_homogeneity_m_model(self, pipeline, tmp_path, capsys):
+        # a file that records only the window, not the stride, is not
+        # guessed at: its features would differ from training's
         def legacy(model):
             assert model["meta"].pop("homogeneity_filter") == "50:25"
             model["meta"]["homogeneity_m"] = 50
-        (tmp_path / "legacy").mkdir()
-        (tmp_path / "current").mkdir()
-        rc, _, legacy_run = self.doctored_rerank(pipeline, tmp_path / "legacy", legacy)
-        assert rc == 0
-        rc, _, current_run = self.doctored_rerank(pipeline, tmp_path / "current",
-                                                  lambda m: None)
-        assert rc == 0
-        # the two files differ in their metadata, so in their run tags
-        assert untagged_lines(legacy_run) == untagged_lines(current_run)
+        rc, doctored, out = self.doctored_rerank(pipeline, tmp_path, legacy)
+        assert rc == 2 and not out.exists()
+        assert (f"error: model file {doctored}: no 'homogeneity_filter' setting "
+                f"recorded" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("homogeneity_filter", "inf",
+         "document features need a finite homogeneity_filter"),
+        ("list_k", 0, "list_k must be >= 1, got 0"),
+    ])
+    def test_model_bad_setting(self, pipeline, tmp_path, capsys, key, value,
+                               message):
+        rc, doctored, out = self.doctored_rerank(
+            pipeline, tmp_path, lambda m: m["meta"].update({key: value}))
+        assert rc == 2 and not out.exists()
+        assert f"error: model file {doctored}: {message}" in capsys.readouterr().err
 
     def test_model_negative_oov_floor(self, pipeline, tmp_path, capsys):
         rc, doctored, out = self.doctored_rerank(

@@ -70,6 +70,13 @@ def test_import_graph_is_acyclic_and_layered():
         visit(module)
 
 
+def test_cli_does_not_train():
+    """The CLI only plumbs arguments: training goes through
+    ``npm.npm_train``, not through the training module."""
+    assert "npm" in package_imports()["cli"]
+    assert "training" not in package_imports()["cli"]
+
+
 def test_benchmark_tracer_targets_resolve():
     """The benchmark's tracer patches package functions by module and
     name and reads msp_rank's arguments by position; a rename fails

@@ -260,10 +260,10 @@ class TestTrain:
                 == set(cands)
 
     def test_validation_fold_rotates(self):
+        # train draws the folds with make_folds under the config's seed
         cands = toy_candidates(n_queries=9)
         fold_of = make_folds(sorted(cands), 3, seed=0)
-        results = train(cands, small_config(folds=3), {}, FILTERS2, FEATS3,
-                        fold_of)
+        results = train(cands, small_config(folds=3), {}, FILTERS2, FEATS3)
         for r in results:
             expect_val = {q for q, f in fold_of.items()
                           if f == (r.fold + 1) % 3}
