@@ -27,9 +27,8 @@ from .evaluation import (METRIC_NAMES, evaluate_run, fisher_randomization,
                          write_eval_csv, write_run, write_table)
 from .features import (FEATURE_SETS, HOMOGENEITY_KINDS, feature_names,
                        write_feature_matrix)
-from .fusion import FusionModel, report_weights
-from .npm import (NpmModel, ScoreSettings, candidate_features, npm_rank, npm_train,
-                  save_training)
+from .fusion import report_weights
+from .npm import NpmModel, candidate_features, npm_rank, npm_train, save_training
 from .passages import POOLINGS, msp_rank
 from .retrieval import rank_documents
 
@@ -349,26 +348,25 @@ def _write_paired_csv(path, report_a, report_b, p_values, name_a, name_b):
 def cmd_weights(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "index", "topics")
-    model_path = Path(args.model)
-    if model_path.is_dir():
+    if Path(args.model).is_dir():
         raise ValueError("weights needs a single model file; pick one fold_*.json")
-    model = FusionModel.load(model_path)
+    model = NpmModel.load(args.model)
     index = load_index(cfg.index)
     run_in = read_run(args.run)
     queries = _queries_in_run(cfg, run_in)
-    settings = ScoreSettings.from_model(model, model_path)
-    H_all = np.vstack([candidate_features(q, *zip(*run_in[q.query_id]), index, settings)
-                       for q in queries])
-    means, stds = report_weights(model, H_all)
+    H_all = np.vstack([candidate_features(q, *zip(*run_in[q.query_id]), index,
+                                          model.settings) for q in queries])
+    fusion = model.models[0]
+    means, stds = report_weights(fusion, H_all)
     log.info("weight report over %d pairs, model fingerprint %s",
-             H_all.shape[0], model.fingerprint())
+             H_all.shape[0], model.fingerprint)
     print(f"{'filter':>8}  {'mean_phi':>9}  {'std_phi':>9}")
-    for f, mean, std in zip(model.filters, means, stds):
+    for f, mean, std in zip(fusion.filters, means, stds):
         print(f"{f.label:>8}  {mean:>9.4f}  {std:>9.4f}")
     if args.csv:
         write_table(args.csv, ["filter", "mean_phi", "std_phi"],
                     [[f.label, f"{mean:.6f}", f"{std:.6f}"]
-                     for f, mean, std in zip(model.filters, means, stds)])
+                     for f, mean, std in zip(fusion.filters, means, stds)])
     return 0
 
 

@@ -34,8 +34,8 @@ class ExperimentConfig:
         FilterSpec.window(150),
         FilterSpec.whole_document(),
     )
-    lambda_c: float = 0.5
-    oov_floor: int = 1
+    lambda_c: float = SmoothingConfig.lambda_c
+    oov_floor: int = SmoothingConfig.oov_floor
     top_k: int = 2000
     pooling: str = "max"
     feature_set: str = "doc+query"

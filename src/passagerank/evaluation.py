@@ -109,10 +109,9 @@ class EvalReport:
 def evaluate_run(
     run: Mapping[str, Sequence[tuple[str, float]]],
     qrels: Mapping[str, Mapping[str, int]],
-    k: int = 20,
 ) -> EvalReport:
     """Per-query and mean metrics for one run against the judgments."""
-    per_query = _per_query_metrics(run, qrels, k)
+    per_query = _per_query_metrics(run, qrels)
     for qid in sorted(set(run) - set(per_query), key=qid_sort_key):
         log.warning("query %s has no relevant documents, excluded", qid)
     if not per_query:
@@ -129,7 +128,7 @@ def evaluate_run(
 # ---------------------------------------------------------------------------
 
 
-def _per_query_metrics(run, qrels, k: int) -> dict[str, dict[str, float]]:
+def _per_query_metrics(run, qrels) -> dict[str, dict[str, float]]:
     """qid -> metric -> value, queries in id order; a query without
     relevant documents has no row."""
     per_query = {}
@@ -138,8 +137,8 @@ def _per_query_metrics(run, qrels, k: int) -> dict[str, dict[str, float]]:
         ranking = [doc for doc, _ in run[qid]]
         ap = average_precision(ranking, grades)
         if ap is not None:
-            per_query[qid] = {"map": ap, "ndcg@20": ndcg_at_k(ranking, grades, k),
-                              "p@20": precision_at_k(ranking, grades, k)}
+            per_query[qid] = {"map": ap, "ndcg@20": ndcg_at_k(ranking, grades, 20),
+                              "p@20": precision_at_k(ranking, grades, 20)}
     return per_query
 
 
@@ -155,7 +154,6 @@ def fisher_randomization(
     permutations: int = 100_000,
     seed: int = 0,
     exhaustive: bool = False,
-    k: int = 20,
 ) -> float:
     """Two-sided paired randomization p-value between two runs.
 
@@ -175,8 +173,8 @@ def fisher_randomization(
         )
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
-    ma = _per_query_metrics(run_a, qrels, k)
-    mb = _per_query_metrics(run_b, qrels, k)
+    ma = _per_query_metrics(run_a, qrels)
+    mb = _per_query_metrics(run_b, qrels)
     qids = sorted(set(ma) & set(mb))
     if not qids:
         raise ValueError("no evaluated query has relevant documents")

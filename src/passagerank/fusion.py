@@ -227,11 +227,10 @@ def forward_parts(
       d score_i / d b = dB[i] = 1 - s_i^2
     """
     phi = softmax_rows(H_norm @ W.T)
-    lin = (R_norm * phi).sum(axis=1) + b
-    s = np.tanh(lin)
+    rbar = (R_norm * phi).sum(axis=1)
+    s = np.tanh(rbar + b)
     sech2 = 1.0 - s * s
-    rbar = (R_norm * phi).sum(axis=1, keepdims=True)
-    C = sech2[:, np.newaxis] * phi * (R_norm - rbar)
+    C = sech2[:, np.newaxis] * phi * (R_norm - rbar[:, np.newaxis])
     return s, phi, C, sech2
 
 

@@ -183,12 +183,17 @@ class NpmModel:
         try:
             if next(rows, None) != ["query_id", "fold"]:
                 raise ValueError("unexpected header")
-            fold_of = {qid: int(fold) for qid, fold in rows}
+            entries = [(qid, int(fold), rows.line_num) for qid, fold in rows]
         except (ValueError, csv.Error):
             # line_num is the last line read: 0 in an empty file
             line = "".join(lines[rows.line_num - 1:rows.line_num])
             raise ValueError(f"{folds_file}:{rows.line_num}: expected "
                              f"'query_id,fold', got {line!r}") from None
+        fold_of = {}
+        for qid, fold, line_num in entries:
+            if qid in fold_of:
+                raise ValueError(f"{folds_file}:{line_num}: duplicate query {qid!r}")
+            fold_of[qid] = fold
         if not fold_of:
             raise ValueError(f"{folds_file} lists no queries")
         models, settings = {}, set()

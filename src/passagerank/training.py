@@ -62,12 +62,13 @@ class CandidateSet:
     rel: np.ndarray  # (n,) bool, judged relevant
 
     def __post_init__(self):
-        n = len(self.doc_ids)
+        n, qid = len(self.doc_ids), self.query.query_id
         if self.R.shape[0] != n or self.H.shape[0] != n or self.rel.shape[0] != n:
-            raise ValueError(
-                f"candidate arrays for query {self.query.query_id!r} disagree "
-                f"on length"
-            )
+            raise ValueError(f"candidate arrays for query {qid!r} disagree on length")
+        if self.rel.all() or not self.rel.any():
+            raise ValueError(f"query {qid!r} has no "
+                             f"{'non-relevant' if self.rel.any() else 'relevant'} "
+                             f"candidates; its pool cannot train or validate")
 
 
 @dataclass
@@ -105,56 +106,19 @@ def sample_triples(
     """(query_id, pos_index, neg_index) triples over the given queries.
 
     For each relevant candidate, negatives are drawn uniformly without
-    replacement (all of them when fewer than requested exist). Queries
-    with no positives or no negatives are skipped with a warning.
+    replacement (all of them when fewer than requested exist). Every
+    query yields triples: a ``CandidateSet`` holds both kinds.
     """
     triples: list[tuple[str, int, int]] = []
     for qid in sorted(qids):
         cs = candidates[qid]
-        pos_idx = np.flatnonzero(cs.rel)
         neg_idx = np.flatnonzero(~cs.rel)
-        if pos_idx.size == 0 or neg_idx.size == 0:
-            log.warning(
-                "query %s has no %s candidates, skipped for training",
-                qid,
-                "relevant" if pos_idx.size == 0 else "non-relevant",
-            )
-            continue
         take = min(negatives_per_positive, neg_idx.size)
-        for p in pos_idx:
+        for p in np.flatnonzero(cs.rel):
             negs = rng.choice(neg_idx, size=take, replace=False)
             for n in negs:
                 triples.append((qid, int(p), int(n)))
-    if not triples:
-        raise ValueError("no trainable queries (every query lacks positives "
-                         "or negatives)")
     return triples
-
-
-def _ranking_map(
-    candidates: Mapping[str, CandidateSet],
-    qids: Sequence[str],
-    W: np.ndarray,
-    b: float,
-    score_norm: AffineNorm,
-    feature_norm: AffineNorm,
-) -> float:
-    """Mean AP over the given queries under the current parameters."""
-    aps: list[float] = []
-    for qid in sorted(qids):
-        cs = candidates[qid]
-        if not cs.rel.any():
-            continue
-        # linear scores: same ordering as tanh scores, immune to saturation
-        s = linear_rows(W, b, score_norm.apply(cs.R), feature_norm.apply(cs.H))
-        ranking = [d for d, _ in rank_by_score(cs.doc_ids, s)]
-        grades = {d: 1 for d, r in zip(cs.doc_ids, cs.rel) if r}
-        ap = average_precision(ranking, grades)
-        if ap is not None:
-            aps.append(ap)
-    if not aps:
-        raise ValueError("no validation query has relevant candidates")
-    return float(np.mean(aps))
 
 
 def train_fold(
@@ -173,6 +137,8 @@ def train_fold(
     (epoch, mean train loss, validation MAP); epoch 0 is the untouched
     initialization, which best-epoch restoration also considers.
     """
+    if not train_qids or not val_qids:
+        raise ValueError("train_fold needs training and validation queries")
     alpha = len(filters)
     beta = len(feature_names)
     order = sorted(train_qids)
@@ -192,8 +158,7 @@ def train_fold(
     R_norm, H_norm = score_norm.apply(train_R), feature_norm.apply(train_H)
     Rp, Hp, Rn, Hn = R_norm[pos], H_norm[pos], R_norm[neg], H_norm[neg]
     n_triples = len(triples)
-    log.info("fold training on %d triples from %d queries",
-             n_triples, len({q for q, _, _ in triples}))
+    log.info("fold training on %d triples from %d queries", n_triples, len(order))
 
     W = rng.uniform(-0.1, 0.1, size=(alpha, beta))
     b = 0.0
@@ -203,9 +168,20 @@ def train_fold(
         sn, _, _, _ = forward_parts(W_, b_, Rn, Hn)
         return float(np.maximum(0.0, 1.0 - sp + sn).mean())
 
+    # each validation query's rows are normalized and its judgments built
+    # once; the linear score orders as tanh does but never saturates
+    val = []
+    for q in sorted(val_qids):
+        cs = candidates[q]
+        val.append((cs.doc_ids, score_norm.apply(cs.R), feature_norm.apply(cs.H),
+                    {d: 1 for d, r in zip(cs.doc_ids, cs.rel) if r}))
+
     def val_map(W_, b_) -> float:
-        return _ranking_map(candidates, val_qids, W_, b_, score_norm,
-                            feature_norm)
+        aps = []
+        for docs, R, H, grades in val:
+            ranking = rank_by_score(docs, linear_rows(W_, b_, R, H))
+            aps.append(average_precision([d for d, _ in ranking], grades))
+        return float(np.mean(aps))
 
     rows: list[tuple[int, float, float]] = [(0, mean_loss(W, b), val_map(W, b))]
     best = (rows[0][2], 0, W.copy(), b)
@@ -284,8 +260,6 @@ def train(
         train_qids = [
             q for q in qids if fold_of[q] != fold and fold_of[q] != val_fold
         ]
-        if not train_qids or not val_qids:
-            raise ValueError(f"fold {fold} leaves an empty train or validation set")
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, fold]))
         model, rows = train_fold(
             candidates, train_qids, val_qids, config, rng,

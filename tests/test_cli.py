@@ -422,6 +422,20 @@ class TestFoldManifest:
         assert f"{folds}:" in capsys.readouterr().err
         assert not (tmp_path / "x.run").exists()
 
+    def test_duplicate_query_is_rejected(self, pipeline, tmp_path, capsys):
+        # a second line for query 1 would score it with a model trained on it
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1")
+        folds = models / "folds.csv"
+        rows = read_table(folds)  # the header, then one line per query
+        fold = next(int(f) for qid, f in rows if qid == "1")
+        with open(folds, "a", encoding="utf-8") as fh:
+            fh.write(f"1,{(fold + 1) % 3}\n")
+        rc = self.rerank(pipeline, topics, run, models, tmp_path / "x.run")
+        assert rc == 2
+        assert (f"error: {folds}:{len(rows) + 1}: duplicate query '1'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.run").exists()
+
 
 def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
     """A strided homogeneity filter is recorded whole in the model and
@@ -687,18 +701,9 @@ class TestErrors:
         assert "folds.csv" in capsys.readouterr().err
 
     def test_model_pooling_is_validated(self, pipeline, tmp_path, capsys):
-        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
-        model["meta"]["pooling"] = "avg"
-        doctored = tmp_path / "fold_0.json"
-        doctored.write_text(json.dumps(model))
-        rc = main(["rerank", "--index", str(pipeline["index"]),
-                   "--topics", str(pipeline["topics"]),
-                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
-                   "--model", str(doctored), "--output", str(tmp_path / "x.run")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "'avg'" in err
-        assert not (tmp_path / "x.run").exists()
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys, lambda m: m["meta"].update(pooling="avg"))
+        assert err.startswith(f"error: model file {doctored}:") and "'avg'" in err
 
     @pytest.mark.parametrize("case", ["filters_inf", "empty_manifest",
                                       "no_relevant"])
@@ -736,24 +741,33 @@ class TestErrors:
         assert not out.exists()
 
     @staticmethod
-    def doctored_rerank(pipeline, tmp_path, edit, *flags):
-        """Rerank with a copy of fold 0's model that ``edit`` changed;
-        returns the exit code, the model copy and the output run."""
+    def doctored_model(pipeline, tmp_path, capsys, edit, *flags):
+        """Run ``rerank --mode npm`` and ``weights`` on a copy of fold 0's
+        model that ``edit`` changed. Both must exit 2, write nothing and
+        print the same error; returns the model copy and that error."""
         model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
         edit(model)
-        doctored, out = tmp_path / "fold_0.json", tmp_path / "x.run"
+        doctored, out, table = (tmp_path / "fold_0.json", tmp_path / "x.run",
+                                tmp_path / "weights.csv")
         doctored.write_text(json.dumps(model))
-        rc = main(["rerank", "--index", str(pipeline["index"]),
-                   "--topics", str(pipeline["topics"]),
-                   "--run", str(pipeline["ql_run"]), "--mode", "npm",
-                   "--model", str(doctored), *flags, "--output", str(out)])
-        return rc, doctored, out
+        common = ["--index", str(pipeline["index"]),
+                  "--topics", str(pipeline["topics"]),
+                  "--run", str(pipeline["ql_run"]), "--model", str(doctored), *flags]
+        errors = []
+        for argv in (["rerank", *common, "--mode", "npm", "--output", str(out)],
+                     ["weights", *common, "--csv", str(table)]):
+            assert main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            errors.append(captured.err)
+        assert not out.exists() and not table.exists()
+        assert errors[0] == errors[1]
+        return doctored, errors[0]
 
     def test_model_missing_key(self, pipeline, tmp_path, capsys):
-        rc, doctored, out = self.doctored_rerank(pipeline, tmp_path,
-                                                 lambda m: m.pop("W"))
-        assert rc == 2 and not out.exists()
-        assert f"error: model file {doctored} lacks key 'W'" in capsys.readouterr().err
+        doctored, err = self.doctored_model(pipeline, tmp_path, capsys,
+                                            lambda m: m.pop("W"))
+        assert f"error: model file {doctored} lacks key 'W'" in err
 
     @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
     def test_model_bad_filter_label(self, pipeline, tmp_path, capsys, field):
@@ -762,9 +776,7 @@ class TestErrors:
                 model["filters"][0] = "50:x"
             else:
                 model["meta"]["homogeneity_filter"] = "50:x"
-        rc, doctored, out = self.doctored_rerank(pipeline, tmp_path, edit)
-        assert rc == 2 and not out.exists()
-        err = capsys.readouterr().err
+        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
         assert f"error: model file {doctored}: bad filter label '50:x'" in err
         assert "expected m, m:tau or inf" in err
 
@@ -773,11 +785,10 @@ class TestErrors:
         # a config value does not stand in for the trained one
         conf = tmp_path / "rerank.conf"
         conf.write_text("lambda_c = 0.3\nfilters = 30,inf\n")
-        rc, doctored, out = self.doctored_rerank(
-            pipeline, tmp_path, lambda m: m["meta"].pop(key), "--config", str(conf))
-        assert rc == 2 and not out.exists()
-        assert (f"error: model file {doctored}: no {key!r} setting recorded"
-                in capsys.readouterr().err)
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys, lambda m: m["meta"].pop(key),
+            "--config", str(conf))
+        assert f"error: model file {doctored}: no {key!r} setting recorded" in err
 
     def test_legacy_homogeneity_m_model(self, pipeline, tmp_path, capsys):
         # a file that records only the window, not the stride, is not
@@ -785,10 +796,9 @@ class TestErrors:
         def legacy(model):
             assert model["meta"].pop("homogeneity_filter") == "50:25"
             model["meta"]["homogeneity_m"] = 50
-        rc, doctored, out = self.doctored_rerank(pipeline, tmp_path, legacy)
-        assert rc == 2 and not out.exists()
+        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, legacy)
         assert (f"error: model file {doctored}: no 'homogeneity_filter' setting "
-                f"recorded" in capsys.readouterr().err)
+                f"recorded" in err)
 
     @pytest.mark.parametrize("key,value,message", [
         ("homogeneity_filter", "inf",
@@ -797,17 +807,14 @@ class TestErrors:
     ])
     def test_model_bad_setting(self, pipeline, tmp_path, capsys, key, value,
                                message):
-        rc, doctored, out = self.doctored_rerank(
-            pipeline, tmp_path, lambda m: m["meta"].update({key: value}))
-        assert rc == 2 and not out.exists()
-        assert f"error: model file {doctored}: {message}" in capsys.readouterr().err
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys, lambda m: m["meta"].update({key: value}))
+        assert f"error: model file {doctored}: {message}" in err
 
     def test_model_negative_oov_floor(self, pipeline, tmp_path, capsys):
-        rc, doctored, out = self.doctored_rerank(
-            pipeline, tmp_path, lambda m: m["meta"].update(oov_floor=-3))
-        assert rc == 2 and not out.exists()
-        assert (f"error: model file {doctored}: oov_floor must be >= 0"
-                in capsys.readouterr().err)
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys, lambda m: m["meta"].update(oov_floor=-3))
+        assert f"error: model file {doctored}: oov_floor must be >= 0" in err
 
     @pytest.mark.parametrize("text", ["[]", "7", "{", "\"model\""])
     def test_model_file_not_a_json_object(self, pipeline, tmp_path, capsys, text):

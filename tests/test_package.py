@@ -77,6 +77,14 @@ def test_cli_does_not_train():
     assert "training" not in package_imports()["cli"]
 
 
+def test_cli_loads_models_through_npm():
+    """``rerank`` and ``weights`` read a model through ``NpmModel.load``,
+    which owns the model file's settings and fingerprint."""
+    cli = importlib.import_module("passagerank.cli")
+    assert not hasattr(cli, "FusionModel")
+    assert not hasattr(cli, "ScoreSettings")
+
+
 def test_benchmark_tracer_targets_resolve():
     """The benchmark's tracer patches package functions by module and
     name and reads msp_rank's arguments by position; a rename fails

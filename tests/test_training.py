@@ -88,28 +88,21 @@ class TestSampleTriples:
         b = sample_triples(cands, sorted(cands), 3, np.random.default_rng(7))
         assert a == b
 
-    def test_degenerate_queries_skipped(self, caplog):
-        cands = toy_candidates(n_queries=2)
-        all_rel = toy_candidates(n_queries=1, n_rel=10, seed=5)["1"]
-        cands["99"] = CandidateSet(Query("99", ("t",)), all_rel.doc_ids,
-                                   all_rel.R, all_rel.H, all_rel.rel)
-        with caplog.at_level("WARNING"):
-            triples = sample_triples(cands, sorted(cands),
-                                     2, np.random.default_rng(0))
-        assert "99" in caplog.text
-        assert all(t[0] != "99" for t in triples)
-
-    def test_no_usable_queries_raises(self):
-        c = toy_candidates(n_queries=1, n_rel=10)  # no negatives anywhere
-        with pytest.raises(ValueError):
-            sample_triples(c, sorted(c), 2, np.random.default_rng(0))
-
 
 class TestCandidateSet:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             CandidateSet(Query("1", ("t",)), ["d1"], np.zeros((2, 1)),
                          np.zeros((2, 1)), np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize("relevant,missing", [(True, "non-relevant"),
+                                                  (False, "relevant")])
+    def test_one_sided_pool_raises(self, relevant, missing):
+        # every route into training meets a pool with both kinds
+        with pytest.raises(ValueError,
+                           match=f"query '99' has no {missing} candidates"):
+            CandidateSet(Query("99", ("t",)), ["d1", "d2"], np.zeros((2, 1)),
+                         np.zeros((2, 1)), np.full(2, relevant))
 
 
 def small_config(**kw):
@@ -188,6 +181,16 @@ class TestTrainFold:
         cands["1"].H[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="diverged"):
             train_fold(cands, ["1", "2", "3", "4"], ["5", "6"], small_config(),
+                       np.random.default_rng(0), {}, FILTERS2, FEATS3)
+
+    @pytest.mark.parametrize("empty", ["train", "validation"])
+    def test_empty_split_raises(self, empty):
+        # with no validation query, early stopping would compare NaN MAPs
+        cands = toy_candidates()
+        qids = sorted(cands)
+        train_qids, val_qids = ([], qids) if empty == "train" else (qids, [])
+        with pytest.raises(ValueError, match="training and validation queries"):
+            train_fold(cands, train_qids, val_qids, small_config(),
                        np.random.default_rng(0), {}, FILTERS2, FEATS3)
 
     def test_config_validation(self):
