@@ -12,9 +12,8 @@ document, and span scores are pooled per document with ``reduceat``.
 Per-term logs are summed in query-term order, so a batch gives bitwise
 the same scores as one call per document.
 
-Conventions: document and query tokens are int32 vocabulary ids,
-out-of-vocabulary query tokens are -1 (they never match a position),
-and window size ``m <= 0`` means the whole document as a single span.
+Conventions: document and query tokens are int32 vocabulary ids, and
+out-of-vocabulary query tokens are -1 (they never match a position).
 """
 
 from __future__ import annotations
@@ -24,8 +23,10 @@ import numpy as np
 
 def span_layout(lengths, m: int, tau: int):
     """Span count of each document of a batch for window (m, tau), and the
-    index of each document's first span among the batch's span scores."""
-    counts = np.ones_like(lengths) if m <= 0 else (lengths + tau - 1) // tau
+    index of each document's first span among the batch's span scores.
+    Spans, each min(L, m) long, start at 0, tau, 2*tau, ... while
+    start + m < L; the last, [max(L - m, 0), L), ends the document."""
+    counts = (np.maximum(lengths - m, 0) + tau - 1) // tau + 1
     return counts, np.cumsum(counts) - counts
 
 
@@ -33,13 +34,11 @@ def span_grid(lengths, m: int, tau: int):
     """Spans of every document in a batch, as [start, end) positions in
     the concatenated tokens, plus the batch's ``span_layout``."""
     doc_ends = np.cumsum(lengths)
-    doc_starts = doc_ends - lengths
     counts, offsets = span_layout(lengths, m, tau)
-    if m <= 0:
-        return doc_starts, doc_ends, counts, offsets
-    # span j of the batch is span j - offsets[d] of its document d
-    starts = np.repeat(doc_starts - offsets * tau, counts)
-    starts += np.arange(starts.shape[0], dtype=np.int64) * tau
+    # span j of the batch is span k = j - offsets[d] of its document d
+    k = np.arange(counts.sum(), dtype=np.int64) - np.repeat(offsets, counts)
+    last = np.repeat(np.maximum(lengths - m, 0), counts)
+    starts = np.repeat(doc_ends - lengths, counts) + np.minimum(k * tau, last)
     ends = np.minimum(starts + m, np.repeat(doc_ends, counts))
     return starts, ends, counts, offsets
 
@@ -87,19 +86,18 @@ def kernel_filter_scores(tokens, query_ids, bias_coeff, ms, taus, mean_pool, len
     """(D, F) pooled log-kernel scores: one row per document of the batch,
     one column per window filter (ms[f], taus[f]).
 
-    Span score: sum_i log(window_count_i + bias_coeff[i] * m_eff), with
-    m_eff the nominal window size (the document length when m <= 0);
-    pooling is MAX, or MEAN as log-mean-exp over span scores.
+    Span score: sum_i log(window_count_i + bias_coeff[i] * n) with n the
+    span's length; pooling is MAX, or MEAN as log-mean-exp over span
+    scores.
     """
     lengths = _batch_lengths(tokens, lengths)
     positions = match_positions(tokens, query_ids)
     out = np.empty((lengths.shape[0], ms.shape[0]), dtype=np.float64)
     for f in range(ms.shape[0]):
-        m = int(ms[f])
-        starts, ends, counts, offsets = span_grid(lengths, m, int(taus[f]))
-        m_eff = lengths.astype(np.float64) if m <= 0 else float(m)
+        starts, ends, counts, offsets = span_grid(lengths, int(ms[f]), int(taus[f]))
+        n = (ends - starts).astype(np.float64)
         wc = window_counts(positions, starts, ends)
-        spans = _sum_terms(np.log(wc + bias_coeff[:, np.newaxis] * m_eff))
+        spans = _sum_terms(np.log(wc + bias_coeff[:, np.newaxis] * n))
         out[:, f] = _pool(spans, counts, offsets, mean_pool)
     return out
 
@@ -110,8 +108,8 @@ def lm_span_scores(tokens, query_ids, background, one_minus_lam, m, tau, lengths
     start.
 
     Span score: sum_i log(one_minus_lam * window_count_i / n + background[i])
-    with n the span's actual length; background[i] already folds the
-    smoothing weight into the collection probability.
+    with n the span's length; background[i] already folds the smoothing
+    weight into the collection probability.
     """
     starts, ends, _, _ = span_grid(_batch_lengths(tokens, lengths), m, tau)
     wc = window_counts(match_positions(tokens, query_ids), starts, ends)

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ._accel import span_grid
 from .corpus import CorpusIndex, Query
 from .evaluation import write_table
 
@@ -54,14 +55,14 @@ def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec,
     A kind costs only its own work: length is closed-form in the length
     n_d, ent takes one ``np.unique`` of the tokens, and only intpsg and
     docpsg build the tf-idf span vectors (docpsg also the document
-    vector). The passage-based scores use filter ``f``'s spans; tf-idf
-    weights are tf * ln(|D| / D_t). Degenerate cases: a corpus where
-    every document has the same length gives h_length = 1; a
-    single-token document gives h_ent = 1; fewer than two passages give
-    h_intpsg = 1; cosines follow cos(0,0)=1, cos(0,x)=0. Span vectors
-    are non-negative, so for the unit vectors u_k of the n non-zero
-    spans and z zero spans the pairwise cosines sum to
-    (||sum_k u_k||^2 - n)/2 + z(z-1)/2: O(n_d * ceil(m/tau)) sparse work.
+    vector). The passage-based scores use filter ``f``'s spans
+    (``_accel.span_grid``); tf-idf weights are tf * ln(|D| / D_t).
+    Degenerate cases: a corpus where every document has the same length
+    gives h_length = 1; a single-token document gives h_ent = 1; fewer
+    than two passages give h_intpsg = 1; cosines follow cos(0,0)=1,
+    cos(0,x)=0. Span vectors are non-negative, so for the unit vectors
+    u_k of the n non-zero spans and z zero spans the pairwise cosines
+    sum to (||sum_k u_k||^2 - n)/2 + z(z-1)/2: O(n_d * m / tau) work.
     """
     if f.is_infinite:
         raise ValueError("homogeneity needs a finite passage filter")
@@ -89,16 +90,14 @@ def homogeneity(doc_id: str, index: CorpusIndex, f: FilterSpec,
 
     if with_spans:
         idf = np.log(index.num_docs / index.df[uniq])
-        # position i lies in span k = i//tau - j, j < ceil(m/tau), when k >= 0
-        # and i < k*tau + m; every span ends by n_d, as the positions do
-        pos = np.arange(n_d)
-        span = pos // f.tau - np.arange(-(-f.m // f.tau))[:, np.newaxis]
-        covered = (span >= 0) & (pos < span * f.tau + f.m)
-        keys = span[covered] * len(uniq) + np.broadcast_to(inv, span.shape)[covered]
+        starts = span_grid(np.array([n_d]), f.m, f.tau)[0]
+        n_spans, width = starts.shape[0], min(n_d, f.m)
+        # the (span, term) key of every token of every span
+        keys = (np.repeat(np.arange(n_spans), width) * len(uniq)
+                + inv[(starts[:, np.newaxis] + np.arange(width)).ravel()])
         keys, tf = np.unique(keys, return_counts=True)
         span_of, term_of = np.divmod(keys, len(uniq))
         w = tf * idf[term_of]
-        n_spans = -(-n_d // f.tau)
         norm = np.sqrt(np.bincount(span_of, w * w, n_spans))
         nonzero = norm > 0.0
         norm[~nonzero] = 1.0

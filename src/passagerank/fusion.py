@@ -92,6 +92,12 @@ class FusionModel:
             raise ValueError("normalization record dimensions do not match model")
         if not (np.isfinite(self.W).all() and math.isfinite(self.b)):
             raise ValueError("model parameters must be finite")
+        for kind, norm in (("score", score_norm), ("feature", feature_norm)):
+            if not np.isfinite(norm.mean).all():
+                raise ValueError(f"{kind} normalization means must be finite")
+            if not (np.isfinite(norm.std) & (norm.std >= _STD_FLOOR)).all():
+                raise ValueError(f"{kind} normalization stds must be finite "
+                                 f"and >= {_STD_FLOOR:g}")
 
     # -- inference ----------------------------------------------------------
 

@@ -1,24 +1,24 @@
 """Window passages, the logarithm scoring kernel, and passage rankers.
 
-A window filter (m, tau) slides over a document and yields overlapping
-spans starting at 0, tau, 2*tau, ... (the last ones truncated at the
-document end). Each span is scored either by the smoothed unigram
-language model
+A window filter (m, tau) slides over a document of length L and yields
+overlapping spans of length min(m, L), the last one ending the document
+(``_accel.span_layout``). Each span is scored either by the smoothed
+unigram language model
 
     sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
 
 or by the logarithm kernel
 
-    sum_t log(window_tf + b_t),   b_t = lambda_c * m_eff * cf_t
+    sum_t log(window_tf + b_t),   b_t = lambda_c * n * cf_t
                                         / ((1 - lambda_c) * |C|)
 
-which equals the LM score plus the constant n_q * log(m_eff /
-(1 - lambda_c)) on full-length spans. Per-filter document scores come
-from pooling span scores (max, or log-mean-exp for the probability
-mean), and ``score_tokens`` stacks one pooled score per configured
-filter for each document of a batch. ``msp_rank`` is the standalone
-max-scoring-passage ranker with optional homogeneity mixing against the
-whole-document query likelihood of ``retrieval.ql_scores``.
+which equals the LM score plus n_q * log(n / (1 - lambda_c)) on every
+span of length n. Per-filter document scores come from pooling span
+scores (max, or log-mean-exp for the probability mean), and
+``score_tokens`` stacks one pooled score per configured filter for each
+document of a batch. ``msp_rank`` is the standalone max-scoring-passage
+ranker with optional homogeneity mixing against the whole-document
+query likelihood of ``retrieval.ql_scores``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ POOL_MEAN = "mean"
 POOLINGS = (POOL_MAX, POOL_MEAN)
 
 HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
+WHOLE = 2**62  # m = tau of the whole-document filter: no document outgrows it
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,9 @@ class FilterSpec:
             return
         if self.m < 1:
             raise ValueError(f"window length must be >= 1, got {self.m}")
+        if self.m >= WHOLE:
+            raise ValueError(f"window length must be < 2**62, got {self.m}; "
+                             f"use inf for the whole document")
         if not 1 <= self.tau <= self.m:
             raise ValueError(
                 f"stride must be in [1, {self.m}], got {self.tau}"
@@ -114,9 +118,8 @@ def check_pooling(pooling: str) -> None:
 
 
 def _filter_arrays(filters: Sequence[FilterSpec]):
-    ms = np.array([-1 if f.is_infinite else f.m for f in filters], dtype=np.int64)
-    taus = np.array([0 if f.is_infinite else f.tau for f in filters], dtype=np.int64)
-    return ms, taus
+    windows = [(WHOLE, WHOLE) if f.is_infinite else (f.m, f.tau) for f in filters]
+    return np.array(windows, dtype=np.int64).reshape(-1, 2).T
 
 
 def score_tokens(
@@ -131,20 +134,18 @@ def score_tokens(
     their lengths, and the result has one row per document and one
     column per filter.
 
-    Each column is the pooled kernel score minus the filter's
-    kernel-vs-LM shift, so the whole-document column is the document's
-    smoothed query log-likelihood up to rounding. The shift is constant per
-    (query, filter) for finite filters, so it never changes their
-    orderings; for the whole-document filter it varies with document
-    length, which is the point.
+    Each column is the pooled kernel score minus the kernel-vs-LM shift
+    at the span length min(L, m), so every span scores its LM value up to
+    rounding, and the whole-document column is the document's smoothed
+    query log-likelihood.
     """
     check_pooling(pooling)
     ms, taus = _filter_arrays(filters)
     raw = _accel.kernel_filter_scores(
         tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling == POOL_MEAN, lengths,
     )
-    m_eff = np.where(ms <= 0, lengths[:, np.newaxis], ms).astype(np.float64)
-    return raw - ctx.query.n_q * np.log(m_eff / (1.0 - ctx.smoothing.lambda_c))
+    n = np.minimum(lengths[:, np.newaxis], ms).astype(np.float64)
+    return raw - ctx.query.n_q * np.log(n / (1.0 - ctx.smoothing.lambda_c))
 
 
 def max_passage_lm(

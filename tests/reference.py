@@ -29,6 +29,7 @@ from passagerank.features import FeatureExtractor, mean_top_scores
 from passagerank.passages import (
     POOL_MAX,
     POOL_MEAN,
+    WHOLE,
     FilterSpec,
     _filter_arrays,
     max_passage_lm,
@@ -86,21 +87,28 @@ class PassageSpan:
             raise ValueError(f"invalid span ({self.start}, {self.length})")
 
 
-def extract_passages(n_d: int, f: FilterSpec) -> list[PassageSpan]:
-    """All spans of filter ``f`` over a document of length ``n_d``.
+def window_of(f: FilterSpec) -> tuple[int, int]:
+    """The (m, tau) that encode filter ``f`` in the kernels."""
+    ms, taus = _filter_arrays([f])
+    return int(ms[0]), int(taus[0])
 
-    Starts are i*tau for every i*tau < n_d; the final spans truncate at
-    the document end; a start exactly at n_d would be an empty passage
-    and is not produced. The whole-document filter yields (0, n_d).
-    """
+
+def span_starts(n_d: int, m: int, tau: int) -> list[int]:
+    """Starts of the spans of window (m, tau) over a document of length
+    ``n_d``: i*tau while i*tau + m < n_d, then n_d - m; a document no
+    longer than m is the one span from 0."""
+    if n_d <= m:
+        return [0]
+    return [*range(0, n_d - m, tau), n_d - m]
+
+
+def extract_passages(n_d: int, f: FilterSpec) -> list[PassageSpan]:
+    """All spans of filter ``f`` over a document of length ``n_d``, each
+    of length min(n_d, m); the whole-document filter yields (0, n_d)."""
     if n_d < 1:
         raise ValueError(f"document length must be >= 1, got {n_d}")
-    if f.is_infinite:
-        return [PassageSpan(0, n_d)]
-    return [
-        PassageSpan(start, min(f.m, n_d - start))
-        for start in range(0, n_d, f.tau)
-    ]
+    m, tau = window_of(f)
+    return [PassageSpan(start, min(n_d, m)) for start in span_starts(n_d, m, tau)]
 
 
 class MatchingMatrix:
@@ -175,7 +183,8 @@ def kernel_bias(cf_t: int, m_eff: int, s: SmoothingConfig, total_len: int) -> fl
 
 
 def kernel_lm_shift(n_q: int, m_eff: int, s: SmoothingConfig) -> float:
-    """The constant separating kernel and LM scores on full-length spans."""
+    """The constant separating kernel and LM scores on a span of length
+    ``m_eff``."""
     return n_q * math.log(m_eff / (1.0 - s.lambda_c))
 
 
@@ -215,12 +224,9 @@ def kernel_score(
     m_eff: int,
     floor: int = 1,
 ) -> float:
-    """Logarithm-kernel span score: sum_t log(window_tf + b_t).
-
-    ``m_eff`` is the nominal filter length for finite filters (even on a
-    truncated final span) and the document length for the
-    whole-document filter.
-    """
+    """Logarithm-kernel span score: sum_t log(window_tf + b_t), with the
+    bias b_t at window size ``m_eff`` (the span's length, for the
+    identity with ``lm_score``)."""
     total = 0.0
     for i, t in enumerate(query.terms):
         wc = matrix.window_tf(i, span.start, span.length)
@@ -280,8 +286,8 @@ def whole_doc_lm_one(ctx: QueryContext, tokens: np.ndarray) -> float:
     """Whole-document LM score of one document from the span kernel (a
     single span of the document's length), not from ``ql_scores``."""
     return float(_accel.lm_span_scores(
-        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, -1, 0,
-        _one(tokens),
+        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, WHOLE,
+        WHOLE, _one(tokens),
     )[0])
 
 
@@ -358,46 +364,29 @@ def pool_loop(scores, mean_pool):
 def doc_filter_scores(doc_tokens, query_ids, bias_coeff, ms, taus, mean_pool):
     """Pooled log-kernel score per window filter, for one document.
 
-    Span score: sum_i log(window_count_i + bias_coeff[i] * m_eff) with
-    m_eff the nominal window size (the document length when m <= 0).
+    Span score: sum_i log(window_count_i + bias_coeff[i] * n) with n the
+    span's length.
     """
     n_d = doc_tokens.shape[0]
     n_q = query_ids.shape[0]
-    n_f = ms.shape[0]
     cum = match_counts(doc_tokens, query_ids)
-    out = np.empty(n_f, dtype=np.float64)
-    for f in range(n_f):
-        m = ms[f]
-        if m <= 0:
-            width = n_d
-            step = n_d
-            m_eff = float(n_d)
-            n_spans = 1
-        else:
-            width = m
-            step = taus[f]
-            m_eff = float(m)
-            n_spans = (n_d + step - 1) // step
-        spans = np.empty(n_spans, dtype=np.float64)
-        start = 0
-        s = 0
-        while start < n_d:
-            end = start + width
-            if end > n_d:
-                end = n_d
+    out = np.empty(ms.shape[0], dtype=np.float64)
+    for f in range(ms.shape[0]):
+        width = min(n_d, int(ms[f]))
+        starts = span_starts(n_d, int(ms[f]), int(taus[f]))
+        spans = np.empty(len(starts), dtype=np.float64)
+        for s, start in enumerate(starts):
             acc = 0.0
             for i in range(n_q):
-                wc = cum[i, end] - cum[i, start]
-                acc += np.log(wc + bias_coeff[i] * m_eff)
+                wc = cum[i, start + width] - cum[i, start]
+                acc += np.log(wc + bias_coeff[i] * float(width))
             spans[s] = acc
-            s += 1
-            start += step
         out[f] = pool_loop(spans, mean_pool)
     return out
 
 
 def doc_lm_span_scores(doc_tokens, query_ids, background, one_minus_lam, m, tau):
-    """Smoothed LM log-likelihood per span of one document, actual span
+    """Smoothed LM log-likelihood per span of one document, the span's
     length as n.
 
     Span score: sum_i log(one_minus_lam * window_count_i / n + background[i]);
@@ -407,29 +396,15 @@ def doc_lm_span_scores(doc_tokens, query_ids, background, one_minus_lam, m, tau)
     n_d = doc_tokens.shape[0]
     n_q = query_ids.shape[0]
     cum = match_counts(doc_tokens, query_ids)
-    if m <= 0:
-        width = n_d
-        step = n_d
-        n_spans = 1
-    else:
-        width = m
-        step = tau
-        n_spans = (n_d + step - 1) // step
-    out = np.empty(n_spans, dtype=np.float64)
-    start = 0
-    s = 0
-    while start < n_d:
-        end = start + width
-        if end > n_d:
-            end = n_d
-        n = float(end - start)
+    width = min(n_d, m)
+    starts = span_starts(n_d, m, tau)
+    out = np.empty(len(starts), dtype=np.float64)
+    for s, start in enumerate(starts):
         acc = 0.0
         for i in range(n_q):
-            wc = cum[i, end] - cum[i, start]
-            acc += np.log(one_minus_lam * wc / n + background[i])
+            wc = cum[i, start + width] - cum[i, start]
+            acc += np.log(one_minus_lam * wc / float(width) + background[i])
         out[s] = acc
-        s += 1
-        start += step
     return out
 
 

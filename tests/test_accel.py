@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passagerank import _accel, backend_name
-from passagerank.passages import FilterSpec
+from passagerank.passages import WHOLE, FilterSpec
 from reference import (
     extract_passages,
     kernel_filter_scores_loop,
     lm_span_scores_loop,
     match_counts,
+    window_of,
 )
 
 # lengths that hit the edges of the filters below: a single token,
-# shorter than m, and multiples of tau
-EDGE_LENGTHS = (1, 2, 3, 6, 7, 24, 25, 50, 75)
+# shorter than m, equal to m, and L - m a multiple of tau or not
+EDGE_LENGTHS = (1, 2, 3, 6, 7, 8, 9, 24, 25, 50, 51, 62, 75)
 
 
 def random_batch(rng, vocab=40, max_docs=5, max_len=300, max_q=8):
@@ -35,6 +36,9 @@ def random_batch(rng, vocab=40, max_docs=5, max_len=300, max_q=8):
     query = rng.integers(-1, vocab, size=n_q).astype(np.int32)  # -1: OOV
     bias = rng.uniform(1e-6, 2.0, size=n_q)
     return tokens, lengths, query, bias
+
+
+FILTERS = (FilterSpec(7, 3), FilterSpec(50, 25), FilterSpec.whole_document())
 
 
 def split(tokens, lengths):
@@ -76,23 +80,21 @@ class TestMatchCounts:
         for _ in range(30):
             tokens, lengths, query, _ = random_batch(rng, max_len=120)
             positions = _accel.match_positions(tokens, query)
-            for m, tau in ((7, 3), (50, 25), (-1, 0)):
-                starts, ends, counts, _ = _accel.span_grid(lengths, m, tau)
+            for f in FILTERS:
+                starts, ends, counts, _ = _accel.span_grid(lengths, *window_of(f))
                 wc = _accel.window_counts(positions, starts, ends)
                 expect = []
-                for doc, begin in zip(split(tokens, lengths),
-                                      np.cumsum(lengths) - lengths):
+                for doc in split(tokens, lengths):
                     cum = match_counts(doc, query)
-                    for sp in extract_passages(doc.size, FilterSpec(
-                            None if m <= 0 else m, max(tau, 0))):
+                    for sp in extract_passages(doc.size, f):
                         expect.append(cum[:, sp.start + sp.length] - cum[:, sp.start])
                 np.testing.assert_array_equal(wc, np.array(expect).T)
                 assert counts.sum() == wc.shape[1]
 
 
 class TestKernelTwins:
-    MS = np.array([3, 7, 50, -1], dtype=np.int64)
-    TAUS = np.array([1, 3, 25, 0], dtype=np.int64)
+    MS = np.array([3, 7, 50, WHOLE], dtype=np.int64)
+    TAUS = np.array([1, 3, 25, WHOLE], dtype=np.int64)
 
     @pytest.mark.parametrize("mean_pool", [False, True])
     def test_kernel_filter_scores(self, mean_pool):
@@ -107,7 +109,8 @@ class TestKernelTwins:
             worst = max(worst, worst_relative(a, b))
         assert worst < 1e-12
 
-    @pytest.mark.parametrize("m,tau", [(5, 2), (50, 25), (-1, 0)])
+    @pytest.mark.parametrize("m,tau", [
+        (5, 2), (50, 25), pytest.param(WHOLE, WHOLE, id="inf")])
     def test_lm_span_scores(self, m, tau):
         rng = np.random.default_rng(3)
         worst = 0.0
@@ -125,24 +128,26 @@ class TestKernelTwins:
         doc = np.arange(10, dtype=np.int32)
         query = np.array([0], dtype=np.int32)
         bg = np.array([0.1])
-        # ceil(10 / 3) spans at stride 3, single span for the whole doc
+        # at 7:3, spans [0, 7) and [3, 10): ceil((10 - 7) / 3) + 1; a
+        # single span for the whole doc
         one = np.array([10])
-        assert _accel.lm_span_scores(doc, query, bg, 0.5, 7, 3, one).size == 4
-        assert _accel.lm_span_scores(doc, query, bg, 0.5, -1, 0, one).size == 1
-        lengths = np.array([10, 3, 1])
-        tokens = np.zeros(14, dtype=np.int32)
-        assert _accel.lm_span_scores(tokens, query, bg, 0.5, 7, 3, lengths).size == 6
-        assert _accel.span_layout(lengths, 7, 3)[1].tolist() == [0, 4, 5]
-        assert _accel.span_layout(lengths, -1, 0)[1].tolist() == [0, 1, 2]
+        assert _accel.lm_span_scores(doc, query, bg, 0.5, 7, 3, one).size == 2
+        assert _accel.lm_span_scores(doc, query, bg, 0.5, WHOLE, WHOLE, one).size == 1
+        # at 4:3, [0, 4), [3, 7) and [6, 10), the last not at a multiple of 3
+        assert _accel.span_grid(one, 4, 3)[0].tolist() == [0, 3, 6]
+        lengths = np.array([10, 3, 1, 7, 8])
+        tokens = np.zeros(29, dtype=np.int32)
+        assert _accel.lm_span_scores(tokens, query, bg, 0.5, 7, 3, lengths).size == 7
+        assert _accel.span_layout(lengths, 7, 3)[0].tolist() == [2, 1, 1, 1, 2]
+        assert _accel.span_layout(lengths, 7, 3)[1].tolist() == [0, 2, 3, 4, 5]
+        assert _accel.span_layout(lengths, WHOLE, WHOLE)[1].tolist() == [0, 1, 2, 3, 4]
 
     def test_span_grid_matches_extract_passages(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             _, lengths, _, _ = random_batch(rng)
-            for f in (FilterSpec(7, 3), FilterSpec(50, 25), FilterSpec(5, 5),
-                      FilterSpec.whole_document()):
-                m, tau = (-1, 0) if f.is_infinite else (f.m, f.tau)
-                starts, ends, counts, _ = _accel.span_grid(lengths, m, tau)
+            for f in (*FILTERS, FilterSpec(5, 5)):
+                starts, ends, counts, _ = _accel.span_grid(lengths, *window_of(f))
                 expect = [(begin + sp.start, begin + sp.start + sp.length)
                           for n_d, begin in zip(lengths, np.cumsum(lengths) - lengths)
                           for sp in extract_passages(int(n_d), f)]
@@ -167,7 +172,7 @@ class TestBatching:
                 kernel(d, query, bias, self.MS, self.TAUS, mean_pool,
                        np.array([d.size])) for d in docs])
             np.testing.assert_array_equal(batch, singles)
-        for m, tau in ((5, 2), (50, 25), (-1, 0)):
+        for m, tau in ((5, 2), (50, 25), (WHOLE, WHOLE)):
             batch = _accel.lm_span_scores(tokens, query, bg, 0.5, m, tau, lengths)
             singles = np.concatenate(
                 [_accel.lm_span_scores(d, query, bg, 0.5, m, tau, np.array([d.size]))
@@ -195,8 +200,8 @@ class TestBatching:
         q = np.array(query, dtype=np.int32)
         bias = np.linspace(0.05, 1.5, q.size)
         bg = np.linspace(1e-4, 0.3, q.size)
-        ms = np.array([window[0], -1], dtype=np.int64)
-        taus = np.array([window[1], 0], dtype=np.int64)
+        ms = np.array([window[0], WHOLE], dtype=np.int64)
+        taus = np.array([window[1], WHOLE], dtype=np.int64)
         a = _accel.kernel_filter_scores(tokens, q, bias, ms, taus, mean_pool, lengths)
         b = kernel_filter_scores_loop(tokens, q, bias, ms, taus, mean_pool, lengths)
         assert worst_relative(a, b) < 1e-12

@@ -36,7 +36,9 @@ from passagerank.features import (
     homogeneity,
     mean_top_scores,
 )
+from passagerank import _accel
 from passagerank.fusion import forward_parts
+from passagerank.passages import score_tokens
 from passagerank.retrieval import QueryContext
 from passagerank.training import CandidateSet, TrainConfig
 
@@ -48,10 +50,14 @@ from test_fusion import identity_norm
 from reference import (
     PassageSpan,
     build_matrix,
+    extract_passages,
+    kernel_lm_shift,
     kernel_score,
     lm_score,
+    pool_document,
     score_tokens_one,
     whole_doc_lm_one,
+    window_of,
 )
 
 
@@ -66,13 +72,17 @@ def criterion(num: int, summary: str):
 
 
 def test_criterion_1_kernel_reproduces_lm_score():
-    """Log-kernel minus its constant equals the span LM score.
+    """Log-kernel minus its constant equals the span LM score on every span.
 
-    10^4 random (query, full-length span) instances, relative error
-    <= 1e-9, wall time < 10 s.
+    (a) 10^4 random (query, span) instances of the reference scorers.
+    (b) Every span of five windows over 100 documents of 1 to 200 tokens,
+    so L < m, L = m, and L - m a multiple of tau or not: the package's
+    span LM scores against the kernel oracle at the span's length, and
+    each pooled kernel column (max and mean) against its pooled span LM
+    scores. Relative error <= 1e-12, wall time < 10 s.
     """
-    with criterion(1, "kernel == lm + n_q*ln(m/(1-lambda)) within 1e-9 "
-                      "on 10^4 full-length spans in < 10 s"):
+    with criterion(1, "kernel == lm + n_q*ln(n/(1-lambda)) within 1e-12 "
+                      "on every span in < 10 s"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(11)
         docs = random_documents(rng, 300, vocab_size=60, min_len=20,
@@ -93,10 +103,42 @@ def test_criterion_1_kernel_reproduces_lm_score():
             kern = kernel_score(query, span, matrix, index, s, m_eff=m)
             shift = n_q * math.log(m / (1.0 - lam))
             ref = lm_score(query, span, doc, index, s)
-            rel = abs(kern - shift - ref) / max(abs(ref), 1e-30)
-            worst = max(worst, rel)
+            worst = max(worst, abs(kern - shift - ref) / max(abs(ref), 1e-30))
+
+        docs = random_documents(rng, 100, vocab_size=60, min_len=1, max_len=200)
+        index = build_index(docs)
+        tokens, lengths = index.batch_tokens([d.doc_id for d in docs])
+        filters = (FilterSpec(2, 1), FilterSpec(7, 3), FilterSpec.window(50),
+                   FilterSpec.window(150), FilterSpec.whole_document())
+        for i in range(5):
+            s = SmoothingConfig(float(rng.uniform(0.1, 0.9)))
+            terms = tuple(f"t{int(rng.integers(0, 60))}"
+                          for _ in range(int(rng.integers(1, 6))))
+            query = Query(f"w{i}", terms)
+            ctx = QueryContext(query, index, s)
+            matrices = [build_matrix(query, doc) for doc in docs]
+            pooled = {p: score_tokens(ctx, tokens, filters, p, lengths)
+                      for p in ("max", "mean")}
+            for col, f in enumerate(filters):
+                m, tau = window_of(f)
+                lm = _accel.lm_span_scores(tokens, ctx.ids, ctx.background,
+                                           1.0 - s.lambda_c, m, tau, lengths)
+                spans = [(matrix, sp) for doc, matrix in zip(docs, matrices)
+                         for sp in extract_passages(doc.n_d, f)]
+                assert lm.shape == (len(spans),)
+                for score, (matrix, sp) in zip(lm.tolist(), spans):
+                    kern = (kernel_score(query, sp, matrix, index, s, m_eff=sp.length)
+                            - kernel_lm_shift(query.n_q, sp.length, s))
+                    worst = max(worst, abs(score - kern) / abs(kern))
+                offsets = _accel.span_layout(lengths, m, tau)[1]
+                bounds = [*offsets.tolist(), lm.shape[0]]
+                for d, doc in enumerate(docs):
+                    own = lm[bounds[d]:bounds[d + 1]]
+                    for p in ("max", "mean"):
+                        want = pool_document(own, p)
+                        worst = max(worst, abs(pooled[p][d, col] - want) / abs(want))
         elapsed = time.perf_counter() - t0
-        assert worst <= 1e-9, f"worst relative error {worst:.3e}"
+        assert worst <= 1e-12, f"worst relative error {worst:.3e}"
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
 
 

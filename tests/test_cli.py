@@ -64,6 +64,8 @@ def write_qrels(path: Path, qrels) -> None:
                 fh.write(f"{qid} 0 {doc_id} {qrels[qid][doc_id]}\n")
 
 
+HUGE = str(10**20)  # a window length beyond int64
+
 TRAIN_CONF = """\
 # small but real training setup
 filters = 50:25,150:75,inf
@@ -740,6 +742,23 @@ class TestErrors:
         assert "folds must be >= 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["rerank", "--mode", "msp", "--passage-size", HUGE, "--output"],
+        ["train", "--filters", f"{HUGE},inf", "--output-dir"],
+        ["train", "--homogeneity-m", HUGE, "--output-dir"],
+    ], ids=["passage-size", "filters", "homogeneity-m"])
+    def test_oversized_window(self, pipeline, tmp_path, capsys, flags):
+        # at 2**63 the window no longer fits the kernels' int64 positions
+        out = tmp_path / "out"
+        qrels = ["--qrels", str(pipeline["qrels"])] if flags[0] == "train" else []
+        rc = main([*flags[:-1], "--config", str(pipeline["conf"]),
+                   "--index", str(pipeline["index"]),
+                   "--topics", str(pipeline["topics"]), *qrels,
+                   "--run", str(pipeline["ql_run"]), flags[-1], str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "use inf for the whole document" in err
+
     @staticmethod
     def doctored_model(pipeline, tmp_path, capsys, edit, *flags):
         """Run ``rerank --mode npm`` and ``weights`` on a copy of fold 0's
@@ -779,6 +798,26 @@ class TestErrors:
         doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
         assert f"error: model file {doctored}: bad filter label '50:x'" in err
         assert "expected m, m:tau or inf" in err
+
+    @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
+    def test_model_oversized_window(self, pipeline, tmp_path, capsys, field):
+        def edit(model):
+            if field == "filters":
+                model["filters"][0] = f"{HUGE}:25"
+            else:
+                model["meta"]["homogeneity_filter"] = f"{HUGE}:25"
+        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
+        assert (f"error: model file {doctored}: window length must be < 2**62, "
+                f"got {HUGE}; use inf for the whole document" in err)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
+    def test_model_bad_normalization_std(self, pipeline, tmp_path, capsys, std):
+        # 0 wrote inf scores that read_run rejects; -1 reversed a filter
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys,
+            lambda m: m["score_norm"]["std"].__setitem__(0, std))
+        assert (f"error: model file {doctored}: score normalization stds must "
+                f"be finite and >= 1e-08" in err)
 
     @pytest.mark.parametrize("key", ["lambda_c", "homogeneity_filter"])
     def test_model_missing_setting(self, pipeline, tmp_path, capsys, key):

@@ -173,6 +173,24 @@ class TestFusionModel:
                         identity_norm(3), identity_norm(5), {})
 
 
+    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_normalization_std_rejected(self, std):
+        # std 0 scores inf, and a negative std reverses its filter's order
+        norm = identity_norm(3)
+        norm.std[0] = std
+        with pytest.raises(ValueError, match="score normalization stds"):
+            FusionModel(FILTERS, FEATS, np.zeros((3, 5)), 0.0, norm,
+                        identity_norm(5), {})
+
+    @pytest.mark.parametrize("mean", [np.nan, -np.inf])
+    def test_non_finite_normalization_mean_rejected(self, mean):
+        norm = identity_norm(5)
+        norm.mean[4] = mean
+        with pytest.raises(ValueError, match="feature normalization means"):
+            FusionModel(FILTERS, FEATS, np.zeros((3, 5)), 0.0, identity_norm(3),
+                        norm, {})
+
+
 class TestSerialization:
     def test_filter_labels_round_trip(self):
         labels = serialize_filters(FILTERS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
-from passagerank.passages import combine_homogeneous, score_tokens
+from passagerank.passages import WHOLE, combine_homogeneous, max_passage_lm, score_tokens
 from passagerank.retrieval import QueryContext
 from reference import (
     PassageSpan,
@@ -47,6 +47,8 @@ class TestFilterSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             FilterSpec(0)
+        with pytest.raises(ValueError, match="use inf"):
+            FilterSpec.window(WHOLE)  # the whole-document window is inf
         with pytest.raises(ValueError):
             FilterSpec(10, -1)
         with pytest.raises(ValueError):
@@ -57,9 +59,12 @@ class TestFilterSpec:
 
 
 class TestExtractPassages:
-    def test_overlapping_spans_with_truncated_tail(self):
+    def test_overlapping_spans_end_at_the_document_end(self):
         spans = extract_passages(5, FilterSpec(3, 2))
-        assert [(s.start, s.length) for s in spans] == [(0, 3), (2, 3), (4, 1)]
+        assert [(s.start, s.length) for s in spans] == [(0, 3), (2, 3)]
+        # 10 - 4 is not a multiple of 3: the last span starts at 6
+        spans = extract_passages(10, FilterSpec(4, 3))
+        assert [(s.start, s.length) for s in spans] == [(0, 4), (3, 4), (6, 4)]
 
     def test_non_overlapping(self):
         spans = extract_passages(6, FilterSpec(3, 3))
@@ -67,23 +72,26 @@ class TestExtractPassages:
 
     def test_window_longer_than_document(self):
         spans = extract_passages(3, FilterSpec(5, 2))
-        assert [(s.start, s.length) for s in spans] == [(0, 3), (2, 1)]
+        assert [(s.start, s.length) for s in spans] == [(0, 3)]
 
     def test_infinite_is_single_span(self):
         spans = extract_passages(7, FilterSpec.whole_document())
         assert [(s.start, s.length) for s in spans] == [(0, 7)]
 
-    def test_count_is_ceiling_of_length_over_stride(self):
+    def test_count_and_cover(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n_d = int(rng.integers(1, 200))
             m = int(rng.integers(1, 60))
             tau = int(rng.integers(1, m + 1))
             spans = extract_passages(n_d, FilterSpec(m, tau))
-            assert len(spans) == -(-n_d // tau)
-            assert all(s.start < n_d for s in spans)
-            assert all(s.start + s.length <= n_d for s in spans)
+            assert len(spans) == -(-max(n_d - m, 0) // tau) + 1
+            assert {s.length for s in spans} == {min(n_d, m)}
+            assert spans[0].start == 0
             assert spans[-1].start + spans[-1].length == n_d
+            # every token is covered and no span holds another
+            assert all(0 < b.start - a.start <= tau
+                       for a, b in zip(spans, spans[1:]))
 
 
 class TestScoringOracles:
@@ -193,13 +201,16 @@ class TestScoreVector:
         for doc_id in idx.doc_ids[:10]:
             doc = index_document(idx, doc_id)
             vec = score_vector(q, doc, (f,), idx, S05, scale="lm")
-            # truncated spans keep the nominal window size in the shift
-            spans = extract_passages(doc.n_d, f)
+            # every span, a short document's single one too, shifts at
+            # its own length
             mat = build_matrix(q, doc)
-            shift = kernel_lm_shift(q.n_q, f.m, S05)
-            ref = max(kernel_score(q, sp, mat, idx, S05, f.m) - shift
-                      for sp in spans)
+            ref = max(kernel_score(q, sp, mat, idx, S05, sp.length)
+                      - kernel_lm_shift(q.n_q, sp.length, S05)
+                      for sp in extract_passages(doc.n_d, f))
             assert vec[0] == pytest.approx(ref, rel=1e-11)
+            direct = max(lm_score(q, sp, doc, idx, S05)
+                         for sp in extract_passages(doc.n_d, f))
+            assert vec[0] == pytest.approx(direct, rel=1e-11)
 
     def test_full_spans_lm_scale_equals_direct_lm(self, small_random_index):
         idx = small_random_index
@@ -394,6 +405,31 @@ class TestMspRank:
             if h is not None:
                 expect = combine_homogeneous_one(h, whole_doc_lm_one(ctx, tokens), expect)
             assert ranked[d] == expect
+
+    def test_window_position_does_not_move_the_score(self):
+        # "x" as the last token of a 51-token document and at token 10 of
+        # another: both lie in one full 50-token window
+        filler = tuple(f"w{i}" for i in range(50))
+        docs = [Document("end", filler[:50] + ("x",)),
+                Document("mid", filler[:10] + ("x",) + filler[10:50])]
+        idx = build_index(docs)
+        q = Query("q", ("x",))
+        ranked = dict(msp_rank(q, ["end", "mid"], idx, 50, s=S05))
+        assert ranked["end"] == ranked["mid"]
+        span = lm_score(q, PassageSpan(1, 50), index_document(idx, "end"), idx, S05)
+        assert ranked["end"] == pytest.approx(span, rel=1e-12)
+
+    @pytest.mark.parametrize("m,tau", [(10, 5), (8, 3), (50, 25), (7, 7)])
+    def test_best_span_is_the_max_pooled_lm_column(self, small_random_index, m, tau):
+        # documents of 5 to 60 tokens: shorter than m, and L - m a
+        # multiple of tau or not
+        idx = small_random_index
+        tokens, lengths = idx.batch_tokens(idx.doc_ids)
+        for terms in (("t1",), ("t2", "t5", "t2"), ("t0", "never-seen")):
+            ctx = QueryContext(Query("q", terms), idx, S05)
+            best = max_passage_lm(ctx, tokens, m, tau, lengths)
+            column = score_tokens(ctx, tokens, (FilterSpec(m, tau),), "max", lengths)
+            np.testing.assert_allclose(best, column[:, 0], rtol=1e-12, atol=0)
 
     def test_no_candidates(self, corpus):
         assert msp_rank(Query("q", ("t0",)), [], corpus, 10, "ent", s=S05) == []
