@@ -308,15 +308,12 @@ def cmd_eval(args) -> int:
 
     run_b = read_run(args.baseline)
     report_b = evaluate_run(run_b, qrels)
-    p_values = {
-        m: fisher_randomization(
-            run_a, run_b, qrels, metric=m, permutations=cfg.permutations,
-            seed=cfg.seed, exhaustive=args.exhaustive,
-        )
-        for m in METRIC_NAMES
-    }
+    p_values = fisher_randomization(run_a, run_b, qrels, permutations=cfg.permutations,
+                                    seed=cfg.seed, exhaustive=args.exhaustive)
     name_a = Path(args.run).stem[:14]
     name_b = Path(args.baseline).stem[:14]
+    if name_a == name_b:  # same stem, or the same first 14 characters
+        name_a, name_b = "run", "baseline"
     print(f"{'metric':>8}  {name_a:>14}  {name_b:>14}  {'diff':>8}  {'p-value':>8}")
     for m in METRIC_NAMES:
         diff = report_a.means[m] - report_b.means[m]

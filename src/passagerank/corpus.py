@@ -50,6 +50,7 @@ import string
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
+from operator import itemgetter
 from pathlib import Path
 from typing import AnyStr, Iterable, Iterator, Sequence
 
@@ -306,8 +307,9 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
         if doc.n_d == 0:
             log.warning("skipping empty document %s", doc.doc_id)
             continue
-        ids = np.fromiter(map(term_to_id.__getitem__, doc.terms), np.int32,
-                          count=doc.n_d)
+        # one lookup call per document; one key gives a scalar, not a tuple
+        found = itemgetter(*doc.terms)(term_to_id)
+        ids = np.fromiter(found if doc.n_d > 1 else (found,), np.int32, count=doc.n_d)
         distinct, counts = np.unique(ids, return_counts=True)
         doc_ids.append(doc.doc_id)
         doc_len.append(doc.n_d)

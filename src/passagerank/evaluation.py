@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 METRIC_NAMES = ("map", "ndcg@20", "p@20")
 _EXHAUSTIVE_LIMIT = 20
-_SIGN_CHUNK = 4096  # sampled sign patterns per draw
+_SIGN_CHUNK = 4096  # sign patterns per chunk, sampled or enumerated
 
 
 # ---------------------------------------------------------------------------
@@ -142,27 +142,26 @@ def _per_query_metrics(run, qrels) -> dict[str, dict[str, float]]:
     return per_query
 
 
-def _abs_mean(rows: np.ndarray) -> np.ndarray:
-    return np.abs(rows.mean(axis=-1))
-
-
 def fisher_randomization(
     run_a: Mapping[str, Sequence[tuple[str, float]]],
     run_b: Mapping[str, Sequence[tuple[str, float]]],
     qrels: Mapping[str, Mapping[str, int]],
-    metric: str = "map",
     permutations: int = 100_000,
     seed: int = 0,
     exhaustive: bool = False,
-) -> float:
-    """Two-sided paired randomization p-value between two runs.
+) -> dict[str, float]:
+    """Two-sided paired randomization p-value between two runs for every
+    metric in ``METRIC_NAMES``.
 
     The statistic is the absolute mean per-query metric difference;
     each permutation flips each query's difference sign independently
-    with probability 1/2. ``exhaustive`` enumerates all 2^n sign
-    patterns instead of sampling (refused above n=20 queries). Both
-    modes apply the add-one correction p = (1 + hits) / (1 + trials),
-    so identical runs give exactly 1.0 and p is never 0.
+    with probability 1/2. One set of sign patterns serves all three
+    metrics: ``permutations`` patterns drawn from the seeded generator,
+    or with ``exhaustive`` all 2^n patterns (refused above n=20
+    queries). Either way the patterns come in chunks of 4,096, so memory
+    stays bounded. Both modes apply the add-one correction
+    p = (1 + hits) / (1 + trials), so identical runs give exactly 1.0
+    and p is never 0.
     """
     if set(run_a) != set(run_b):
         only_a = sorted(set(run_a) - set(run_b))[:3]
@@ -171,45 +170,40 @@ def fisher_randomization(
             f"runs cover different query sets (e.g. only in a: {only_a}, "
             f"only in b: {only_b})"
         )
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
     ma = _per_query_metrics(run_a, qrels)
     mb = _per_query_metrics(run_b, qrels)
     qids = sorted(set(ma) & set(mb))
     if not qids:
         raise ValueError("no evaluated query has relevant documents")
-    diffs = np.array([ma[q][metric] - mb[q][metric] for q in qids], dtype=np.float64)
-    observed = float(_abs_mean(diffs))
-    n = diffs.shape[0]
-
-    if exhaustive:
-        if n > _EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"exhaustive enumeration limited to {_EXHAUSTIVE_LIMIT} "
-                f"queries, got {n}"
-            )
-        patterns = np.arange(2**n, dtype=np.int64)
-        signs = ((patterns[:, np.newaxis] >> np.arange(n)) & 1) * 2 - 1
-        stats = _abs_mean(signs * diffs)
-        hits = int((stats >= observed).sum())
-        return (1 + hits) / (1 + 2**n)
-
-    if permutations < 1:
+    # one row of per-query differences per metric
+    diffs = np.array([[ma[q][m] - mb[q][m] for q in qids] for m in METRIC_NAMES],
+                     dtype=np.float64)
+    observed = np.abs(diffs.mean(axis=1))
+    n = len(qids)
+    if exhaustive and n > _EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive enumeration limited to "
+                         f"{_EXHAUSTIVE_LIMIT} queries, got {n}")
+    if not exhaustive and permutations < 1:
         raise ValueError("permutations must be >= 1")
+    trials = 2**n if exhaustive else permutations
+
     rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = permutations
-    while remaining > 0:
-        # 4096 x n signs per draw keeps the transient arrays small. Each
-        # sign takes 32 bits of a 64-bit output and the bit generator keeps
-        # an unused half in its state for the next draw, so chunked draws
-        # equal one large draw whatever the chunk size, odd ones included
-        chunk = min(remaining, _SIGN_CHUNK)
-        signs = rng.integers(0, 2, size=(chunk, n)) * 2 - 1
-        stats = _abs_mean(signs * diffs)
-        hits += int((stats >= observed).sum())
-        remaining -= chunk
-    return (1 + hits) / (1 + permutations)
+    bits = np.arange(n)
+    hits = np.zeros(len(METRIC_NAMES), dtype=np.int64)
+    for start in range(0, trials, _SIGN_CHUNK):
+        chunk = min(trials - start, _SIGN_CHUNK)
+        if exhaustive:  # bit j of the pattern number is query j's sign
+            patterns = np.arange(start, start + chunk, dtype=np.int64)
+            signs = ((patterns[:, np.newaxis] >> bits) & 1) * 2 - 1
+        else:
+            # Each sign takes 32 bits of a 64-bit output and the bit
+            # generator keeps an unused half in its state for the next
+            # draw, so chunked draws equal one large draw whatever the
+            # chunk size, odd ones included
+            signs = rng.integers(0, 2, size=(chunk, n)) * 2 - 1
+        stats = np.abs((signs[:, np.newaxis] * diffs).mean(axis=2))  # chunk x metric
+        hits += (stats >= observed).sum(axis=0)
+    return {m: (1 + int(h)) / (1 + trials) for m, h in zip(METRIC_NAMES, hits)}
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from passagerank import (
     train,
 )
 from passagerank.cli import main
+from passagerank.evaluation import METRIC_NAMES
 from passagerank.features import (
     HOMOGENEITY_KINDS,
     FeatureExtractor,
@@ -394,14 +395,15 @@ def test_criterion_7_randomization_test_sanity():
             run_a[qid] = [(d, 10.0 - i) for i, d in enumerate(order_a)]
             run_b[qid] = [(d, 10.0 - i) for i, d in enumerate(order_b)]
 
+        ones = {m: 1.0 for m in METRIC_NAMES}
         assert fisher_randomization(run_a, run_a, qrels,
-                                    permutations=10_000) == 1.0
+                                    permutations=10_000) == ones
         assert fisher_randomization(run_a, run_a, qrels,
-                                    exhaustive=True) == 1.0
+                                    exhaustive=True) == ones
 
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)["map"]
         p_s = fisher_randomization(run_a, run_b, qrels,
-                                   permutations=100_000, seed=0)
+                                   permutations=100_000, seed=0)["map"]
         se = math.sqrt(p_ex * (1.0 - p_ex) / 100_000)
         assert abs(p_s - p_ex) <= 3 * se, \
             f"|{p_s:.5f} - {p_ex:.5f}| > 3*{se:.5f}"

@@ -562,6 +562,31 @@ class TestStdout:
         assert rows[-1].startswith("p_value,")
         assert any(r.startswith("all,") for r in rows)
 
+    @pytest.mark.parametrize("names", [("a/r.run", "b/r.run"),
+                                       ("rerank_ablation_a.run", "rerank_ablation_b.run")])
+    def test_eval_paired_labels_stay_distinct(self, pipeline, tmp_path, capsys, names):
+        # equal stems, or stems whose first 14 characters agree, would give
+        # both runs one column label
+        run, baseline = (tmp_path / n for n in names)
+        for src, dst in ((pipeline["npm_run"], run), (pipeline["ql_run"], baseline)):
+            dst.parent.mkdir(exist_ok=True)
+            shutil.copyfile(src, dst)
+        table = tmp_path / "paired.csv"
+        assert main(["eval", "--qrels", str(pipeline["qrels"]), "--run", str(run),
+                     "--baseline", str(baseline), "--permutations", "100",
+                     "--csv", str(table)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split() == [
+            "metric", "run", "baseline", "diff", "p-value"]
+        with open(table, newline="") as fh:
+            rows = {r["query"]: r for r in csv.DictReader(fh)}
+        assert list(rows["all"]) == ["query", "map_run", "map_baseline",
+                                     "ndcg@20_run", "ndcg@20_baseline",
+                                     "p@20_run", "p@20_baseline"]
+        qrels = read_qrels(pipeline["qrels"])
+        for column, path in (("run", run), ("baseline", baseline)):
+            means = evaluate_run(read_run(path), qrels).means
+            assert rows["all"][f"map_{column}"] == f"{means['map']:.6f}"
+
     def test_train_table(self, pipeline, tmp_path, capsys):
         assert main(["train", "--config", str(pipeline["conf"]),
                      "--index", str(pipeline["index"]),

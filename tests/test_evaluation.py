@@ -23,6 +23,7 @@ from passagerank import (
     write_run,
 )
 from passagerank.evaluation import (
+    METRIC_NAMES,
     EvalReport,
     format_eval_table,
     qid_sort_key,
@@ -30,7 +31,7 @@ from passagerank.evaluation import (
     write_eval_csv,
 )
 from oracle_metrics import ap_bruteforce, ndcg_bruteforce, p_at_k_bruteforce
-from reference import fisher_sampled_reference
+from reference import fisher_exhaustive_reference, fisher_sampled_reference
 
 
 class TestSpecOracles:
@@ -168,12 +169,28 @@ class TestFisher:
             run_b[qid] = [(d, 10.0 - i) for i, d in enumerate(order_b)]
         return run_a, run_b, qrels
 
+    def graded_runs(self, n, seed):
+        """Graded judgments on 30 documents; run a ranks all of them and
+        run b 20, so every metric, P@20 included, differs per query."""
+        rng = np.random.default_rng(seed)
+        qrels = {}
+        run_a = {}
+        run_b = {}
+        for qi in range(n):
+            qid = f"{qi + 1}"
+            docs = [f"d{i}" for i in range(30)]
+            rel = set(rng.choice(docs, size=int(rng.integers(1, 9)), replace=False))
+            qrels[qid] = {d: int(rng.integers(1, 3)) if d in rel else 0 for d in docs}
+            run_a[qid] = [(d, 30.0 - i) for i, d in enumerate(rng.permutation(docs))]
+            run_b[qid] = [(d, 30.0 - i) for i, d in enumerate(rng.permutation(docs)[:20])]
+        return run_a, run_b, qrels
+
     def test_identical_runs_give_p_one(self):
         run_a, _, qrels = self.make_runs()
         p = fisher_randomization(run_a, run_a, qrels, permutations=2000)
-        assert p == 1.0
+        assert p == {m: 1.0 for m in METRIC_NAMES}
         p_ex = fisher_randomization(run_a, run_a, qrels, exhaustive=True)
-        assert p_ex == 1.0
+        assert p_ex == {m: 1.0 for m in METRIC_NAMES}
 
     def test_exhaustive_small_example(self):
         # two queries with per-query diffs (0.4, 0.4): patterns (+,+) and
@@ -185,9 +202,8 @@ class TestFisher:
         qrels = {"1": {"d1": 1, "d2": 0}, "2": {"d1": 1, "d2": 0}}
         # AP diff per query: 1.0 - 0.5 = 0.5 -> same structure as the
         # (0.4, 0.4) example: only all-plus and all-minus patterns match
-        p = fisher_randomization(run_a, run_b, qrels, metric="map",
-                                 exhaustive=True)
-        assert p == pytest.approx(3 / 5, rel=1e-15)
+        p = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        assert p["map"] == pytest.approx(3 / 5, rel=1e-15)
 
     def test_symmetry_in_run_order(self):
         run_a, run_b, qrels = self.make_runs()
@@ -203,9 +219,9 @@ class TestFisher:
 
     def test_exhaustive_matches_sampled(self):
         run_a, run_b, qrels = self.make_runs(n=10, seed=7)
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)["map"]
         p_s = fisher_randomization(run_a, run_b, qrels, permutations=100_000,
-                                   seed=0)
+                                   seed=0)["map"]
         se = math.sqrt(p_ex * (1 - p_ex) / 100_000)
         assert abs(p_s - p_ex) <= 3 * se
 
@@ -213,9 +229,9 @@ class TestFisher:
         # with few queries the add-one correction shifts the exhaustive
         # value by 1/(2^n + 1); compare the underlying hit proportions
         run_a, run_b, qrels = self.make_runs(n=8, seed=2)
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)["map"]
         p_s = fisher_randomization(run_a, run_b, qrels, permutations=100_000,
-                                   seed=0)
+                                   seed=0)["map"]
         pi_ex = (p_ex * (2**8 + 1) - 1) / 2**8
         pi_s = (p_s * 100_001 - 1) / 100_000
         se = math.sqrt(pi_ex * (1 - pi_ex) / 100_000)
@@ -223,19 +239,32 @@ class TestFisher:
 
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_chunked_draws_match_one_large_chunk(self, n):
-        run_a, run_b, qrels = self.make_runs(n=n, seed=n)
-        for permutations in (3, 70_001):  # a multiple of no chunk size
+        run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
+        # 4,097 and 100,000 are multiples of neither chunk size
+        for permutations in (3, 4097, 100_000):
             p = fisher_randomization(run_a, run_b, qrels, permutations=permutations,
                                      seed=11)
-            assert p == fisher_sampled_reference(run_a, run_b, qrels, "map",
-                                                 permutations, 11)
+            assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m,
+                                                     permutations, 11)
+                         for m in METRIC_NAMES}
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+    def test_exhaustive_matches_the_enumeration_oracle(self, n):
+        run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
+        p = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        assert p == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
+                     for m in METRIC_NAMES}
 
     @pytest.mark.parametrize("chunk", [1, 3, 4095])
     def test_odd_chunk_sizes_keep_the_sign_stream(self, monkeypatch, chunk):
-        run_a, run_b, qrels = self.make_runs(n=7, seed=7)
+        run_a, run_b, qrels = self.graded_runs(n=7, seed=7)
         monkeypatch.setattr(evaluation, "_SIGN_CHUNK", chunk)
         p = fisher_randomization(run_a, run_b, qrels, permutations=9001, seed=11)
-        assert p == fisher_sampled_reference(run_a, run_b, qrels, "map", 9001, 11)
+        assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m, 9001, 11)
+                     for m in METRIC_NAMES}
+        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        assert p_ex == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
+                        for m in METRIC_NAMES}
 
     def test_sampling_memory_is_bounded(self):
         run_a, run_b, qrels = self.make_runs(n=40)
@@ -246,6 +275,18 @@ class TestFisher:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_exhaustive_memory_is_bounded(self):
+        # the 2^20 x 20 int64 sign matrix alone would take 160 MB
+        run_a, run_b, qrels = self.graded_runs(n=20, seed=20)
+        tracemalloc.start()
+        try:
+            p = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert all(0.0 < v <= 1.0 for v in p.values())
 
     def test_mismatched_query_sets_raise(self):
         run_a, run_b, qrels = self.make_runs()
@@ -258,12 +299,11 @@ class TestFisher:
         with pytest.raises(ValueError, match="exhaustive"):
             fisher_randomization(run_a, run_b, qrels, exhaustive=True)
 
-    def test_metric_selector(self):
+    def test_every_metric_has_a_p_value(self):
         run_a, run_b, qrels = self.make_runs()
-        for metric in ("map", "ndcg@20", "p@20"):
-            p = fisher_randomization(run_a, run_b, qrels, metric=metric,
-                                     permutations=500)
-            assert 0.0 < p <= 1.0
+        p = fisher_randomization(run_a, run_b, qrels, permutations=500)
+        assert list(p) == list(METRIC_NAMES)
+        assert all(0.0 < v <= 1.0 for v in p.values())
 
 
 # query, document and tag ids: whitespace-free, as run files require

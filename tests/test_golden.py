@@ -7,6 +7,9 @@ pipelines run in process through ``cli.main``:
   ``msp-<kind>`` modes on a small seeded corpus whose documents range
   from one token to several hundred, so every homogeneity branch (one
   token, shorter than the window, one span, many spans) is exercised;
+  ``varied_index`` pins its six index files and ``varied_homogeneity``
+  the float64 homogeneity rows, all four kinds at 20:10, of every
+  document in index order;
 * ``planted``: every file and table of index, retrieve, train (3 folds,
   few epochs), npm rerank with the model directory (with its feature
   dump) and with ``fold_0.json``, ``msp-intpsg``, ``eval --baseline
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from passagerank import Document
+from passagerank import Document, FilterSpec, homogeneity, load_index
 from passagerank.cli import main
 from conftest import planted_corpus, random_queries
 from test_cli import write_qrels, write_topics, write_trectext
@@ -76,6 +79,18 @@ def test_rerank_digest(ql_run, mode):
                  "--run", str(ql_run / "ql.run"), "--mode", mode,
                  "--passage-size", "20", "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == RUN_SHA256[mode]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["varied_index"]))
+def test_index_digest(ql_run, name):
+    assert sha256((ql_run / "index" / name).read_bytes()) == GOLDEN["varied_index"][name]
+
+
+def test_homogeneity_digest(ql_run):
+    index = load_index(ql_run / "index")
+    rows = np.vstack([homogeneity(d, index, FilterSpec(20, 10)) for d in index.doc_ids])
+    assert rows.dtype == np.float64 and rows.shape == (index.num_docs, 4)
+    assert sha256(rows.tobytes()) == GOLDEN["varied_homogeneity"]
 
 
 def planted_outputs(root: Path) -> dict[str, bytes]:
