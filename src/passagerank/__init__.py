@@ -5,7 +5,7 @@ neural model fuses the per-window-size scores with document and query
 features to re-rank an initial query-likelihood run.
 """
 
-from ._accel import backend_name
+from ._accel import FilterSpec, backend_name, parse_filters
 from .config import ExperimentConfig, build_config, read_config_file
 from .corpus import (
     CorpusError,
@@ -42,7 +42,7 @@ from .features import (
 from .fusion import AffineNorm, FusionModel, report_weights, softmax_rows
 from .npm import (NpmModel, ScoreSettings, candidate_features, candidate_matrices,
                   npm_rank, npm_train, save_training)
-from .passages import FilterSpec, msp_rank, parse_filters
+from .passages import msp_rank
 from .retrieval import SmoothingConfig, ql_scores, rank_documents
 from .training import CandidateSet, TrainConfig, make_folds, sample_triples, train
 

@@ -1,4 +1,4 @@
-"""Hot scoring kernels, batched per query.
+"""Window filters and the hot scoring kernels, batched per query.
 
 Two kernels carry nearly all of the reranking cost: per-filter pooled
 window scores (the fused scorer's inner loop) and per-span smoothed
@@ -12,13 +12,82 @@ document, and span scores are pooled per document with ``reduceat``.
 Per-term logs are summed in query-term order, so a batch gives bitwise
 the same scores as one call per document.
 
+A window filter is a ``FilterSpec`` (m, tau), and the kernels take its
+two ints. The whole document, label ``inf``, is the window m = tau =
+``WHOLE`` = 2**62: no document outgrows it, so it is each document's
+one span.
+
 Conventions: document and query tokens are int32 vocabulary ids, and
 out-of-vocabulary query tokens are -1 (they never match a position).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+WHOLE = 2**62  # m = tau of the whole-document filter: no document outgrows it
+
+
+@dataclass(frozen=True)
+class FilterSpec:
+    """A window filter: length m in tokens and stride tau; the whole
+    document is the window (WHOLE, WHOLE)."""
+
+    m: int
+    tau: int = 0
+
+    def __post_init__(self):
+        if (self.m, self.tau) == (WHOLE, WHOLE):
+            return
+        if self.m < 1:
+            raise ValueError(f"window length must be >= 1, got {self.m}")
+        if self.m >= WHOLE:
+            raise ValueError(f"window length must be < 2**62, got {self.m}; "
+                             f"use inf for the whole document")
+        if not 1 <= self.tau <= self.m:
+            raise ValueError(
+                f"stride must be in [1, {self.m}], got {self.tau}"
+            )
+
+    @classmethod
+    def window(cls, m: int, tau: int | None = None) -> "FilterSpec":
+        """Finite window; stride defaults to half the window length."""
+        return cls(m, max(1, m // 2) if tau is None else tau)
+
+    @classmethod
+    def whole_document(cls) -> "FilterSpec":
+        return cls(WHOLE, WHOLE)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.m == WHOLE
+
+    @property
+    def label(self) -> str:
+        return "inf" if self.is_infinite else f"{self.m}:{self.tau}"
+
+
+def parse_filter_label(label: str) -> FilterSpec:
+    text = str(label).strip().lower()
+    if text in ("inf", "infinite", "whole"):
+        return FilterSpec.whole_document()
+    m_s, colon, tau_s = text.partition(":")
+    try:
+        m, tau = int(m_s), int(tau_s) if colon else None
+    except ValueError:
+        raise ValueError(f"bad filter label {label!r}: expected m, m:tau "
+                         f"or inf") from None
+    return FilterSpec.window(m, tau)
+
+
+def parse_filters(text: str) -> tuple[FilterSpec, ...]:
+    """Parse `50,150,inf` or `50:25,150:75,inf` into filter specs."""
+    parts = [p for p in (s.strip() for s in text.split(",")) if p]
+    if not parts:
+        raise ValueError("filter list is empty")
+    return tuple(parse_filter_label(p) for p in parts)
 
 
 def span_layout(lengths, m: int, tau: int):

@@ -14,9 +14,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+from ._accel import FilterSpec, parse_filters
 from .features import feature_names
 from .npm import ScoreSettings
-from .passages import FilterSpec, check_pooling, parse_filters, serialize_filters
+from .passages import check_pooling
 from .retrieval import SmoothingConfig
 from .training import TrainConfig
 
@@ -100,7 +101,7 @@ class ExperimentConfig:
 # the comma-separated keys: (parse, format); every other key is read
 # with the type of its ExperimentConfig annotation
 _LIST_KEYS = {
-    "filters": (parse_filters, lambda v: ",".join(serialize_filters(v))),
+    "filters": (parse_filters, lambda v: ",".join(f.label for f in v)),
     "text_tags": (lambda raw: tuple(t.strip() for t in raw.split(",") if t.strip()),
                   ",".join),
 }
@@ -171,8 +172,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     check_pooling(cfg.pooling)
     feature_names(cfg.feature_set)
     cfg.train_config()
-    if not cfg.filters:
-        raise ValueError("at least one filter is required")
+    for name in ("filters", "text_tags"):
+        if not getattr(cfg, name):
+            raise ValueError(f"{name} must not be empty")
     for name in ("top_k", "passage_size", "permutations"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")

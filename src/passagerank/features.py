@@ -21,16 +21,13 @@ the wrong layout.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._accel import span_grid
+from ._accel import FilterSpec, span_grid
 from .corpus import CorpusIndex, Query
 from .evaluation import write_table
-
-if TYPE_CHECKING:  # passages imports this module
-    from .passages import FilterSpec
 
 HOMOGENEITY_KINDS = ("length", "ent", "intpsg", "docpsg")
 HOMOGENEITY_NAMES = tuple(f"h_{kind}" for kind in HOMOGENEITY_KINDS)

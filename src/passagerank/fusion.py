@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .passages import FilterSpec, parse_filter_label, serialize_filters
+from ._accel import FilterSpec, parse_filter_label
 
 MODEL_FORMAT = "passagerank-fusion"
 MODEL_VERSION = 1
@@ -135,7 +135,7 @@ class FusionModel:
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
-            "filters": serialize_filters(self.filters),
+            "filters": [f.label for f in self.filters],
             "feature_names": list(self.feature_names),
             "score_norm": {
                 "mean": self.score_norm.mean.tolist(),
@@ -191,7 +191,7 @@ class FusionModel:
         """Short hash of the configuration the parameters were fitted to."""
         payload = json.dumps(
             {
-                "filters": serialize_filters(self.filters),
+                "filters": [f.label for f in self.filters],
                 "feature_names": list(self.feature_names),
                 "meta": self.meta,
             },

@@ -20,11 +20,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._accel import FilterSpec, parse_filter_label
 from .corpus import CorpusIndex, Query
 from .evaluation import qid_sort_key, rank_by_score, write_table
 from .features import FeatureExtractor, feature_names, mean_top_scores
 from .fusion import FusionModel
-from .passages import FilterSpec, check_pooling, parse_filter_label, score_tokens
+from .passages import check_pooling, score_tokens
 from .retrieval import QueryContext, SmoothingConfig
 from .training import CandidateSet, FoldResult, TrainConfig, train
 

@@ -2,8 +2,9 @@
 
 A window filter (m, tau) slides over a document of length L and yields
 overlapping spans of length min(m, L), the last one ending the document
-(``_accel.span_layout``). Each span is scored either by the smoothed
-unigram language model
+(``_accel.span_layout``). The whole-document filter ``inf`` is the
+window m = tau = 2**62, so each document is its one span. Each span
+is scored either by the smoothed unigram language model
 
     sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
 
@@ -24,12 +25,12 @@ query likelihood of ``retrieval.ql_scores``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _accel, features
+from ._accel import FilterSpec
 from .corpus import CorpusIndex, Query
 from .evaluation import rank_by_score
 from .retrieval import QueryContext, SmoothingConfig, ql_scores
@@ -39,72 +40,6 @@ POOL_MEAN = "mean"
 POOLINGS = (POOL_MAX, POOL_MEAN)
 
 HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
-WHOLE = 2**62  # m = tau of the whole-document filter: no document outgrows it
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """A window filter: length m in tokens (None = whole document), stride tau."""
-
-    m: int | None
-    tau: int = 0
-
-    def __post_init__(self):
-        if self.m is None:
-            if self.tau != 0:
-                object.__setattr__(self, "tau", 0)  # canonical form
-            return
-        if self.m < 1:
-            raise ValueError(f"window length must be >= 1, got {self.m}")
-        if self.m >= WHOLE:
-            raise ValueError(f"window length must be < 2**62, got {self.m}; "
-                             f"use inf for the whole document")
-        if not 1 <= self.tau <= self.m:
-            raise ValueError(
-                f"stride must be in [1, {self.m}], got {self.tau}"
-            )
-
-    @classmethod
-    def window(cls, m: int, tau: int | None = None) -> "FilterSpec":
-        """Finite window; stride defaults to half the window length."""
-        return cls(m, max(1, m // 2) if tau is None else tau)
-
-    @classmethod
-    def whole_document(cls) -> "FilterSpec":
-        return cls(None, 0)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.m is None
-
-    @property
-    def label(self) -> str:
-        return "inf" if self.m is None else f"{self.m}:{self.tau}"
-
-
-def serialize_filters(filters: Sequence[FilterSpec]) -> list[str]:
-    return [f.label for f in filters]
-
-
-def parse_filter_label(label: str) -> FilterSpec:
-    text = str(label).strip().lower()
-    if text in ("inf", "infinite", "whole"):
-        return FilterSpec.whole_document()
-    m_s, colon, tau_s = text.partition(":")
-    try:
-        m, tau = int(m_s), int(tau_s) if colon else None
-    except ValueError:
-        raise ValueError(f"bad filter label {label!r}: expected m, m:tau "
-                         f"or inf") from None
-    return FilterSpec.window(m, tau)
-
-
-def parse_filters(text: str) -> tuple[FilterSpec, ...]:
-    """Parse `50,150,inf` or `50:25,150:75,inf` into filter specs."""
-    parts = [p for p in (s.strip() for s in text.split(",")) if p]
-    if not parts:
-        raise ValueError("filter list is empty")
-    return tuple(parse_filter_label(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +50,6 @@ def parse_filters(text: str) -> tuple[FilterSpec, ...]:
 def check_pooling(pooling: str) -> None:
     if pooling not in POOLINGS:
         raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
-
-
-def _filter_arrays(filters: Sequence[FilterSpec]):
-    windows = [(WHOLE, WHOLE) if f.is_infinite else (f.m, f.tau) for f in filters]
-    return np.array(windows, dtype=np.int64).reshape(-1, 2).T
 
 
 def score_tokens(
@@ -140,7 +70,7 @@ def score_tokens(
     query log-likelihood.
     """
     check_pooling(pooling)
-    ms, taus = _filter_arrays(filters)
+    ms, taus = np.array([(f.m, f.tau) for f in filters], dtype=np.int64).reshape(-1, 2).T
     raw = _accel.kernel_filter_scores(
         tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling == POOL_MEAN, lengths,
     )

@@ -24,18 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from passagerank import _accel
+from passagerank._accel import WHOLE, FilterSpec
 from passagerank.corpus import CorpusIndex, Document, Query, TokenizeConfig
 from passagerank.evaluation import evaluate_run
 from passagerank.features import FeatureExtractor, mean_top_scores
-from passagerank.passages import (
-    POOL_MAX,
-    POOL_MEAN,
-    WHOLE,
-    FilterSpec,
-    _filter_arrays,
-    max_passage_lm,
-    score_tokens,
-)
+from passagerank.passages import POOL_MAX, POOL_MEAN, max_passage_lm, score_tokens
 from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
 
 
@@ -88,12 +81,6 @@ class PassageSpan:
             raise ValueError(f"invalid span ({self.start}, {self.length})")
 
 
-def window_of(f: FilterSpec) -> tuple[int, int]:
-    """The (m, tau) that encode filter ``f`` in the kernels."""
-    ms, taus = _filter_arrays([f])
-    return int(ms[0]), int(taus[0])
-
-
 def span_starts(n_d: int, m: int, tau: int) -> list[int]:
     """Starts of the spans of window (m, tau) over a document of length
     ``n_d``: i*tau while i*tau + m < n_d, then n_d - m; a document no
@@ -108,8 +95,7 @@ def extract_passages(n_d: int, f: FilterSpec) -> list[PassageSpan]:
     of length min(n_d, m); the whole-document filter yields (0, n_d)."""
     if n_d < 1:
         raise ValueError(f"document length must be >= 1, got {n_d}")
-    m, tau = window_of(f)
-    return [PassageSpan(start, min(n_d, m)) for start in span_starts(n_d, m, tau)]
+    return [PassageSpan(start, min(n_d, f.m)) for start in span_starts(n_d, f.m, f.tau)]
 
 
 class MatchingMatrix:
@@ -267,7 +253,8 @@ def score_batch(ctx: QueryContext, tokens: np.ndarray, filters, pooling: str,
     pooled kernel scores it shifts."""
     if scale == "lm":
         return score_tokens(ctx, tokens, filters, pooling, lengths)
-    ms, taus = _filter_arrays(filters)
+    ms = np.array([f.m for f in filters], dtype=np.int64)
+    taus = np.array([f.tau for f in filters], dtype=np.int64)
     return _accel.kernel_filter_scores(tokens, ctx.ids, ctx.bias_coeff, ms, taus,
                                        pooling == POOL_MEAN, lengths)
 

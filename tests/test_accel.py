@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passagerank import _accel, backend_name
-from passagerank.passages import WHOLE, FilterSpec
+from passagerank._accel import WHOLE, FilterSpec
 from reference import (
     extract_passages,
     kernel_filter_scores_loop,
     lm_span_scores_loop,
     match_counts,
-    window_of,
 )
 
 # lengths that hit the edges of the filters below: a single token,
@@ -81,7 +80,7 @@ class TestMatchCounts:
             tokens, lengths, query, _ = random_batch(rng, max_len=120)
             positions = _accel.match_positions(tokens, query)
             for f in FILTERS:
-                starts, ends, counts, _ = _accel.span_grid(lengths, *window_of(f))
+                starts, ends, counts, _ = _accel.span_grid(lengths, f.m, f.tau)
                 wc = _accel.window_counts(positions, starts, ends)
                 expect = []
                 for doc in split(tokens, lengths):
@@ -147,7 +146,7 @@ class TestKernelTwins:
         for _ in range(50):
             _, lengths, _, _ = random_batch(rng)
             for f in (*FILTERS, FilterSpec(5, 5)):
-                starts, ends, counts, _ = _accel.span_grid(lengths, *window_of(f))
+                starts, ends, counts, _ = _accel.span_grid(lengths, f.m, f.tau)
                 expect = [(begin + sp.start, begin + sp.start + sp.length)
                           for n_d, begin in zip(lengths, np.cumsum(lengths) - lengths)
                           for sp in extract_passages(int(n_d), f)]

@@ -58,7 +58,6 @@ from reference import (
     pool_document,
     score_tokens_one,
     whole_doc_lm_one,
-    window_of,
 )
 
 
@@ -121,9 +120,8 @@ def test_criterion_1_kernel_reproduces_lm_score():
             pooled = {p: score_tokens(ctx, tokens, filters, p, lengths)
                       for p in ("max", "mean")}
             for col, f in enumerate(filters):
-                m, tau = window_of(f)
                 lm = _accel.lm_span_scores(tokens, ctx.ids, ctx.background,
-                                           1.0 - s.lambda_c, m, tau, lengths)
+                                           1.0 - s.lambda_c, f.m, f.tau, lengths)
                 spans = [(matrix, sp) for doc, matrix in zip(docs, matrices)
                          for sp in extract_passages(doc.n_d, f)]
                 assert lm.shape == (len(spans),)
@@ -131,7 +129,7 @@ def test_criterion_1_kernel_reproduces_lm_score():
                     kern = (kernel_score(query, sp, matrix, index, s, m_eff=sp.length)
                             - kernel_lm_shift(query.n_q, sp.length, s))
                     worst = max(worst, abs(score - kern) / abs(kern))
-                offsets = _accel.span_layout(lengths, m, tau)[1]
+                offsets = _accel.span_layout(lengths, f.m, f.tau)[1]
                 bounds = [*offsets.tolist(), lm.shape[0]]
                 for d, doc in enumerate(docs):
                     own = lm[bounds[d]:bounds[d + 1]]

@@ -15,6 +15,7 @@ import pytest
 
 import passagerank
 from passagerank import (
+    Document,
     FeatureExtractor,
     FilterSpec,
     FusionModel,
@@ -470,6 +471,27 @@ def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
     assert meta["homogeneity_filter"] == "50:10" and "homogeneity_m" not in meta
 
 
+def test_stoplist_end_to_end(tmp_path, caplog):
+    """--stoplist drops its words from the index and from the topics; a
+    topic of stopwords only is skipped with a warning."""
+    corpus, index, run = tmp_path / "corpus.trectext", tmp_path / "index", tmp_path / "ql.run"
+    topics, stoplist = tmp_path / "topics.txt", tmp_path / "stop.txt"
+    write_trectext(corpus, [Document("d1", ("the", "alpha", "beta")),
+                            Document("d2", ("the", "gamma"))])
+    write_topics(topics, [Query("1", ("the", "alpha")), Query("2", ("the",))])
+    stoplist.write_text("# stopwords\nThe\n")
+    stop = ["--stoplist", str(stoplist)]
+    assert main(["index", "--corpus", str(corpus), "--index", str(index), *stop]) == 0
+    vocab = [line.split("\t")[0] for line in
+             (index / "vocab.tsv").read_text(encoding="utf-8").splitlines()]
+    assert sorted(vocab) == ["alpha", "beta", "gamma"]
+    assert main(["retrieve", "--index", str(index), "--topics", str(topics), *stop,
+                 "--output", str(run)]) == 0
+    assert list(read_run(run)) == ["1"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping topic 2: empty title after tokenization"]
+
+
 QID = '1,"2'  # a query id holding the delimiter and the quote character
 TABLES = {"eval": "eval.csv", "paired": "paired.csv", "weights": "weights.csv",
           "folds": "models/folds.csv", "train_log": "models/train_log_fold_0.csv"}
@@ -755,6 +777,51 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, data, message", [
+        (lambda p, bad: ["index", "--corpus", bad, "--index"], None,
+         "empty corpus directory: {bad}"),
+        (lambda p, bad: ["retrieve", "--index", p["index"], "--topics", bad,
+                         "--output"],
+         b"<top>\n<title> alpha\n</top>\n", "{bad}: topic record #1 has no num field"),
+        (lambda p, bad: ["retrieve", "--index", p["index"], "--topics", bad,
+                         "--output"],
+         b"<top>\n<num> Number: 1\n<title> -- !\n</top>\n",
+         "{bad}: no usable topics found"),
+        (lambda p, bad: ["retrieve", "--index", p["index"], "--topics", bad,
+                         "--output"],
+         b"<top>\n<num> Number: 1\n<title> \xff\n</top>\n",
+         "{bad}: undecodable text in topic record #1"),
+        (lambda p, bad: ["eval", "--qrels", bad, "--run", p["ql_run"], "--csv"],
+         b"", "{bad}: no judgments found"),
+        (lambda p, bad: ["eval", "--qrels", p["qrels"], "--run", bad, "--csv"],
+         b"", "{bad}: empty run file"),
+    ], ids=["empty-corpus-dir", "topic-without-num", "no-usable-topic",
+            "undecodable-topic", "empty-qrels", "empty-run"])
+    def test_malformed_input(self, pipeline, tmp_path, capsys, argv, data, message):
+        """A malformed input (``data``, None for an empty directory) exits
+        2 with one error line naming it, no traceback and no output."""
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        if data is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(data)
+        rc = main([str(a) for a in (*argv(pipeline, bad), out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists() and "Traceback" not in err
+        assert f"error: {message.format(bad=bad)}" in err.splitlines()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_text_tags(self, pipeline, tmp_path, capsys, caplog, source):
+        # an empty tag list made every document empty, one warning each
+        conf = tmp_path / "index.conf"
+        conf.write_text("text_tags =\n")
+        flags = ["--text-tags", ","] if source == "flag" else ["--config", str(conf)]
+        out = tmp_path / "index"
+        rc = main(["index", "--corpus", str(pipeline["corpus"]), *flags,
+                   "--index", str(out)])
+        assert rc == 2 and not out.exists() and not caplog.records
+        assert capsys.readouterr().err == "error: text_tags must not be empty\n"
 
     def test_train_needs_three_folds(self, pipeline, tmp_path, capsys):
         out = tmp_path / "models"

@@ -4,17 +4,17 @@ import dataclasses
 
 import pytest
 
-from passagerank import ExperimentConfig, build_config, parse_filters, read_config_file
+from passagerank import (ExperimentConfig, FilterSpec, build_config, parse_filters,
+                         read_config_file)
 from passagerank.cli import _FLAG_DEFS, _build_parser, main
 from passagerank.config import format_value, parse_value, require, require_set
-from passagerank.passages import FilterSpec
 from passagerank.training import TrainConfig
 
 
 class TestParseFilters:
     def test_plain_sizes_get_half_stride(self):
         filters = parse_filters("50,150,inf")
-        assert [(f.m, f.tau) for f in filters] == [(50, 25), (150, 75), (None, 0)]
+        assert [(f.m, f.tau) for f in filters] == [(50, 25), (150, 75), (2**62, 2**62)]
 
     def test_explicit_strides(self):
         filters = parse_filters("40:10, 80:80")

@@ -255,6 +255,22 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f"{name} does not have"):
             load_index(saved_index)
 
+    @pytest.mark.parametrize("name, column, value, message", [
+        ("vocab.tsv", 0, None, "vocabulary contains duplicate terms"),
+        ("docs.tsv", 0, None, "duplicate doc_id in index"),
+        ("vocab.tsv", 2, "0", "a vocabulary term has document frequency 0"),
+    ], ids=["duplicate-term", "duplicate-doc", "df-zero"])
+    def test_doctored_tsv_raises(self, saved_index, name, column, value, message):
+        """A re-signed TSV whose second row copies the first row's field
+        (``value`` None) or holds ``value`` fails the load."""
+        rows = [line.split("\t") for line in
+                (saved_index / name).read_text(encoding="utf-8").splitlines()]
+        rows[1][column] = rows[0][column] if value is None else value
+        text = "".join("\t".join(row) + "\n" for row in rows)
+        rewrite_index_file(saved_index, name, text.encode("utf-8"), fix_digest=True)
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            load_index(saved_index)
+
     def test_missing_data_file_raises(self, saved_index):
         (saved_index / "postings_tf.bin").unlink()
         with pytest.raises(CorpusError, match="has no postings_tf.bin"):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from passagerank import AffineNorm, FilterSpec, FusionModel, report_weights, softmax_rows
+from passagerank._accel import parse_filter_label
 from passagerank.fusion import forward_parts, linear_rows
-from passagerank.passages import parse_filter_label, serialize_filters
 
 FILTERS = (FilterSpec.window(50), FilterSpec.window(150), FilterSpec.whole_document())
 FEATS = ("f1", "f2", "f3", "f4", "f5")
@@ -193,7 +193,7 @@ class TestFusionModel:
 
 class TestSerialization:
     def test_filter_labels_round_trip(self):
-        labels = serialize_filters(FILTERS)
+        labels = [f.label for f in FILTERS]
         assert labels == ["50:25", "150:75", "inf"]
         assert tuple(parse_filter_label(s) for s in labels) == FILTERS
 

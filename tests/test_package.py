@@ -30,16 +30,27 @@ def test_no_function_body_imports():
     assert found == []
 
 
+def test_no_type_checking_imports():
+    """No package import hides under ``if TYPE_CHECKING:``, where it
+    would close an import cycle that only type checkers see."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for block in ast.walk(tree):
+            if isinstance(block, ast.If) and "TYPE_CHECKING" in ast.unparse(block.test):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(block)
+                          if isinstance(node, ast.ImportFrom) and node.level >= 1]
+    assert found == []
+
+
 def package_imports() -> dict[str, set[str]]:
-    """Each module's package imports: the modules its module-level
-    ``from .x import`` and ``from . import x`` statements name. Imports
-    inside ``if TYPE_CHECKING:`` (or any other block) are not module-level
-    statements, so they are not counted."""
+    """Each module's package imports: the modules its ``from .x import``
+    and ``from . import x`` statements name, inside any block too."""
     graph = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         graph[path.stem] = set()
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 graph[path.stem] |= ({node.module} if node.module
                                      else {alias.name for alias in node.names})

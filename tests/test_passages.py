@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
-from passagerank.passages import WHOLE, combine_homogeneous, max_passage_lm, score_tokens
+from passagerank._accel import WHOLE
+from passagerank.passages import combine_homogeneous, max_passage_lm, score_tokens
 from passagerank.retrieval import QueryContext
 from reference import (
     PassageSpan,
@@ -41,6 +42,7 @@ class TestFilterSpec:
 
     def test_whole_document(self):
         f = FilterSpec.whole_document()
+        assert f == FilterSpec(WHOLE, WHOLE) == FilterSpec(2**62, 2**62)
         assert f.is_infinite
         assert f.label == "inf"
 
