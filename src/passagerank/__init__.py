@@ -12,7 +12,6 @@ from .corpus import (
     CorpusIndex,
     Document,
     Query,
-    TokenizeConfig,
     build_index,
     iter_trectext,
     load_index,
@@ -63,7 +62,6 @@ __all__ = [
     "Query",
     "ScoreSettings",
     "SmoothingConfig",
-    "TokenizeConfig",
     "TrainConfig",
     "average_precision",
     "backend_name",

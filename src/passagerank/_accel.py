@@ -36,7 +36,7 @@ class FilterSpec:
     document is the window (WHOLE, WHOLE)."""
 
     m: int
-    tau: int = 0
+    tau: int
 
     def __post_init__(self):
         if (self.m, self.tau) == (WHOLE, WHOLE):
@@ -70,7 +70,8 @@ class FilterSpec:
 
 
 def parse_filter_label(label: str) -> FilterSpec:
-    text = str(label).strip().lower()
+    # a model file's JSON number is no label: "" fails the parse below
+    text = label.strip().lower() if isinstance(label, str) else ""
     if text in ("inf", "infinite", "whole"):
         return FilterSpec.whole_document()
     m_s, colon, tau_s = text.partition(":")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import (ExperimentConfig, build_config, format_value, parse_value,
                      require, require_set)
-from .corpus import (Query, TokenizeConfig, build_index, iter_trectext, load_index,
-                     read_stoplist, read_topics, save_index)
+from .corpus import (Query, build_index, iter_trectext, load_index, read_stoplist,
+                     read_topics, save_index)
 from .evaluation import (METRIC_NAMES, evaluate_run, fisher_randomization,
                          format_eval_table, qid_sort_key, read_qrels, read_run,
                          write_eval_csv, write_run, write_table)
@@ -170,10 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize_config(cfg: ExperimentConfig) -> TokenizeConfig | None:
-    if cfg.stoplist is None:
-        return None
-    return TokenizeConfig(stopwords=read_stoplist(cfg.stoplist))
+def _tokenize_config(cfg: ExperimentConfig) -> frozenset[str]:
+    """The stopwords that documents and topics drop."""
+    return frozenset() if cfg.stoplist is None else read_stoplist(cfg.stoplist)
 
 
 def _queries_in_run(cfg: ExperimentConfig, run: dict) -> list[Query]:

@@ -81,15 +81,9 @@ _ASCII_TOKEN_TABLE = bytes(
 )
 
 
-@dataclass(frozen=True)
-class TokenizeConfig:
-    """Lowercase + alphanumeric-run extraction, optional stopword removal."""
-
-    stopwords: frozenset[str] = frozenset()
-
-
-def tokenize(raw_text: str, config: TokenizeConfig | None = None) -> list[str]:
-    """Split raw text into normalized tokens, document order preserved.
+def tokenize(raw_text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
+    """Split raw text into normalized tokens, document order preserved,
+    and drop the ``stopwords``.
 
     A token is a run of ``[a-z0-9]`` in the lowercased text. ASCII text
     takes one byte translate and ``split``, which yields the same tokens;
@@ -101,8 +95,8 @@ def tokenize(raw_text: str, config: TokenizeConfig | None = None) -> list[str]:
                   .decode("ascii").split())
     else:
         tokens = _TOKEN_RE.findall(raw_text.lower())
-    if config is not None and config.stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
+    if stopwords:
+        tokens = [t for t in tokens if t not in stopwords]
     return tokens
 
 
@@ -139,7 +133,9 @@ class CorpusIndex:
     lengths), ``num_docs``, per-document lengths, and the UNSMOOTHED log
     length extrema over the corpus. The postings are two flat int32
     arrays in CSR layout (see the module docstring), sliced by
-    :meth:`postings`.
+    :meth:`postings`. Documents keep their ingest order; the index holds
+    no ranking order, since every ranking breaks ties by doc_id through
+    ``evaluation.rank_by_score``.
     """
 
     def __init__(
@@ -180,7 +176,6 @@ class CorpusIndex:
         self._check_structure()
         self.min_log_len = float(np.log(self.doc_len.min()))
         self.max_log_len = float(np.log(self.doc_len.max()))
-        self._doc_sort_rank: np.ndarray | None = None
         # (doc_id, m, tau, kinds) -> row in kinds order; see features.cached_homogeneity
         self.homogeneity_rows: dict = {}
 
@@ -261,22 +256,6 @@ class CorpusIndex:
         """
         lo, hi = self.postings_offset[tid], self.postings_offset[tid + 1]
         return self.postings_docs[lo:hi], self.postings_tf[lo:hi]
-
-    # -- derived caches -----------------------------------------------------
-
-    def doc_sort_rank(self) -> np.ndarray:
-        """Rank of each document index under ascending doc_id order.
-
-        Used as the deterministic tie-break key everywhere rankings are
-        produced.
-        """
-        if self._doc_sort_rank is None:
-            order = sorted(range(self.num_docs), key=lambda i: self.doc_ids[i])
-            rank = np.empty(self.num_docs, dtype=np.int64)
-            for r, i in enumerate(order):
-                rank[i] = r
-            self._doc_sort_rank = rank
-        return self._doc_sort_rank
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +366,10 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 def _tsv_columns(data: bytes, width: int, name: str) -> list[list[str]]:
     """The ``width`` columns of a tab-separated file, one row per line."""
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorpusError(f"{name} is not UTF-8 text") from None
     fields = text.replace("\n", "\t").split("\t")
     if len(fields) != width * text.count("\n") + 1 or fields[-1]:
         raise CorpusError(f"{name} does not have {width} fields per line")
@@ -431,18 +413,16 @@ def load_index(path: str | Path) -> CorpusIndex:
             )
         return data
 
-    vocab, cf, df = _tsv_columns(read("vocab.tsv"), 3, "vocab.tsv")
-    doc_ids, doc_len = _tsv_columns(read("docs.tsv"), 2, "docs.tsv")
-    index = CorpusIndex(
-        vocab=vocab,
-        cf=np.array(cf, dtype=np.int64),
-        df=np.array(df, dtype=np.int64),
-        doc_ids=doc_ids,
-        doc_len=np.array(doc_len, dtype=np.int64),
-        tokens=np.frombuffer(read("tokens.bin"), dtype="<i4"),
-        postings_docs=np.frombuffer(read("postings_docs.bin"), dtype="<i4"),
-        postings_tf=np.frombuffer(read("postings_tf.bin"), dtype="<i4"),
-    )
+    vocab_tsv, docs_tsv = read("vocab.tsv"), read("docs.tsv")
+    arrays = [np.frombuffer(read(f"{name}.bin"), dtype="<i4")
+              for name in ("tokens", "postings_docs", "postings_tf")]
+    try:  # malformed tables, unparsable counts and CorpusIndex's structure checks
+        vocab, cf, df = _tsv_columns(vocab_tsv, 3, "vocab.tsv")
+        doc_ids, doc_len = _tsv_columns(docs_tsv, 2, "docs.tsv")
+        cf, df, doc_len = (np.array(c, dtype=np.int64) for c in (cf, df, doc_len))
+        index = CorpusIndex(vocab, cf, df, doc_ids, doc_len, *arrays)
+    except (ValueError, OverflowError) as e:
+        raise CorpusError(f"{src}: {e}; rebuild the index") from None
     counts = (index.num_docs, index.total_len, len(index.vocab))
     if counts != tuple(manifest.get(k) for k in ("num_docs", "total_len", "vocab_size")):
         raise CorpusError(f"{manifest_path}: num_docs, total_len and vocab_size "
@@ -491,7 +471,7 @@ def _corpus_files(path: Path) -> list[Path]:
 
 def iter_trectext(
     path: str | Path,
-    config: TokenizeConfig | None = None,
+    stopwords: frozenset[str] = frozenset(),
     text_tags: Sequence[str] = ("TEXT",),
 ) -> Iterator[Document]:
     """Stream Documents out of trectext files (a file or a directory).
@@ -538,11 +518,11 @@ def iter_trectext(
             raw = " ".join(parts)
             if "<" in raw:
                 raw = _TAG_RE.sub(" ", raw)
-            yield Document(doc_id, tuple(tokenize(raw, config)))
+            yield Document(doc_id, tuple(tokenize(raw, stopwords)))
 
 
 def read_topics(
-    path: str | Path, config: TokenizeConfig | None = None
+    path: str | Path, stopwords: frozenset[str] = frozenset()
 ) -> list[Query]:
     """Parse TREC topics; the title field is the query, num the query_id.
 
@@ -565,7 +545,7 @@ def read_topics(
         qid = num_m.group(1).strip()
         title_m = _TITLE_RE.search(record)
         title = title_m.group(1) if title_m else ""
-        terms = tuple(tokenize(title, config))
+        terms = tuple(tokenize(title, stopwords))
         if not terms:
             log.warning("skipping topic %s: empty title after tokenization", qid)
             continue

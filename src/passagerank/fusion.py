@@ -63,6 +63,16 @@ class AffineNorm:
         return cls(m.mean(axis=0), np.maximum(m.std(axis=0), _STD_FLOOR))
 
 
+def json_numbers(value, key: str, kind: type | tuple[type, ...] = (int, float)):
+    """``value``, a JSON number of ``kind`` (an int or a float by default;
+    never a bool or a string) or nested lists of them."""
+    for x in np.array(value, dtype=object).flat:
+        if isinstance(x, bool) or not isinstance(x, kind):
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key}: expected {noun}, got {x!r}")
+    return value
+
+
 class FusionModel:
     """Parameters + normalizations + the configuration they were fitted to."""
 
@@ -88,7 +98,8 @@ class FusionModel:
             raise ValueError(
                 f"W has shape {self.W.shape}, expected ({alpha}, {beta})"
             )
-        if score_norm.size != alpha or feature_norm.size != beta:
+        shapes = [v.shape for n in (score_norm, feature_norm) for v in (n.mean, n.std)]
+        if shapes != [(alpha,), (alpha,), (beta,), (beta,)]:
             raise ValueError("normalization record dimensions do not match model")
         if not (np.isfinite(self.W).all() and math.isfinite(self.b)):
             raise ValueError("model parameters must be finite")
@@ -164,27 +175,30 @@ class FusionModel:
             raise ValueError(f"cannot read model file {path}: {e}") from None
         if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path} is not a fusion model file")
-        if raw.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {raw.get('version')!r}")
+        version = raw.get("version")
+        if type(version) is not int or version != MODEL_VERSION:
+            raise ValueError(f"model file {path}: unsupported model version "
+                             f"{version!r}")
+
+        def floats(key: str, part: str) -> np.ndarray:
+            return np.array(json_numbers(raw[key][part], f"{key} {part}"),
+                            dtype=np.float64)
+
         try:
             return cls(
                 filters=[parse_filter_label(s) for s in raw["filters"]],
                 feature_names=raw["feature_names"],
-                W=np.array(raw["W"], dtype=np.float64),
-                b=raw["b"],
-                score_norm=AffineNorm(
-                    np.array(raw["score_norm"]["mean"], dtype=np.float64),
-                    np.array(raw["score_norm"]["std"], dtype=np.float64),
-                ),
-                feature_norm=AffineNorm(
-                    np.array(raw["feature_norm"]["mean"], dtype=np.float64),
-                    np.array(raw["feature_norm"]["std"], dtype=np.float64),
-                ),
+                W=np.array(json_numbers(raw["W"], "W"), dtype=np.float64),
+                b=json_numbers(raw["b"], "b"),
+                score_norm=AffineNorm(floats("score_norm", "mean"),
+                                      floats("score_norm", "std")),
+                feature_norm=AffineNorm(floats("feature_norm", "mean"),
+                                        floats("feature_norm", "std")),
                 meta=raw.get("meta", {}),
             )
         except KeyError as e:
             raise ValueError(f"model file {path} lacks key {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 
     def fingerprint(self) -> str:

@@ -24,7 +24,7 @@ from ._accel import FilterSpec, parse_filter_label
 from .corpus import CorpusIndex, Query
 from .evaluation import qid_sort_key, rank_by_score, write_table
 from .features import FeatureExtractor, feature_names, mean_top_scores
-from .fusion import FusionModel
+from .fusion import FusionModel, json_numbers
 from .passages import check_pooling, score_tokens
 from .retrieval import QueryContext, SmoothingConfig
 from .training import CandidateSet, FoldResult, TrainConfig, train
@@ -67,10 +67,10 @@ class ScoreSettings:
         from its metadata, so reranking scores as training did."""
         meta = model.meta
 
-        def setting(key: str):
+        def setting(key: str, kind: type | tuple[type, ...] | None = None):
             if meta.get(key) is None:
                 raise ValueError(f"no {key!r} setting recorded")
-            return meta[key]
+            return meta[key] if kind is None else json_numbers(meta[key], key, kind)
 
         try:
             feature_set = setting("feature_set")
@@ -82,10 +82,10 @@ class ScoreSettings:
             hom = (None if feature_set == "query"
                    else parse_filter_label(setting("homogeneity_filter")))
             check_pooling(setting("pooling"))
-            smoothing = SmoothingConfig(float(setting("lambda_c")),
-                                        int(setting("oov_floor")))
+            smoothing = SmoothingConfig(setting("lambda_c", (int, float)),
+                                        setting("oov_floor", int))
             return cls(model.filters, smoothing, meta["pooling"], feature_set,
-                       hom, int(setting("list_k")))
+                       hom, setting("list_k", int))
         except (TypeError, ValueError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 

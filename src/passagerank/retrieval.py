@@ -5,7 +5,8 @@ holds its weight lambda_c and the corpus-frequency floor of unseen
 terms, ``QueryContext`` each query term's id and background probability.
 ``ql_scores`` scores every document in the index against a query, and
 ``rank_documents`` returns the top-k ranking that the passage rerankers
-consume as their candidate pool. Scoring is postings-based and
+consume as their candidate pool, in ``evaluation.rank_by_score``'s order
+like every run the package writes. Scoring is postings-based and
 vectorized over the whole corpus, one query term at a time, which keeps
 the arithmetic order fixed and the output deterministic.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusIndex, Query
+from .evaluation import rank_by_score
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,12 @@ def rank_documents(
     s: SmoothingConfig | None = None,
     top_k: int = 2000,
 ) -> list[tuple[str, float]]:
-    """Top-k documents by whole-document QL, ties broken by doc_id
-    ascending: ``evaluation.rank_by_score``'s order, over the corpus."""
+    """The first ``top_k`` of ``rank_by_score`` over the corpus by QL.
+    Only the documents scoring at least the k-th best score, a tie group
+    that straddles rank k included, are sorted."""
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     scores = ql_scores(query, index, s)
-    order = np.lexsort((index.doc_sort_rank(), -scores))[:top_k]
-    return [(index.doc_ids[i], float(scores[i])) for i in order]
+    k = min(top_k, index.num_docs)
+    band = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+    return rank_by_score([index.doc_ids[i] for i in band], scores[band])[:top_k]

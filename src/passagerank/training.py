@@ -49,6 +49,8 @@ class TrainConfig:
         if self.folds < 3:
             raise ValueError("folds must be >= 3: every fold needs a test, "
                              "a validation and a training fold")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

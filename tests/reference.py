@@ -25,7 +25,7 @@ import numpy as np
 
 from passagerank import _accel
 from passagerank._accel import WHOLE, FilterSpec
-from passagerank.corpus import CorpusIndex, Document, Query, TokenizeConfig
+from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
 from passagerank.features import FeatureExtractor, mean_top_scores
 from passagerank.passages import POOL_MAX, POOL_MEAN, max_passage_lm, score_tokens
@@ -37,14 +37,13 @@ from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
 # ---------------------------------------------------------------------------
 
 
-def tokenize_reference(raw_text: str, config: TokenizeConfig | None = None) -> list[str]:
+def tokenize_reference(raw_text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Runs of ``[a-z0-9]`` in the lowercased text, stopwords dropped."""
     tokens = re.findall(r"[a-z0-9]+", raw_text.lower())
-    stopwords = config.stopwords if config is not None else frozenset()
     return [t for t in tokens if t not in stopwords]
 
 
-def trectext_reference(blob: bytes, config: TokenizeConfig | None = None,
+def trectext_reference(blob: bytes, stopwords: frozenset[str] = frozenset(),
                        text_tags: Sequence[str] = ("TEXT",)) -> list[Document]:
     """The documents of one TRECTEXT file, read by lazy regexes: a record
     is ``<DOC>...</DOC>`` (case-sensitive), its id the first
@@ -60,7 +59,7 @@ def trectext_reference(blob: bytes, config: TokenizeConfig | None = None,
             t = re.escape(tag)
             parts.extend(re.findall(rf"<{t}>(.*?)</{t}>", record, re.S | re.I))
         raw = re.sub(r"<[^>]+>", " ", " ".join(parts))
-        docs.append(Document(doc_id, tuple(tokenize_reference(raw, config))))
+        docs.append(Document(doc_id, tuple(tokenize_reference(raw, stopwords))))
     return docs
 
 

@@ -35,7 +35,7 @@ from passagerank import (
 )
 from passagerank.cli import main
 from passagerank.features import HOMOGENEITY_NAMES
-from conftest import corrupt_index_file, planted_corpus, set_first
+from conftest import corrupt_index_file, planted_corpus, rewrite_index_file, set_first
 
 
 def write_trectext(path: Path, docs) -> None:
@@ -424,6 +424,16 @@ class TestFoldManifest:
         assert rc == 2
         assert f"{folds}:" in capsys.readouterr().err
         assert not (tmp_path / "x.run").exists()
+
+    def test_bad_header(self, pipeline, tmp_path, capsys):
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1")
+        folds, out = models / "folds.csv", tmp_path / "x.run"
+        folds.write_text(folds.read_text().replace("query_id,fold", "qid,fold", 1))
+        rc = self.rerank(pipeline, topics, run, models, out)
+        captured = capsys.readouterr()
+        assert rc == 2 and not out.exists() and captured.out == ""
+        assert captured.err == (f"error: {folds}:1: expected 'query_id,fold', "
+                                f"got 'qid,fold\\n'\n")
 
     def test_duplicate_query_is_rejected(self, pipeline, tmp_path, capsys):
         # a second line for query 1 would score it with a model trained on it
@@ -823,6 +833,55 @@ class TestErrors:
         assert rc == 2 and not out.exists() and not caplog.records
         assert capsys.readouterr().err == "error: text_tags must not be empty\n"
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, command):
+        # train built every candidate matrix, and eval scored both runs,
+        # before numpy rejected the seed without naming it
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--config", pipeline["conf"], "--index", pipeline["index"],
+                    "--topics", pipeline["topics"], "--qrels", pipeline["qrels"],
+                    "--run", pipeline["ql_run"], "--output-dir", out]
+        else:
+            argv = ["eval", "--qrels", pipeline["qrels"], "--run", pipeline["npm_run"],
+                    "--baseline", pipeline["ql_run"], "--csv", out]
+        rc = main([*map(str, argv), "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and not out.exists() and captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("case, message", [
+        ("lengths", "token store inconsistent with document lengths"),
+        ("no-document", "index requires at least one non-empty document"),
+        ("zero-length", "index holds a document of length 0"),
+        ("undecodable", "docs.tsv is not UTF-8 text"),
+    ], ids=["lengths", "no-document", "zero-length", "undecodable"])
+    def test_doctored_index_structure(self, pipeline, tmp_path, capsys, case, message):
+        """A re-signed docs.tsv (and, with no document, tokens.bin) whose
+        structure is broken fails with the index directory named; an
+        undecodable one printed only the codec's error."""
+        index, out = tmp_path / "index", tmp_path / "x.run"
+        shutil.copytree(pipeline["index"], index)
+        rows = [line.split("\t") for line in
+                (index / "docs.tsv").read_text(encoding="utf-8").splitlines()]
+        if case == "lengths":
+            rows[0][1] = str(int(rows[0][1]) + 1)
+        elif case == "zero-length":  # the first document's tokens move to the second
+            rows[1][1] = str(int(rows[0][1]) + int(rows[1][1]))
+            rows[0][1] = "0"
+        elif case == "no-document":
+            rows = []
+            rewrite_index_file(index, "tokens.bin", b"", fix_digest=True)
+        data = "".join("\t".join(row) + "\n" for row in rows).encode("utf-8")
+        if case == "undecodable":
+            data = b"\xff" + data
+        rewrite_index_file(index, "docs.tsv", data, fix_digest=True)
+        rc = main(["retrieve", "--index", str(index), "--topics", str(pipeline["topics"]),
+                   "--output", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and not out.exists() and captured.out == ""
+        assert captured.err == f"error: {index}: {message}; rebuild the index\n"
+
     def test_train_needs_three_folds(self, pipeline, tmp_path, capsys):
         out = tmp_path / "models"
         rc = main(["train", "--index", str(pipeline["index"]),
@@ -935,12 +994,59 @@ class TestErrors:
         ("homogeneity_filter", "inf",
          "document features need a finite homogeneity_filter"),
         ("list_k", 0, "list_k must be >= 1, got 0"),
+        # each of these was read as a number: 2.5 as 2, True as 1, "3" as 3
+        ("list_k", 2.5, "list_k: expected an integer, got 2.5"),
+        ("list_k", True, "list_k: expected an integer, got True"),
+        ("list_k", "3", "list_k: expected an integer, got '3'"),
+        ("oov_floor", 1.7, "oov_floor: expected an integer, got 1.7"),
+        ("lambda_c", "0.5", "lambda_c: expected a number, got '0.5'"),
     ])
     def test_model_bad_setting(self, pipeline, tmp_path, capsys, key, value,
                                message):
         doctored, err = self.doctored_model(
             pipeline, tmp_path, capsys, lambda m: m["meta"].update({key: value}))
         assert f"error: model file {doctored}: {message}" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(version=2), "unsupported model version 2"),
+        (lambda m: m.update(version=True), "unsupported model version True"),
+        (lambda m: m.update(version=1.0), "unsupported model version 1.0"),
+        (lambda m: m.update(b="0.5"), "b: expected a number, got '0.5'"),
+        (lambda m: m.update(b=True), "b: expected a number, got True"),
+        (lambda m: m.update(b=10**400), "int too large to convert to float"),
+        (lambda m: m["W"][0].__setitem__(0, "0.5"), "W: expected a number, got '0.5'"),
+        (lambda m: m["feature_norm"]["mean"].__setitem__(0, True),
+         "feature_norm mean: expected a number, got True"),
+        (lambda m: m["score_norm"]["std"].__setitem__(0, "1"),
+         "score_norm std: expected a number, got '1'"),
+        (lambda m: m["W"].pop(), "W has shape ({a1}, {b}), expected ({a}, {b})"),
+        (lambda m: [m["score_norm"][part].pop() for part in ("mean", "std")],
+         "normalization record dimensions do not match model"),
+        (lambda m: m["score_norm"]["std"].pop(),
+         "normalization record dimensions do not match model"),
+        (lambda m: m["feature_norm"].update(mean=0.0, std=1.0),
+         "normalization record dimensions do not match model"),
+        (lambda m: m["feature_names"].__setitem__(0, "bogus"),
+         "model feature names do not match feature set 'doc+query': {names}"),
+        (lambda m: m["meta"].update(homogeneity_filter=40),
+         "bad filter label 40: expected m, m:tau or inf"),
+        (lambda m: m["filters"].__setitem__(0, 50),
+         "bad filter label 50: expected m, m:tau or inf"),
+    ], ids=["version-2", "version-true", "version-float", "b-string", "b-true",
+            "b-huge", "W-string", "mean-true", "std-string", "W-shape", "norm-size",
+            "std-size", "norm-scalar", "feature-names", "hom-label-number",
+            "filter-label-number"])
+    def test_model_fields(self, pipeline, tmp_path, capsys, edit, message):
+        """One error line naming the file. Before, true and "0.5" were read
+        as numbers (version true as version 1), a number as a filter label
+        (40 as 40:20), a huge b or a scalar mean ended in a traceback, and
+        a short std in numpy's broadcast error."""
+        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
+        alpha, beta = len(model["filters"]), len(model["feature_names"])
+        names = ["bogus", *model["feature_names"][1:]]
+        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
+        message = message.format(a=alpha, a1=alpha - 1, b=beta, names=names)
+        assert err == f"error: model file {doctored}: {message}\n"
 
     def test_model_negative_oov_floor(self, pipeline, tmp_path, capsys):
         doctored, err = self.doctored_model(

@@ -7,9 +7,10 @@ pipelines run in process through ``cli.main``:
   ``msp-<kind>`` modes on a small seeded corpus whose documents range
   from one token to several hundred, so every homogeneity branch (one
   token, shorter than the window, one span, many spans) is exercised;
-  ``varied_index`` pins its six index files and ``varied_homogeneity``
-  the float64 homogeneity rows, all four kinds at 20:10, of every
-  document in index order;
+  ``varied_index`` pins its six index files, ``varied_ql_run`` the
+  ``retrieve`` run they rerank, whose queries give many documents equal
+  scores, and ``varied_homogeneity`` the float64 homogeneity rows, all
+  four kinds at 20:10, of every document in index order;
 * ``planted``: every file and table of index, retrieve, train (3 folds,
   few epochs), npm rerank with the model directory (with its feature
   dump) and with ``fold_0.json``, ``msp-intpsg``, ``eval --baseline
@@ -79,6 +80,11 @@ def test_rerank_digest(ql_run, mode):
                  "--run", str(ql_run / "ql.run"), "--mode", mode,
                  "--passage-size", "20", "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == RUN_SHA256[mode]
+
+
+def test_ql_run_digest(ql_run):
+    # ties in score are broken by doc_id, so the digest pins that order
+    assert sha256((ql_run / "ql.run").read_bytes()) == GOLDEN["varied_ql_run"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["varied_index"]))

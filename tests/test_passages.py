@@ -47,8 +47,8 @@ class TestFilterSpec:
         assert f.label == "inf"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FilterSpec(0)
+        with pytest.raises(ValueError, match="window length must be >= 1"):
+            FilterSpec(0, 1)
         with pytest.raises(ValueError, match="use inf"):
             FilterSpec.window(WHOLE)  # the whole-document window is inf
         with pytest.raises(ValueError):
@@ -58,6 +58,11 @@ class TestFilterSpec:
 
     def test_label_round_trip(self):
         assert FilterSpec.window(50).label == "50:25"
+
+    def test_stride_is_required(self):
+        # a default stride of 0 fit no finite window
+        with pytest.raises(TypeError):
+            FilterSpec(50)
 
 
 class TestExtractPassages:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from passagerank import Document, Query, SmoothingConfig, build_index, ql_scores, rank_documents
+from passagerank.evaluation import rank_by_score
 from reference import index_document
 
 S05 = SmoothingConfig(0.5)
@@ -85,3 +86,18 @@ class TestRankDocuments:
         a = rank_documents(q, small_random_index, S05)
         b = rank_documents(q, small_random_index, S05)
         assert a == b
+
+
+def test_top_k_is_the_head_of_rank_by_score():
+    """Every cut of a ranking indexed in reverse id order, where each tie
+    group straddles some k, is the head of ``rank_by_score``'s order."""
+    terms = [("a", "a", "x")] + [("a", "x")] * 5 + [("x", "y")] * 4
+    docs = [Document(f"d{i:02d}", t) for i, t in enumerate(terms)]
+    idx = build_index(reversed(docs))
+    # "zz" is in no document, so every document scores the same
+    for q, groups in ((Query("q", ("a",)), 3), (Query("o", ("zz",)), 1)):
+        scores = ql_scores(q, idx, S05)
+        assert len(set(scores.tolist())) == groups
+        full = rank_by_score(idx.doc_ids, scores)
+        for k in range(1, idx.num_docs + 2):
+            assert rank_documents(q, idx, S05, k) == full[:k]
