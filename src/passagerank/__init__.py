@@ -33,14 +33,14 @@ from .evaluation import (
 )
 from .features import (
     FeatureExtractor,
+    ScoreSettings,
     feature_names,
     homogeneity,
     query_features,
     summary_stats,
 )
 from .fusion import AffineNorm, FusionModel, report_weights, softmax_rows
-from .npm import (NpmModel, ScoreSettings, candidate_features, candidate_matrices,
-                  npm_rank, npm_train, save_training)
+from .npm import NpmModel, candidate_matrices, npm_rank, npm_train, save_training
 from .passages import msp_rank
 from .retrieval import SmoothingConfig, ql_scores, rank_documents
 from .training import CandidateSet, TrainConfig, make_folds, sample_triples, train
@@ -67,7 +67,6 @@ __all__ = [
     "backend_name",
     "build_config",
     "build_index",
-    "candidate_features",
     "candidate_matrices",
     "evaluate_run",
     "feature_names",

@@ -15,7 +15,8 @@ the same scores as one call per document.
 A window filter is a ``FilterSpec`` (m, tau), and the kernels take its
 two ints. The whole document, label ``inf``, is the window m = tau =
 ``WHOLE`` = 2**62: no document outgrows it, so it is each document's
-one span.
+one span. A pooling (``POOLINGS``) is how a document's span scores
+become one: their MAX, or their probability MEAN.
 
 Conventions: document and query tokens are int32 vocabulary ids, and
 out-of-vocabulary query tokens are -1 (they never match a position).
@@ -28,6 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 WHOLE = 2**62  # m = tau of the whole-document filter: no document outgrows it
+
+POOL_MAX = "max"
+POOL_MEAN = "mean"
+POOLINGS = (POOL_MAX, POOL_MEAN)
+
+
+def check_pooling(pooling: str) -> None:
+    if pooling not in POOLINGS:
+        raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._accel import POOLINGS
 from .config import (ExperimentConfig, build_config, format_value, parse_value,
                      require, require_set)
 from .corpus import (Query, build_index, iter_trectext, load_index, read_stoplist,
@@ -25,11 +26,11 @@ from .corpus import (Query, build_index, iter_trectext, load_index, read_stoplis
 from .evaluation import (METRIC_NAMES, evaluate_run, fisher_randomization,
                          format_eval_table, qid_sort_key, read_qrels, read_run,
                          write_eval_csv, write_run, write_table)
-from .features import (FEATURE_SETS, HOMOGENEITY_KINDS, feature_names,
+from .features import (FEATURE_SETS, HOMOGENEITY_KINDS, FeatureExtractor,
                        write_feature_matrix)
 from .fusion import report_weights
-from .npm import NpmModel, candidate_features, npm_rank, npm_train, save_training
-from .passages import POOLINGS, msp_rank
+from .npm import NpmModel, npm_rank, npm_train, save_training
+from .passages import msp_rank
 from .retrieval import rank_documents
 
 log = logging.getLogger(__name__)
@@ -250,13 +251,12 @@ def cmd_rerank(args) -> int:
         out = {q.query_id: npm_rank(q, *zip(*run_in[q.query_id]), index, model)
                for q in queries}
         if args.dump_features:
-            rows = []
+            extractor, rows = FeatureExtractor(index, model.settings), []
             for q in sorted(queries, key=lambda q: qid_sort_key(q.query_id)):
                 doc_ids, scores = zip(*run_in[q.query_id])
-                H = candidate_features(q, doc_ids, scores, index, model.settings)
+                H = extractor.matrix(q, doc_ids, scores)
                 rows.extend((q.query_id, d, h) for d, h in zip(doc_ids, H))
-            write_feature_matrix(args.dump_features,
-                                 feature_names(model.settings.feature_set), rows)
+            write_feature_matrix(args.dump_features, extractor.names, rows)
         tag = f"npm-{model.fingerprint}"
     else:
         kind = "none" if args.mode == "msp" else args.mode.split("-", 1)[1]
@@ -350,8 +350,9 @@ def cmd_weights(args) -> int:
     index = load_index(cfg.index)
     run_in = read_run(args.run)
     queries = _queries_in_run(cfg, run_in)
-    H_all = np.vstack([candidate_features(q, *zip(*run_in[q.query_id]), index,
-                                          model.settings) for q in queries])
+    extractor = FeatureExtractor(index, model.settings)
+    H_all = np.vstack([extractor.matrix(q, *zip(*run_in[q.query_id]))
+                       for q in queries])
     fusion = model.models[0]
     means, stds = report_weights(fusion, H_all)
     log.info("weight report over %d pairs, model fingerprint %s",

@@ -14,10 +14,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from ._accel import FilterSpec, parse_filters
-from .features import feature_names
-from .npm import ScoreSettings
-from .passages import check_pooling
+from ._accel import FilterSpec, check_pooling, parse_filters
+from .features import ScoreSettings, feature_names
 from .retrieval import SmoothingConfig
 from .training import TrainConfig
 
@@ -175,11 +173,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("filters", "text_tags"):
         if not getattr(cfg, name):
             raise ValueError(f"{name} must not be empty")
-    for name in ("top_k", "passage_size", "permutations"):
+    for name in ("top_k", "permutations"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
-    if cfg.homogeneity_m is not None and cfg.homogeneity_m < 1:
-        raise ValueError("homogeneity_m must be >= 1")
+    for name in ("passage_size", "homogeneity_m"):
+        if getattr(cfg, name) is not None:
+            try:
+                FilterSpec.window(getattr(cfg, name))
+            except ValueError as e:
+                raise ValueError(f"{name}: {e}") from None
 
 
 def require_set(cfg: ExperimentConfig, *keys: str) -> None:

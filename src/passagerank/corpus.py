@@ -559,11 +559,16 @@ def read_topics(
 
 
 def read_stoplist(path: str | Path) -> frozenset[str]:
-    """One term per line; blank lines and '#' comments ignored."""
+    """One term per line, tokenized as text is; blank lines and '#'
+    comments ignored. An entry that is not exactly one token could never
+    match one, so it is a ``CorpusError`` naming its line."""
     words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            w = line.strip().lower()
-            if w and not w.startswith("#"):
-                words.add(w)
+        for lineno, line in enumerate(fh, start=1):
+            entry = line.split("#", 1)[0].strip()
+            tokens = tokenize(entry)
+            if entry and len(tokens) != 1:
+                raise CorpusError(f"{path}:{lineno}: stoplist entry {entry!r} is "
+                                  f"{len(tokens)} tokens, expected one")
+            words.update(tokens)
     return frozenset(words)

@@ -15,19 +15,24 @@ Three groups feed the fusion layer:
 
 Column order is fixed and documented by ``feature_names``; exports and
 model files carry the names so a vector is never interpreted against
-the wrong layout.
+the wrong layout. ``ScoreSettings`` holds the checked scoring choices
+that a model file stores; ``FeatureExtractor`` builds rows from them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._accel import FilterSpec, span_grid
+from ._accel import FilterSpec, check_pooling, parse_filter_label, span_grid
 from .corpus import CorpusIndex, Query
 from .evaluation import write_table
+from .fusion import FusionModel, json_numbers
+from .retrieval import SmoothingConfig
 
 HOMOGENEITY_KINDS = ("length", "ent", "intpsg", "docpsg")
 HOMOGENEITY_NAMES = tuple(f"h_{kind}" for kind in HOMOGENEITY_KINDS)
@@ -187,11 +192,9 @@ def query_features(query: Query, index: CorpusIndex, floor: int = 1) -> np.ndarr
 
 
 def mean_top_scores(scores: Sequence[float], k: int = 2000) -> float:
-    """Mean of the top-min(k, len) values; the list feature over a run."""
+    """Mean of the top-min(k, len) values (k >= 1); the list feature."""
     if len(scores) == 0:
         raise ValueError("list feature needs at least one retrieved document")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     arr = np.sort(np.asarray(scores, dtype=np.float64))[::-1][: min(k, len(scores))]
     return float(arr.mean())
 
@@ -216,8 +219,72 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+@dataclass(frozen=True)
+class ScoreSettings:
+    """Everything that rebuilds a candidate's per-filter scores R and
+    features H: the window filters, the smoothing, the pooling, the
+    feature set, the homogeneity filter (finite with document features,
+    None without) and the list depth. Every rule is checked here."""
+
+    filters: tuple[FilterSpec, ...]
+    smoothing: SmoothingConfig
+    pooling: str
+    feature_set: str
+    hom_filter: FilterSpec | None
+    list_k: int
+
+    def __post_init__(self):
+        feature_names(self.feature_set)
+        check_pooling(self.pooling)
+        if self.feature_set == "query":
+            if self.hom_filter is not None:
+                raise ValueError("query features take no homogeneity_filter")
+        elif self.hom_filter is None or self.hom_filter.is_infinite:
+            raise ValueError("document features need a finite homogeneity_filter")
+        if self.list_k < 1:
+            raise ValueError(f"list_k must be >= 1, got {self.list_k}")
+
+    def meta(self) -> dict:
+        """The model metadata that ``from_model`` reads back."""
+        return {
+            "feature_set": self.feature_set,
+            "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
+            "list_k": self.list_k,
+            "lambda_c": self.smoothing.lambda_c,
+            "oov_floor": self.smoothing.oov_floor,
+            "pooling": self.pooling,
+        }
+
+    @classmethod
+    def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
+        """The settings the model at ``path`` was trained with, read only
+        from its metadata, so reranking scores as training did."""
+        meta = model.meta
+
+        def setting(key: str, kind: type | tuple[type, ...] | None = None):
+            if meta.get(key) is None:
+                raise ValueError(f"no {key!r} setting recorded")
+            return meta[key] if kind is None else json_numbers(meta[key], key, kind)
+
+        try:
+            feature_set = setting("feature_set")
+            if tuple(model.feature_names) != feature_names(feature_set):
+                raise ValueError(
+                    f"model feature names do not match feature set "
+                    f"{feature_set!r}: {list(model.feature_names)}"
+                )
+            hom = (None if feature_set == "query"
+                   else parse_filter_label(setting("homogeneity_filter")))
+            smoothing = SmoothingConfig(setting("lambda_c", (int, float)),
+                                        setting("oov_floor", int))
+            return cls(model.filters, smoothing, setting("pooling"), feature_set,
+                       hom, setting("list_k", int))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"model file {path}: {e}") from None
+
+
 class FeatureExtractor:
-    """Assembles fusion feature vectors.
+    """Assembles the fusion feature rows of ``settings``.
 
     Homogeneity scores depend only on the document and come from the
     index's cache (``cached_homogeneity``); the query block and list
@@ -225,46 +292,29 @@ class FeatureExtractor:
     candidates.
     """
 
-    def __init__(
-        self,
-        index: CorpusIndex,
-        feature_set: str = "doc+query",
-        hom_filter: FilterSpec | None = None,
-        floor: int = 1,
-    ):
-        self.names = feature_names(feature_set)  # rejects an unknown set
+    def __init__(self, index: CorpusIndex, settings: ScoreSettings):
         self.index = index
-        self.feature_set = feature_set
-        self.with_doc = feature_set in ("doc", "doc+query")
-        self.with_query = feature_set in ("query", "doc+query")
-        if self.with_doc:
-            if hom_filter is None or hom_filter.is_infinite:
-                raise ValueError(
-                    "document homogeneity features need a finite passage filter"
-                )
-        self.hom_filter = hom_filter
-        self.floor = floor
+        self.settings = settings
+        self.names = feature_names(settings.feature_set)
 
     def doc_block(self, doc_id: str) -> np.ndarray:
-        return cached_homogeneity(doc_id, self.index, self.hom_filter)
+        return cached_homogeneity(doc_id, self.index, self.settings.hom_filter)
 
-    def query_block(self, query: Query, list_score: float) -> np.ndarray:
-        block = query_features(query, self.index, self.floor)
-        return np.concatenate([block, [float(list_score)]])
-
-    def matrix(
-        self, query: Query, doc_ids: Sequence[str], list_score: float
-    ) -> np.ndarray:
-        """Feature matrix for one query's candidate list, rows per doc."""
-        n = len(doc_ids)
+    def matrix(self, query: Query, doc_ids: Sequence[str],
+               run_scores: Sequence[float]) -> np.ndarray:
+        """H, the feature rows of one query's candidate doc_ids in their
+        order; ``run_scores`` are the initial run's scores for the query,
+        whose top ``list_k`` give the list feature."""
+        s, n = self.settings, len(doc_ids)
         cols: list[np.ndarray] = []
-        if self.with_doc:
+        if s.feature_set != "query":
             doc_part = np.empty((n, len(HOMOGENEITY_NAMES)), dtype=np.float64)
             for r, doc_id in enumerate(doc_ids):
                 doc_part[r] = self.doc_block(doc_id)
             cols.append(doc_part)
-        if self.with_query:
-            qb = self.query_block(query, list_score)
+        if s.feature_set != "doc":
+            qb = np.append(query_features(query, self.index, s.smoothing.oov_floor),
+                           mean_top_scores(run_scores, s.list_k))
             cols.append(np.broadcast_to(qb, (n, qb.shape[0])))
         return np.hstack(cols) if len(cols) > 1 else np.array(cols[0], dtype=np.float64)
 

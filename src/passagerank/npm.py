@@ -1,10 +1,11 @@
 """Training and applying the fusion model: the npm reranker.
 
-``ScoreSettings`` is what rebuilds a candidate's per-filter scores R and
-features H; each model file records it, so a model is applied the way
-it was trained. ``candidate_matrices`` builds (R, H) for one query's
-candidates, ``npm_train`` fits the fold models on them, ``save_training``
-writes those and ``NpmModel.load`` reads them, or one model file, back.
+A model file records the ``features.ScoreSettings`` that rebuild a
+candidate's per-filter scores R and features H, so a model is applied
+the way it was trained. ``candidate_matrices`` builds (R, H) for one
+query's candidates, ``npm_train`` fits the fold models on them,
+``save_training`` writes those and ``NpmModel.load`` reads them, or one
+model file, back.
 ``npm_rank`` ranks a query's candidates with the fold model that never
 saw the query, as ``passages.msp_rank`` does with a fixed window.
 """
@@ -20,95 +21,25 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._accel import FilterSpec, parse_filter_label
 from .corpus import CorpusIndex, Query
 from .evaluation import qid_sort_key, rank_by_score, write_table
-from .features import FeatureExtractor, feature_names, mean_top_scores
-from .fusion import FusionModel, json_numbers
-from .passages import check_pooling, score_tokens
-from .retrieval import QueryContext, SmoothingConfig
+from .features import FeatureExtractor, ScoreSettings, feature_names
+from .fusion import FusionModel
+from .passages import score_tokens
+from .retrieval import QueryContext
 from .training import CandidateSet, FoldResult, TrainConfig, train
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ScoreSettings:
-    """Everything needed to rebuild R and H for candidate documents."""
-
-    filters: tuple[FilterSpec, ...]
-    smoothing: SmoothingConfig
-    pooling: str
-    feature_set: str
-    hom_filter: FilterSpec | None
-    list_k: int
-
-    def __post_init__(self):
-        if self.feature_set != "query" and (self.hom_filter is None
-                                            or self.hom_filter.is_infinite):
-            raise ValueError("document features need a finite homogeneity_filter")
-        if self.list_k < 1:
-            raise ValueError(f"list_k must be >= 1, got {self.list_k}")
-
-    def meta(self) -> dict:
-        """The model metadata that ``from_model`` reads back."""
-        return {
-            "feature_set": self.feature_set,
-            "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
-            "list_k": self.list_k,
-            "lambda_c": self.smoothing.lambda_c,
-            "oov_floor": self.smoothing.oov_floor,
-            "pooling": self.pooling,
-        }
-
-    @classmethod
-    def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
-        """The settings the model at ``path`` was trained with, read only
-        from its metadata, so reranking scores as training did."""
-        meta = model.meta
-
-        def setting(key: str, kind: type | tuple[type, ...] | None = None):
-            if meta.get(key) is None:
-                raise ValueError(f"no {key!r} setting recorded")
-            return meta[key] if kind is None else json_numbers(meta[key], key, kind)
-
-        try:
-            feature_set = setting("feature_set")
-            if tuple(model.feature_names) != feature_names(feature_set):
-                raise ValueError(
-                    f"model feature names do not match feature set "
-                    f"{feature_set!r}: {list(model.feature_names)}"
-                )
-            hom = (None if feature_set == "query"
-                   else parse_filter_label(setting("homogeneity_filter")))
-            check_pooling(setting("pooling"))
-            smoothing = SmoothingConfig(setting("lambda_c", (int, float)),
-                                        setting("oov_floor", int))
-            return cls(model.filters, smoothing, meta["pooling"], feature_set,
-                       hom, setting("list_k", int))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"model file {path}: {e}") from None
-
-
-def candidate_features(query: Query, candidates: Sequence[str],
-                       run_scores: Sequence[float], index: CorpusIndex,
-                       settings: ScoreSettings) -> np.ndarray:
-    """H, the fusion feature rows of one query's candidate doc_ids in
-    their order; ``run_scores`` are the initial run's scores for the
-    query, which give the list feature."""
-    extractor = FeatureExtractor(index, settings.feature_set, settings.hom_filter,
-                                 settings.smoothing.oov_floor)
-    list_score = (mean_top_scores(run_scores, settings.list_k)
-                  if extractor.with_query else 0.0)
-    return extractor.matrix(query, candidates, list_score)
-
-
 def candidate_matrices(query: Query, candidates: Sequence[str],
                        run_scores: Sequence[float], index: CorpusIndex,
                        settings: ScoreSettings) -> tuple[np.ndarray, np.ndarray]:
-    """R, the per-filter LM-scale scores, and H (``candidate_features``)
-    of one query's candidate doc_ids in their order."""
-    H = candidate_features(query, candidates, run_scores, index, settings)
+    """R, the per-filter LM-scale scores, and H, the feature rows
+    (``FeatureExtractor.matrix``), of one query's candidate doc_ids in
+    their order; ``run_scores`` are the initial run's scores for the
+    query."""
+    H = FeatureExtractor(index, settings).matrix(query, candidates, run_scores)
     ctx = QueryContext(query, index, settings.smoothing)
     tokens, lengths = index.batch_tokens(candidates)
     return score_tokens(ctx, tokens, settings.filters, settings.pooling, lengths), H

@@ -30,14 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _accel, features
-from ._accel import FilterSpec
+from ._accel import POOL_MEAN, FilterSpec, check_pooling
 from .corpus import CorpusIndex, Query
 from .evaluation import rank_by_score
 from .retrieval import QueryContext, SmoothingConfig, ql_scores
-
-POOL_MAX = "max"
-POOL_MEAN = "mean"
-POOLINGS = (POOL_MAX, POOL_MEAN)
 
 HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
 
@@ -45,11 +41,6 @@ HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
 # ---------------------------------------------------------------------------
 # fast batched scoring
 # ---------------------------------------------------------------------------
-
-
-def check_pooling(pooling: str) -> None:
-    if pooling not in POOLINGS:
-        raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
 
 
 def score_tokens(

@@ -4,12 +4,12 @@ Each function here computes a quantity the package computes on a faster
 path, written the direct way so the two can be compared: per-span LM
 and kernel scorers over a query/document matching matrix, plain-Python
 loop twins of the batched window kernels, single-document forms of the
-batch scorers and of the homogeneity mix, and the pairwise homogeneity,
-postings and Fisher references. It also holds the index helpers that
-only tests need: a document rebuilt from the token store, and index
-equality for the round-trip tests; and the regex tokenizer and
-TRECTEXT reader that the find and translate ingest path must agree
-with.
+batch scorers and of the homogeneity mix, the fusion feature row, and
+the pairwise homogeneity, postings and Fisher references. It also holds
+the index helpers that only tests need: a document rebuilt from the
+token store, and index equality for the round-trip tests; and the regex
+tokenizer and TRECTEXT reader that the find and translate ingest path
+must agree with.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from passagerank import _accel
-from passagerank._accel import WHOLE, FilterSpec
+from passagerank._accel import POOL_MAX, POOL_MEAN, WHOLE, FilterSpec
 from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
-from passagerank.features import FeatureExtractor, mean_top_scores
-from passagerank.passages import POOL_MAX, POOL_MEAN, max_passage_lm, score_tokens
+from passagerank.features import ScoreSettings, mean_top_scores
+from passagerank.passages import max_passage_lm, score_tokens
 from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
 
 
@@ -438,25 +438,52 @@ def list_feature(
     return mean_top_scores([score for _, score in ranked], k)
 
 
+def _summary_stats(values: Sequence[float]) -> list[float]:
+    """Sum, population std, max/min ratio, max, arithmetic, geometric and
+    harmonic means, and coefficient of variation, one value at a time;
+    the ratio and the two means floor values at 1e-12."""
+    n = len(values)
+    pos = [max(v, 1e-12) for v in values]
+    amean = math.fsum(values) / n
+    std = math.sqrt(math.fsum((v - amean) ** 2 for v in values) / n)
+    return [math.fsum(values), std, max(pos) / min(pos), max(values), amean,
+            math.exp(math.fsum(math.log(v) for v in pos) / n),
+            n / math.fsum(1.0 / v for v in pos), std / amean if amean else 0.0]
+
+
 def fuse_features(
     query: Query,
-    doc: Document | str,
+    doc_id: str,
     index: CorpusIndex,
-    hom_filter: FilterSpec | None = None,
-    feature_set: str = "doc+query",
-    list_score: float | None = None,
-    floor: int = 1,
+    settings: ScoreSettings,
+    run_scores: Sequence[float],
 ) -> np.ndarray:
-    """One (query, document) fusion feature vector in documented order;
-    ``list_score`` is required when query features are enabled."""
-    extractor = FeatureExtractor(index, feature_set, hom_filter, floor)
-    if extractor.with_query:
-        if list_score is None:
-            raise ValueError("query features need the query's list score")
-    else:
-        list_score = 0.0
-    doc_id = doc if isinstance(doc, str) else doc.doc_id
-    return extractor.matrix(query, [doc_id], list_score)[0]
+    """One (query, document) fusion feature vector in documented order,
+    from parts that share nothing with ``FeatureExtractor``: the pairwise
+    homogeneity, IDF, -ICF and SCQ over cf and D_t counted from the
+    documents' tokens, and the mean of the top ``list_k`` run scores."""
+    row: list[float] = []
+    if settings.feature_set != "query":
+        row.extend(homogeneity_pairwise(doc_id, index, settings.hom_filter))
+    if settings.feature_set != "doc":
+        cf, df = Counter(), Counter()
+        for d in range(len(index.doc_ids)):
+            terms = [index.vocab[t] for t in index.doc_tokens(d)]
+            cf.update(terms)
+            df.update(set(terms))
+        n_docs, total = len(index.doc_ids), sum(cf.values())
+        floor = max(settings.smoothing.oov_floor, 1)
+        bases: list[list[float]] = [[], [], []]
+        for t in query.terms:
+            cf_t, df_t = cf.get(t, floor), df.get(t, floor)
+            bases[0].append(math.log((n_docs + 0.5) / df_t) / (n_docs + 1))
+            bases[1].append(-math.log(cf_t / total))
+            bases[2].append((1.0 + math.log(cf_t)) * math.log(1.0 + n_docs / df_t))
+        for base in bases:
+            row.extend(_summary_stats(base))
+        top = sorted(run_scores, reverse=True)[:settings.list_k]
+        row.append(math.fsum(top) / len(top))
+    return np.array(row, dtype=np.float64)
 
 
 def hinge_loss(s_pos: float, s_neg: float) -> float:

@@ -34,8 +34,8 @@ from passagerank.evaluation import METRIC_NAMES
 from passagerank.features import (
     HOMOGENEITY_KINDS,
     FeatureExtractor,
+    ScoreSettings,
     homogeneity,
-    mean_top_scores,
 )
 from passagerank import _accel
 from passagerank.fusion import forward_parts
@@ -228,8 +228,8 @@ def test_criterion_3_planted_passage_discrimination():
         filters = (FilterSpec.window(50), FilterSpec.window(150),
                    FilterSpec.whole_document())
         names = feature_names("doc+query")
-        extractor = FeatureExtractor(index, "doc+query",
-                                     FilterSpec.window(50), 1)
+        extractor = FeatureExtractor(index, ScoreSettings(
+            filters, s, "max", "doc+query", FilterSpec.window(50), 50))
 
         def build_candidates() -> dict:
             cands = {}
@@ -243,8 +243,7 @@ def test_criterion_3_planted_passage_discrimination():
                                      filters, "max", "lm")
                     for d in doc_ids
                 ])
-                H = extractor.matrix(q, doc_ids,
-                                     mean_top_scores(scores, 50))
+                H = extractor.matrix(q, doc_ids, scores)
                 rel = np.array(
                     [qrels[q.query_id].get(d, 0) > 0 for d in doc_ids],
                     dtype=bool,

@@ -22,6 +22,7 @@ from passagerank import (
     NpmModel,
     Query,
     ScoreSettings,
+    SmoothingConfig,
     build_config,
     evaluate_run,
     load_index,
@@ -474,7 +475,9 @@ def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
                  "--output", str(tmp_path / "npm.run")]) == 0
     rows = read_table(dump, delimiter="\t")
     assert rows[0][2:6] == list(HOMOGENEITY_NAMES)
-    extractor = FeatureExtractor(load_index(index), "doc", FilterSpec(50, 10))
+    extractor = FeatureExtractor(load_index(index), ScoreSettings(
+        (FilterSpec.whole_document(),), SmoothingConfig(), "max", "doc",
+        FilterSpec(50, 10), 1))
     for _, doc_id, *values in rows[1:]:
         assert values[:4] == [format(x, ".12g") for x in extractor.doc_block(doc_id)]
     meta = json.loads((models / "fold_0.json").read_text())["meta"]
@@ -500,6 +503,22 @@ def test_stoplist_end_to_end(tmp_path, caplog):
     assert list(read_run(run)) == ["1"]
     assert [r.getMessage() for r in caplog.records] == [
         "skipping topic 2: empty title after tokenization"]
+
+
+@pytest.mark.parametrize("entry,n_tokens", [("don't", 2), ("U.S.", 2), ("--", 0)])
+def test_stoplist_entry_not_one_token(tmp_path, capsys, entry, n_tokens):
+    """A stoplist entry that is not exactly one token could never match
+    one: index exits 2 naming its line, and writes no index. A comment
+    after an entry is stripped, as in config files."""
+    corpus, index, stoplist = tmp_path / "c.trectext", tmp_path / "index", tmp_path / "s.txt"
+    write_trectext(corpus, [Document("d1", ("the", "alpha"))])
+    stoplist.write_text(f"the  # article\n{entry}\n", encoding="utf-8")
+    assert main(["index", "--corpus", str(corpus), "--index", str(index),
+                 "--stoplist", str(stoplist)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {stoplist}:2: stoplist entry {entry!r} is "
+                            f"{n_tokens} tokens, expected one\n")
+    assert captured.out == "" and not index.exists()
 
 
 QID = '1,"2'  # a query id holding the delimiter and the quote character
@@ -909,6 +928,29 @@ class TestErrors:
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and "use inf for the whole document" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["rerank", "--mode", "msp", "--passage-size", str(2**62), "--output"],
+         f"passage_size: window length must be < 2**62, got {2**62}; "
+         f"use inf for the whole document"),
+        (["rerank", "--mode", "msp", "--passage-size", "0", "--output"],
+         "passage_size: window length must be >= 1, got 0"),
+        (["train", "--homogeneity-m", str(2**62), "--output-dir"],
+         f"homogeneity_m: window length must be < 2**62, got {2**62}; "
+         f"use inf for the whole document"),
+        (["train", "--homogeneity-m", "-3", "--output-dir"],
+         "homogeneity_m: window length must be >= 1, got -3"),
+    ], ids=["passage-size-huge", "passage-size-0", "homogeneity-m-huge",
+            "homogeneity-m-negative"])
+    def test_window_key_checked_before_inputs(self, tmp_path, capsys, flags, message):
+        # no input exists: the key's error comes first, not a missing path
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        inputs = ["--index", str(missing), "--topics", str(missing), "--run", str(missing)]
+        if flags[0] == "train":
+            inputs += ["--qrels", str(missing)]
+        rc = main([*flags[:-1], *inputs, flags[-1], str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @staticmethod
     def doctored_model(pipeline, tmp_path, capsys, edit, *flags):

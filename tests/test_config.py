@@ -242,6 +242,57 @@ class TestSchema:
                     seen.add(action.dest)
         assert {"lambda_c", "filters", "seed", "folds", "text_tags"} <= seen
 
+    # every command's options as ``describe`` renders them; the benchmark
+    # and scripts pass these, so a change here is a change of interface
+    CLI_SURFACE = {
+        'index': [
+            '--config', '--seed', '-v --verbose default=False', '--corpus', '--index',
+            '--stoplist', '--text-tags',
+        ],
+        'retrieve': [
+            '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
+            '--stoplist', '--top-k', '--lambda-c', '--oov-floor', '--output required',
+        ],
+        'rerank': [
+            '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
+            '--stoplist', '--passage-size', '--lambda-c', '--oov-floor', '--filters',
+            '--top-k', '--run required', '--output required',
+            '--mode choices=msp|msp-length|msp-ent|msp-intpsg|msp-docpsg|npm required',
+            '--model', '--dump-features',
+        ],
+        'train': [
+            '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
+            '--qrels', '--stoplist', '--filters', '--lambda-c', '--oov-floor', '--pooling',
+            '--feature-set', '--homogeneity-m', '--top-k', '--learning-rate',
+            '--batch-size', '--max-epochs', '--patience', '--negatives-per-positive',
+            '--folds', '--run required', '--output-dir required',
+        ],
+        'eval': [
+            '--config', '--seed', '-v --verbose default=False', '--qrels', '--permutations',
+            '--run required', '--baseline', '--exhaustive default=False', '--csv',
+        ],
+        'weights': [
+            '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
+            '--stoplist', '--model required', '--run required', '--csv',
+        ],
+    }
+
+    def test_cli_surface_is_pinned(self):
+        """Each command keeps its option strings, choices, defaults and
+        required flags; parser actions are compared, not ``--help`` text,
+        whose layout varies between Python versions."""
+        def describe(action):
+            text = " ".join(action.option_strings)
+            if action.choices:
+                text += " choices=" + "|".join(action.choices)
+            if action.default is not None:
+                text += f" default={action.default!r}"
+            return text + (" required" if action.required else "")
+
+        commands = _build_parser()._subparsers._group_actions[0].choices
+        assert {name: [describe(a) for a in command._actions if a.dest != "help"]
+                for name, command in commands.items()} == self.CLI_SURFACE
+
     def test_default_fingerprint_is_stable(self):
         # run tags carry the fingerprint: its bytes must not move
         assert ExperimentConfig().fingerprint() == "ac2626dc22"

@@ -508,3 +508,13 @@ def test_read_stoplist(tmp_path):
     f.write_text("the\n\nAnd\n a \n", encoding="utf-8")
     words = read_stoplist(f)
     assert words == frozenset({"the", "and", "a"})
+
+
+def test_read_stoplist_tokenizes_entries(tmp_path):
+    # a comment may follow an entry; an entry is stored as its one token
+    f = tmp_path / "stop.txt"
+    f.write_text("# articles\nthe # definite\n\t\"An\"\nA#\n", encoding="utf-8")
+    assert read_stoplist(f) == frozenset({"the", "an", "a"})
+    f.write_text("of\nU.S.\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="stop.txt:2: stoplist entry 'U.S.' is 2"):
+        read_stoplist(f)

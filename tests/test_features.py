@@ -20,15 +20,25 @@ from passagerank import (
     summary_stats,
 )
 from passagerank.features import (
+    FEATURE_SETS,
     HOMOGENEITY_KINDS,
     HOMOGENEITY_NAMES,
     QUERY_BASE_NAMES,
     QUERY_STAT_NAMES,
+    ScoreSettings,
     mean_top_scores,
     write_feature_matrix,
 )
+from passagerank.fusion import AffineNorm, FusionModel
 from conftest import random_documents
 from reference import fuse_features, list_feature
+
+FILTERS = (FilterSpec(50, 25), FilterSpec(150, 75), FilterSpec.whole_document())
+
+
+def score_settings(feature_set, hom_filter, list_k=2000, oov_floor=1):
+    return ScoreSettings(FILTERS, SmoothingConfig(0.5, oov_floor), "max",
+                         feature_set, hom_filter, list_k)
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +230,36 @@ class TestListFeature:
         assert got == pytest.approx(np.mean([sc for _, sc in run]), rel=1e-12)
 
 
+class TestScoreSettings:
+    @pytest.mark.parametrize("pooling", ["max", "mean"])
+    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
+    def test_model_file_round_trip(self, tmp_path, feature_set, pooling):
+        want = ScoreSettings(FILTERS, SmoothingConfig(0.3, 2), pooling, feature_set,
+                             None if feature_set == "query" else FilterSpec(40, 10), 7)
+        names = feature_names(feature_set)
+        n_f, n_h = len(FILTERS), len(names)
+        FusionModel(FILTERS, names, np.zeros((n_f, n_h)), 0.0,
+                    AffineNorm(np.zeros(n_f), np.ones(n_f)),
+                    AffineNorm(np.zeros(n_h), np.ones(n_h)),
+                    want.meta()).save(tmp_path / "model.json")
+        model = FusionModel.load(tmp_path / "model.json")
+        assert ScoreSettings.from_model(model, tmp_path / "model.json") == want
+
+    @pytest.mark.parametrize("feature_set,hom,pooling,list_k,message", [
+        ("everything", FilterSpec(10, 5), "max", 1, "unknown feature set"),
+        ("doc", FilterSpec(10, 5), "median", 1, "pooling must be 'max' or 'mean'"),
+        ("doc", None, "max", 1, "document features need a finite"),
+        ("doc+query", FilterSpec.whole_document(), "max", 1,
+         "document features need a finite"),
+        ("query", FilterSpec(10, 5), "max", 1, "query features take no"),
+        ("query", None, "max", 0, "list_k must be >= 1, got 0"),
+    ], ids=["feature-set", "pooling", "doc-none", "doc+query-inf", "query-filter",
+            "list-k"])
+    def test_rejects(self, feature_set, hom, pooling, list_k, message):
+        with pytest.raises(ValueError, match=message):
+            ScoreSettings(FILTERS, SmoothingConfig(), pooling, feature_set, hom, list_k)
+
+
 class TestFeatureNamesAndExtractor:
     def test_set_sizes(self):
         assert len(feature_names("doc")) == 4
@@ -230,19 +270,12 @@ class TestFeatureNamesAndExtractor:
         with pytest.raises(ValueError):
             feature_names("everything")
 
-    def test_doc_set_needs_finite_filter(self, small_random_index):
-        with pytest.raises(ValueError):
-            FeatureExtractor(small_random_index, "doc", None)
-        with pytest.raises(ValueError):
-            FeatureExtractor(small_random_index, "doc",
-                             FilterSpec.whole_document())
-
     def test_matrix_layout(self, small_random_index):
         idx = small_random_index
-        ex = FeatureExtractor(idx, "doc+query", FilterSpec.window(10))
+        ex = FeatureExtractor(idx, score_settings("doc+query", FilterSpec.window(10)))
         q = Query("q", ("t1", "t2"))
         doc_ids = list(idx.doc_ids[:4])
-        H = ex.matrix(q, doc_ids, list_score=-3.5)
+        H = ex.matrix(q, doc_ids, run_scores=[-3.5])
         assert H.shape == (4, 29)
         # doc block varies by row, query block is constant
         assert not np.allclose(H[0, :4], H[1, :4])
@@ -250,20 +283,24 @@ class TestFeatureNamesAndExtractor:
         assert H[0, -1] == -3.5
 
     def test_query_only_matrix(self, small_random_index):
-        ex = FeatureExtractor(small_random_index, "query", None)
+        ex = FeatureExtractor(small_random_index, score_settings("query", None))
         H = ex.matrix(Query("q", ("t1",)), list(small_random_index.doc_ids[:3]),
-                      list_score=1.0)
+                      run_scores=[1.0])
         assert H.shape == (3, 25)
         assert np.array_equal(H[0], H[2])
 
-    def test_fuse_features_matches_matrix_row(self, small_random_index):
+    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
+    def test_matrix_matches_fuse_features(self, small_random_index, feature_set):
         idx = small_random_index
-        q = Query("q", ("t3",))
-        ex = FeatureExtractor(idx, "doc+query", FilterSpec.window(10))
-        H = ex.matrix(q, [idx.doc_ids[0]], list_score=-1.0)
-        row = fuse_features(q, idx.doc_ids[0], idx, FilterSpec.window(10),
-                            "doc+query", list_score=-1.0)
-        assert np.array_equal(H[0], row)
+        # a repeated term, and one the corpus lacks, which counts with the floor
+        q = Query("q", ("t3", "t1", "t3", "unseen"))
+        hom = None if feature_set == "query" else FilterSpec(10, 4)
+        s = score_settings(feature_set, hom, list_k=5, oov_floor=3)
+        run_scores = [-float(i % 7) - 0.25 * i for i in range(len(idx.doc_ids))]
+        H = FeatureExtractor(idx, s).matrix(q, idx.doc_ids, run_scores)
+        want = np.array([fuse_features(q, d, idx, s, run_scores) for d in idx.doc_ids])
+        assert H.shape == want.shape == (len(idx.doc_ids), len(feature_names(feature_set)))
+        np.testing.assert_allclose(H, want, rtol=1e-12, atol=0)
 
     def test_one_homogeneity_cache_per_index(self, small_random_index,
                                              monkeypatch):
@@ -275,7 +312,7 @@ class TestFeatureNamesAndExtractor:
             return homogeneity(doc_id, index, f, kinds)
 
         monkeypatch.setattr(features, "homogeneity", counted)
-        ex = FeatureExtractor(idx, "doc", FilterSpec.window(10))
+        ex = FeatureExtractor(idx, score_settings("doc", FilterSpec.window(10)))
         first, second = list(idx.doc_ids[:8]), list(idx.doc_ids[4:12])
         H1 = ex.matrix(Query("q1", ("t1",)), first, 0.0)
         H2 = ex.matrix(Query("q2", ("t2",)), second, 0.0)
@@ -295,7 +332,7 @@ class TestFeatureNamesAndExtractor:
 
     def test_write_feature_matrix(self, tmp_path, small_random_index):
         idx = small_random_index
-        ex = FeatureExtractor(idx, "doc", FilterSpec.window(10))
+        ex = FeatureExtractor(idx, score_settings("doc", FilterSpec.window(10)))
         rows = []
         for d in idx.doc_ids[:3]:
             rows.append(("7", d, ex.matrix(Query("q", ("t1",)), [d], 0.0)[0]))
