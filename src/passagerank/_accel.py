@@ -54,8 +54,7 @@ class FilterSpec:
         if self.m < 1:
             raise ValueError(f"window length must be >= 1, got {self.m}")
         if self.m >= WHOLE:
-            raise ValueError(f"window length must be < 2**62, got {self.m}; "
-                             f"use inf for the whole document")
+            raise ValueError(f"window length must be < 2**62, got {self.m}")
         if not 1 <= self.tau <= self.m:
             raise ValueError(
                 f"stride must be in [1, {self.m}], got {self.tau}"
@@ -90,7 +89,12 @@ def parse_filter_label(label: str) -> FilterSpec:
     except ValueError:
         raise ValueError(f"bad filter label {label!r}: expected m, m:tau "
                          f"or inf") from None
-    return FilterSpec.window(m, tau)
+    try:
+        return FilterSpec.window(m, tau)
+    except ValueError as e:
+        if m < WHOLE:
+            raise
+        raise ValueError(f"{e}; use inf for the whole document") from None
 
 
 def parse_filters(text: str) -> tuple[FilterSpec, ...]:

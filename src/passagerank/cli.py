@@ -36,7 +36,7 @@ from .retrieval import rank_documents
 log = logging.getLogger(__name__)
 
 RERANK_MODES = ("msp", *(f"msp-{kind}" for kind in HOMOGENEITY_KINDS), "npm")
-# scoring settings of the msp modes that npm reads from its model instead
+# msp scoring settings that npm rejects as flags
 NPM_MODEL_SETTINGS = ("passage_size", "lambda_c", "oov_floor")
 
 
@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # npm reads every scoring setting from the model and is tagged with
     # its fingerprint; --filters and --top-k only enter the msp run tags
     _add_flags(p, "index", "topics", "stoplist")
-    _add_flags(p, *NPM_MODEL_SETTINGS,
+    _add_flags(p, "passage_size", note="npm has no passage size and rejects the flag")
+    _add_flags(p, "lambda_c", "oov_floor",
                note="npm takes it from the model and rejects the flag")
     _add_flags(p, "filters", "top_k", note="enters only the msp run tag; npm ignores it")
     p.add_argument("--run", required=True, metavar="RUN", help="input run file")
@@ -171,13 +172,13 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize_config(cfg: ExperimentConfig) -> frozenset[str]:
+def _stopwords(cfg: ExperimentConfig) -> frozenset[str]:
     """The stopwords that documents and topics drop."""
     return frozenset() if cfg.stoplist is None else read_stoplist(cfg.stoplist)
 
 
 def _queries_in_run(cfg: ExperimentConfig, run: dict) -> list[Query]:
-    queries = read_topics(cfg.topics, _tokenize_config(cfg))
+    queries = read_topics(cfg.topics, _stopwords(cfg))
     kept = []
     for q in queries:
         if q.query_id in run:
@@ -202,8 +203,7 @@ def cmd_index(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "corpus")
     require_set(cfg, "index")
-    tok = _tokenize_config(cfg)
-    docs = iter_trectext(cfg.corpus, tok, cfg.text_tags)
+    docs = iter_trectext(cfg.corpus, _stopwords(cfg), cfg.text_tags)
     index = build_index(docs)
     save_index(index, cfg.index)
     print(f"documents  : {index.num_docs}")
@@ -217,7 +217,7 @@ def cmd_retrieve(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "index", "topics")
     index = load_index(cfg.index)
-    queries = read_topics(cfg.topics, _tokenize_config(cfg))
+    queries = read_topics(cfg.topics, _stopwords(cfg))
     run = {q.query_id: rank_documents(q, index, cfg.smoothing(), cfg.top_k)
            for q in queries}
     write_run(args.output, run, cfg.run_tag("ql"))
@@ -227,24 +227,24 @@ def cmd_retrieve(args) -> int:
 
 def cmd_rerank(args) -> int:
     cfg = _config_from_args(args)
-    require(cfg, "index", "topics")
     for flag in ("model", "dump_features"):
         if getattr(args, flag) and args.mode != "npm":
             raise ValueError(f"{_flag(flag)} requires --mode npm")
     if args.mode == "npm":
+        if not args.model:
+            raise ValueError("npm mode requires --model")
         # a config file may serve train and rerank alike, so only a flag
         # given here for npm is an error
         given = [_flag(k) for k in NPM_MODEL_SETTINGS if getattr(args, k) is not None]
         if given:
             raise ValueError(f"npm mode takes {' and '.join(given)} from the "
                              f"model, not from the command line")
+    require(cfg, "index", "topics")
     index = load_index(cfg.index)
     run_in = read_run(args.run)
     queries = _queries_in_run(cfg, run_in)
 
     if args.mode == "npm":
-        if not args.model:
-            raise ValueError("npm mode requires --model")
         model = NpmModel.load(args.model)
         model.check_queries(q.query_id for q in queries)
         log.info("npm rerank with model fingerprint %s", model.fingerprint)
@@ -302,7 +302,7 @@ def cmd_eval(args) -> int:
     if not args.baseline:
         print(format_eval_table(report_a))
         if args.csv:
-            write_eval_csv(args.csv, report_a)
+            write_eval_csv(args.csv, {"run": report_a})
         return 0
 
     run_b = read_run(args.baseline)
@@ -320,25 +320,8 @@ def cmd_eval(args) -> int:
         print(f"{m:>8}  {report_a.means[m]:>14.4f}  {report_b.means[m]:>14.4f}  "
               f"{diff:>+8.4f}  {p_values[m]:>8.4f}{mark}")
     if args.csv:
-        _write_paired_csv(args.csv, report_a, report_b, p_values, name_a, name_b)
+        write_eval_csv(args.csv, {name_a: report_a, name_b: report_b}, p_values)
     return 0
-
-
-def _write_paired_csv(path, report_a, report_b, p_values, name_a, name_b):
-    """Both runs' metrics side by side per query and for the means, then
-    each metric's p-value under the first run's column."""
-    def pair(a, b):
-        return [f"{x[m]:.6f}" for m in METRIC_NAMES for x in (a, b)]
-
-    qids = sorted(set(report_a.per_query) & set(report_b.per_query),
-                  key=qid_sort_key)
-    rows = [[qid, *pair(report_a.per_query[qid], report_b.per_query[qid])]
-            for qid in qids]
-    rows.append(["all", *pair(report_a.means, report_b.means)])
-    rows.append(["p_value", *(v for m in METRIC_NAMES
-                              for v in (f"{p_values[m]:.6f}", ""))])
-    header = ["query", *(f"{m}_{s}" for m in METRIC_NAMES for s in (name_a, name_b))]
-    write_table(path, header, rows)
 
 
 def cmd_weights(args) -> int:

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from ._accel import FilterSpec, check_pooling, parse_filters
+from .evaluation import numbered_lines
 from .features import ScoreSettings, feature_names
 from .retrieval import SmoothingConfig
 from .training import TrainConfig
@@ -128,20 +129,17 @@ def format_value(key: str, value) -> str:
 def read_config_file(path: str | Path) -> dict:
     """Parse a key=value config file into typed values."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                )
-            key, raw = (s.strip() for s in text.split("=", 1))
-            try:
-                values[key] = parse_value(key, raw)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
+    for lineno, line in numbered_lines(path):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, raw = (s.strip() for s in text.split("=", 1))
+        try:
+            values[key] = parse_value(key, raw)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return values
 
 

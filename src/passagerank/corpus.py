@@ -56,6 +56,8 @@ from typing import AnyStr, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .evaluation import numbered_lines
+
 log = logging.getLogger(__name__)
 
 INDEX_FORMAT = "passagerank-index"
@@ -436,7 +438,6 @@ def load_index(path: str | Path) -> CorpusIndex:
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TAG_RE = re.compile(r"<[^>]+>")
-_TOPIC_RE = re.compile(rb"<top>(.*?)</top>", re.S)
 _NUM_RE = re.compile(r"<num>\s*(?:Number:)?\s*([^<\s]+)", re.I)
 _TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
 
@@ -532,9 +533,9 @@ def read_topics(
     blob = Path(path).read_bytes()
     queries: list[Query] = []
     seen: set[str] = set()
-    for ordinal, m in enumerate(_TOPIC_RE.finditer(blob), start=1):
+    for ordinal, body in enumerate(_between(blob, b"<top>", b"</top>"), start=1):
         try:
-            record = m.group(1).decode("utf-8")
+            record = body.decode("utf-8")
         except UnicodeDecodeError:
             raise CorpusError(
                 f"{path}: undecodable text in topic record #{ordinal}"
@@ -563,12 +564,11 @@ def read_stoplist(path: str | Path) -> frozenset[str]:
     comments ignored. An entry that is not exactly one token could never
     match one, so it is a ``CorpusError`` naming its line."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            entry = line.split("#", 1)[0].strip()
-            tokens = tokenize(entry)
-            if entry and len(tokens) != 1:
-                raise CorpusError(f"{path}:{lineno}: stoplist entry {entry!r} is "
-                                  f"{len(tokens)} tokens, expected one")
-            words.update(tokens)
+    for lineno, line in numbered_lines(path):
+        entry = line.split("#", 1)[0].strip()
+        tokens = tokenize(entry)
+        if entry and len(tokens) != 1:
+            raise CorpusError(f"{path}:{lineno}: stoplist entry {entry!r} is "
+                              f"{len(tokens)} tokens, expected one")
+        words.update(tokens)
     return frozenset(words)

@@ -1,5 +1,6 @@
 """Rank metrics, TREC run/qrels IO, CSV/TSV tables, and the Fisher
-randomization test.
+randomization test. ``numbered_lines`` reads every line-based input
+file: qrels, runs, config files, stoplists and ``folds.csv``.
 
 Metrics follow the standard conventions: AP divides by the total number
 of judged relevant documents (retrieved or not); NDCG@k uses
@@ -18,9 +19,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -211,29 +213,40 @@ def fisher_randomization(
 # ---------------------------------------------------------------------------
 
 
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 text file, numbered from 1. A byte that is not
+    UTF-8 fails naming the file only: decoding runs ahead of the lines."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} is not UTF-8 text") from None
+
+
+def _trec_lines(path: str | Path, layout: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number and whitespace-separated fields of each non-blank line
+    of a TREC file whose lines hold the fields named in ``layout``."""
+    width = len(layout.split())
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if len(parts) == width:
+            yield lineno, parts
+        elif parts:
+            raise ValueError(f"{path}:{lineno}: expected {layout!r}, got {line!r}")
+
+
 def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     """Parse `qid 0 docno rel` lines; duplicate (qid, docno) is an error."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'qid 0 docno rel', got {line!r}"
-                )
-            qid, _, doc, rel = parts
-            by_doc = qrels.setdefault(qid, {})
-            if doc in by_doc:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate judgment for ({qid}, {doc})"
-                )
-            try:
-                by_doc[doc] = int(rel)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: relevance grade must be an "
-                                 f"integer, got {rel!r}") from None
+    for lineno, (qid, _, doc, rel) in _trec_lines(path, "qid 0 docno rel"):
+        by_doc = qrels.setdefault(qid, {})
+        if doc in by_doc:
+            raise ValueError(f"{path}:{lineno}: duplicate judgment for ({qid}, {doc})")
+        try:
+            by_doc[doc] = int(rel)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: relevance grade must be an "
+                             f"integer, got {rel!r}") from None
     if not qrels:
         raise ValueError(f"{path}: no judgments found")
     return qrels
@@ -242,34 +255,23 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Parse a TREC run file, preserving file order within each query;
     every score must be a finite number."""
-    run: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'qid Q0 docno rank score tag', "
-                    f"got {line!r}"
-                )
-            qid, _, doc, _, score, _ = parts
-            if (qid, doc) in seen:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate document {doc} for query {qid}"
-                )
-            seen.add((qid, doc))
-            try:
-                if not math.isfinite(value := float(score)):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: score must be a finite "
-                                 f"number, got {score!r}") from None
-            run.setdefault(qid, []).append((doc, value))
+    # doc -> score per query, in file order; the dict also finds duplicates
+    run: defaultdict[str, dict[str, float]] = defaultdict(dict)
+    for lineno, (qid, _, doc, _, score, _) in _trec_lines(
+            path, "qid Q0 docno rank score tag"):
+        scores = run[qid]
+        if doc in scores:
+            raise ValueError(f"{path}:{lineno}: duplicate document {doc} for query {qid}")
+        try:
+            if not math.isfinite(value := float(score)):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: score must be a finite "
+                             f"number, got {score!r}") from None
+        scores[doc] = value
     if not run:
         raise ValueError(f"{path}: empty run file")
-    return run
+    return {qid: list(scores.items()) for qid, scores in run.items()}
 
 
 def write_run(
@@ -303,25 +305,29 @@ def write_table(
         writer.writerows(rows)
 
 
-def write_eval_csv(path: str | Path, report: EvalReport) -> None:
-    def fields(values: Mapping[str, float]) -> list[str]:
-        return [f"{values[m]:.6f}" for m in METRIC_NAMES]
-
-    rows = [[qid, *fields(report.per_query[qid])] for qid in report.query_ids()]
-    rows.append(["all", *fields(report.means)])
-    write_table(path, ["query", *METRIC_NAMES], rows)
+def write_eval_csv(path: str | Path, reports: Mapping[str, EvalReport],
+                   p_values: Mapping[str, float] | None = None) -> None:
+    """One row per query that every run evaluated, in id order, then an
+    ``all`` row of means. One run's columns are the metric names; more
+    runs have a column per metric and run, ``map_<label>``. ``p_values``
+    adds a ``p_value`` row, each metric's p-value under the first run's."""
+    runs = list(reports.values())
+    suffixes = [""] if len(runs) == 1 else [f"_{label}" for label in reports]
+    qids = sorted(set.intersection(*(set(r.per_query) for r in runs)),
+                  key=qid_sort_key)
+    rows = [(qid, [r.per_query[qid] for r in runs]) for qid in qids]
+    rows.append(("all", [r.means for r in runs]))
+    if p_values is not None:  # the other runs' cells stay empty
+        rows.append(("p_value", [p_values, *[{}] * (len(runs) - 1)]))
+    table = [[name, *(f"{v[m]:.6f}" if v else "" for m in METRIC_NAMES for v in values)]
+             for name, values in rows]
+    write_table(path, ["query", *(m + s for m in METRIC_NAMES for s in suffixes)], table)
 
 
 def format_eval_table(report: EvalReport) -> str:
     """Aligned text table: one row per query plus the mean row."""
-    header = f"{'query':>10}  " + "  ".join(f"{m:>8}" for m in METRIC_NAMES)
-    lines = [header]
-    for qid in report.query_ids():
-        row = report.per_query[qid]
-        lines.append(
-            f"{qid:>10}  " + "  ".join(f"{row[m]:8.4f}" for m in METRIC_NAMES)
-        )
-    lines.append(
-        f"{'all':>10}  " + "  ".join(f"{report.means[m]:8.4f}" for m in METRIC_NAMES)
-    )
+    rows = [(qid, report.per_query[qid]) for qid in report.query_ids()]
+    lines = [f"{'query':>10}  " + "  ".join(f"{m:>8}" for m in METRIC_NAMES)]
+    for name, row in [*rows, ("all", report.means)]:
+        lines.append(f"{name:>10}  " + "  ".join(f"{row[m]:8.4f}" for m in METRIC_NAMES))
     return "\n".join(lines)

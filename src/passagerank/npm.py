@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusIndex, Query
-from .evaluation import qid_sort_key, rank_by_score, write_table
+from .evaluation import numbered_lines, qid_sort_key, rank_by_score, write_table
 from .features import FeatureExtractor, ScoreSettings, feature_names
 from .fusion import FusionModel
 from .passages import score_tokens
@@ -109,8 +109,7 @@ class NpmModel:
         if not folds_file.exists():
             raise ValueError(f"{path} has no folds.csv; pass a model file or "
                              f"a train output directory")
-        with open(folds_file, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
+        lines = [line for _, line in numbered_lines(folds_file)]
         rows = csv.reader(lines)
         try:
             if next(rows, None) != ["query_id", "fold"]:

@@ -7,7 +7,7 @@ implementations.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from passagerank import _accel, backend_name
 from passagerank._accel import WHOLE, FilterSpec
@@ -45,8 +45,29 @@ def split(tokens, lengths):
     return np.split(tokens, bounds)
 
 
-def worst_relative(a, b) -> float:
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-30)))
+def worst_relative(a, b, terms) -> float:
+    """The largest error of ``a`` against ``b``, relative to |b| where
+    |b| >= 1 and otherwise to the larger of |b| and min(``terms``, 1).
+    ``terms`` bounds the summed magnitudes of the log terms behind each
+    score, so a score whose terms cancel (log-mean-exp pooling of span
+    scores log 1.2, four times, and log 0.2 is 0) is held to the
+    precision of its terms, not of its own value."""
+    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), np.minimum(terms, 1.0))))
+
+
+def kernel_terms(lengths, bias, ms):
+    """(D, F) bound on sum_i |log(wc_i + bias_i * n)| over each document's
+    spans for each filter, from n = min(L, m) and 0 <= wc_i <= n."""
+    n = np.minimum(lengths[:, np.newaxis], ms).astype(np.float64)
+    c = bias[:, np.newaxis, np.newaxis]
+    return np.maximum(np.abs(np.log(c * n)), np.abs(np.log((1 + c) * n))).sum(axis=0)
+
+
+def lm_terms(background, one_minus_lam):
+    """Bound on sum_i |log(one_minus_lam * wc_i / n + background_i)| over
+    every span, from 0 <= wc_i / n <= 1."""
+    return np.maximum(np.abs(np.log(background)),
+                      np.abs(np.log(one_minus_lam + background))).sum()
 
 
 class TestMatchCounts:
@@ -105,7 +126,7 @@ class TestKernelTwins:
             a = _accel.kernel_filter_scores(*args)
             b = kernel_filter_scores_loop(*args)
             assert a.shape == b.shape == (lengths.size, self.MS.size)
-            worst = max(worst, worst_relative(a, b))
+            worst = max(worst, worst_relative(a, b, kernel_terms(lengths, bias, self.MS)))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("m,tau", [
@@ -120,7 +141,7 @@ class TestKernelTwins:
             a = _accel.lm_span_scores(*args)
             b = lm_span_scores_loop(*args)
             assert a.shape == b.shape == (_accel.span_layout(lengths, m, tau)[0].sum(),)
-            worst = max(worst, worst_relative(a, b))
+            worst = max(worst, worst_relative(a, b, lm_terms(bg, 0.5)))
         assert worst < 1e-12
 
     def test_span_counts(self):
@@ -193,6 +214,9 @@ class TestBatching:
         mean_pool=st.booleans(),
         window=st.sampled_from([(1, 1), (4, 2), (6, 6), (10, 3)]),
     )
+    # MEAN pooling of span scores that cancel: 0.0 in the kernel, -1.1e-16 in the loop
+    @example(docs=[[0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0]], query=[1], mean_pool=True,
+             window=(4, 2))
     def test_property_against_loops(self, docs, query, mean_pool, window):
         tokens = np.array([t for d in docs for t in d], dtype=np.int32)
         lengths = np.array([len(d) for d in docs], dtype=np.int64)
@@ -203,10 +227,10 @@ class TestBatching:
         taus = np.array([window[1], WHOLE], dtype=np.int64)
         a = _accel.kernel_filter_scores(tokens, q, bias, ms, taus, mean_pool, lengths)
         b = kernel_filter_scores_loop(tokens, q, bias, ms, taus, mean_pool, lengths)
-        assert worst_relative(a, b) < 1e-12
+        assert worst_relative(a, b, kernel_terms(lengths, bias, ms)) < 1e-12
         a = _accel.lm_span_scores(tokens, q, bg, 0.5, *window, lengths)
         b = lm_span_scores_loop(tokens, q, bg, 0.5, *window, lengths)
-        assert worst_relative(a, b) < 1e-12
+        assert worst_relative(a, b, lm_terms(bg, 0.5)) < 1e-12
         self.assert_batch_equals_singles(tokens, lengths, q, bias, bg)
 
     def test_empty_batch(self):

@@ -436,6 +436,15 @@ class TestFoldManifest:
         assert captured.err == (f"error: {folds}:1: expected 'query_id,fold', "
                                 f"got 'qid,fold\\n'\n")
 
+    def test_undecodable(self, pipeline, tmp_path, capsys):
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1")
+        folds, out = models / "folds.csv", tmp_path / "x.run"
+        folds.write_bytes(folds.read_bytes() + b"\xff,0\n")
+        rc = self.rerank(pipeline, topics, run, models, out)
+        captured = capsys.readouterr()
+        assert rc == 2 and not out.exists() and captured.out == ""
+        assert captured.err == f"error: {folds} is not UTF-8 text\n"
+
     def test_duplicate_query_is_rejected(self, pipeline, tmp_path, capsys):
         # a second line for query 1 would score it with a model trained on it
         topics, run, models = self.rename_query(pipeline, tmp_path, "1")
@@ -521,6 +530,17 @@ def test_stoplist_entry_not_one_token(tmp_path, capsys, entry, n_tokens):
     assert captured.out == "" and not index.exists()
 
 
+def test_undecodable_stoplist(tmp_path, capsys):
+    corpus, index, stoplist = tmp_path / "c.trectext", tmp_path / "index", tmp_path / "s.txt"
+    write_trectext(corpus, [Document("d1", ("the", "alpha"))])
+    stoplist.write_bytes(b"the\n\xff\n")
+    assert main(["index", "--corpus", str(corpus), "--index", str(index),
+                 "--stoplist", str(stoplist)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {stoplist} is not UTF-8 text\n"
+    assert captured.out == "" and not index.exists()
+
+
 QID = '1,"2'  # a query id holding the delimiter and the quote character
 TABLES = {"eval": "eval.csv", "paired": "paired.csv", "weights": "weights.csv",
           "folds": "models/folds.csv", "train_log": "models/train_log_fold_0.csv"}
@@ -591,6 +611,29 @@ class TestStdout:
         out = capsys.readouterr().out
         assert "documents  : 40" in out
         assert "vocabulary" in out
+
+    def test_eval_single_run_bytes(self, tmp_path, capsys):
+        """The one-run table and CSV, byte for byte: queries in numeric id
+        order, query 3 (nothing relevant) left out, then the means."""
+        qrels, run, table = tmp_path / "qrels.txt", tmp_path / "a.run", tmp_path / "eval.csv"
+        qrels.write_text("1 0 a 1\n1 0 b 0\n1 0 c 2\n2 0 a 1\n10 0 d 1\n10 0 f 1\n"
+                         "3 0 x 0\n")
+        run.write_text("1 Q0 a 1 3.0 t\n1 Q0 c 2 2.0 t\n1 Q0 b 3 1.0 t\n"
+                       "10 Q0 e 1 1.0 t\n10 Q0 d 2 0.5 t\n"
+                       "2 Q0 b 1 2.0 t\n2 Q0 a 2 1.0 t\n3 Q0 x 1 1.0 t\n")
+        assert main(["eval", "--qrels", str(qrels), "--run", str(run),
+                     "--csv", str(table)]) == 0
+        assert capsys.readouterr().out == (
+            "     query       map   ndcg@20      p@20\n"
+            "         1    1.0000    0.7967    0.1000\n"
+            "         2    0.5000    0.6309    0.0500\n"
+            "        10    0.2500    0.3869    0.0500\n"
+            "       all    0.5833    0.6048    0.0667\n")
+        assert table.read_text() == ("query,map,ndcg@20,p@20\n"
+                                     "1,1.000000,0.796708,0.100000\n"
+                                     "2,0.500000,0.630930,0.050000\n"
+                                     "10,0.250000,0.386853,0.050000\n"
+                                     "all,0.583333,0.604830,0.066667\n")
 
     def test_eval_single_run_table(self, pipeline, capsys):
         assert main(["eval", "--qrels", str(pipeline["qrels"]),
@@ -767,6 +810,16 @@ class TestErrors:
         assert rc == 2
         assert "warp_factor" in capsys.readouterr().err
 
+    def test_undecodable_config_file(self, pipeline, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"seed = 1  # caf\xe9\n")
+        rc = main(["eval", "--config", str(conf),
+                   "--qrels", str(pipeline["qrels"]),
+                   "--run", str(pipeline["ql_run"])])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {conf} is not UTF-8 text\n"
+
     def test_model_dir_without_manifest(self, pipeline, tmp_path, capsys):
         bare = tmp_path / "empty_dir"
         bare.mkdir()
@@ -825,8 +878,13 @@ class TestErrors:
          b"", "{bad}: no judgments found"),
         (lambda p, bad: ["eval", "--qrels", p["qrels"], "--run", bad, "--csv"],
          b"", "{bad}: empty run file"),
+        (lambda p, bad: ["eval", "--qrels", bad, "--run", p["ql_run"], "--csv"],
+         b"1 0 d000 1\n1 0 d\xff01 0\n", "{bad} is not UTF-8 text"),
+        (lambda p, bad: ["eval", "--qrels", p["qrels"], "--run", bad, "--csv"],
+         b"1 Q0 d000 1 2.5 t\xff\n", "{bad} is not UTF-8 text"),
     ], ids=["empty-corpus-dir", "topic-without-num", "no-usable-topic",
-            "undecodable-topic", "empty-qrels", "empty-run"])
+            "undecodable-topic", "empty-qrels", "empty-run", "undecodable-qrels",
+            "undecodable-run"])
     def test_malformed_input(self, pipeline, tmp_path, capsys, argv, data, message):
         """A malformed input (``data``, None for an empty directory) exits
         2 with one error line naming it, no traceback and no output."""
@@ -927,23 +985,24 @@ class TestErrors:
                    "--run", str(pipeline["ql_run"]), flags[-1], str(out)])
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "use inf for the whole document" in err
+        assert err.startswith("error:") and "window length must be < 2**62" in err
+        # only a filter label can spell the whole document as inf
+        assert ("use inf for the whole document" in err) == (flags[1] == "--filters")
 
     @pytest.mark.parametrize("flags,message", [
         (["rerank", "--mode", "msp", "--passage-size", str(2**62), "--output"],
-         f"passage_size: window length must be < 2**62, got {2**62}; "
-         f"use inf for the whole document"),
+         f"passage_size: window length must be < 2**62, got {2**62}"),
         (["rerank", "--mode", "msp", "--passage-size", "0", "--output"],
          "passage_size: window length must be >= 1, got 0"),
         (["train", "--homogeneity-m", str(2**62), "--output-dir"],
-         f"homogeneity_m: window length must be < 2**62, got {2**62}; "
-         f"use inf for the whole document"),
+         f"homogeneity_m: window length must be < 2**62, got {2**62}"),
         (["train", "--homogeneity-m", "-3", "--output-dir"],
          "homogeneity_m: window length must be >= 1, got -3"),
+        (["rerank", "--mode", "npm", "--output"], "npm mode requires --model"),
     ], ids=["passage-size-huge", "passage-size-0", "homogeneity-m-huge",
-            "homogeneity-m-negative"])
+            "homogeneity-m-negative", "npm-without-model"])
     def test_window_key_checked_before_inputs(self, tmp_path, capsys, flags, message):
-        # no input exists: the key's error comes first, not a missing path
+        # no input exists: the flag's error comes first, not a missing path
         missing, out = tmp_path / "missing", tmp_path / "out"
         inputs = ["--index", str(missing), "--topics", str(missing), "--run", str(missing)]
         if flags[0] == "train":

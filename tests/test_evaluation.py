@@ -438,7 +438,7 @@ class TestReports:
 
     def test_csv(self, tmp_path):
         path = tmp_path / "eval.csv"
-        write_eval_csv(path, self.make_report())
+        write_eval_csv(path, {"run": self.make_report()})
         lines = path.read_text().splitlines()
         assert lines[0] == "query,map,ndcg@20,p@20"
         assert lines[1].startswith("1,")
