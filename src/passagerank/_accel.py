@@ -81,7 +81,7 @@ class FilterSpec:
 def parse_filter_label(label: str) -> FilterSpec:
     # a model file's JSON number is no label: "" fails the parse below
     text = label.strip().lower() if isinstance(label, str) else ""
-    if text in ("inf", "infinite", "whole"):
+    if text == "inf":
         return FilterSpec.whole_document()
     m_s, colon, tau_s = text.partition(":")
     try:

@@ -36,8 +36,8 @@ from .retrieval import rank_documents
 log = logging.getLogger(__name__)
 
 RERANK_MODES = ("msp", *(f"msp-{kind}" for kind in HOMOGENEITY_KINDS), "npm")
-# msp scoring settings that npm rejects as flags
-NPM_MODEL_SETTINGS = ("passage_size", "lambda_c", "oov_floor")
+# msp scoring settings that npm takes from its model, so rejects as flags
+NPM_MODEL_SETTINGS = ("lambda_c", "oov_floor")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,8 @@ def cmd_rerank(args) -> int:
             raise ValueError("npm mode requires --model")
         # a config file may serve train and rerank alike, so only a flag
         # given here for npm is an error
+        if args.passage_size is not None:
+            raise ValueError("npm mode has no passage size; drop --passage-size")
         given = [_flag(k) for k in NPM_MODEL_SETTINGS if getattr(args, k) is not None]
         if given:
             raise ValueError(f"npm mode takes {' and '.join(given)} from the "

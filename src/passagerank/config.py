@@ -50,14 +50,12 @@ class ExperimentConfig:
     permutations: int = 100_000
     seed: int = TrainConfig.seed
 
-    def smallest_finite_filter(self) -> FilterSpec:
-        finite = [f for f in self.filters if not f.is_infinite]
+    def homogeneity_filter(self) -> FilterSpec:
         if self.homogeneity_m is not None:
             return FilterSpec.window(self.homogeneity_m)
+        finite = [f for f in self.filters if not f.is_infinite]
         if not finite:
-            raise ValueError(
-                "no finite filter configured; set homogeneity_m explicitly"
-            )
+            raise ValueError("no finite filter configured; set homogeneity_m explicitly")
         return min(finite, key=lambda f: f.m)
 
     def fingerprint(self) -> str:
@@ -87,7 +85,7 @@ class ExperimentConfig:
 
     def score_settings(self) -> ScoreSettings:
         """The candidate scoring settings that train records in each model."""
-        hom = self.smallest_finite_filter() if self.feature_set != "query" else None
+        hom = self.homogeneity_filter() if self.feature_set != "query" else None
         return ScoreSettings(self.filters, self.smoothing(), self.pooling,
                              self.feature_set, hom, self.top_k)
 

@@ -13,11 +13,11 @@ and all statistics stay in memory too; that is the same footprint the
 scorer needs at query time anyway.
 
 A record's text is its configured text tags concatenated tag by tag in
-``text_tags`` order, each tag's occurrences in record order. A token is
-a run of ``[a-z0-9]`` in the lowercased text, for documents and topics
-alike (:func:`tokenize`). ASCII records and text take ``find`` and a
-byte ``translate``; any other keeps the case-insensitive regexes, whose
-results the fast path reproduces exactly where it applies.
+``text_tags`` order, each tag's occurrences in record order; tag names
+match with ASCII letters in any case. A token is a run of ASCII letters
+and digits, lowercased, for documents, topic titles and stoplists alike
+(:func:`tokenize`); every other character, non-ASCII ones included,
+separates tokens.
 
 On-disk format (version 2), one directory per index:
 
@@ -46,13 +46,12 @@ import hashlib
 import json
 import logging
 import re
-import string
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from pathlib import Path
-from typing import AnyStr, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,11 +73,10 @@ class CorpusError(ValueError):
 # tokenization
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-# Byte table of the ASCII path: A-Z lowercased, a-z and 0-9 kept, every
-# other byte a separator.
+# Byte table of the tokenizer: A-Z lowercased, a-z and 0-9 kept, every
+# other byte, each byte of a non-ASCII character included, a separator.
 _ASCII_TOKEN_TABLE = bytes(
-    ord(ch) if ch in string.ascii_lowercase + string.digits else ord(" ")
+    ord(ch) if ch.isascii() and ch.isalnum() else ord(" ")
     for ch in (chr(c).lower() for c in range(256))
 )
 
@@ -87,16 +85,12 @@ def tokenize(raw_text: str, stopwords: frozenset[str] = frozenset()) -> list[str
     """Split raw text into normalized tokens, document order preserved,
     and drop the ``stopwords``.
 
-    A token is a run of ``[a-z0-9]`` in the lowercased text. ASCII text
-    takes one byte translate and ``split``, which yields the same tokens;
-    other text keeps the regex, because ``str.lower`` maps some non-ASCII
-    code points to ASCII letters (KELVIN SIGN U+212A becomes ``k``).
+    A token is a run of ASCII letters and digits, lowercased; every other
+    character, a non-ASCII one or a lone surrogate included, separates
+    tokens (KELVIN SIGN U+212A is a separator, not ``k``).
     """
-    if raw_text.isascii():
-        tokens = (raw_text.encode("ascii").translate(_ASCII_TOKEN_TABLE)
-                  .decode("ascii").split())
-    else:
-        tokens = _TOKEN_RE.findall(raw_text.lower())
+    tokens = (raw_text.encode("utf-8", "surrogatepass").translate(_ASCII_TOKEN_TABLE)
+              .decode("ascii").split())
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens
@@ -437,17 +431,17 @@ def load_index(path: str | Path) -> CorpusIndex:
 # ---------------------------------------------------------------------------
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
-_TAG_RE = re.compile(r"<[^>]+>")
+_TAG_RE = re.compile(rb"<[^>]+>")
 _NUM_RE = re.compile(r"<num>\s*(?:Number:)?\s*([^<\s]+)", re.I)
 _TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
 
 
-def _between(text: AnyStr, open_tag: AnyStr, close_tag: AnyStr,
-             lowered: AnyStr | None = None) -> Iterator[AnyStr]:
+def _between(text: bytes, open_tag: bytes, close_tag: bytes,
+             lowered: bytes | None = None) -> Iterator[bytes]:
     """Yield the pieces of ``text`` between ``open_tag`` and the first
     ``close_tag`` after it, left to right: what ``finditer`` of the lazy
-    regex ``open(.*?)close`` finds. With ``lowered`` (the ASCII text
-    lowercased, tags given in lowercase) the tags match in any case."""
+    regex ``open(.*?)close`` finds. With ``lowered``, ``text.lower()``, and
+    tags lowercased alike, the tags match with ASCII letters in any case."""
     haystack = text if lowered is None else lowered
     start = haystack.find(open_tag)
     while start != -1:
@@ -478,20 +472,14 @@ def iter_trectext(
     """Stream Documents out of trectext files (a file or a directory).
 
     Records are ``<DOC><DOCNO>id</DOCNO>...<TEXT>...</TEXT></DOC>``; the
-    ``<DOC>`` and ``<DOCNO>`` tags are case-sensitive, the text tags are
-    not. The configured text tags are concatenated tag by tag in
-    ``text_tags`` order, each tag's occurrences in record order, and any
-    interleaved markup inside them is stripped. Other tags are ignored.
+    ``<DOC>`` and ``<DOCNO>`` tags are case-sensitive; a text tag's name
+    matches with ASCII letters in any case and other characters as they
+    are (``<\u212aEYWORDS>`` is not ``<KEYWORDS>``). The configured text
+    tags are concatenated tag by tag in ``text_tags`` order, each tag's
+    occurrences in record order, and any interleaved markup inside them
+    is stripped. Other tags are ignored.
     """
-    # Case-insensitive matching of a str pattern also folds some non-ASCII
-    # letters (``<KEYWORDS>`` matches ``<\u212aEYWORDS>``), so only ASCII
-    # records and tags take the lowercased find path.
-    tag_res = [
-        re.compile(rf"<{re.escape(t)}>(.*?)</{re.escape(t)}>", re.S | re.I)
-        for t in text_tags
-    ]
-    ascii_tags = all(t.isascii() for t in text_tags)
-    bounds = [(f"<{t}>".lower(), f"</{t}>".lower()) for t in text_tags]
+    bounds = [(f"<{t}>".encode().lower(), f"</{t}>".encode().lower()) for t in text_tags]
     for fp in _corpus_files(Path(path)):
         blob = fp.read_bytes()
         for ordinal, body in enumerate(_between(blob, b"<DOC>", b"</DOC>"), start=1):
@@ -500,9 +488,7 @@ def iter_trectext(
             except UnicodeDecodeError:
                 docno_m = _DOCNO_RE.search(body.decode("utf-8", errors="replace"))
                 name = docno_m.group(1).strip() if docno_m else f"record #{ordinal}"
-                raise CorpusError(
-                    f"{fp}: undecodable text in document {name}"
-                ) from None
+                raise CorpusError(f"{fp}: undecodable text in document {name}") from None
             docno_m = _DOCNO_RE.search(record)
             if docno_m is None:
                 raise CorpusError(f"{fp}: record #{ordinal} has no DOCNO")
@@ -510,16 +496,12 @@ def iter_trectext(
             if doc_id.split() != [doc_id]:  # run files split on whitespace
                 raise CorpusError(f"{fp}: record #{ordinal} has an empty DOCNO or "
                                   f"whitespace inside it: {doc_id!r}")
-            if ascii_tags and record.isascii():
-                lowered = record.lower()
-                parts = [piece for open_tag, close_tag in bounds
-                         for piece in _between(record, open_tag, close_tag, lowered)]
-            else:
-                parts = [piece for tag_re in tag_res for piece in tag_re.findall(record)]
-            raw = " ".join(parts)
-            if "<" in raw:
-                raw = _TAG_RE.sub(" ", raw)
-            yield Document(doc_id, tuple(tokenize(raw, stopwords)))
+            lowered = body.lower()
+            raw = b" ".join(piece for open_tag, close_tag in bounds
+                            for piece in _between(body, open_tag, close_tag, lowered))
+            if b"<" in raw:
+                raw = _TAG_RE.sub(b" ", raw)
+            yield Document(doc_id, tuple(tokenize(raw.decode("utf-8"), stopwords)))
 
 
 def read_topics(
@@ -537,16 +519,13 @@ def read_topics(
         try:
             record = body.decode("utf-8")
         except UnicodeDecodeError:
-            raise CorpusError(
-                f"{path}: undecodable text in topic record #{ordinal}"
-            ) from None
+            raise CorpusError(f"{path}: undecodable text in topic record #{ordinal}") from None
         num_m = _NUM_RE.search(record)
         if num_m is None:
             raise CorpusError(f"{path}: topic record #{ordinal} has no num field")
         qid = num_m.group(1).strip()
         title_m = _TITLE_RE.search(record)
-        title = title_m.group(1) if title_m else ""
-        terms = tuple(tokenize(title, stopwords))
+        terms = tuple(tokenize(title_m.group(1) if title_m else "", stopwords))
         if not terms:
             log.warning("skipping topic %s: empty title after tokenization", qid)
             continue

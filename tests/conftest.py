@@ -5,8 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from passagerank import Document, Query, build_index, features
+
+# a test result must not depend on what a local .hypothesis database
+# replays: every run draws the same examples and none are stored
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_documents(rng, n_docs, vocab_size=50, min_len=5, max_len=120,

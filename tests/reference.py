@@ -38,8 +38,8 @@ from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
 
 
 def tokenize_reference(raw_text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
-    """Runs of ``[a-z0-9]`` in the lowercased text, stopwords dropped."""
-    tokens = re.findall(r"[a-z0-9]+", raw_text.lower())
+    """Runs of ASCII letters and digits, lowercased, stopwords dropped."""
+    tokens = [t.lower() for t in re.findall(r"[A-Za-z0-9]+", raw_text)]
     return [t for t in tokens if t not in stopwords]
 
 
@@ -47,9 +47,9 @@ def trectext_reference(blob: bytes, stopwords: frozenset[str] = frozenset(),
                        text_tags: Sequence[str] = ("TEXT",)) -> list[Document]:
     """The documents of one TRECTEXT file, read by lazy regexes: a record
     is ``<DOC>...</DOC>`` (case-sensitive), its id the first
-    ``<DOCNO>...</DOCNO>``, and its text every case-insensitive match of
-    each tag in ``text_tags`` order, joined by spaces with markup
-    replaced by a space."""
+    ``<DOCNO>...</DOCNO>``, and its text every match of each tag in
+    ``text_tags`` order, ASCII letters in any case (``re.I | re.A``),
+    joined by spaces with markup replaced by a space."""
     docs = []
     for m in re.finditer(rb"<DOC>(.*?)</DOC>", blob, re.S):
         record = m.group(1).decode("utf-8")
@@ -57,7 +57,7 @@ def trectext_reference(blob: bytes, stopwords: frozenset[str] = frozenset(),
         parts = []
         for tag in text_tags:
             t = re.escape(tag)
-            parts.extend(re.findall(rf"<{t}>(.*?)</{t}>", record, re.S | re.I))
+            parts.extend(re.findall(rf"<{t}>(.*?)</{t}>", record, re.S | re.I | re.A))
         raw = re.sub(r"<[^>]+>", " ", " ".join(parts))
         docs.append(Document(doc_id, tuple(tokenize_reference(raw, stopwords))))
     return docs

@@ -783,8 +783,9 @@ class TestErrors:
                    "--model", str(pipeline["model_dir"]), flag, value,
                    "--output", str(out)])
         assert rc == 2 and not out.exists()
-        assert (f"error: npm mode takes {flag} from the model"
-                in capsys.readouterr().err)
+        message = ("npm mode has no passage size; drop --passage-size"
+                   if flag == "--passage-size" else f"npm mode takes {flag} from the model")
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_weights_rejects_directory_model(self, pipeline, tmp_path, capsys):
         rc = main(["weights", "--index", str(pipeline["index"]),

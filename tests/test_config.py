@@ -31,7 +31,7 @@ class TestParseFilters:
         with pytest.raises(ValueError):
             parse_filters("50:zz")
 
-    @pytest.mark.parametrize("label", ["50:x", "abc", "50:"])
+    @pytest.mark.parametrize("label", ["50:x", "abc", "50:", "infinite", "whole"])
     def test_bad_label_names_label_and_forms(self, label):
         with pytest.raises(ValueError, match=f"'{label}': expected m, m:tau or inf"):
             parse_filters(f"{label},inf")
@@ -132,16 +132,16 @@ class TestBuildConfig:
 class TestSmallestFiniteFilter:
     def test_picks_min_window(self):
         cfg = build_config()
-        assert cfg.smallest_finite_filter().m == 50
+        assert cfg.homogeneity_filter().m == 50
 
     def test_explicit_override(self):
         cfg = build_config(None, {"homogeneity_m": 30})
-        assert cfg.smallest_finite_filter() == FilterSpec.window(30)
+        assert cfg.homogeneity_filter() == FilterSpec.window(30)
 
     def test_all_infinite_needs_explicit(self):
         cfg = build_config(None, {"filters": parse_filters("inf")})
         with pytest.raises(ValueError, match="homogeneity_m"):
-            cfg.smallest_finite_filter()
+            cfg.homogeneity_filter()
 
 
 class TestFingerprint:

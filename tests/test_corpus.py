@@ -50,7 +50,7 @@ def saved_index(tmp_path, small_random_index):
     return path
 
 
-TRICKY_CHARS = "\u212a\u0130\u017f\u00b2\uff11\u00e9"
+TRICKY_CHARS = "\u212a\u0130\u0131\u017f\u00b2\uff11\u00e9"
 TOKEN_CHARS = "aAzZkKsS09 _-.,@[`{\t\n" + TRICKY_CHARS
 
 
@@ -70,15 +70,17 @@ class TestTokenize:
         stopwords = frozenset({"the", "on"})
         assert tokenize("The cat ON the mat", stopwords) == ["cat", "mat"]
 
-    # KELVIN SIGN lowercases to "k", DOTTED CAPITAL I to "i" plus a
-    # combining dot; LONG S, superscript two and the full-width digit
-    # stay non-ASCII, so none of them is a token
+    # str.lower() maps KELVIN SIGN to "k" and DOTTED CAPITAL I to "i"
+    # plus a combining dot, and Unicode case folding matches DOTLESS I
+    # and LONG S with I and S; all four, superscript two, the full-width
+    # digit and a lone surrogate are non-ASCII, so each separates tokens
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(st.text(alphabet=TOKEN_CHARS), st.text()),
            stopwords=st.sets(st.sampled_from(["k", "i", "the", "a1", "9"])))
-    @example(text="\u212aelvin \u0130stanbul \u017fun x\u00b2 \uff11st",
+    @example(text="\u212aelvin \u0130stanbul \u0131t \u017fun x\u00b2 \uff11st",
              stopwords=set())
     @example(text="The K\u212a 9 A1 i\u0130", stopwords={"k", "i", "a1"})
+    @example(text="a\ud800b", stopwords=set())
     def test_matches_the_regex_reference(self, text, stopwords):
         stopwords = frozenset(stopwords)
         assert tokenize(text, stopwords) == tokenize_reference(text, stopwords)
@@ -326,14 +328,16 @@ The quick <em>brown</em> fox.
 """
 
 
-# each text tag as it may be spelled in a record; case-insensitive regex
-# matching folds KELVIN SIGN to K, LONG S to S and DOTTED CAPITAL I to I,
-# and lowercasing DOTTED CAPITAL I adds a character
+# each text tag and spellings a record may hold; a tag name matches with
+# ASCII letters in any case and every other character as itself, so
+# T\u0131TLE, \u212aEYWORDS, KEYWORD\u017f, NOTEI, R\u00e9SUM\u00e9 and RESUME are
+# other tags, although Unicode case folding matches all but the last
 TAG_SPELLINGS = {
     "TEXT": ["TEXT", "text", "tExT"],
-    "TITLE": ["TITLE", "Title"],
+    "TITLE": ["TITLE", "Title", "T\u0131TLE"],
     "KEYWORDS": ["KEYWORDS", "keywords", "\u212aEYWORDS", "KEYWORD\u017f"],
     "NOTE\u0130": ["NOTE\u0130", "note\u0130", "NOTEI"],
+    "R\u00c9SUM\u00c9": ["R\u00c9SUM\u00c9", "r\u00c9sum\u00c9", "R\u00e9SUM\u00e9", "RESUME"],
 }
 MARKUP = ["<em>", "</em>", "<b class='x'>", "<", ">", "<>", "<doc>", "</Doc>"]
 
@@ -413,14 +417,19 @@ class TestTrectext:
         docs = list(iter_trectext(f, text_tags=("TITLE", "TEXT")))
         assert docs[0].terms == ("a", "b")
 
-    def test_case_folded_non_ascii_tag_matches(self, tmp_path):
-        # KELVIN SIGN makes the record non-ASCII; case-insensitive regex
-        # matching folds it to the K of the configured tag
+    def test_unicode_folds_onto_ascii_do_not_apply(self, tmp_path):
+        # str.lower() or Unicode case folding maps each of these code
+        # points onto an ASCII letter; the tokenizer splits at it and a
+        # tag name holding it matches only itself, ASCII letters in any case
         f = tmp_path / "corpus.trectext"
-        f.write_text("<DOC><DOCNO>D1</DOCNO>"
-                     "<\u212aEYWORDS>hot</\u212aEYWORDS></DOC>", encoding="utf-8")
-        docs = list(iter_trectext(f, text_tags=("KEYWORDS",)))
-        assert docs[0].terms == ("hot",)
+        for char, letter in [("\u0130", "i"), ("\u0131", "i"),
+                             ("\u017f", "s"), ("\u212a", "k")]:
+            f.write_text(f"<DOC><DOCNO>D1</DOCNO><X{letter}>folded</X{letter}>"
+                         f"<x{char}>a{char}b {letter}</X{char}></DOC>", encoding="utf-8")
+            [ascii_tag] = iter_trectext(f, text_tags=(f"X{letter.upper()}",))
+            [own_tag] = iter_trectext(f, text_tags=(f"X{char}",))
+            assert ascii_tag.terms == ("folded",), char
+            assert own_tag.terms == ("a", "b", letter), char
 
     @settings(max_examples=300, deadline=None)
     @given(blob=trectext_files(),
