@@ -432,8 +432,8 @@ def load_index(path: str | Path) -> CorpusIndex:
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TAG_RE = re.compile(rb"<[^>]+>")
-_NUM_RE = re.compile(r"<num>\s*(?:Number:)?\s*([^<\s]+)", re.I)
-_TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
+_NUM_RE = re.compile(r"(?a:<num>)\s*(?a:Number:)?\s*([^<\s]+)", re.I)
+_TITLE_RE = re.compile(r"(?a:<title>)\s*(?a:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
 
 
 def _between(text: bytes, open_tag: bytes, close_tag: bytes,

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from passagerank import (
     CorpusError,
     Document,
+    Query,
     build_index,
     iter_trectext,
     load_index,
@@ -492,6 +493,19 @@ class TestTopics:
             "<top><num>1</num><title>b</title></top>", encoding="utf-8")
         with pytest.raises(CorpusError, match="duplicate"):
             read_topics(f)
+
+    def test_unicode_folds_onto_ascii_do_not_apply(self, tmp_path):
+        # as for text tags, a field name or prefix holding one of these
+        # code points is not read as the ASCII one it folds onto, while
+        # Unicode whitespace still separates a field from its value
+        f = tmp_path / "topics.txt"
+        for char in ["\u0130", "\u0131", "\u017f", "\u212a"]:
+            f.write_text(f"<top><num>\u3000Number:\u00a07 <t{char}tle> alpha "
+                         f"<TITLE>\u3000Top{char}c: beta</top>"
+                         f"<top><NUM> 8 <T{char}TLE> gamma <title> delta</top>",
+                         encoding="utf-8")
+            assert read_topics(f) == [Query("7", ("top", "c", "beta")),
+                                      Query("8", ("delta",))], char
 
 
 def test_documents_and_topics_share_one_tokenizer(tmp_path, monkeypatch):

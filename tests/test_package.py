@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import io
 import re
+import sys
 from pathlib import Path
 
 import passagerank
@@ -14,6 +15,7 @@ from passagerank import msp_rank
 SRC = Path(passagerank.__file__).parent
 ROOT = Path(__file__).parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+GENERATE = ROOT / "perfbench" / "generate.py"
 
 
 def test_no_function_body_imports():
@@ -107,6 +109,20 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(tracer.resolve(module, attribute)[2]), (module, attribute)
     params = list(inspect.signature(msp_rank).parameters)
     assert (params[1], params[4]) == ("candidates", "homogeneity")
+
+
+def test_benchmark_generator_imports_only_stdlib_and_numpy():
+    """The tests build their planted corpus with the benchmark's
+    generator, which the benchmark also runs where the package is not
+    installed: it imports the standard library and numpy, nothing else."""
+    tree = ast.parse(GENERATE.read_text(encoding="utf-8"), filename=str(GENERATE))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_readme_library_example_runs():
