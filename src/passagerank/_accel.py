@@ -102,7 +102,11 @@ def parse_filters(text: str) -> tuple[FilterSpec, ...]:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     if not parts:
         raise ValueError("filter list is empty")
-    return tuple(parse_filter_label(p) for p in parts)
+    specs = tuple(parse_filter_label(p) for p in parts)
+    for i, f in enumerate(specs):
+        if f in specs[:i]:
+            raise ValueError(f"filter {f.label} is listed twice")
+    return specs
 
 
 def span_layout(lengths, m: int, tau: int):

@@ -67,7 +67,8 @@ _FLAG_DEFS: dict[str, dict] = {
     "patience": dict(metavar="N", help="epochs without a validation gain before stopping"),
     "negatives_per_positive": dict(metavar="N", help="non-relevant samples per relevant one"),
     "folds": dict(metavar="K", help="cross-validation folds, at least 3"),
-    "permutations": dict(metavar="N", help="randomization test samples"),
+    "permutations": dict(metavar="N", help="randomization test samples; all 2^n sign "
+                                            "patterns of n queries when 2^n <= N"),
     "seed": dict(metavar="N", help="seed of every stochastic choice"),
 }
 
@@ -151,8 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True, metavar="RUN")
     p.add_argument("--baseline", metavar="RUN",
                    help="second run for paired significance testing")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="enumerate all sign patterns instead of sampling")
     p.add_argument("--csv", metavar="FILE", help="also write per-query CSV")
     p.set_defaults(handler=cmd_eval)
 
@@ -310,7 +309,7 @@ def cmd_eval(args) -> int:
     run_b = read_run(args.baseline)
     report_b = evaluate_run(run_b, qrels)
     p_values = fisher_randomization(run_a, run_b, qrels, permutations=cfg.permutations,
-                                    seed=cfg.seed, exhaustive=args.exhaustive)
+                                    seed=cfg.seed)
     name_a = Path(args.run).stem[:14]
     name_b = Path(args.baseline).stem[:14]
     if name_a == name_b:  # same stem, or the same first 14 characters

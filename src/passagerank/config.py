@@ -125,8 +125,10 @@ def format_value(key: str, value) -> str:
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Parse a key=value config file into typed values."""
+    """Parse a key=value config file into typed values; a key may be set
+    once."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in numbered_lines(path):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -134,6 +136,10 @@ def read_config_file(path: str | Path) -> dict:
         if "=" not in text:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in text.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             values[key] = parse_value(key, raw)
         except ValueError as e:

@@ -29,7 +29,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 METRIC_NAMES = ("map", "ndcg@20", "p@20")
-_EXHAUSTIVE_LIMIT = 20
 _SIGN_CHUNK = 4096  # sign patterns per chunk, sampled or enumerated
 
 
@@ -150,7 +149,6 @@ def fisher_randomization(
     qrels: Mapping[str, Mapping[str, int]],
     permutations: int = 100_000,
     seed: int = 0,
-    exhaustive: bool = False,
 ) -> dict[str, float]:
     """Two-sided paired randomization p-value between two runs for every
     metric in ``METRIC_NAMES``.
@@ -158,12 +156,13 @@ def fisher_randomization(
     The statistic is the absolute mean per-query metric difference;
     each permutation flips each query's difference sign independently
     with probability 1/2. One set of sign patterns serves all three
-    metrics: ``permutations`` patterns drawn from the seeded generator,
-    or with ``exhaustive`` all 2^n patterns (refused above n=20
-    queries). Either way the patterns come in chunks of 4,096, so memory
-    stays bounded. Both modes apply the add-one correction
-    p = (1 + hits) / (1 + trials), so identical runs give exactly 1.0
-    and p is never 0.
+    metrics. With n queries and 2^n <= ``permutations``, all 2^n
+    patterns are enumerated and p = hits / 2^n is exact: the observed
+    pattern and its mirror are among them, so p >= 2 / 2^n. Otherwise
+    ``permutations`` patterns are drawn from the seeded generator and
+    p = (1 + hits) / (1 + permutations) (Phipson & Smyth, 2010), never 0.
+    Either way identical runs give exactly 1.0, and the patterns come in
+    chunks of 4,096, so memory stays bounded.
     """
     if set(run_a) != set(run_b):
         only_a = sorted(set(run_a) - set(run_b))[:3]
@@ -182,19 +181,17 @@ def fisher_randomization(
                      dtype=np.float64)
     observed = np.abs(diffs.mean(axis=1))
     n = len(qids)
-    if exhaustive and n > _EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive enumeration limited to "
-                         f"{_EXHAUSTIVE_LIMIT} queries, got {n}")
-    if not exhaustive and permutations < 1:
+    if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    trials = 2**n if exhaustive else permutations
+    exact = 2**n <= permutations
+    trials = 2**n if exact else permutations
 
     rng = np.random.default_rng(seed)
     bits = np.arange(n)
     hits = np.zeros(len(METRIC_NAMES), dtype=np.int64)
     for start in range(0, trials, _SIGN_CHUNK):
         chunk = min(trials - start, _SIGN_CHUNK)
-        if exhaustive:  # bit j of the pattern number is query j's sign
+        if exact:  # bit j of the pattern number is query j's sign
             patterns = np.arange(start, start + chunk, dtype=np.int64)
             signs = ((patterns[:, np.newaxis] >> bits) & 1) * 2 - 1
         else:
@@ -205,7 +202,8 @@ def fisher_randomization(
             signs = rng.integers(0, 2, size=(chunk, n)) * 2 - 1
         stats = np.abs((signs[:, np.newaxis] * diffs).mean(axis=2))  # chunk x metric
         hits += (stats >= observed).sum(axis=0)
-    return {m: (1 + int(h)) / (1 + trials) for m, h in zip(METRIC_NAMES, hits)}
+    add = 0 if exact else 1  # a sample may miss the observed pattern
+    return {m: (add + int(h)) / (add + trials) for m, h in zip(METRIC_NAMES, hits)}
 
 
 # ---------------------------------------------------------------------------

@@ -612,14 +612,15 @@ def fisher_sampled_reference(run_a, run_b, qrels, metric: str, permutations: int
 
 
 def fisher_exhaustive_reference(run_a, run_b, qrels, metric: str) -> float:
-    """Exhaustive paired randomization p-value, one sign pattern at a time
-    from ``itertools.product``. Each pattern's mean is ``np.mean`` of a
-    1-D array, the summation the package applies to each row, so a
-    statistic tied with the observed one compares equal in both."""
+    """Exact paired randomization p-value, hits / 2^n, one sign pattern
+    at a time from ``itertools.product``. Each pattern's mean is
+    ``np.mean`` of a 1-D array, the summation the package applies to
+    each row, so a statistic tied with the observed one compares equal
+    in both."""
     ma = evaluate_run(run_a, qrels).per_query
     mb = evaluate_run(run_b, qrels).per_query
     diffs = [ma[q][metric] - mb[q][metric] for q in sorted(set(ma) & set(mb))]
     observed = abs(np.mean(diffs))
     hits = sum(abs(np.mean([s * d for s, d in zip(signs, diffs)])) >= observed
                for signs in itertools.product((1, -1), repeat=len(diffs)))
-    return (1 + hits) / (1 + 2 ** len(diffs))
+    return hits / 2 ** len(diffs)

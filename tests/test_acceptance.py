@@ -373,16 +373,17 @@ def test_criterion_6_metric_oracles():
 def test_criterion_7_randomization_test_sanity():
     """Identical runs give p = 1.0; exhaustive matches sampled.
 
-    On 10 queries the exhaustive p and the 100,000-permutation sampled
-    p agree within 3 binomial standard errors.
+    On 17 queries the exact p over all 2^17 sign patterns and the
+    100,000-permutation sampled p agree within 3 binomial standard
+    errors.
     """
     with criterion(7, "identical runs p=1.0; exhaustive within 3 SE of "
-                      "sampled at 100k permutations on 10 queries"):
+                      "sampled at 100k permutations on 17 queries"):
         rng = np.random.default_rng(7)
         qrels = {}
         run_a = {}
         run_b = {}
-        for qi in range(10):
+        for qi in range(17):
             qid = f"{qi + 1}"
             docs = [f"d{i}" for i in range(10)]
             rel = set(rng.choice(docs, size=3, replace=False))
@@ -396,9 +397,9 @@ def test_criterion_7_randomization_test_sanity():
         assert fisher_randomization(run_a, run_a, qrels,
                                     permutations=10_000) == ones
         assert fisher_randomization(run_a, run_a, qrels,
-                                    exhaustive=True) == ones
+                                    permutations=2**17) == ones
 
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)["map"]
+        p_ex = fisher_randomization(run_a, run_b, qrels, permutations=2**17)["map"]
         p_s = fisher_randomization(run_a, run_b, qrels,
                                    permutations=100_000, seed=0)["map"]
         se = math.sqrt(p_ex * (1.0 - p_ex) / 100_000)

@@ -562,8 +562,7 @@ def renamed(pipeline, tmp_path_factory):
     assert main(["eval", "--qrels", str(qrels), "--run", str(root / "npm.run"),
                  "--csv", str(root / "eval.csv")]) == 0
     assert main(["eval", "--qrels", str(qrels), "--run", str(root / "npm.run"),
-                 "--baseline", str(run), "--exhaustive",
-                 "--csv", str(root / "paired.csv")]) == 0
+                 "--baseline", str(run), "--csv", str(root / "paired.csv")]) == 0
     assert main(["weights", *common, "--model", str(root / "models" / "fold_0.json"),
                  "--run", str(run), "--csv", str(root / "weights.csv")]) == 0
     return {"root": root, "common": common, "run": run}
@@ -648,7 +647,7 @@ class TestStdout:
         assert main(["eval", "--qrels", str(pipeline["qrels"]),
                      "--run", str(pipeline["npm_run"]),
                      "--baseline", str(pipeline["ql_run"]),
-                     "--exhaustive", "--csv", str(table)]) == 0
+                     "--csv", str(table)]) == 0
         out = capsys.readouterr().out
         assert "p-value" in out
         rows = table.read_text().splitlines()

@@ -1,6 +1,7 @@
 """Config files, overrides, validation, and run fingerprints."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -35,6 +36,22 @@ class TestParseFilters:
     def test_bad_label_names_label_and_forms(self, label):
         with pytest.raises(ValueError, match=f"'{label}': expected m, m:tau or inf"):
             parse_filters(f"{label},inf")
+
+    def test_stride_beyond_the_window_rejected(self):
+        with pytest.raises(ValueError, match=r"^stride must be in \[1, 50\], got 60$"):
+            parse_filters("50:60")
+
+    @pytest.mark.parametrize("text, label", [
+        ("50,50:25,inf", "50:25"),  # plain 50 is 50:25
+        ("50:25,inf,150,INF", "inf"),
+        ("40:10,80,40:10", "40:10"),
+    ])
+    def test_repeated_filter_rejected(self, text, label):
+        with pytest.raises(ValueError, match=f"^filter {label} is listed twice$"):
+            parse_filters(text)
+
+    def test_same_window_with_another_stride_is_another_filter(self):
+        assert parse_filters("50,50:10") == (FilterSpec(50, 25), FilterSpec(50, 10))
 
 
 class TestConfigFile:
@@ -81,6 +98,19 @@ class TestConfigFile:
         path = tmp_path / "exp.conf"
         path.write_text("threads = 4\n")
         with pytest.raises(ValueError, match="unknown config key 'threads'"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("top_k", "5", "30"),
+        ("filters", "50,inf", "150,inf"),
+        ("seed", "3", "3"),  # the same value given twice
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, key, first, second):
+        path = tmp_path / "exp.conf"
+        path.write_text(f"{key} = {first}\n# comment\nlambda_c = 0.3\n\n"
+                        f"{key}={second}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: duplicate key '{key}' "
+                                             r"\(first set on line 1\)$"):
             read_config_file(path)
 
 
@@ -228,6 +258,21 @@ class TestSchema:
         assert flag_err == f"error: {message}\n"
         assert file_err == f"error: {conf}:1: {message}\n"
 
+    @pytest.mark.parametrize("conf_text, flags, message", [
+        ("top_k = 5\ntop_k = 30\n", [],
+         "{conf}:2: duplicate key 'top_k' (first set on line 1)"),
+        ("", ["--filters", "50,50:25,inf"], "filter 50:25 is listed twice"),
+        ("filters = 150,inf,INF\n", [], "{conf}:1: filter inf is listed twice"),
+    ])
+    def test_repeated_settings_exit_2(self, tmp_path, capsys, conf_text, flags, message):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(conf_text)
+        argv = ["train", "--config", str(conf), *flags, "--run", str(tmp_path / "x.run"),
+                "--output-dir", str(tmp_path / "models")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(conf=conf)}\n"
+        assert not (tmp_path / "models").exists()
+
     def test_help_shows_dataclass_defaults(self):
         defaults = ExperimentConfig()
         parser = _build_parser()
@@ -269,7 +314,7 @@ class TestSchema:
         ],
         'eval': [
             '--config', '--seed', '-v --verbose default=False', '--qrels', '--permutations',
-            '--run required', '--baseline', '--exhaustive default=False', '--csv',
+            '--run required', '--baseline', '--csv',
         ],
         'weights': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',

@@ -451,6 +451,12 @@ class TestTrectext:
         with pytest.raises(CorpusError):
             list(iter_trectext(f))
 
+    def test_missing_path_is_named(self, tmp_path):
+        missing = tmp_path / "nowhere.trectext"
+        with pytest.raises(CorpusError, match="^corpus path does not exist: "
+                                              + re.escape(str(missing)) + "$"):
+            list(iter_trectext(missing))
+
 
 TOPICS = """
 <top>

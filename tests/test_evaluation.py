@@ -187,14 +187,15 @@ class TestFisher:
 
     def test_identical_runs_give_p_one(self):
         run_a, _, qrels = self.make_runs()
-        p = fisher_randomization(run_a, run_a, qrels, permutations=2000)
+        # 2^8 patterns: 255 permutations sample, 256 enumerate
+        p = fisher_randomization(run_a, run_a, qrels, permutations=255)
         assert p == {m: 1.0 for m in METRIC_NAMES}
-        p_ex = fisher_randomization(run_a, run_a, qrels, exhaustive=True)
+        p_ex = fisher_randomization(run_a, run_a, qrels, permutations=256)
         assert p_ex == {m: 1.0 for m in METRIC_NAMES}
 
     def test_exhaustive_small_example(self):
         # two queries with per-query diffs (0.4, 0.4): patterns (+,+) and
-        # (-,-) reach |mean diff| = 0.4, so p = (1 + 2) / (1 + 4)
+        # (-,-) reach |mean diff| = 0.4, so p = 2 / 4
         run_a = {"1": [("d1", 2.0), ("d2", 1.0)],
                  "2": [("d1", 2.0), ("d2", 1.0)]}
         run_b = {"1": [("d2", 2.0), ("d1", 1.0)],
@@ -202,67 +203,74 @@ class TestFisher:
         qrels = {"1": {"d1": 1, "d2": 0}, "2": {"d1": 1, "d2": 0}}
         # AP diff per query: 1.0 - 0.5 = 0.5 -> same structure as the
         # (0.4, 0.4) example: only all-plus and all-minus patterns match
-        p = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
-        assert p["map"] == pytest.approx(3 / 5, rel=1e-15)
+        p = fisher_randomization(run_a, run_b, qrels)
+        assert p["map"] == 2 / 4
 
     def test_symmetry_in_run_order(self):
-        run_a, run_b, qrels = self.make_runs()
+        run_a, run_b, qrels = self.make_runs(n=17)
         pa = fisher_randomization(run_a, run_b, qrels, permutations=5000, seed=3)
         pb = fisher_randomization(run_b, run_a, qrels, permutations=5000, seed=3)
         assert pa == pb
 
     def test_sampled_deterministic_under_seed(self):
-        run_a, run_b, qrels = self.make_runs()
+        run_a, run_b, qrels = self.make_runs(n=17)
         p1 = fisher_randomization(run_a, run_b, qrels, permutations=3000, seed=5)
         p2 = fisher_randomization(run_a, run_b, qrels, permutations=3000, seed=5)
         assert p1 == p2
 
     def test_exhaustive_matches_sampled(self):
-        run_a, run_b, qrels = self.make_runs(n=10, seed=7)
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)["map"]
+        # 17 queries: 2^17 permutations enumerate, 100,000 sample
+        run_a, run_b, qrels = self.make_runs(n=17, seed=7)
+        p_ex = fisher_randomization(run_a, run_b, qrels, permutations=2**17)["map"]
         p_s = fisher_randomization(run_a, run_b, qrels, permutations=100_000,
                                    seed=0)["map"]
         se = math.sqrt(p_ex * (1 - p_ex) / 100_000)
         assert abs(p_s - p_ex) <= 3 * se
 
     def test_exhaustive_matches_sampled_small_p(self):
-        # with few queries the add-one correction shifts the exhaustive
-        # value by 1/(2^n + 1); compare the underlying hit proportions
-        run_a, run_b, qrels = self.make_runs(n=8, seed=2)
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)["map"]
+        # p near 0.008: remove the sampled value's add-one correction
+        # and compare hit proportions; the enumerated p is one already
+        run_a, run_b, qrels = self.make_runs(n=17, seed=103)
+        p_ex = fisher_randomization(run_a, run_b, qrels, permutations=2**17)["map"]
         p_s = fisher_randomization(run_a, run_b, qrels, permutations=100_000,
                                    seed=0)["map"]
-        pi_ex = (p_ex * (2**8 + 1) - 1) / 2**8
         pi_s = (p_s * 100_001 - 1) / 100_000
-        se = math.sqrt(pi_ex * (1 - pi_ex) / 100_000)
-        assert abs(pi_s - pi_ex) <= 3 * se
+        se = math.sqrt(p_ex * (1 - p_ex) / 100_000)
+        assert p_ex < 0.01
+        assert abs(pi_s - p_ex) <= 3 * se
 
-    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("n", [1, 7, 17, 19, 40])
     def test_chunked_draws_match_one_large_chunk(self, n):
         run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
-        # 4,097 and 100,000 are multiples of neither chunk size
+        # 4,097 and 100,000 are multiples of neither chunk size; from 17
+        # queries on all three sample, below that all three enumerate
         for permutations in (3, 4097, 100_000):
             p = fisher_randomization(run_a, run_b, qrels, permutations=permutations,
                                      seed=11)
-            assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m,
-                                                     permutations, 11)
-                         for m in METRIC_NAMES}
+            if permutations < 2**n:
+                assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m,
+                                                         permutations, 11)
+                             for m in METRIC_NAMES}
+            else:
+                assert p == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
+                             for m in METRIC_NAMES}
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
     def test_exhaustive_matches_the_enumeration_oracle(self, n):
         run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
-        p = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        p = fisher_randomization(run_a, run_b, qrels)  # 2^n <= 100,000
         assert p == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
                      for m in METRIC_NAMES}
 
     @pytest.mark.parametrize("chunk", [1, 3, 4095])
     def test_odd_chunk_sizes_keep_the_sign_stream(self, monkeypatch, chunk):
-        run_a, run_b, qrels = self.graded_runs(n=7, seed=7)
         monkeypatch.setattr(evaluation, "_SIGN_CHUNK", chunk)
+        run_a, run_b, qrels = self.graded_runs(n=17, seed=17)
         p = fisher_randomization(run_a, run_b, qrels, permutations=9001, seed=11)
         assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m, 9001, 11)
                      for m in METRIC_NAMES}
-        p_ex = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+        run_a, run_b, qrels = self.graded_runs(n=7, seed=7)
+        p_ex = fisher_randomization(run_a, run_b, qrels)
         assert p_ex == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
                         for m in METRIC_NAMES}
 
@@ -281,7 +289,7 @@ class TestFisher:
         run_a, run_b, qrels = self.graded_runs(n=20, seed=20)
         tracemalloc.start()
         try:
-            p = fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+            p = fisher_randomization(run_a, run_b, qrels, permutations=2**20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -294,10 +302,26 @@ class TestFisher:
         with pytest.raises(ValueError, match="quer"):
             fisher_randomization(run_a, run_b, qrels)
 
-    def test_exhaustive_query_limit(self):
-        run_a, run_b, qrels = self.make_runs(n=21)
-        with pytest.raises(ValueError, match="exhaustive"):
-            fisher_randomization(run_a, run_b, qrels, exhaustive=True)
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_enumerates_once_permutations_cover_every_pattern(self, n):
+        run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
+        p = fisher_randomization(run_a, run_b, qrels, permutations=2**n - 1, seed=11)
+        assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m, 2**n - 1, 11)
+                     for m in METRIC_NAMES}
+        p = fisher_randomization(run_a, run_b, qrels, permutations=2**n, seed=11)
+        assert p == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
+                     for m in METRIC_NAMES}
+
+    def test_no_query_with_relevant_documents_raises(self):
+        run_a, run_b, qrels = self.make_runs()
+        qrels = {q: {d: 0 for d in grades} for q, grades in qrels.items()}
+        with pytest.raises(ValueError, match="no evaluated query has relevant documents"):
+            fisher_randomization(run_a, run_b, qrels)
+
+    def test_zero_permutations_raise(self):
+        run_a, run_b, qrels = self.make_runs()
+        with pytest.raises(ValueError, match=r"permutations must be >= 1"):
+            fisher_randomization(run_a, run_b, qrels, permutations=0)
 
     def test_every_metric_has_a_p_value(self):
         run_a, run_b, qrels = self.make_runs()

@@ -127,6 +127,10 @@ class TestSummaryStats:
         got = dict(zip(QUERY_STAT_NAMES, summary_stats(np.array([-1.0, 1.0]))))
         assert got["cv"] == 0.0
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="^cannot summarize an empty value list$"):
+            summary_stats([])
+
 
 def kinds(doc_id, index, f):
     """A document's homogeneity row by kind."""

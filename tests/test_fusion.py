@@ -85,6 +85,13 @@ class TestAffineNorm:
         X = np.array([[1.0, -2.0]])
         assert np.array_equal(identity_norm(2).apply(X), X)
 
+    @pytest.mark.parametrize("matrix", [np.ones(3), np.empty((0, 3))],
+                             ids=["1-D", "no-rows"])
+    def test_fit_needs_a_non_empty_2d_matrix(self, matrix):
+        with pytest.raises(ValueError,
+                           match="^normalization needs a non-empty 2-D matrix$"):
+            AffineNorm.fit(matrix)
+
 
 class TestFusionModel:
     def test_score_matches_manual_computation(self):

@@ -444,3 +444,7 @@ class TestMspRank:
     def test_unknown_candidate_raises(self, corpus):
         with pytest.raises(Exception):
             msp_rank(Query("q", ("t0",)), ["missing"], corpus, 10, s=S05)
+
+    def test_unknown_homogeneity_kind_raises(self, corpus):
+        with pytest.raises(ValueError, match="^unknown homogeneity kind 'size'$"):
+            msp_rank(Query("q", ("t0",)), ["d00"], corpus, 10, "size", s=S05)

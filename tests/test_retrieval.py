@@ -81,6 +81,10 @@ class TestRankDocuments:
                                 top_k=5)
         assert len(ranked) == 5
 
+    def test_top_k_below_one_rejected(self, small_random_index):
+        with pytest.raises(ValueError, match="^top_k must be >= 1, got 0$"):
+            rank_documents(Query("q", ("t1",)), small_random_index, S05, top_k=0)
+
     def test_deterministic(self, small_random_index):
         q = Query("q", ("t2", "t9"))
         a = rank_documents(q, small_random_index, S05)

@@ -64,6 +64,10 @@ class TestMakeFolds:
         with pytest.raises(ValueError):
             make_folds(["1", "2"], k=5)
 
+    def test_duplicate_ids_raise(self):
+        with pytest.raises(ValueError, match="^duplicate query ids in fold assignment$"):
+            make_folds(["1", "2", "3", "2"], k=3)
+
 
 class TestSampleTriples:
     def test_triples_are_valid(self):
