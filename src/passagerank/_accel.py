@@ -1,10 +1,11 @@
 """Window filters and the hot scoring kernels, batched per query.
 
-Two kernels carry nearly all of the reranking cost: per-filter pooled
-window scores (the fused scorer's inner loop) and per-span smoothed
-language-model log-likelihoods. Each call scores one query's candidates
-at once: their token ids concatenated into ``tokens`` and their lengths
-in ``lengths`` (the CSR layout of the stored postings).
+One kernel carries nearly all of the reranking cost: per-filter pooled
+window scores, the inner loop of every passage ranker. Each call scores
+one query's candidates at once: their token ids concatenated into
+``tokens`` and their lengths in ``lengths`` (the CSR layout of the
+stored postings). ``lm_span_scores``, the per-span LM form of the same
+scores, has no production caller (see its docstring).
 
 A window's matches of a query term are counted from the term's sorted
 match positions, with two ``searchsorted`` calls over the spans of every
@@ -198,6 +199,9 @@ def lm_span_scores(tokens, query_ids, background, one_minus_lam, m, tau, lengths
     Span score: sum_i log(one_minus_lam * window_count_i / n + background[i])
     with n the span's length; background[i] already folds the smoothing
     weight into the collection probability.
+
+    No ranker calls it. It stays as the tests' independent LM oracle and
+    as a target the benchmark's tracer patches by name.
     """
     starts, ends, _, _ = span_grid(_batch_lengths(tokens, lengths), m, tau)
     wc = window_counts(match_positions(tokens, query_ids), starts, ends)

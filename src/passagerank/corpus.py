@@ -474,12 +474,15 @@ def iter_trectext(
     Records are ``<DOC><DOCNO>id</DOCNO>...<TEXT>...</TEXT></DOC>``; the
     ``<DOC>`` and ``<DOCNO>`` tags are case-sensitive; a text tag's name
     matches with ASCII letters in any case and other characters as they
-    are (``<\u212aEYWORDS>`` is not ``<KEYWORDS>``). The configured text
-    tags are concatenated tag by tag in ``text_tags`` order, each tag's
-    occurrences in record order, and any interleaved markup inside them
-    is stripped. Other tags are ignored.
+    are (``<\u212aEYWORDS>`` is not ``<KEYWORDS>``). The text tags, each
+    listed once, are concatenated tag by tag in ``text_tags`` order, each
+    tag's occurrences in record order, and any interleaved markup inside
+    them is stripped. Other tags are ignored.
     """
     bounds = [(f"<{t}>".encode().lower(), f"</{t}>".encode().lower()) for t in text_tags]
+    for i, bound in enumerate(bounds):
+        if bound in bounds[:i]:
+            raise ValueError(f"text tag {text_tags[i]!r} is listed twice")
     for fp in _corpus_files(Path(path)):
         blob = fp.read_bytes()
         for ordinal, body in enumerate(_between(blob, b"<DOC>", b"</DOC>"), start=1):

@@ -3,23 +3,21 @@
 A window filter (m, tau) slides over a document of length L and yields
 overlapping spans of length min(m, L), the last one ending the document
 (``_accel.span_layout``). The whole-document filter ``inf`` is the
-window m = tau = 2**62, so each document is its one span. Each span
-is scored either by the smoothed unigram language model
-
-    sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
-
-or by the logarithm kernel
+window m = tau = 2**62, so each document is its one span. The rankers
+score every span with the logarithm kernel
 
     sum_t log(window_tf + b_t),   b_t = lambda_c * n * cf_t
                                         / ((1 - lambda_c) * |C|)
 
-which equals the LM score plus n_q * log(n / (1 - lambda_c)) on every
-span of length n. Per-filter document scores come from pooling span
-scores (max, or log-mean-exp for the probability mean), and
-``score_tokens`` stacks one pooled score per configured filter for each
-document of a batch. ``msp_rank`` is the standalone max-scoring-passage
-ranker with optional homogeneity mixing against the whole-document
-query likelihood of ``retrieval.ql_scores``.
+which equals its smoothed unigram LM score (the form the tests check)
+
+    sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
+
+plus n_q * log(n / (1 - lambda_c)) on a span of length n. Pooling span
+scores (max, or log-mean-exp for the probability mean) gives per-filter
+document scores; ``score_tokens`` stacks them, one column per filter.
+``msp_rank`` ranks by the max-pooled column of one window, optionally
+mixed by homogeneity with ``retrieval.ql_scores``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _accel, features
-from ._accel import POOL_MEAN, FilterSpec, check_pooling
+from ._accel import POOL_MAX, POOL_MEAN, FilterSpec, check_pooling
 from .corpus import CorpusIndex, Query
 from .evaluation import rank_by_score
 from .retrieval import QueryContext, SmoothingConfig, ql_scores
@@ -67,23 +65,6 @@ def score_tokens(
     )
     n = np.minimum(lengths[:, np.newaxis], ms).astype(np.float64)
     return raw - ctx.query.n_q * np.log(n / (1.0 - ctx.smoothing.lambda_c))
-
-
-def max_passage_lm(
-    ctx: QueryContext,
-    tokens: np.ndarray,
-    m: int,
-    tau: int,
-    lengths: np.ndarray,
-) -> np.ndarray:
-    """Best span LM score of each document of a batch (see
-    ``score_tokens``) for a finite window (m, tau)."""
-    spans = _accel.lm_span_scores(
-        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau,
-        lengths,
-    )
-    _, offsets = _accel.span_layout(lengths, m, tau)
-    return np.maximum.reduceat(spans, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +120,7 @@ def msp_rank(
     f = FilterSpec.window(passage_size)
     ctx = QueryContext(query, index, s)
     tokens, lengths = index.batch_tokens(candidates)
-    scores = max_passage_lm(ctx, tokens, f.m, f.tau, lengths)
+    scores = score_tokens(ctx, tokens, (f,), POOL_MAX, lengths)[:, 0]
     if homogeneity != "none":
         h = [features.cached_homogeneity(d, index, f, (homogeneity,))[0]
              for d in candidates]

@@ -3,9 +3,10 @@
 Each function here computes a quantity the package computes on a faster
 path, written the direct way so the two can be compared: per-span LM
 and kernel scorers over a query/document matching matrix, plain-Python
-loop twins of the batched window kernels, single-document forms of the
-batch scorers and of the homogeneity mix, the fusion feature row, and
-the pairwise homogeneity, postings and Fisher references. It also holds
+loop twins of the batched window kernels, the best passage's LM score
+from the LM span kernel, single-document forms of the batch scorers and
+of the homogeneity mix, the fusion feature row, and the pairwise
+homogeneity, postings and Fisher references. It also holds
 the index helpers that only tests need: a document rebuilt from the
 token store, and index equality for the round-trip tests; and the regex
 tokenizer and TRECTEXT reader that the find and translate ingest path
@@ -28,7 +29,7 @@ from passagerank._accel import POOL_MAX, POOL_MEAN, WHOLE, FilterSpec
 from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
 from passagerank.features import ScoreSettings, mean_top_scores
-from passagerank.passages import max_passage_lm, score_tokens
+from passagerank.passages import score_tokens
 from passagerank.retrieval import QueryContext, SmoothingConfig, rank_documents
 
 
@@ -262,6 +263,19 @@ def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters, pooling: st
                      scale: str) -> np.ndarray:
     """``score_batch`` of one document: one score per filter."""
     return score_batch(ctx, tokens, filters, pooling, scale, _one(tokens))[0]
+
+
+def max_passage_lm(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int,
+                   lengths: np.ndarray) -> np.ndarray:
+    """Best span LM score of each document of a batch for a finite window
+    (m, tau), from the LM form of the span scores: the oracle of the
+    max-pooled ``score_tokens`` column that ``msp_rank`` ranks by."""
+    spans = _accel.lm_span_scores(
+        tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau,
+        lengths,
+    )
+    _, offsets = _accel.span_layout(lengths, m, tau)
+    return np.maximum.reduceat(spans, offsets)
 
 
 def max_passage_lm_one(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int) -> float:

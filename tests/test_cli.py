@@ -910,6 +910,19 @@ class TestErrors:
         assert rc == 2 and not out.exists() and not caplog.records
         assert capsys.readouterr().err == "error: text_tags must not be empty\n"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_text_tag(self, pipeline, tmp_path, capsys, source):
+        # TEXT,text indexed every document twice over, doubling its length
+        conf = tmp_path / "index.conf"
+        conf.write_text("text_tags = TEXT, HEADLINE, text\n")
+        flags = (["--text-tags", "TEXT,HEADLINE,text"] if source == "flag"
+                 else ["--config", str(conf)])
+        out = tmp_path / "index"
+        rc = main(["index", "--corpus", str(pipeline["corpus"]), *flags,
+                   "--index", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: text tag 'text' is listed twice\n"
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_negative_seed(self, pipeline, tmp_path, capsys, command):
         # train built every candidate matrix, and eval scored both runs,

@@ -435,7 +435,8 @@ class TestTrectext:
     @settings(max_examples=300, deadline=None)
     @given(blob=trectext_files(),
            text_tags=st.lists(st.sampled_from(list(TAG_SPELLINGS) + ["text"]),
-                              min_size=1, max_size=3, unique=True),
+                              min_size=1, max_size=3,
+                              unique_by=lambda t: t.encode().lower()),
            stopwords=st.sets(st.sampled_from(["a", "k", "zz"])))
     def test_matches_the_regex_reference(self, blob, text_tags, stopwords):
         stopwords = frozenset(stopwords)
@@ -444,6 +445,29 @@ class TestTrectext:
             f.write_bytes(blob)
             docs = list(iter_trectext(f, stopwords, text_tags))
         assert docs == trectext_reference(blob, stopwords, text_tags)
+
+    @pytest.mark.parametrize("tags,repeated", [(("TEXT", "TEXT"), "TEXT"),
+                                               (("TEXT", "TITLE", "text"), "text"),
+                                               (("KEYWORDS", "tExT", "keywords"), "keywords")])
+    def test_repeated_text_tag_raises_before_reading(self, tmp_path, tags, repeated):
+        # a tag listed twice read every document's text twice over;
+        # the check comes before any file is read, so a missing path
+        # still names the tag
+        f = tmp_path / "corpus.trectext"
+        f.write_text("<DOC><DOCNO>A</DOCNO><TEXT>alpha beta</TEXT></DOC>",
+                     encoding="utf-8")
+        for path in (f, tmp_path / "nowhere.trectext"):
+            with pytest.raises(ValueError,
+                               match=f"^text tag '{repeated}' is listed twice$"):
+                list(iter_trectext(path, frozenset(), tags))
+
+    def test_distinct_text_tags_are_accepted(self, tmp_path):
+        # names that differ outside ASCII case are different tags
+        f = tmp_path / "corpus.trectext"
+        f.write_text("<DOC><DOCNO>A</DOCNO><TEXT>alpha beta</TEXT>"
+                     "<KEYWORDS>kw</KEYWORDS></DOC>", encoding="utf-8")
+        [doc] = iter_trectext(f, frozenset(), ("TEXT", "KEYWORDS", "\u212aEYWORDS"))
+        assert doc.terms == ("alpha", "beta", "kw")
 
     def test_bad_encoding_names_document(self, tmp_path):
         f = tmp_path / "bad.trectext"

@@ -45,6 +45,24 @@ def test_no_type_checking_imports():
     assert found == []
 
 
+def test_only_accel_names_the_lm_span_kernel():
+    """Every ranker scores spans with the window kernel, so no module
+    other than ``_accel`` names ``lm_span_scores``. The function stays in
+    ``_accel`` as the tests' independent LM oracle, and because the
+    benchmark's tracer patches it by name until the benchmark drops it
+    (ROADMAP item 3)."""
+    found = []
+    for path in sorted(set(SRC.glob("*.py")) - {SRC / "_accel.py"}):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "lm_span_scores" in (getattr(node, "id", None),
+                                          getattr(node, "attr", None),
+                                          getattr(node, "name", None),
+                                          getattr(node, "value", None))]
+    assert found == []
+    assert callable(importlib.import_module("passagerank._accel").lm_span_scores)
+
+
 def package_imports() -> dict[str, set[str]]:
     """Each module's package imports: the modules its ``from .x import``
     and ``from . import x`` statements name, inside any block too."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
 from passagerank._accel import WHOLE
-from passagerank.passages import combine_homogeneous, max_passage_lm, score_tokens
+from passagerank.passages import combine_homogeneous, score_tokens
 from passagerank.retrieval import QueryContext
 from reference import (
     PassageSpan,
@@ -20,6 +20,7 @@ from reference import (
     kernel_lm_shift,
     kernel_score,
     lm_score,
+    max_passage_lm,
     max_passage_lm_one,
     pool_document,
     score_batch,
@@ -408,10 +409,16 @@ class TestMspRank:
         ctx = QueryContext(q, corpus, S05)
         for d in cands:
             tokens = corpus.doc_tokens(corpus.doc_index(d))
-            expect = max_passage_lm_one(ctx, tokens, 10, 5)
+            # bitwise against the one-document kernel path, and within
+            # rounding of the LM form of the same best passage
+            best = score_tokens_one(ctx, tokens, (FilterSpec(10, 5),), "max", "lm")[0]
+            lm_form = max_passage_lm_one(ctx, tokens, 10, 5)
             if h is not None:
-                expect = combine_homogeneous_one(h, whole_doc_lm_one(ctx, tokens), expect)
-            assert ranked[d] == expect
+                whole = whole_doc_lm_one(ctx, tokens)
+                best = combine_homogeneous_one(h, whole, best)
+                lm_form = combine_homogeneous_one(h, whole, lm_form)
+            assert ranked[d] == best
+            assert ranked[d] == pytest.approx(lm_form, rel=1e-12)
 
     def test_window_position_does_not_move_the_score(self):
         # "x" as the last token of a 51-token document and at token 10 of
