@@ -24,8 +24,8 @@ from .config import (ExperimentConfig, build_config, format_value, parse_value,
 from .corpus import (Query, build_index, iter_trectext, load_index, read_stoplist,
                      read_topics, save_index)
 from .evaluation import (METRIC_NAMES, evaluate_run, fisher_randomization,
-                         format_eval_table, qid_sort_key, read_qrels, read_run,
-                         write_eval_csv, write_run, write_table)
+                         format_eval_table, p_value_text, qid_sort_key, read_qrels,
+                         read_run, write_eval_csv, write_run, write_table)
 from .features import (FEATURE_SETS, HOMOGENEITY_KINDS, FeatureExtractor,
                        write_feature_matrix)
 from .fusion import report_weights
@@ -298,17 +298,15 @@ def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
     require(cfg, "qrels")
     qrels = read_qrels(cfg.qrels)
-    run_a = read_run(args.run)
-    report_a = evaluate_run(run_a, qrels)
+    report_a = evaluate_run(read_run(args.run), qrels)
     if not args.baseline:
         print(format_eval_table(report_a))
         if args.csv:
             write_eval_csv(args.csv, {"run": report_a})
         return 0
 
-    run_b = read_run(args.baseline)
-    report_b = evaluate_run(run_b, qrels)
-    p_values = fisher_randomization(run_a, run_b, qrels, permutations=cfg.permutations,
+    report_b = evaluate_run(read_run(args.baseline), qrels)
+    p_values = fisher_randomization(report_a, report_b, permutations=cfg.permutations,
                                     seed=cfg.seed)
     name_a = Path(args.run).stem[:14]
     name_b = Path(args.baseline).stem[:14]
@@ -319,7 +317,7 @@ def cmd_eval(args) -> int:
         diff = report_a.means[m] - report_b.means[m]
         mark = " *" if p_values[m] < 0.05 else ""
         print(f"{m:>8}  {report_a.means[m]:>14.4f}  {report_b.means[m]:>14.4f}  "
-              f"{diff:>+8.4f}  {p_values[m]:>8.4f}{mark}")
+              f"{diff:>+8.4f}  {p_value_text(p_values[m], 4):>8}{mark}")
     if args.csv:
         write_eval_csv(args.csv, {name_a: report_a, name_b: report_b}, p_values)
     return 0

@@ -69,6 +69,12 @@ class CorpusError(ValueError):
     """Raised on malformed corpus input or a broken index."""
 
 
+def _one_field(text: str) -> bool:
+    """Whether ``text`` is non-empty and holds no whitespace: what a field
+    of a whitespace-split run line or of the index's TSV files can hold."""
+    return text.split() == [text]
+
+
 # ---------------------------------------------------------------------------
 # tokenization
 # ---------------------------------------------------------------------------
@@ -263,7 +269,8 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
     """Build the index, postings included, from a document stream.
 
     Term ids follow first occurrence in the stream. Duplicate doc_ids
-    raise; zero-length documents are skipped with a warning; at least one
+    raise, and so does a doc_id or term that is empty or holds whitespace;
+    zero-length documents are skipped with a warning; at least one
     non-empty document is required.
     """
     # a missing term gets the next id as it is first looked up
@@ -278,6 +285,8 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
     for doc in documents:
         if doc.doc_id in seen:
             raise CorpusError(f"duplicate doc_id: {doc.doc_id!r}")
+        if not _one_field(doc.doc_id):
+            raise CorpusError(f"doc_id {doc.doc_id!r} is empty or holds whitespace")
         seen.add(doc.doc_id)
         if doc.n_d == 0:
             log.warning("skipping empty document %s", doc.doc_id)
@@ -294,6 +303,9 @@ def build_index(documents: Iterable[Document]) -> CorpusIndex:
 
     if not doc_ids:
         raise CorpusError("no non-empty documents to index")
+    bad = [term for term in term_to_id if not _one_field(term)]
+    if bad:  # tokenize never yields one, a hand-built Document can
+        raise CorpusError(f"term {bad[0]!r} is empty or holds whitespace")
 
     # Postings by counting sort: each document, in index order, scatters
     # its distinct terms into the next free slot of each term's run, so
@@ -410,8 +422,12 @@ def load_index(path: str | Path) -> CorpusIndex:
         return data
 
     vocab_tsv, docs_tsv = read("vocab.tsv"), read("docs.tsv")
-    arrays = [np.frombuffer(read(f"{name}.bin"), dtype="<i4")
-              for name in ("tokens", "postings_docs", "postings_tf")]
+    arrays = []
+    for name in ("tokens.bin", "postings_docs.bin", "postings_tf.bin"):
+        if len(data := read(name)) % 4:
+            raise CorpusError(f"{src / name} holds {len(data)} bytes, not a whole "
+                              f"number of int32 values; rebuild the index")
+        arrays.append(np.frombuffer(data, dtype="<i4"))
     try:  # malformed tables, unparsable counts and CorpusIndex's structure checks
         vocab, cf, df = _tsv_columns(vocab_tsv, 3, "vocab.tsv")
         doc_ids, doc_len = _tsv_columns(docs_tsv, 2, "docs.tsv")
@@ -496,7 +512,7 @@ def iter_trectext(
             if docno_m is None:
                 raise CorpusError(f"{fp}: record #{ordinal} has no DOCNO")
             doc_id = docno_m.group(1).strip()
-            if doc_id.split() != [doc_id]:  # run files split on whitespace
+            if not _one_field(doc_id):
                 raise CorpusError(f"{fp}: record #{ordinal} has an empty DOCNO or "
                                   f"whitespace inside it: {doc_id!r}")
             lowered = body.lower()

@@ -5,9 +5,14 @@ file: qrels, runs, config files, stoplists and ``folds.csv``.
 Metrics follow the standard conventions: AP divides by the total number
 of judged relevant documents (retrieved or not); NDCG@k uses
 exponential gains (2^rel - 1) / log2(rank + 1) against the ideal
-ordering of the judged grades; P@k keeps k in the denominator even when
-fewer documents were retrieved. Queries with no relevant documents are
-excluded from means with a warning.
+ordering of the judged grades, which ``read_qrels`` caps at
+``MAX_GRADE``; P@k keeps k in the denominator even when fewer documents
+were retrieved. Queries with no relevant documents are excluded from
+means with a warning.
+
+``evaluate_run`` is the one place per-query metrics are computed: the
+Fisher test compares two runs through their ``EvalReport`` rows, so a
+paired evaluation scores each run once.
 
 The metric arithmetic is deliberately plain Python accumulating in rank
 order, so results are reproducible to the bit and directly comparable
@@ -29,6 +34,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 METRIC_NAMES = ("map", "ndcg@20", "p@20")
+MAX_GRADE = 1000  # nDCG's gain 2**g - 1 is a float up to g = 1023
 _SIGN_CHUNK = 4096  # sign patterns per chunk, sampled or enumerated
 
 
@@ -111,8 +117,16 @@ def evaluate_run(
     run: Mapping[str, Sequence[tuple[str, float]]],
     qrels: Mapping[str, Mapping[str, int]],
 ) -> EvalReport:
-    """Per-query and mean metrics for one run against the judgments."""
-    per_query = _per_query_metrics(run, qrels)
+    """Per-query and mean metrics for one run against the judgments,
+    queries in id order; a query without relevant documents has no row."""
+    per_query = {}
+    for qid in sorted(run, key=qid_sort_key):
+        grades = qrels.get(qid, {})
+        ranking = [doc for doc, _ in run[qid]]
+        ap = average_precision(ranking, grades)
+        if ap is not None:
+            per_query[qid] = {"map": ap, "ndcg@20": ndcg_at_k(ranking, grades, 20),
+                              "p@20": precision_at_k(ranking, grades, 20)}
     for qid in sorted(set(run) - set(per_query), key=qid_sort_key):
         log.warning("query %s has no relevant documents, excluded", qid)
     if not per_query:
@@ -129,29 +143,15 @@ def evaluate_run(
 # ---------------------------------------------------------------------------
 
 
-def _per_query_metrics(run, qrels) -> dict[str, dict[str, float]]:
-    """qid -> metric -> value, queries in id order; a query without
-    relevant documents has no row."""
-    per_query = {}
-    for qid in sorted(run, key=qid_sort_key):
-        grades = qrels.get(qid, {})
-        ranking = [doc for doc, _ in run[qid]]
-        ap = average_precision(ranking, grades)
-        if ap is not None:
-            per_query[qid] = {"map": ap, "ndcg@20": ndcg_at_k(ranking, grades, 20),
-                              "p@20": precision_at_k(ranking, grades, 20)}
-    return per_query
-
-
 def fisher_randomization(
-    run_a: Mapping[str, Sequence[tuple[str, float]]],
-    run_b: Mapping[str, Sequence[tuple[str, float]]],
-    qrels: Mapping[str, Mapping[str, int]],
+    report_a: EvalReport,
+    report_b: EvalReport,
     permutations: int = 100_000,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Two-sided paired randomization p-value between two runs for every
-    metric in ``METRIC_NAMES``.
+    """Two-sided paired randomization p-value between two evaluated runs
+    for every metric in ``METRIC_NAMES``, read from the reports' per-query
+    rows, which must cover the same queries.
 
     The statistic is the absolute mean per-query metric difference;
     each permutation flips each query's difference sign independently
@@ -164,18 +164,15 @@ def fisher_randomization(
     Either way identical runs give exactly 1.0, and the patterns come in
     chunks of 4,096, so memory stays bounded.
     """
-    if set(run_a) != set(run_b):
-        only_a = sorted(set(run_a) - set(run_b))[:3]
-        only_b = sorted(set(run_b) - set(run_a))[:3]
+    ma, mb = report_a.per_query, report_b.per_query
+    if set(ma) != set(mb):
+        only_a = sorted(set(ma) - set(mb))[:3]
+        only_b = sorted(set(mb) - set(ma))[:3]
         raise ValueError(
             f"runs cover different query sets (e.g. only in a: {only_a}, "
             f"only in b: {only_b})"
         )
-    ma = _per_query_metrics(run_a, qrels)
-    mb = _per_query_metrics(run_b, qrels)
-    qids = sorted(set(ma) & set(mb))
-    if not qids:
-        raise ValueError("no evaluated query has relevant documents")
+    qids = sorted(ma)  # text order fixes each query's sign column
     # one row of per-query differences per metric
     diffs = np.array([[ma[q][m] - mb[q][m] for q in qids] for m in METRIC_NAMES],
                      dtype=np.float64)
@@ -234,7 +231,8 @@ def _trec_lines(path: str | Path, layout: str) -> Iterator[tuple[int, list[str]]
 
 
 def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
-    """Parse `qid 0 docno rel` lines; duplicate (qid, docno) is an error."""
+    """Parse `qid 0 docno rel` lines; duplicate (qid, docno) is an error,
+    and so is a grade above ``MAX_GRADE``."""
     qrels: dict[str, dict[str, int]] = {}
     for lineno, (qid, _, doc, rel) in _trec_lines(path, "qid 0 docno rel"):
         by_doc = qrels.setdefault(qid, {})
@@ -245,6 +243,9 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: relevance grade must be an "
                              f"integer, got {rel!r}") from None
+        if by_doc[doc] > MAX_GRADE:
+            raise ValueError(f"{path}:{lineno}: relevance grade must be at most "
+                             f"{MAX_GRADE}, got {rel}")
     if not qrels:
         raise ValueError(f"{path}: no judgments found")
     return qrels
@@ -315,11 +316,21 @@ def write_eval_csv(path: str | Path, reports: Mapping[str, EvalReport],
                   key=qid_sort_key)
     rows = [(qid, [r.per_query[qid] for r in runs]) for qid in qids]
     rows.append(("all", [r.means for r in runs]))
-    if p_values is not None:  # the other runs' cells stay empty
-        rows.append(("p_value", [p_values, *[{}] * (len(runs) - 1)]))
-    table = [[name, *(f"{v[m]:.6f}" if v else "" for m in METRIC_NAMES for v in values)]
+    table = [[name, *(f"{v[m]:.6f}" for m in METRIC_NAMES for v in values)]
              for name, values in rows]
+    if p_values is not None:  # the other runs' cells stay empty
+        blank = [""] * (len(runs) - 1)
+        table.append(["p_value", *(cell for m in METRIC_NAMES
+                                   for cell in (p_value_text(p_values[m], 6), *blank))])
     write_table(path, ["query", *(m + s for m in METRIC_NAMES for s in suffixes)], table)
+
+
+def p_value_text(p: float, decimals: int) -> str:
+    """``p`` at ``decimals`` places, or in exponent form (``1.0e-05``) where
+    a positive p would read 0 there: a sampled p is never below
+    1/(1 + permutations), and no p-value is 0."""
+    text = f"{p:.{decimals}f}"
+    return f"{p:.1e}" if p > 0 and float(text) == 0 else text
 
 
 def format_eval_table(report: EvalReport) -> str:

@@ -394,13 +394,14 @@ def test_criterion_7_randomization_test_sanity():
             run_b[qid] = [(d, 10.0 - i) for i, d in enumerate(order_b)]
 
         ones = {m: 1.0 for m in METRIC_NAMES}
-        assert fisher_randomization(run_a, run_a, qrels,
+        assert fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_a, qrels),
                                     permutations=10_000) == ones
-        assert fisher_randomization(run_a, run_a, qrels,
+        assert fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_a, qrels),
                                     permutations=2**17) == ones
 
-        p_ex = fisher_randomization(run_a, run_b, qrels, permutations=2**17)["map"]
-        p_s = fisher_randomization(run_a, run_b, qrels,
+        p_ex = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                    permutations=2**17)["map"]
+        p_s = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
                                    permutations=100_000, seed=0)["map"]
         se = math.sqrt(p_ex * (1.0 - p_ex) / 100_000)
         assert abs(p_s - p_ex) <= 3 * se, \

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -264,6 +265,14 @@ class TestNpmTag:
                               "--top-k", "7", "--filters", "30,inf")
         assert run_tag(out) == run_tag(pipeline["npm_run"]) == f"npm-{expect}"
         assert f"model fingerprint {expect}" in caplog.text
+
+    def test_fingerprints_are_ten_hex_digits(self, pipeline):
+        # as the README's npm-<fingerprint> tag says, for a file and a directory
+        fold_0 = pipeline["model_dir"] / "fold_0.json"
+        for fp in (FusionModel.load(fold_0).fingerprint(),
+                   NpmModel.load(fold_0).fingerprint,
+                   NpmModel.load(pipeline["model_dir"]).fingerprint):
+            assert re.fullmatch(r"[0-9a-f]{10}", fp), fp
 
 
 class TestLibrary:
@@ -655,6 +664,35 @@ class TestStdout:
         assert rows[-1].startswith("p_value,")
         assert any(r.startswith("all,") for r in rows)
 
+    def test_paired_eval_scores_each_run_once(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(run, qrels):
+            calls.append(run)
+            return evaluate_run(run, qrels)
+
+        monkeypatch.setattr(passagerank.cli, "evaluate_run", counting)
+        assert main(["eval", "--qrels", str(pipeline["qrels"]),
+                     "--run", str(pipeline["npm_run"]),
+                     "--baseline", str(pipeline["ql_run"])]) == 0
+        assert calls == [read_run(pipeline["npm_run"]), read_run(pipeline["ql_run"])]
+
+    def test_eval_prints_a_tiny_p_value_in_exponent_form(self, tmp_path, capsys):
+        # 40 queries, the relevant document first in one run and last in
+        # the other: 1 / 100,001 is the smallest sampled p
+        qrels, run, baseline = (tmp_path / n for n in ("qrels", "a.run", "b.run"))
+        qrels.write_text("".join(f"{q} 0 r 1\n{q} 0 n 0\n" for q in range(1, 41)))
+        run.write_text("".join(f"{q} Q0 r 1 2 a\n{q} Q0 n 2 1 a\n" for q in range(1, 41)))
+        baseline.write_text("".join(f"{q} Q0 n 1 2 b\n{q} Q0 r 2 1 b\n"
+                                    for q in range(1, 41)))
+        table = tmp_path / "paired.csv"
+        assert main(["eval", "--qrels", str(qrels), "--run", str(run),
+                     "--baseline", str(baseline), "--csv", str(table)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == ("     map          1.0000          0.5000   +0.5000"
+                           "   1.0e-05 *")
+        assert table.read_text().splitlines()[-1].startswith("p_value,0.000010,,")
+
     @pytest.mark.parametrize("names", [("a/r.run", "b/r.run"),
                                        ("rerank_ablation_a.run", "rerank_ablation_b.run")])
     def test_eval_paired_labels_stay_distinct(self, pipeline, tmp_path, capsys, names):
@@ -882,9 +920,12 @@ class TestErrors:
          b"1 0 d000 1\n1 0 d\xff01 0\n", "{bad} is not UTF-8 text"),
         (lambda p, bad: ["eval", "--qrels", p["qrels"], "--run", bad, "--csv"],
          b"1 Q0 d000 1 2.5 t\xff\n", "{bad} is not UTF-8 text"),
+        (lambda p, bad: ["eval", "--qrels", bad, "--run", p["ql_run"], "--csv"],
+         b"1 0 d000 1\n1 0 d001 2000\n",
+         "{bad}:2: relevance grade must be at most 1000, got 2000"),
     ], ids=["empty-corpus-dir", "topic-without-num", "no-usable-topic",
             "undecodable-topic", "empty-qrels", "empty-run", "undecodable-qrels",
-            "undecodable-run"])
+            "undecodable-run", "qrels-grade-2000"])
     def test_malformed_input(self, pipeline, tmp_path, capsys, argv, data, message):
         """A malformed input (``data``, None for an empty directory) exits
         2 with one error line naming it, no traceback and no output."""

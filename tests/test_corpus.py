@@ -134,6 +134,23 @@ class TestIndex:
         with pytest.raises(CorpusError, match="duplicate"):
             build_index(docs)
 
+    @pytest.mark.parametrize("doc_id", ["", "a\tb", "a\nb", "a b", " a"])
+    def test_doc_id_the_index_files_cannot_hold_raises(self, tmp_path, doc_id):
+        # docs.tsv splits on tabs and newlines, run lines on any whitespace
+        docs = [Document("d1", ("a",)), Document(doc_id, ("b",))]
+        with pytest.raises(CorpusError, match=re.escape(
+                f"doc_id {doc_id!r} is empty or holds whitespace")):
+            save_index(build_index(docs), tmp_path / "index")
+        assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("term", ["", "x\ty", "x\ny", "x y"])
+    def test_term_the_index_files_cannot_hold_raises(self, tmp_path, term):
+        docs = [Document("d1", ("a", term)), Document("d2", ("b",))]
+        with pytest.raises(CorpusError, match=re.escape(
+                f"term {term!r} is empty or holds whitespace")):
+            save_index(build_index(docs), tmp_path / "index")
+        assert not (tmp_path / "index").exists()
+
     def test_empty_document_skipped_with_warning(self, caplog):
         docs = [Document("d1", ("a",)), Document("d2", ())]
         with caplog.at_level("WARNING"):
@@ -241,6 +258,16 @@ class TestPersistence:
     def test_inconsistent_postings_raise(self, saved_index, name, mutate, message):
         corrupt_index_file(saved_index, name, mutate, fix_digest=True)
         with pytest.raises(CorpusError, match=message):
+            load_index(saved_index)
+
+    @pytest.mark.parametrize("name", ["tokens.bin", "postings_docs.bin",
+                                      "postings_tf.bin"])
+    def test_bin_of_a_partial_int32_names_the_file(self, saved_index, name):
+        data = (saved_index / name).read_bytes() + b"\0"
+        rewrite_index_file(saved_index, name, data, fix_digest=True)
+        with pytest.raises(CorpusError, match="^" + re.escape(
+                f"{saved_index / name} holds {len(data)} bytes, not a whole number "
+                f"of int32 values; rebuild the index") + "$"):
             load_index(saved_index)
 
     @pytest.mark.parametrize("name", ["vocab.tsv", "docs.tsv"])

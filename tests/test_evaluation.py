@@ -188,9 +188,10 @@ class TestFisher:
     def test_identical_runs_give_p_one(self):
         run_a, _, qrels = self.make_runs()
         # 2^8 patterns: 255 permutations sample, 256 enumerate
-        p = fisher_randomization(run_a, run_a, qrels, permutations=255)
+        report = evaluate_run(run_a, qrels)
+        p = fisher_randomization(report, report, permutations=255)
         assert p == {m: 1.0 for m in METRIC_NAMES}
-        p_ex = fisher_randomization(run_a, run_a, qrels, permutations=256)
+        p_ex = fisher_randomization(report, report, permutations=256)
         assert p_ex == {m: 1.0 for m in METRIC_NAMES}
 
     def test_exhaustive_small_example(self):
@@ -203,27 +204,32 @@ class TestFisher:
         qrels = {"1": {"d1": 1, "d2": 0}, "2": {"d1": 1, "d2": 0}}
         # AP diff per query: 1.0 - 0.5 = 0.5 -> same structure as the
         # (0.4, 0.4) example: only all-plus and all-minus patterns match
-        p = fisher_randomization(run_a, run_b, qrels)
+        p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels))
         assert p["map"] == 2 / 4
 
     def test_symmetry_in_run_order(self):
         run_a, run_b, qrels = self.make_runs(n=17)
-        pa = fisher_randomization(run_a, run_b, qrels, permutations=5000, seed=3)
-        pb = fisher_randomization(run_b, run_a, qrels, permutations=5000, seed=3)
+        pa = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                  permutations=5000, seed=3)
+        pb = fisher_randomization(evaluate_run(run_b, qrels), evaluate_run(run_a, qrels),
+                                  permutations=5000, seed=3)
         assert pa == pb
 
     def test_sampled_deterministic_under_seed(self):
         run_a, run_b, qrels = self.make_runs(n=17)
-        p1 = fisher_randomization(run_a, run_b, qrels, permutations=3000, seed=5)
-        p2 = fisher_randomization(run_a, run_b, qrels, permutations=3000, seed=5)
+        p1 = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                  permutations=3000, seed=5)
+        p2 = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                  permutations=3000, seed=5)
         assert p1 == p2
 
     def test_exhaustive_matches_sampled(self):
         # 17 queries: 2^17 permutations enumerate, 100,000 sample
         run_a, run_b, qrels = self.make_runs(n=17, seed=7)
-        p_ex = fisher_randomization(run_a, run_b, qrels, permutations=2**17)["map"]
-        p_s = fisher_randomization(run_a, run_b, qrels, permutations=100_000,
-                                   seed=0)["map"]
+        p_ex = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                    permutations=2**17)["map"]
+        p_s = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                   permutations=100_000, seed=0)["map"]
         se = math.sqrt(p_ex * (1 - p_ex) / 100_000)
         assert abs(p_s - p_ex) <= 3 * se
 
@@ -231,9 +237,10 @@ class TestFisher:
         # p near 0.008: remove the sampled value's add-one correction
         # and compare hit proportions; the enumerated p is one already
         run_a, run_b, qrels = self.make_runs(n=17, seed=103)
-        p_ex = fisher_randomization(run_a, run_b, qrels, permutations=2**17)["map"]
-        p_s = fisher_randomization(run_a, run_b, qrels, permutations=100_000,
-                                   seed=0)["map"]
+        p_ex = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                    permutations=2**17)["map"]
+        p_s = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                   permutations=100_000, seed=0)["map"]
         pi_s = (p_s * 100_001 - 1) / 100_000
         se = math.sqrt(p_ex * (1 - p_ex) / 100_000)
         assert p_ex < 0.01
@@ -245,8 +252,8 @@ class TestFisher:
         # 4,097 and 100,000 are multiples of neither chunk size; from 17
         # queries on all three sample, below that all three enumerate
         for permutations in (3, 4097, 100_000):
-            p = fisher_randomization(run_a, run_b, qrels, permutations=permutations,
-                                     seed=11)
+            p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                     permutations=permutations, seed=11)
             if permutations < 2**n:
                 assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m,
                                                          permutations, 11)
@@ -258,7 +265,8 @@ class TestFisher:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
     def test_exhaustive_matches_the_enumeration_oracle(self, n):
         run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
-        p = fisher_randomization(run_a, run_b, qrels)  # 2^n <= 100,000
+        # 2^n <= 100,000
+        p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels))
         assert p == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
                      for m in METRIC_NAMES}
 
@@ -266,11 +274,12 @@ class TestFisher:
     def test_odd_chunk_sizes_keep_the_sign_stream(self, monkeypatch, chunk):
         monkeypatch.setattr(evaluation, "_SIGN_CHUNK", chunk)
         run_a, run_b, qrels = self.graded_runs(n=17, seed=17)
-        p = fisher_randomization(run_a, run_b, qrels, permutations=9001, seed=11)
+        p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                 permutations=9001, seed=11)
         assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m, 9001, 11)
                      for m in METRIC_NAMES}
         run_a, run_b, qrels = self.graded_runs(n=7, seed=7)
-        p_ex = fisher_randomization(run_a, run_b, qrels)
+        p_ex = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels))
         assert p_ex == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
                         for m in METRIC_NAMES}
 
@@ -278,7 +287,8 @@ class TestFisher:
         run_a, run_b, qrels = self.make_runs(n=40)
         tracemalloc.start()
         try:
-            fisher_randomization(run_a, run_b, qrels, permutations=100_000)
+            fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                 permutations=100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -289,7 +299,8 @@ class TestFisher:
         run_a, run_b, qrels = self.graded_runs(n=20, seed=20)
         tracemalloc.start()
         try:
-            p = fisher_randomization(run_a, run_b, qrels, permutations=2**20)
+            p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                     permutations=2**20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -300,32 +311,45 @@ class TestFisher:
         run_a, run_b, qrels = self.make_runs()
         del run_b["1"]
         with pytest.raises(ValueError, match="quer"):
-            fisher_randomization(run_a, run_b, qrels)
+            fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels))
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_enumerates_once_permutations_cover_every_pattern(self, n):
         run_a, run_b, qrels = self.graded_runs(n=n, seed=n)
-        p = fisher_randomization(run_a, run_b, qrels, permutations=2**n - 1, seed=11)
+        p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                 permutations=2**n - 1, seed=11)
         assert p == {m: fisher_sampled_reference(run_a, run_b, qrels, m, 2**n - 1, 11)
                      for m in METRIC_NAMES}
-        p = fisher_randomization(run_a, run_b, qrels, permutations=2**n, seed=11)
+        p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                 permutations=2**n, seed=11)
         assert p == {m: fisher_exhaustive_reference(run_a, run_b, qrels, m)
                      for m in METRIC_NAMES}
 
     def test_no_query_with_relevant_documents_raises(self):
-        run_a, run_b, qrels = self.make_runs()
+        # evaluate_run stops a pair with no relevant query before the test
+        run_a, _, qrels = self.make_runs()
         qrels = {q: {d: 0 for d in grades} for q, grades in qrels.items()}
-        with pytest.raises(ValueError, match="no evaluated query has relevant documents"):
-            fisher_randomization(run_a, run_b, qrels)
+        with pytest.raises(ValueError, match="no query in the run has relevant documents"):
+            evaluate_run(run_a, qrels)
+
+    def test_reads_the_reports_without_scoring(self, monkeypatch):
+        run_a, run_b, qrels = self.make_runs()
+        reports = evaluate_run(run_a, qrels), evaluate_run(run_b, qrels)
+        expect = fisher_randomization(*reports, permutations=500)
+        for name in ("average_precision", "ndcg_at_k", "precision_at_k", "evaluate_run"):
+            monkeypatch.setattr(evaluation, name, None)
+        assert fisher_randomization(*reports, permutations=500) == expect
 
     def test_zero_permutations_raise(self):
         run_a, run_b, qrels = self.make_runs()
         with pytest.raises(ValueError, match=r"permutations must be >= 1"):
-            fisher_randomization(run_a, run_b, qrels, permutations=0)
+            fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                 permutations=0)
 
     def test_every_metric_has_a_p_value(self):
         run_a, run_b, qrels = self.make_runs()
-        p = fisher_randomization(run_a, run_b, qrels, permutations=500)
+        p = fisher_randomization(evaluate_run(run_a, qrels), evaluate_run(run_b, qrels),
+                                 permutations=500)
         assert list(p) == list(METRIC_NAMES)
         assert all(0.0 < v <= 1.0 for v in p.values())
 
@@ -437,6 +461,19 @@ class TestQrelsIO:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_qrels(path)
 
+    @pytest.mark.parametrize("grade", [1000, 1001])
+    def test_grade_bound(self, tmp_path, grade):
+        # 2**1024 - 1, nDCG's gain at grade 1024, overflows a float
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"1 0 dA 1\n1 0 dB {grade}\n")
+        if grade <= evaluation.MAX_GRADE:
+            assert read_qrels(path)["1"]["dB"] == grade
+            assert evaluate_run({"1": [("dB", 1.0)]}, read_qrels(path)).means["ndcg@20"] > 0
+        else:
+            message = f"{path}:2: relevance grade must be at most 1000, got {grade}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read_qrels(path)
+
 
 def test_rank_by_score_breaks_ties_by_doc_id():
     ranked = rank_by_score(["dB", "dC", "dA", "dD"], np.array([1.0, 2.0, 1.0, -3.0]))
@@ -459,6 +496,21 @@ class TestReports:
         assert "map" in lines[0]
         assert lines[-1].split()[0] == "all"
         assert "0.7500" in lines[-1]
+
+    @pytest.mark.parametrize("p, decimals, text", [
+        (1.0, 4, "1.0000"), (0.0312, 4, "0.0312"), (1 / 100_001, 4, "1.0e-05"),
+        (1 / 100_001, 6, "0.000010"), (4e-7, 6, "4.0e-07"), (0.0, 4, "0.0000"),
+    ])
+    def test_p_value_text_never_reads_zero_for_a_positive_p(self, p, decimals, text):
+        assert evaluation.p_value_text(p, decimals) == text
+
+    def test_paired_csv_p_value_row(self, tmp_path):
+        path = tmp_path / "eval.csv"
+        report = self.make_report()
+        write_eval_csv(path, {"a": report, "b": report},
+                       {"map": 1.0, "ndcg@20": 1 / 100_001, "p@20": 1 / 10_000_001})
+        assert path.read_text().splitlines()[-1] == \
+            "p_value,1.000000,,0.000010,,1.0e-07,"
 
     def test_csv(self, tmp_path):
         path = tmp_path / "eval.csv"

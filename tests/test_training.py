@@ -5,6 +5,7 @@ import pytest
 
 from passagerank import FilterSpec, Query, TrainConfig, make_folds, sample_triples, train
 from passagerank.fusion import forward_parts
+from passagerank import training
 from passagerank.training import CandidateSet, train_fold
 from reference import hinge_loss
 
@@ -204,6 +205,27 @@ class TestTrainFold:
             small_config(learning_rate=-0.1)
         with pytest.raises(ValueError):
             small_config(batch_size=0)
+
+    def test_each_epoch_steps_on_every_triple_once(self, monkeypatch):
+        # forward_parts sees all n triples on each side for the epoch-0
+        # loss, then each epoch's batches in order, positive side first
+        sizes = []
+
+        def counting(W, b, R, H):
+            sizes.append(R.shape[0])
+            return forward_parts(W, b, R, H)
+
+        monkeypatch.setattr(training, "forward_parts", counting)
+        cands = toy_candidates(separation=0.0)
+        qids = sorted(cands)
+        cfg = small_config(max_epochs=3, patience=3)
+        _, rows = train_fold(cands, qids[:8], qids[8:], cfg,
+                             np.random.default_rng(0), {}, FILTERS2, FEATS3)
+        n = 8 * 3 * cfg.negatives_per_positive  # 3 relevant docs per query
+        epoch = [size for lo in range(0, n, cfg.batch_size)
+                 for size in [min(cfg.batch_size, n - lo)] * 2]
+        assert len(rows) == 4
+        assert sizes == [n, n] + epoch * 3
 
     def test_single_epoch_logs_initialization_and_one_step(self):
         cands = toy_candidates()
