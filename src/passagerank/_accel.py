@@ -1,7 +1,7 @@
 """Window filters and the hot scoring kernels, batched per query.
 
-One kernel carries nearly all of the reranking cost: per-filter pooled
-window scores, the inner loop of every passage ranker. Each call scores
+One kernel carries nearly all of the reranking cost: per-filter best-span
+scores, the inner loop of every passage ranker. Each call scores
 one query's candidates at once: their token ids concatenated into
 ``tokens`` and their lengths in ``lengths`` (the CSR layout of the
 stored postings). ``lm_span_scores``, the per-span LM form of the same
@@ -9,15 +9,15 @@ scores, has no production caller (see its docstring).
 
 A window's matches of a query term are counted from the term's sorted
 match positions, with two ``searchsorted`` calls over the spans of every
-document, and span scores are pooled per document with ``reduceat``.
+document, and each document keeps its best span score with ``reduceat``.
 Per-term logs are summed in query-term order, so a batch gives bitwise
 the same scores as one call per document.
 
 A window filter is a ``FilterSpec`` (m, tau), and the kernels take its
 two ints. The whole document, label ``inf``, is the window m = tau =
 ``WHOLE`` = 2**62: no document outgrows it, so it is each document's
-one span. A pooling (``POOLINGS``) is how a document's span scores
-become one: their MAX, or their probability MEAN.
+one span. A document's score under a filter is the MAX of its span
+scores: its best passage.
 
 Conventions: document and query tokens are int32 vocabulary ids, and
 out-of-vocabulary query tokens are -1 (they never match a position).
@@ -30,16 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 WHOLE = 2**62  # m = tau of the whole-document filter: no document outgrows it
-
-POOL_MAX = "max"
-POOL_MEAN = "mean"
-POOLINGS = (POOL_MAX, POOL_MEAN)
-
-
-def check_pooling(pooling: str) -> None:
-    if pooling not in POOLINGS:
-        raise ValueError(f"pooling must be 'max' or 'mean', got {pooling!r}")
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -153,15 +143,6 @@ def _sum_terms(logs):
     return acc
 
 
-def _pool(spans, counts, offsets, mean_pool):
-    """Per-document MAX, or log-mean-exp, of a batch's span scores."""
-    mx = np.maximum.reduceat(spans, offsets)
-    if not mean_pool:
-        return mx
-    scaled = np.exp(spans - np.repeat(mx, counts))
-    return mx + np.log(np.add.reduceat(scaled, offsets) / counts)
-
-
 def _batch_lengths(tokens, lengths):
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != tokens.shape[0]:
@@ -171,23 +152,22 @@ def _batch_lengths(tokens, lengths):
     return lengths
 
 
-def kernel_filter_scores(tokens, query_ids, bias_coeff, ms, taus, mean_pool, lengths):
-    """(D, F) pooled log-kernel scores: one row per document of the batch,
-    one column per window filter (ms[f], taus[f]).
+def kernel_filter_scores(tokens, query_ids, bias_coeff, ms, taus, lengths):
+    """(D, F) best-span log-kernel scores: one row per document of the
+    batch, one column per window filter (ms[f], taus[f]).
 
     Span score: sum_i log(window_count_i + bias_coeff[i] * n) with n the
-    span's length; pooling is MAX, or MEAN as log-mean-exp over span
-    scores.
+    span's length; a document's score is the MAX over its spans.
     """
     lengths = _batch_lengths(tokens, lengths)
     positions = match_positions(tokens, query_ids)
     out = np.empty((lengths.shape[0], ms.shape[0]), dtype=np.float64)
     for f in range(ms.shape[0]):
-        starts, ends, counts, offsets = span_grid(lengths, int(ms[f]), int(taus[f]))
+        starts, ends, _, offsets = span_grid(lengths, int(ms[f]), int(taus[f]))
         n = (ends - starts).astype(np.float64)
         wc = window_counts(positions, starts, ends)
         spans = _sum_terms(np.log(wc + bias_coeff[:, np.newaxis] * n))
-        out[:, f] = _pool(spans, counts, offsets, mean_pool)
+        out[:, f] = np.maximum.reduceat(spans, offsets)
     return out
 
 

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._accel import POOLINGS
 from .config import (ExperimentConfig, build_config, format_value, parse_value,
                      require, require_set)
 from .corpus import (Query, build_index, iter_trectext, load_index, read_stoplist,
@@ -56,7 +55,6 @@ _FLAG_DEFS: dict[str, dict] = {
     "lambda_c": dict(metavar="F", help="smoothing weight in (0,1)"),
     "oov_floor": dict(metavar="N", help="corpus-frequency floor for unseen terms"),
     "top_k": dict(metavar="N", help="initial retrieval depth"),
-    "pooling": dict(metavar="|".join(POOLINGS), help="passage pooling"),
     "feature_set": dict(metavar="|".join(FEATURE_SETS), help="fusion feature toggles"),
     "homogeneity_m": dict(metavar="M", help="passage size for homogeneity features "
                                             "(default: smallest finite filter)"),
@@ -139,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("train", "cross-validated training of the fusion model")
     _add_flags(p, "index", "topics", "qrels", "stoplist", "filters",
-               "lambda_c", "oov_floor", "pooling", "feature_set",
+               "lambda_c", "oov_floor", "feature_set",
                "homogeneity_m", "top_k", "learning_rate", "batch_size",
                "max_epochs", "patience", "negatives_per_positive", "folds")
     p.add_argument("--run", required=True, metavar="RUN",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from ._accel import FilterSpec, check_pooling, parse_filters
+from ._accel import FilterSpec, parse_filters
 from .evaluation import numbered_lines
 from .features import ScoreSettings, feature_names
 from .retrieval import SmoothingConfig
@@ -37,7 +37,6 @@ class ExperimentConfig:
     lambda_c: float = SmoothingConfig.lambda_c
     oov_floor: int = SmoothingConfig.oov_floor
     top_k: int = 2000
-    pooling: str = "max"
     feature_set: str = "doc+query"
     homogeneity_m: int | None = None  # None: smallest finite filter
     passage_size: int = 50
@@ -86,8 +85,8 @@ class ExperimentConfig:
     def score_settings(self) -> ScoreSettings:
         """The candidate scoring settings that train records in each model."""
         hom = self.homogeneity_filter() if self.feature_set != "query" else None
-        return ScoreSettings(self.filters, self.smoothing(), self.pooling,
-                             self.feature_set, hom, self.top_k)
+        return ScoreSettings(self.filters, self.smoothing(), self.feature_set, hom,
+                             self.top_k)
 
     def train_config(self) -> TrainConfig:
         """The training settings; TrainConfig checks their ranges."""
@@ -166,10 +165,9 @@ def build_config(
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Reject bad values before any input is read; the scoring code owns
-    the pooling and feature-set rules, SmoothingConfig the lambda_c and
-    oov_floor rules, TrainConfig the training rules."""
+    the feature-set rules, SmoothingConfig the lambda_c and oov_floor
+    rules, TrainConfig the training rules."""
     cfg.smoothing()
-    check_pooling(cfg.pooling)
     feature_names(cfg.feature_set)
     cfg.train_config()
     for name in ("filters", "text_tags"):

@@ -151,7 +151,7 @@ def fisher_randomization(
 ) -> dict[str, float]:
     """Two-sided paired randomization p-value between two evaluated runs
     for every metric in ``METRIC_NAMES``, read from the reports' per-query
-    rows, which must cover the same queries.
+    rows, which must cover the same queries, at least one.
 
     The statistic is the absolute mean per-query metric difference;
     each permutation flips each query's difference sign independently
@@ -172,6 +172,8 @@ def fisher_randomization(
             f"runs cover different query sets (e.g. only in a: {only_a}, "
             f"only in b: {only_b})"
         )
+    if not ma:
+        raise ValueError("no query in the reports has relevant documents")
     qids = sorted(ma)  # text order fixes each query's sign column
     # one row of per-query differences per metric
     diffs = np.array([[ma[q][m] - mb[q][m] for q in qids] for m in METRIC_NAMES],

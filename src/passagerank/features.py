@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._accel import FilterSpec, check_pooling, parse_filter_label, span_grid
+from ._accel import FilterSpec, parse_filter_label, span_grid
 from .corpus import CorpusIndex, Query
 from .evaluation import write_table
 from .fusion import FusionModel, json_numbers
@@ -222,20 +222,18 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class ScoreSettings:
     """Everything that rebuilds a candidate's per-filter scores R and
-    features H: the window filters, the smoothing, the pooling, the
-    feature set, the homogeneity filter (finite with document features,
-    None without) and the list depth. Every rule is checked here."""
+    features H: the window filters, the smoothing, the feature set, the
+    homogeneity filter (finite with document features, None without) and
+    the list depth. Every rule is checked here."""
 
     filters: tuple[FilterSpec, ...]
     smoothing: SmoothingConfig
-    pooling: str
     feature_set: str
     hom_filter: FilterSpec | None
     list_k: int
 
     def __post_init__(self):
         feature_names(self.feature_set)
-        check_pooling(self.pooling)
         if self.feature_set == "query":
             if self.hom_filter is not None:
                 raise ValueError("query features take no homogeneity_filter")
@@ -252,13 +250,14 @@ class ScoreSettings:
             "list_k": self.list_k,
             "lambda_c": self.smoothing.lambda_c,
             "oov_floor": self.smoothing.oov_floor,
-            "pooling": self.pooling,
         }
 
     @classmethod
     def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
         """The settings the model at ``path`` was trained with, read only
-        from its metadata, so reranking scores as training did."""
+        from its metadata, so reranking scores as training did. A
+        document scores its best passage; a model whose ``pooling`` key
+        names anything else is refused, not scored another way."""
         meta = model.meta
 
         def setting(key: str, kind: type | tuple[type, ...] | None = None):
@@ -267,6 +266,9 @@ class ScoreSettings:
             return meta[key] if kind is None else json_numbers(meta[key], key, kind)
 
         try:
+            if meta.get("pooling", "max") != "max":
+                raise ValueError(f"pooling must be 'max' (the best passage), "
+                                 f"got {meta['pooling']!r}")
             feature_set = setting("feature_set")
             if tuple(model.feature_names) != feature_names(feature_set):
                 raise ValueError(
@@ -277,8 +279,8 @@ class ScoreSettings:
                    else parse_filter_label(setting("homogeneity_filter")))
             smoothing = SmoothingConfig(setting("lambda_c", (int, float)),
                                         setting("oov_floor", int))
-            return cls(model.filters, smoothing, setting("pooling"), feature_set,
-                       hom, setting("list_k", int))
+            return cls(model.filters, smoothing, feature_set, hom,
+                       setting("list_k", int))
         except (TypeError, ValueError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 

@@ -42,7 +42,7 @@ def candidate_matrices(query: Query, candidates: Sequence[str],
     H = FeatureExtractor(index, settings).matrix(query, candidates, run_scores)
     ctx = QueryContext(query, index, settings.smoothing)
     tokens, lengths = index.batch_tokens(candidates)
-    return score_tokens(ctx, tokens, settings.filters, settings.pooling, lengths), H
+    return score_tokens(ctx, tokens, settings.filters, lengths), H
 
 
 def npm_train(queries: Sequence[Query], run: Mapping, qrels: Mapping,
@@ -51,21 +51,23 @@ def npm_train(queries: Sequence[Query], run: Mapping, qrels: Mapping,
     """Cross-validated fusion models over each query's candidates, the
     (doc_id, score) list ``run[query_id]``; a candidate is relevant where
     its ``qrels[query_id][doc_id]`` grade is positive, and a query with no
-    relevant or no non-relevant candidate is dropped. Each fold model
-    records ``settings.meta()``, then ``meta``."""
-    candidates = {}
+    relevant or no non-relevant candidate is dropped from training but
+    still gets a test fold (``training.train``'s ``untrained``). Each fold
+    model records ``settings.meta()``, then ``meta``."""
+    candidates, untrained = {}, []
     for q in queries:
         qid = q.query_id
         doc_ids, scores = zip(*run[qid])
         rel = np.array([qrels.get(qid, {}).get(d, 0) > 0 for d in doc_ids], dtype=bool)
         if rel.all() or not rel.any():
-            log.warning("query %s has no %s candidates, dropped", qid,
+            log.warning("query %s has no %s candidates, dropped from training", qid,
                         "non-relevant" if rel.any() else "relevant")
+            untrained.append(qid)
         else:
             R, H = candidate_matrices(q, doc_ids, scores, index, settings)
             candidates[qid] = CandidateSet(q, list(doc_ids), R, H, rel)
     return train(candidates, config, {**settings.meta(), **(meta or {})},
-                 settings.filters, feature_names(settings.feature_set))
+                 settings.filters, feature_names(settings.feature_set), untrained)
 
 
 def save_training(out_dir: str | Path, results: Sequence[FoldResult]) -> None:
@@ -145,10 +147,8 @@ class NpmModel:
             return
         missing = [qid for qid in query_ids if qid not in self.fold_of]
         if missing:
-            raise ValueError(
-                f"queries not in the fold manifest: {missing[:5]} "
-                f"(model directory was trained on different topics)"
-            )
+            more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+            raise ValueError(f"queries not in the fold manifest: {missing[:5]}{more}")
 
     def model_for(self, query_id: str) -> FusionModel:
         """The model that scores ``query_id``."""

@@ -13,11 +13,11 @@ which equals its smoothed unigram LM score (the form the tests check)
 
     sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
 
-plus n_q * log(n / (1 - lambda_c)) on a span of length n. Pooling span
-scores (max, or log-mean-exp for the probability mean) gives per-filter
-document scores; ``score_tokens`` stacks them, one column per filter.
-``msp_rank`` ranks by the max-pooled column of one window, optionally
-mixed by homogeneity with ``retrieval.ql_scores``.
+plus n_q * log(n / (1 - lambda_c)) on a span of length n. A document
+scores its best span under each filter; ``score_tokens`` stacks these
+per-filter scores, one column per filter. ``msp_rank`` ranks by the
+column of one window, optionally mixed by homogeneity with
+``retrieval.ql_scores``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _accel, features
-from ._accel import POOL_MAX, POOL_MEAN, FilterSpec, check_pooling
+from ._accel import FilterSpec
 from .corpus import CorpusIndex, Query
 from .evaluation import rank_by_score
 from .retrieval import QueryContext, SmoothingConfig, ql_scores
@@ -45,24 +45,21 @@ def score_tokens(
     ctx: QueryContext,
     tokens: np.ndarray,
     filters: Sequence[FilterSpec],
-    pooling: str,
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """Per-filter pooled scores of a batch on the log-likelihood scale:
+    """Per-filter best-span scores of a batch on the log-likelihood scale:
     ``tokens`` holds the documents concatenated in order, ``lengths``
     their lengths, and the result has one row per document and one
     column per filter.
 
-    Each column is the pooled kernel score minus the kernel-vs-LM shift
-    at the span length min(L, m), so every span scores its LM value up to
-    rounding, and the whole-document column is the document's smoothed
-    query log-likelihood.
+    Each column is the best span's kernel score minus the kernel-vs-LM
+    shift at the span length min(L, m), so every span scores its LM value
+    up to rounding, and the whole-document column is the document's
+    smoothed query log-likelihood.
     """
-    check_pooling(pooling)
     ms, taus = np.array([(f.m, f.tau) for f in filters], dtype=np.int64).reshape(-1, 2).T
-    raw = _accel.kernel_filter_scores(
-        tokens, ctx.ids, ctx.bias_coeff, ms, taus, pooling == POOL_MEAN, lengths,
-    )
+    raw = _accel.kernel_filter_scores(tokens, ctx.ids, ctx.bias_coeff, ms, taus,
+                                      lengths)
     n = np.minimum(lengths[:, np.newaxis], ms).astype(np.float64)
     return raw - ctx.query.n_q * np.log(n / (1.0 - ctx.smoothing.lambda_c))
 
@@ -120,7 +117,7 @@ def msp_rank(
     f = FilterSpec.window(passage_size)
     ctx = QueryContext(query, index, s)
     tokens, lengths = index.batch_tokens(candidates)
-    scores = score_tokens(ctx, tokens, (f,), POOL_MAX, lengths)[:, 0]
+    scores = score_tokens(ctx, tokens, (f,), lengths)[:, 0]
     if homogeneity != "none":
         h = [features.cached_homogeneity(d, index, f, (homogeneity,))[0]
              for d in candidates]

@@ -11,7 +11,10 @@ rerun reproduces parameters bit-for-bit.
 
 Fold protocol: queries are shuffled once and split into k near-equal
 folds; fold i is the test set, fold (i+1) mod k the validation set for
-early stopping, and the rest train.
+early stopping, and the rest train. A query that cannot train (no
+relevant or no non-relevant candidate) is in no training or validation
+set; a shuffle of those queries alone deals each a test fold, so the
+split of the others does not depend on them.
 """
 
 from __future__ import annotations
@@ -83,20 +86,23 @@ class FoldResult:
     test_qids: list[str]
 
 
+def deal_folds(query_ids: Sequence[str], k: int, seed: int,
+               stream: int = 0x0F01D5) -> dict[str, int]:
+    """Shuffle the sorted queries under (seed, stream) and deal them to
+    folds 0..k-1 in turn."""
+    qids = sorted(query_ids)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    return {qids[idx]: pos % k for pos, idx in enumerate(rng.permutation(len(qids)))}
+
+
 def make_folds(query_ids: Sequence[str], k: int = 5, seed: int = 0) -> dict[str, int]:
     """Shuffle queries under the seed and split into k near-equal folds."""
-    qids = sorted(query_ids)
-    if len(qids) != len(set(qids)):
+    if len(query_ids) != len(set(query_ids)):
         raise ValueError("duplicate query ids in fold assignment")
-    if len(qids) < k:
+    if len(query_ids) < k:
         raise ValueError(f"need at least {k} queries for {k}-fold splits, "
-                         f"got {len(qids)}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0F01D5]))
-    order = rng.permutation(len(qids))
-    assignment: dict[str, int] = {}
-    for pos, idx in enumerate(order):
-        assignment[qids[idx]] = pos % k
-    return assignment
+                         f"got {len(query_ids)}")
+    return deal_folds(query_ids, k, seed)
 
 
 def sample_triples(
@@ -245,19 +251,24 @@ def train(
     model_meta: dict,
     filters,
     feature_names: Sequence[str],
+    untrained: Sequence[str] = (),
 ) -> list[FoldResult]:
     """Cross-validated training: one FusionModel per fold.
 
     The query->fold assignment is ``make_folds`` under the config's fold
-    count and seed. For fold i the validation fold is (i+1) mod k.
+    count and seed. For fold i the validation fold is (i+1) mod k. Each
+    query of ``untrained`` only joins the test queries of the fold that
+    ``deal_folds`` gives it on its own stream.
     """
     qids = sorted(candidates)
     fold_of = make_folds(qids, config.folds, config.seed)
     k = config.folds
+    held_out = deal_folds(untrained, k, config.seed, stream=0x0D5D01D)
     results: list[FoldResult] = []
     for fold in range(k):
         val_fold = (fold + 1) % k
-        test_qids = [q for q in qids if fold_of[q] == fold]
+        test_qids = sorted([q for q in qids if fold_of[q] == fold]
+                           + [q for q in held_out if held_out[q] == fold])
         val_qids = [q for q in qids if fold_of[q] == val_fold]
         train_qids = [
             q for q in qids if fold_of[q] != fold and fold_of[q] != val_fold

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from passagerank import _accel
-from passagerank._accel import POOL_MAX, POOL_MEAN, WHOLE, FilterSpec
+from passagerank._accel import WHOLE, FilterSpec
 from passagerank.corpus import CorpusIndex, Document, Query
 from passagerank.evaluation import evaluate_run
 from passagerank.features import ScoreSettings, mean_top_scores
@@ -224,18 +224,11 @@ def kernel_score(
     return total
 
 
-def pool_document(scores: Sequence[float], strategy: str) -> float:
-    """MAX, or MEAN as the log of the mean of exponentiated scores."""
+def pool_document(scores: Sequence[float]) -> float:
+    """A document's score from its span scores: the best one."""
     if len(scores) == 0:
         raise ValueError("cannot pool an empty score list")
-    arr = np.asarray(scores, dtype=np.float64)
-    kind = strategy.lower()
-    if kind == POOL_MAX:
-        return float(arr.max())
-    if kind == POOL_MEAN:
-        mx = arr.max()
-        return float(mx + np.log(np.exp(arr - mx).mean()))
-    raise ValueError(f"unknown pooling strategy {strategy!r}")
+    return float(np.asarray(scores, dtype=np.float64).max())
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +240,29 @@ def _one(tokens: np.ndarray) -> np.ndarray:
     return np.array([tokens.shape[0]], dtype=np.int64)
 
 
-def score_batch(ctx: QueryContext, tokens: np.ndarray, filters, pooling: str,
-                scale: str, lengths: np.ndarray) -> np.ndarray:
+def score_batch(ctx: QueryContext, tokens: np.ndarray, filters, scale: str,
+                lengths: np.ndarray) -> np.ndarray:
     """``score_tokens`` on the "lm" scale; on the "kernel" scale the raw
-    pooled kernel scores it shifts."""
+    best-span kernel scores it shifts."""
     if scale == "lm":
-        return score_tokens(ctx, tokens, filters, pooling, lengths)
+        return score_tokens(ctx, tokens, filters, lengths)
     ms = np.array([f.m for f in filters], dtype=np.int64)
     taus = np.array([f.tau for f in filters], dtype=np.int64)
     return _accel.kernel_filter_scores(tokens, ctx.ids, ctx.bias_coeff, ms, taus,
-                                       pooling == POOL_MEAN, lengths)
+                                       lengths)
 
 
-def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters, pooling: str,
+def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters,
                      scale: str) -> np.ndarray:
     """``score_batch`` of one document: one score per filter."""
-    return score_batch(ctx, tokens, filters, pooling, scale, _one(tokens))[0]
+    return score_batch(ctx, tokens, filters, scale, _one(tokens))[0]
 
 
 def max_passage_lm(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int,
                    lengths: np.ndarray) -> np.ndarray:
     """Best span LM score of each document of a batch for a finite window
     (m, tau), from the LM form of the span scores: the oracle of the
-    max-pooled ``score_tokens`` column that ``msp_rank`` ranks by."""
+    ``score_tokens`` column that ``msp_rank`` ranks by."""
     spans = _accel.lm_span_scores(
         tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau,
         lengths,
@@ -310,22 +303,19 @@ def score_vector(
     filters: Sequence[FilterSpec],
     index: CorpusIndex,
     s: SmoothingConfig | None = None,
-    pooling: str = POOL_MAX,
     scale: str = "kernel",
 ) -> np.ndarray:
-    """Per-filter pooled scores of one candidate document, by id or
+    """Per-filter best-span scores of one candidate document, by id or
     Document, on the kernel or the LM scale."""
     s = s or SmoothingConfig()
     if len(filters) == 0:
         raise ValueError("at least one filter is required")
-    if pooling not in (POOL_MAX, POOL_MEAN):
-        raise ValueError(f"unknown pooling strategy {pooling!r}")
     if scale not in ("kernel", "lm"):
         raise ValueError(f"unknown score scale {scale!r}")
     ctx = QueryContext(query, index, s)
     doc_id = doc if isinstance(doc, str) else doc.doc_id
     tokens = index.doc_tokens(index.doc_index(doc_id))
-    return score_tokens_one(ctx, tokens, filters, pooling, scale)
+    return score_tokens_one(ctx, tokens, filters, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +338,17 @@ def match_counts(doc_tokens, query_ids):
     return out
 
 
-def pool_loop(scores, mean_pool):
-    """MAX pooling, or MEAN pooling as log-mean-exp over span scores."""
+def pool_loop(scores):
+    """The largest span score, by a loop."""
     mx = scores[0]
     for k in range(1, scores.shape[0]):
         if scores[k] > mx:
             mx = scores[k]
-    if not mean_pool:
-        return mx
-    acc = 0.0
-    for k in range(scores.shape[0]):
-        acc += np.exp(scores[k] - mx)
-    return mx + np.log(acc / scores.shape[0])
+    return mx
 
 
-def doc_filter_scores(doc_tokens, query_ids, bias_coeff, ms, taus, mean_pool):
-    """Pooled log-kernel score per window filter, for one document.
+def doc_filter_scores(doc_tokens, query_ids, bias_coeff, ms, taus):
+    """Best-span log-kernel score per window filter, for one document.
 
     Span score: sum_i log(window_count_i + bias_coeff[i] * n) with n the
     span's length.
@@ -382,7 +367,7 @@ def doc_filter_scores(doc_tokens, query_ids, bias_coeff, ms, taus, mean_pool):
                 wc = cum[i, start + width] - cum[i, start]
                 acc += np.log(wc + bias_coeff[i] * float(width))
             spans[s] = acc
-        out[f] = pool_loop(spans, mean_pool)
+        out[f] = pool_loop(spans)
     return out
 
 
@@ -409,16 +394,13 @@ def doc_lm_span_scores(doc_tokens, query_ids, background, one_minus_lam, m, tau)
     return out
 
 
-def kernel_filter_scores_loop(tokens, query_ids, bias_coeff, ms, taus, mean_pool,
-                              lengths):
-    """(D, F) pooled scores of a batch, one document at a time."""
+def kernel_filter_scores_loop(tokens, query_ids, bias_coeff, ms, taus, lengths):
+    """(D, F) best-span scores of a batch, one document at a time."""
     out = np.empty((lengths.shape[0], ms.shape[0]), dtype=np.float64)
     start = 0
     for d in range(lengths.shape[0]):
         end = start + lengths[d]
-        out[d] = doc_filter_scores(
-            tokens[start:end], query_ids, bias_coeff, ms, taus, mean_pool
-        )
+        out[d] = doc_filter_scores(tokens[start:end], query_ids, bias_coeff, ms, taus)
         start = end
     return out
 

@@ -7,7 +7,7 @@ implementations.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from passagerank import _accel, backend_name
 from passagerank._accel import WHOLE, FilterSpec
@@ -49,9 +49,8 @@ def worst_relative(a, b, terms) -> float:
     """The largest error of ``a`` against ``b``, relative to |b| where
     |b| >= 1 and otherwise to the larger of |b| and min(``terms``, 1).
     ``terms`` bounds the summed magnitudes of the log terms behind each
-    score, so a score whose terms cancel (log-mean-exp pooling of span
-    scores log 1.2, four times, and log 0.2 is 0) is held to the
-    precision of its terms, not of its own value."""
+    score, so a score whose terms cancel (log 5 + log 0.2 is 0) is held
+    to the precision of its terms, not of its own value."""
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), np.minimum(terms, 1.0))))
 
 
@@ -116,13 +115,12 @@ class TestKernelTwins:
     MS = np.array([3, 7, 50, WHOLE], dtype=np.int64)
     TAUS = np.array([1, 3, 25, WHOLE], dtype=np.int64)
 
-    @pytest.mark.parametrize("mean_pool", [False, True])
-    def test_kernel_filter_scores(self, mean_pool):
+    def test_kernel_filter_scores(self):
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(100):
             tokens, lengths, query, bias = random_batch(rng)
-            args = (tokens, query, bias, self.MS, self.TAUS, mean_pool, lengths)
+            args = (tokens, query, bias, self.MS, self.TAUS, lengths)
             a = _accel.kernel_filter_scores(*args)
             b = kernel_filter_scores_loop(*args)
             assert a.shape == b.shape == (lengths.size, self.MS.size)
@@ -186,12 +184,10 @@ class TestBatching:
     def assert_batch_equals_singles(self, tokens, lengths, query, bias, bg):
         docs = split(tokens, lengths)
         kernel = _accel.kernel_filter_scores
-        for mean_pool in (False, True):
-            batch = kernel(tokens, query, bias, self.MS, self.TAUS, mean_pool, lengths)
-            singles = np.vstack([
-                kernel(d, query, bias, self.MS, self.TAUS, mean_pool,
-                       np.array([d.size])) for d in docs])
-            np.testing.assert_array_equal(batch, singles)
+        batch = kernel(tokens, query, bias, self.MS, self.TAUS, lengths)
+        singles = np.vstack([kernel(d, query, bias, self.MS, self.TAUS, np.array([d.size]))
+                             for d in docs])
+        np.testing.assert_array_equal(batch, singles)
         for m, tau in ((5, 2), (50, 25), (WHOLE, WHOLE)):
             batch = _accel.lm_span_scores(tokens, query, bg, 0.5, m, tau, lengths)
             singles = np.concatenate(
@@ -211,13 +207,9 @@ class TestBatching:
         docs=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=60),
                       min_size=1, max_size=5),
         query=st.lists(st.integers(-1, 6), min_size=1, max_size=5),
-        mean_pool=st.booleans(),
         window=st.sampled_from([(1, 1), (4, 2), (6, 6), (10, 3)]),
     )
-    # MEAN pooling of span scores that cancel: 0.0 in the kernel, -1.1e-16 in the loop
-    @example(docs=[[0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0]], query=[1], mean_pool=True,
-             window=(4, 2))
-    def test_property_against_loops(self, docs, query, mean_pool, window):
+    def test_property_against_loops(self, docs, query, window):
         tokens = np.array([t for d in docs for t in d], dtype=np.int32)
         lengths = np.array([len(d) for d in docs], dtype=np.int64)
         q = np.array(query, dtype=np.int32)
@@ -225,8 +217,8 @@ class TestBatching:
         bg = np.linspace(1e-4, 0.3, q.size)
         ms = np.array([window[0], WHOLE], dtype=np.int64)
         taus = np.array([window[1], WHOLE], dtype=np.int64)
-        a = _accel.kernel_filter_scores(tokens, q, bias, ms, taus, mean_pool, lengths)
-        b = kernel_filter_scores_loop(tokens, q, bias, ms, taus, mean_pool, lengths)
+        a = _accel.kernel_filter_scores(tokens, q, bias, ms, taus, lengths)
+        b = kernel_filter_scores_loop(tokens, q, bias, ms, taus, lengths)
         assert worst_relative(a, b, kernel_terms(lengths, bias, ms)) < 1e-12
         a = _accel.lm_span_scores(tokens, q, bg, 0.5, *window, lengths)
         b = lm_span_scores_loop(tokens, q, bg, 0.5, *window, lengths)
@@ -237,7 +229,7 @@ class TestBatching:
         query = np.array([1], dtype=np.int32)
         out = _accel.kernel_filter_scores(
             np.empty(0, dtype=np.int32), query, np.ones(1), self.MS, self.TAUS,
-            False, np.empty(0, dtype=np.int64))
+            np.empty(0, dtype=np.int64))
         assert out.shape == (0, self.MS.size)
 
     @pytest.mark.parametrize("tokens,lengths", [

@@ -78,7 +78,7 @@ def test_criterion_1_kernel_reproduces_lm_score():
     (b) Every span of five windows over 100 documents of 1 to 200 tokens,
     so L < m, L = m, and L - m a multiple of tau or not: the package's
     span LM scores against the kernel oracle at the span's length, and
-    each pooled kernel column (max and mean) against its pooled span LM
+    each ``score_tokens`` column against the best of its span LM
     scores. Relative error <= 1e-12, wall time < 10 s.
     """
     with criterion(1, "kernel == lm + n_q*ln(n/(1-lambda)) within 1e-12 "
@@ -117,8 +117,7 @@ def test_criterion_1_kernel_reproduces_lm_score():
             query = Query(f"w{i}", terms)
             ctx = QueryContext(query, index, s)
             matrices = [build_matrix(query, doc) for doc in docs]
-            pooled = {p: score_tokens(ctx, tokens, filters, p, lengths)
-                      for p in ("max", "mean")}
+            pooled = score_tokens(ctx, tokens, filters, lengths)
             for col, f in enumerate(filters):
                 lm = _accel.lm_span_scores(tokens, ctx.ids, ctx.background,
                                            1.0 - s.lambda_c, f.m, f.tau, lengths)
@@ -132,10 +131,8 @@ def test_criterion_1_kernel_reproduces_lm_score():
                 offsets = _accel.span_layout(lengths, f.m, f.tau)[1]
                 bounds = [*offsets.tolist(), lm.shape[0]]
                 for d, doc in enumerate(docs):
-                    own = lm[bounds[d]:bounds[d + 1]]
-                    for p in ("max", "mean"):
-                        want = pool_document(own, p)
-                        worst = max(worst, abs(pooled[p][d, col] - want) / abs(want))
+                    want = pool_document(lm[bounds[d]:bounds[d + 1]])
+                    worst = max(worst, abs(pooled[d, col] - want) / abs(want))
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-12, f"worst relative error {worst:.3e}"
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
@@ -229,7 +226,7 @@ def test_criterion_3_planted_passage_discrimination():
                    FilterSpec.whole_document())
         names = feature_names("doc+query")
         extractor = FeatureExtractor(index, ScoreSettings(
-            filters, s, "max", "doc+query", FilterSpec.window(50), 50))
+            filters, s, "doc+query", FilterSpec.window(50), 50))
 
         def build_candidates() -> dict:
             cands = {}
@@ -240,7 +237,7 @@ def test_criterion_3_planted_passage_discrimination():
                 ctx = QueryContext(q, index, s)
                 R = np.array([
                     score_tokens_one(ctx, index.doc_tokens(index.doc_index(d)),
-                                     filters, "max", "lm")
+                                     filters, "lm")
                     for d in doc_ids
                 ])
                 H = extractor.matrix(q, doc_ids, scores)

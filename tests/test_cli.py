@@ -27,6 +27,7 @@ from passagerank import (
     build_config,
     evaluate_run,
     load_index,
+    make_folds,
     npm_rank,
     npm_train,
     read_qrels,
@@ -308,6 +309,14 @@ class TestLibrary:
             npm_rank(Query("99", ("q0a",)), ["d000"], [0.0],
                      load_index(pipeline["index"]), model)
 
+    def test_missing_queries_named_up_to_five(self, pipeline):
+        model = NpmModel.load(pipeline["model_dir"])
+        missing = ["91", "92", "93", "94", "95", "96"]
+        with pytest.raises(ValueError) as info:
+            model.check_queries(["1", *missing])
+        assert str(info.value) == ("queries not in the fold manifest: "
+                                   "['91', '92', '93', '94', '95'] and 1 more")
+
     def test_npm_train_writes_the_train_directory(self, pipeline, tmp_path):
         cfg = build_config(pipeline["conf"])
         results = npm_train(
@@ -334,7 +343,15 @@ class TestLibrary:
                                 cfg.train_config())
         assert "query 1 has no relevant candidates, dropped" in caplog.text
         assert "query 2 has no non-relevant candidates, dropped" in caplog.text
-        assert sorted(q for r in results for q in r.test_qids) == ["3", "4", "5", "6"]
+        # the dropped queries train and validate nowhere, but each gets a
+        # test fold; the other queries keep the split made without them
+        assert sorted(q for r in results for q in r.test_qids) == ["1", "2", "3", "4",
+                                                                   "5", "6"]
+        kept = make_folds(["3", "4", "5", "6"], 3, cfg.seed)
+        for r in results:
+            assert {"1", "2"}.isdisjoint(r.train_qids + r.val_qids)
+            assert [q for q in r.test_qids if q in kept] == [
+                q for q in sorted(kept) if kept[q] == r.fold]
         model = results[0].model
         assert ScoreSettings.from_model(model, "fold_0.json") == cfg.score_settings()
         assert "config_fingerprint" not in model.meta
@@ -494,12 +511,41 @@ def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
     rows = read_table(dump, delimiter="\t")
     assert rows[0][2:6] == list(HOMOGENEITY_NAMES)
     extractor = FeatureExtractor(load_index(index), ScoreSettings(
-        (FilterSpec.whole_document(),), SmoothingConfig(), "max", "doc",
+        (FilterSpec.whole_document(),), SmoothingConfig(), "doc",
         FilterSpec(50, 10), 1))
     for _, doc_id, *values in rows[1:]:
         assert values[:4] == [format(x, ".12g") for x in extractor.doc_block(doc_id)]
     meta = json.loads((models / "fold_0.json").read_text())["meta"]
     assert meta["homogeneity_filter"] == "50:10" and "homogeneity_m" not in meta
+
+
+def test_held_out_npm_reranks_the_queries_training_dropped(pipeline, tmp_path, capsys):
+    """An unjudged topic and a query with no relevant candidate cannot
+    train, yet each gets a test fold: held-out npm reranks every query of
+    the run, and eval compares it with its baseline."""
+    topics, qrels, run = (tmp_path / name for name in ("topics.txt", "qrels.txt", "ql.run"))
+    topics.write_text(pipeline["topics"].read_text()
+                      + "<top>\n<num> Number: 99\n<title> q0a q1b\n</top>\n")
+    judged = {qid: dict(grades) for qid, grades in pipeline["qrels_map"].items()}
+    judged["2"] = {d: 0 for d in judged["2"]}
+    write_qrels(qrels, judged)
+    data = ["--index", str(pipeline["index"]), "--topics", str(topics)]
+    assert main(["retrieve", *data, "--top-k", "40", "--output", str(run)]) == 0
+    assert main(["train", "--config", str(pipeline["conf"]), *data, "--qrels", str(qrels),
+                 "--run", str(run), "--output-dir", str(tmp_path / "models")]) == 0
+    folds = dict(read_table(tmp_path / "models" / "folds.csv")[1:])
+    assert sorted(folds, key=int) == ["1", "2", "3", "4", "5", "6", "99"]
+    assert main(["rerank", *data, "--run", str(run), "--mode", "npm",
+                 "--model", str(tmp_path / "models"),
+                 "--output", str(tmp_path / "npm.run")]) == 0
+    ql, npm = read_run(run), read_run(tmp_path / "npm.run")
+    assert sorted(npm) == sorted(ql) == sorted(folds)
+    for qid in ql:
+        assert sorted(d for d, _ in npm[qid]) == sorted(d for d, _ in ql[qid])
+    capsys.readouterr()
+    assert main(["eval", "--qrels", str(qrels), "--run", str(tmp_path / "npm.run"),
+                 "--baseline", str(run), "--permutations", "200"]) == 0
+    assert capsys.readouterr().out.startswith("  metric")
 
 
 def test_stoplist_end_to_end(tmp_path, caplog):
@@ -692,6 +738,22 @@ class TestStdout:
         assert rows[1] == ("     map          1.0000          0.5000   +0.5000"
                            "   1.0e-05 *")
         assert table.read_text().splitlines()[-1].startswith("p_value,0.000010,,")
+
+    def test_eval_star_needs_p_below_five_percent(self, tmp_path, capsys):
+        # 20 queries with one MAP difference each: 2^20 patterns exceed
+        # 19, so 19 are sampled, none reaches the observed all-plus or
+        # all-minus one, and MAP's p = (1 + 0) / (1 + 19) is 0.05 exactly,
+        # which earns no star
+        qrels, run, baseline = (tmp_path / n for n in ("qrels", "a.run", "b.run"))
+        qrels.write_text("".join(f"{q} 0 r 1\n{q} 0 n 0\n" for q in range(1, 21)))
+        run.write_text("".join(f"{q} Q0 r 1 2 a\n{q} Q0 n 2 1 a\n" for q in range(1, 21)))
+        baseline.write_text("".join(f"{q} Q0 n 1 2 b\n{q} Q0 r 2 1 b\n"
+                                    for q in range(1, 21)))
+        assert main(["eval", "--qrels", str(qrels), "--run", str(run),
+                     "--baseline", str(baseline), "--permutations", "19"]) == 0
+        map_row = capsys.readouterr().out.splitlines()[1]
+        assert map_row.split()[-1] == "0.0500"
+        assert map_row == "     map          1.0000          0.5000   +0.5000    0.0500"
 
     @pytest.mark.parametrize("names", [("a/r.run", "b/r.run"),
                                        ("rerank_ablation_a.run", "rerank_ablation_b.run")])

@@ -64,7 +64,7 @@ class TestConfigFile:
             "top_k = 100\n"
             "filters = 30:10,inf\n"
             "text_tags = TEXT,HEADLINE\n"
-            "pooling = mean\n"
+            "feature_set = query\n"
             "index = /tmp/idx\n"
         )
         values = read_config_file(path)
@@ -72,7 +72,7 @@ class TestConfigFile:
         assert values["top_k"] == 100
         assert values["filters"] == (FilterSpec(30, 10), FilterSpec.whole_document())
         assert values["text_tags"] == ("TEXT", "HEADLINE")
-        assert values["pooling"] == "mean"
+        assert values["feature_set"] == "query"
         assert values["index"] == "/tmp/idx"
 
     def test_error_names_line(self, tmp_path):
@@ -100,6 +100,23 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key 'threads'"):
             read_config_file(path)
 
+    def test_pooling_is_an_unknown_key(self, tmp_path, capsys):
+        # a document scores its best passage; no config can ask otherwise
+        path = tmp_path / "exp.conf"
+        path.write_text("pooling = mean\n")
+        with pytest.raises(ValueError, match="unknown config key 'pooling'"):
+            read_config_file(path)
+        common = ["--index", str(tmp_path), "--topics", str(path), "--qrels", str(path),
+                  "--run", str(path), "--output-dir", str(tmp_path / "models")]
+        assert main(["train", "--config", str(path), *common]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:1: unknown config "
+                                           f"key 'pooling'\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", *common, "--pooling", "mean"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --pooling mean" in capsys.readouterr().err
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("key, first, second", [
         ("top_k", "5", "30"),
         ("filters", "50,inf", "150,inf"),
@@ -119,7 +136,6 @@ class TestBuildConfig:
         cfg = build_config()
         assert cfg.lambda_c == 0.5
         assert [f.label for f in cfg.filters] == ["50:25", "150:75", "inf"]
-        assert cfg.pooling == "max"
 
     def test_file_overlays_defaults(self, tmp_path):
         path = tmp_path / "exp.conf"
@@ -143,7 +159,7 @@ class TestBuildConfig:
     @pytest.mark.parametrize("bad", [
         {"lambda_c": 0.0},
         {"lambda_c": 1.0},
-        {"pooling": "median"},
+        {"pooling": "max"},  # no pooling key: a document scores its best passage
         {"feature_set": "everything"},
         {"filters": ()},
         {"top_k": 0},
@@ -187,7 +203,7 @@ class TestFingerprint:
         base = build_config()
         for override in ({"lambda_c": 0.4}, {"seed": 1},
                          {"filters": parse_filters("50")},
-                         {"pooling": "mean"}):
+                         {"feature_set": "doc"}):
             assert build_config(None, override).fingerprint() \
                 != base.fingerprint()
 
@@ -307,7 +323,7 @@ class TestSchema:
         ],
         'train': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
-            '--qrels', '--stoplist', '--filters', '--lambda-c', '--oov-floor', '--pooling',
+            '--qrels', '--stoplist', '--filters', '--lambda-c', '--oov-floor',
             '--feature-set', '--homogeneity-m', '--top-k', '--learning-rate',
             '--batch-size', '--max-epochs', '--patience', '--negatives-per-positive',
             '--folds', '--run required', '--output-dir required',
@@ -340,4 +356,4 @@ class TestSchema:
 
     def test_default_fingerprint_is_stable(self):
         # run tags carry the fingerprint: its bytes must not move
-        assert ExperimentConfig().fingerprint() == "ac2626dc22"
+        assert ExperimentConfig().fingerprint() == "d4024feaad"

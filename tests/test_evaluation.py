@@ -332,6 +332,13 @@ class TestFisher:
         with pytest.raises(ValueError, match="no query in the run has relevant documents"):
             evaluate_run(run_a, qrels)
 
+    def test_reports_without_rows_raise(self):
+        # reports built by hand, as evaluate_run never returns one without
+        # rows; pytest turns numpy's empty-mean warning into an error
+        empty = EvalReport({}, {m: 0.0 for m in METRIC_NAMES})
+        with pytest.raises(ValueError, match="^no query in the reports has relevant documents$"):
+            fisher_randomization(empty, empty)
+
     def test_reads_the_reports_without_scoring(self, monkeypatch):
         run_a, run_b, qrels = self.make_runs()
         reports = evaluate_run(run_a, qrels), evaluate_run(run_b, qrels)

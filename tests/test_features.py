@@ -1,6 +1,7 @@
 """Homogeneity scores, query statistics, and feature assembly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ FILTERS = (FilterSpec(50, 25), FilterSpec(150, 75), FilterSpec.whole_document())
 
 
 def score_settings(feature_set, hom_filter, list_k=2000, oov_floor=1):
-    return ScoreSettings(FILTERS, SmoothingConfig(0.5, oov_floor), "max",
-                         feature_set, hom_filter, list_k)
+    return ScoreSettings(FILTERS, SmoothingConfig(0.5, oov_floor), feature_set,
+                         hom_filter, list_k)
 
 
 @pytest.fixture(scope="module")
@@ -235,33 +236,45 @@ class TestListFeature:
 
 
 class TestScoreSettings:
-    @pytest.mark.parametrize("pooling", ["max", "mean"])
-    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
-    def test_model_file_round_trip(self, tmp_path, feature_set, pooling):
-        want = ScoreSettings(FILTERS, SmoothingConfig(0.3, 2), pooling, feature_set,
-                             None if feature_set == "query" else FilterSpec(40, 10), 7)
-        names = feature_names(feature_set)
+    @staticmethod
+    def save_model(path, settings, meta):
+        names = feature_names(settings.feature_set)
         n_f, n_h = len(FILTERS), len(names)
         FusionModel(FILTERS, names, np.zeros((n_f, n_h)), 0.0,
                     AffineNorm(np.zeros(n_f), np.ones(n_f)),
-                    AffineNorm(np.zeros(n_h), np.ones(n_h)),
-                    want.meta()).save(tmp_path / "model.json")
-        model = FusionModel.load(tmp_path / "model.json")
-        assert ScoreSettings.from_model(model, tmp_path / "model.json") == want
+                    AffineNorm(np.zeros(n_h), np.ones(n_h)), meta).save(path)
+        return FusionModel.load(path)
 
-    @pytest.mark.parametrize("feature_set,hom,pooling,list_k,message", [
-        ("everything", FilterSpec(10, 5), "max", 1, "unknown feature set"),
-        ("doc", FilterSpec(10, 5), "median", 1, "pooling must be 'max' or 'mean'"),
-        ("doc", None, "max", 1, "document features need a finite"),
-        ("doc+query", FilterSpec.whole_document(), "max", 1,
+    # the pooling key of a model saved before max became the only
+    # pooling: "max" loads, anything else is refused with the path
+    @pytest.mark.parametrize("pooling", ["max", "mean"])
+    @pytest.mark.parametrize("feature_set", FEATURE_SETS)
+    def test_model_file_round_trip(self, tmp_path, feature_set, pooling):
+        want = ScoreSettings(FILTERS, SmoothingConfig(0.3, 2), feature_set,
+                             None if feature_set == "query" else FilterSpec(40, 10), 7)
+        path = tmp_path / "model.json"
+        assert "pooling" not in want.meta()
+        model = self.save_model(path, want, want.meta())
+        assert ScoreSettings.from_model(model, path) == want
+        legacy = self.save_model(path, want, {**want.meta(), "pooling": pooling})
+        if pooling == "max":
+            assert ScoreSettings.from_model(legacy, path) == want
+        else:
+            with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))}: "
+                                                 f"pooling must be 'max'.*'{pooling}'"):
+                ScoreSettings.from_model(legacy, path)
+
+    @pytest.mark.parametrize("feature_set,hom,list_k,message", [
+        ("everything", FilterSpec(10, 5), 1, "unknown feature set"),
+        ("doc", None, 1, "document features need a finite"),
+        ("doc+query", FilterSpec.whole_document(), 1,
          "document features need a finite"),
-        ("query", FilterSpec(10, 5), "max", 1, "query features take no"),
-        ("query", None, "max", 0, "list_k must be >= 1, got 0"),
-    ], ids=["feature-set", "pooling", "doc-none", "doc+query-inf", "query-filter",
-            "list-k"])
-    def test_rejects(self, feature_set, hom, pooling, list_k, message):
+        ("query", FilterSpec(10, 5), 1, "query features take no"),
+        ("query", None, 0, "list_k must be >= 1, got 0"),
+    ], ids=["feature-set", "doc-none", "doc+query-inf", "query-filter", "list-k"])
+    def test_rejects(self, feature_set, hom, list_k, message):
         with pytest.raises(ValueError, match=message):
-            ScoreSettings(FILTERS, SmoothingConfig(), pooling, feature_set, hom, list_k)
+            ScoreSettings(FILTERS, SmoothingConfig(), feature_set, hom, list_k)
 
 
 class TestFeatureNamesAndExtractor:

@@ -1,4 +1,4 @@
-"""Passage extraction, LM and kernel scoring, pooling, and MSP ranking."""
+"""Passage extraction, LM and kernel scoring, best-span scores, and MSP ranking."""
 
 import math
 
@@ -157,31 +157,14 @@ class TestScoringOracles:
 
 class TestPooling:
     def test_max(self):
-        assert pool_document([-3.0, -1.0, -2.0], "max") == -1.0
-
-    def test_mean_is_log_domain(self):
-        # average of probabilities 0.2 and 0.4 is 0.3
-        got = pool_document([math.log(0.2), math.log(0.4)], "mean")
-        assert got == pytest.approx(math.log(0.3), rel=1e-12)
-
-    def test_max_never_below_mean(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            scores = rng.uniform(-30, 0, size=rng.integers(1, 12))
-            assert (pool_document(scores, "max")
-                    >= pool_document(scores, "mean") - 1e-12)
+        assert pool_document([-3.0, -1.0, -2.0]) == -1.0
 
     def test_single_span_pool_is_identity(self):
-        assert pool_document([-2.5], "max") == -2.5
-        assert pool_document([-2.5], "mean") == pytest.approx(-2.5, rel=1e-12)
+        assert pool_document([-2.5]) == -2.5
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            pool_document([], "max")
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError):
-            pool_document([-1.0], "median")
+            pool_document([])
 
 
 class TestScoreVector:
@@ -244,38 +227,17 @@ class TestScoreVector:
         vec = score_vector(q, "d1", self.FILTERS, tiny_index, S05)
         assert np.all(np.isfinite(vec))
 
-    def test_mean_pooling_bounded_by_max(self, small_random_index):
-        q = Query("q", ("t1", "t2"))
-        for doc_id in small_random_index.doc_ids[:8]:
-            hi = score_vector(q, doc_id, self.FILTERS, small_random_index,
-                              S05, pooling="max")
-            lo = score_vector(q, doc_id, self.FILTERS, small_random_index,
-                              S05, pooling="mean")
-            assert np.all(hi >= lo - 1e-12)
-
-    @pytest.mark.parametrize("pooling", ["max", "mean"])
     @pytest.mark.parametrize("scale", ["kernel", "lm"])
-    def test_batch_rows_equal_single_documents(self, small_random_index,
-                                               pooling, scale):
+    def test_batch_rows_equal_single_documents(self, small_random_index, scale):
         idx = small_random_index
         ctx = QueryContext(Query("q", ("t1", "t3", "never-seen")), idx, S05)
         doc_ids = list(reversed(idx.doc_ids))[:12]
         tokens, lengths = idx.batch_tokens(doc_ids)
-        batch = score_batch(ctx, tokens, self.FILTERS, pooling, scale, lengths)
+        batch = score_batch(ctx, tokens, self.FILTERS, scale, lengths)
         singles = np.vstack([
-            score_tokens_one(ctx, idx.doc_tokens(idx.doc_index(d)), self.FILTERS,
-                             pooling, scale)
+            score_tokens_one(ctx, idx.doc_tokens(idx.doc_index(d)), self.FILTERS, scale)
             for d in doc_ids])
         np.testing.assert_array_equal(batch, singles)
-
-
-class TestScoreTokens:
-    @pytest.mark.parametrize("pooling", ["avg", "MAX", "Mean"])
-    def test_unknown_pooling_raises(self, tiny_index, pooling):
-        ctx = QueryContext(Query("q", ("a",)), tiny_index, S05)
-        tokens, lengths = tiny_index.batch_tokens(["d1"])
-        with pytest.raises(ValueError, match="pooling"):
-            score_tokens(ctx, tokens, (FilterSpec.window(4),), pooling, lengths)
 
 
 class TestQueryContext:
@@ -411,7 +373,7 @@ class TestMspRank:
             tokens = corpus.doc_tokens(corpus.doc_index(d))
             # bitwise against the one-document kernel path, and within
             # rounding of the LM form of the same best passage
-            best = score_tokens_one(ctx, tokens, (FilterSpec(10, 5),), "max", "lm")[0]
+            best = score_tokens_one(ctx, tokens, (FilterSpec(10, 5),), "lm")[0]
             lm_form = max_passage_lm_one(ctx, tokens, 10, 5)
             if h is not None:
                 whole = whole_doc_lm_one(ctx, tokens)
@@ -442,7 +404,7 @@ class TestMspRank:
         for terms in (("t1",), ("t2", "t5", "t2"), ("t0", "never-seen")):
             ctx = QueryContext(Query("q", terms), idx, S05)
             best = max_passage_lm(ctx, tokens, m, tau, lengths)
-            column = score_tokens(ctx, tokens, (FilterSpec(m, tau),), "max", lengths)
+            column = score_tokens(ctx, tokens, (FilterSpec(m, tau),), lengths)
             np.testing.assert_allclose(best, column[:, 0], rtol=1e-12, atol=0)
 
     def test_no_candidates(self, corpus):
