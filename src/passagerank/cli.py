@@ -35,8 +35,6 @@ from .retrieval import rank_documents
 log = logging.getLogger(__name__)
 
 RERANK_MODES = ("msp", *(f"msp-{kind}" for kind in HOMOGENEITY_KINDS), "npm")
-# msp scoring settings that npm takes from its model, so rejects as flags
-NPM_MODEL_SETTINGS = ("lambda_c", "oov_floor")
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +51,6 @@ _FLAG_DEFS: dict[str, dict] = {
     "text_tags": dict(metavar="TAGS", help="comma-separated text-bearing tags"),
     "filters": dict(metavar="LIST", help="window filters, e.g. 50,150,inf or 50:25,inf"),
     "lambda_c": dict(metavar="F", help="smoothing weight in (0,1)"),
-    "oov_floor": dict(metavar="N", help="corpus-frequency floor for unseen terms"),
     "top_k": dict(metavar="N", help="initial retrieval depth"),
     "feature_set": dict(metavar="|".join(FEATURE_SETS), help="fusion feature toggles"),
     "homogeneity_m": dict(metavar="M", help="passage size for homogeneity features "
@@ -113,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_index)
 
     p = command("retrieve", "initial whole-document query-likelihood run")
-    _add_flags(p, "index", "topics", "stoplist", "top_k", "lambda_c", "oov_floor")
+    _add_flags(p, "index", "topics", "stoplist", "top_k", "lambda_c")
     p.add_argument("--output", required=True, metavar="RUN")
     p.set_defaults(handler=cmd_retrieve)
 
@@ -122,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # its fingerprint; --filters and --top-k only enter the msp run tags
     _add_flags(p, "index", "topics", "stoplist")
     _add_flags(p, "passage_size", note="npm has no passage size and rejects the flag")
-    _add_flags(p, "lambda_c", "oov_floor",
-               note="npm takes it from the model and rejects the flag")
+    _add_flags(p, "lambda_c", note="npm takes it from the model and rejects the flag")
     _add_flags(p, "filters", "top_k", note="enters only the msp run tag; npm ignores it")
     p.add_argument("--run", required=True, metavar="RUN", help="input run file")
     p.add_argument("--output", required=True, metavar="RUN")
@@ -137,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("train", "cross-validated training of the fusion model")
     _add_flags(p, "index", "topics", "qrels", "stoplist", "filters",
-               "lambda_c", "oov_floor", "feature_set",
+               "lambda_c", "feature_set",
                "homogeneity_m", "top_k", "learning_rate", "batch_size",
                "max_epochs", "patience", "negatives_per_positive", "folds")
     p.add_argument("--run", required=True, metavar="RUN",
@@ -234,10 +230,9 @@ def cmd_rerank(args) -> int:
         # given here for npm is an error
         if args.passage_size is not None:
             raise ValueError("npm mode has no passage size; drop --passage-size")
-        given = [_flag(k) for k in NPM_MODEL_SETTINGS if getattr(args, k) is not None]
-        if given:
-            raise ValueError(f"npm mode takes {' and '.join(given)} from the "
-                             f"model, not from the command line")
+        if args.lambda_c is not None:
+            raise ValueError("npm mode takes --lambda-c from the model, not from "
+                             "the command line")
     require(cfg, "index", "topics")
     index = load_index(cfg.index)
     run_in = read_run(args.run)

@@ -35,7 +35,6 @@ class ExperimentConfig:
         FilterSpec.whole_document(),
     )
     lambda_c: float = SmoothingConfig.lambda_c
-    oov_floor: int = SmoothingConfig.oov_floor
     top_k: int = 2000
     feature_set: str = "doc+query"
     homogeneity_m: int | None = None  # None: smallest finite filter
@@ -80,7 +79,7 @@ class ExperimentConfig:
 
     def smoothing(self) -> SmoothingConfig:
         """The collection model settings; SmoothingConfig checks them."""
-        return SmoothingConfig(self.lambda_c, self.oov_floor)
+        return SmoothingConfig(self.lambda_c)
 
     def score_settings(self) -> ScoreSettings:
         """The candidate scoring settings that train records in each model."""
@@ -165,8 +164,8 @@ def build_config(
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Reject bad values before any input is read; the scoring code owns
-    the feature-set rules, SmoothingConfig the lambda_c and oov_floor
-    rules, TrainConfig the training rules."""
+    the feature-set rules, SmoothingConfig the lambda_c rule,
+    TrainConfig the training rules."""
     cfg.smoothing()
     feature_names(cfg.feature_set)
     cfg.train_config()

@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -63,6 +64,9 @@ INDEX_FORMAT = "passagerank-index"
 INDEX_VERSION = 2
 
 OOV_ID = -1
+# the corpus and document frequency of a term the corpus never saw: the
+# one count every scorer and query feature smooths an unseen term with
+OOV_COUNT = 1
 
 
 class CorpusError(ValueError):
@@ -176,8 +180,8 @@ class CorpusIndex:
         self.postings_offset = np.zeros(len(vocab) + 1, dtype=np.int64)
         np.cumsum(self.df, out=self.postings_offset[1:])
         self._check_structure()
-        self.min_log_len = float(np.log(self.doc_len.min()))
-        self.max_log_len = float(np.log(self.doc_len.max()))
+        self.min_log_len = math.log(self.doc_len.min())
+        self.max_log_len = math.log(self.doc_len.max())
         # (doc_id, m, tau, kinds) -> row in kinds order; see features.cached_homogeneity
         self.homogeneity_rows: dict = {}
 
@@ -215,15 +219,16 @@ class CorpusIndex:
 
     # -- statistics ---------------------------------------------------------
 
-    def corpus_freq(self, term: str, floor: int = 1) -> int:
-        """cf_t with the OOV floor applied for unseen terms."""
+    def corpus_freq(self, term: str) -> int:
+        """cf_t, or ``OOV_COUNT`` for a term the corpus never saw: the one
+        place an unseen term's count is set."""
         tid = self.term_to_id.get(term)
-        return int(self.cf[tid]) if tid is not None else floor
+        return int(self.cf[tid]) if tid is not None else OOV_COUNT
 
-    def doc_freq(self, term: str, floor: int = 1) -> int:
-        """D_t with the OOV floor applied for unseen terms."""
+    def doc_freq(self, term: str) -> int:
+        """D_t; an unseen term counts ``OOV_COUNT``, as in ``corpus_freq``."""
         tid = self.term_to_id.get(term)
-        return int(self.df[tid]) if tid is not None else floor
+        return int(self.df[tid]) if tid is not None else OOV_COUNT
 
     # -- documents ----------------------------------------------------------
 

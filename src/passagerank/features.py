@@ -170,21 +170,20 @@ def summary_stats(values: Sequence[float]) -> np.ndarray:
     )
 
 
-def query_features(query: Query, index: CorpusIndex, floor: int = 1) -> np.ndarray:
+def query_features(query: Query, index: CorpusIndex) -> np.ndarray:
     """24-value block: summary stats of IDF, -ICF, and SCQ per query term.
 
     Statistics run over the query's token sequence (duplicates counted).
-    cf and D_t are floored at max(floor, 1): these formulas need strictly
-    positive counts regardless of the scoring-time OOV policy.
+    An unseen term's cf and D_t are the index's (``corpus.OOV_COUNT``),
+    the counts the scorers smooth it with.
     """
-    eff_floor = max(int(floor), 1)
     n_docs = index.num_docs
     idf = np.empty(query.n_q, dtype=np.float64)
     nicf = np.empty(query.n_q, dtype=np.float64)
     scq = np.empty(query.n_q, dtype=np.float64)
     for i, t in enumerate(query.terms):
-        cf_t = index.corpus_freq(t, eff_floor)
-        df_t = index.doc_freq(t, eff_floor)
+        cf_t = index.corpus_freq(t)
+        df_t = index.doc_freq(t)
         idf[i] = math.log((n_docs + 0.5) / df_t) / (n_docs + 1)
         nicf[i] = -math.log(cf_t / index.total_len)
         scq[i] = (1.0 + math.log(cf_t)) * math.log(1.0 + n_docs / df_t)
@@ -249,15 +248,15 @@ class ScoreSettings:
             "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
             "list_k": self.list_k,
             "lambda_c": self.smoothing.lambda_c,
-            "oov_floor": self.smoothing.oov_floor,
         }
 
     @classmethod
     def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
         """The settings the model at ``path`` was trained with, read only
         from its metadata, so reranking scores as training did. A
-        document scores its best passage; a model whose ``pooling`` key
-        names anything else is refused, not scored another way."""
+        document scores its best passage and an unseen term counts once;
+        a model whose legacy ``pooling`` or ``oov_floor`` key says
+        otherwise is refused, not scored another way."""
         meta = model.meta
 
         def setting(key: str, kind: type | tuple[type, ...] | None = None):
@@ -269,6 +268,10 @@ class ScoreSettings:
             if meta.get("pooling", "max") != "max":
                 raise ValueError(f"pooling must be 'max' (the best passage), "
                                  f"got {meta['pooling']!r}")
+            oov_floor = meta.get("oov_floor", 1)
+            if type(oov_floor) is not int or oov_floor != 1:
+                raise ValueError(f"oov_floor must be 1 (an unseen term counts "
+                                 f"once), got {oov_floor!r}")
             feature_set = setting("feature_set")
             if tuple(model.feature_names) != feature_names(feature_set):
                 raise ValueError(
@@ -277,10 +280,8 @@ class ScoreSettings:
                 )
             hom = (None if feature_set == "query"
                    else parse_filter_label(setting("homogeneity_filter")))
-            smoothing = SmoothingConfig(setting("lambda_c", (int, float)),
-                                        setting("oov_floor", int))
-            return cls(model.filters, smoothing, feature_set, hom,
-                       setting("list_k", int))
+            return cls(model.filters, SmoothingConfig(setting("lambda_c", (int, float))),
+                       feature_set, hom, setting("list_k", int))
         except (TypeError, ValueError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 
@@ -315,7 +316,7 @@ class FeatureExtractor:
                 doc_part[r] = self.doc_block(doc_id)
             cols.append(doc_part)
         if s.feature_set != "doc":
-            qb = np.append(query_features(query, self.index, s.smoothing.oov_floor),
+            qb = np.append(query_features(query, self.index),
                            mean_top_scores(run_scores, s.list_k))
             cols.append(np.broadcast_to(qb, (n, qb.shape[0])))
         return np.hstack(cols) if len(cols) > 1 else np.array(cols[0], dtype=np.float64)

@@ -1,8 +1,10 @@
 """The collection language model and whole-document query likelihood.
 
 Every scorer smooths with one Jelinek-Mercer model: ``SmoothingConfig``
-holds its weight lambda_c and the corpus-frequency floor of unseen
-terms, ``QueryContext`` each query term's id and background probability.
+holds its weight lambda_c, ``QueryContext`` each query term's id and
+background probability. A term the corpus never saw counts
+``corpus.OOV_COUNT`` through ``CorpusIndex.corpus_freq``, so its
+background probability, and every score, stays finite.
 ``ql_scores`` scores every document in the index against a query, and
 ``rank_documents`` returns the top-k ranking that the passage rerankers
 consume as their candidate pool, in ``evaluation.rank_by_score``'s order
@@ -23,17 +25,13 @@ from .evaluation import rank_by_score
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Collection-interpolation weight for the unigram model, and the
-    corpus frequency that an unseen query term counts with."""
+    """Collection-interpolation weight for the unigram model."""
 
     lambda_c: float = 0.5
-    oov_floor: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.lambda_c < 1.0:
             raise ValueError(f"lambda_c must be in (0, 1), got {self.lambda_c}")
-        if self.oov_floor < 0:
-            raise ValueError(f"oov_floor must be >= 0, got {self.oov_floor}")
 
 
 class QueryContext:
@@ -43,15 +41,7 @@ class QueryContext:
         if query.n_q < 1:
             raise ValueError(f"query {query.query_id!r} has no terms")
         lam = s.lambda_c
-        cf = np.array(
-            [index.corpus_freq(t, s.oov_floor) for t in query.terms],
-            dtype=np.float64,
-        )
-        if np.any(cf <= 0):
-            raise ValueError(
-                f"query {query.query_id!r} has a zero-frequency term under "
-                f"OOV floor {s.oov_floor}; scores would be -inf"
-            )
+        cf = np.array([index.corpus_freq(t) for t in query.terms], dtype=np.float64)
         self.query = query
         self.smoothing = s
         self.ids = index.term_ids(query.terms)

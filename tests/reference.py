@@ -181,7 +181,6 @@ def lm_score(
     doc: Document,
     index: CorpusIndex,
     s: SmoothingConfig,
-    floor: int = 1,
 ) -> float:
     """Smoothed log-likelihood of the query under the span's unigram
     model, with the span's actual length as n."""
@@ -191,13 +190,8 @@ def lm_score(
     lam = s.lambda_c
     total = 0.0
     for t in query.terms:
-        p = (1.0 - lam) * counts.get(t, 0) / span.length + lam * index.corpus_freq(
-            t, floor
-        ) / index.total_len
-        if p <= 0.0:
-            raise ValueError(
-                f"zero probability for term {t!r} (OOV floor {floor})"
-            )
+        p = ((1.0 - lam) * counts.get(t, 0) / span.length
+             + lam * index.corpus_freq(t) / index.total_len)
         total += math.log(p)
     return total
 
@@ -209,7 +203,6 @@ def kernel_score(
     index: CorpusIndex,
     s: SmoothingConfig,
     m_eff: int,
-    floor: int = 1,
 ) -> float:
     """Logarithm-kernel span score: sum_t log(window_tf + b_t), with the
     bias b_t at window size ``m_eff`` (the span's length, for the
@@ -217,7 +210,7 @@ def kernel_score(
     total = 0.0
     for i, t in enumerate(query.terms):
         wc = matrix.window_tf(i, span.start, span.length)
-        b = kernel_bias(index.corpus_freq(t, floor), m_eff, s, index.total_len)
+        b = kernel_bias(index.corpus_freq(t), m_eff, s, index.total_len)
         if wc + b <= 0.0:
             raise ValueError(f"non-positive kernel argument for term {t!r}")
         total += math.log(wc + b)
@@ -457,7 +450,8 @@ def fuse_features(
     """One (query, document) fusion feature vector in documented order,
     from parts that share nothing with ``FeatureExtractor``: the pairwise
     homogeneity, IDF, -ICF and SCQ over cf and D_t counted from the
-    documents' tokens, and the mean of the top ``list_k`` run scores."""
+    documents' tokens (an unseen term counts once), and the mean of the
+    top ``list_k`` run scores."""
     row: list[float] = []
     if settings.feature_set != "query":
         row.extend(homogeneity_pairwise(doc_id, index, settings.hom_filter))
@@ -468,10 +462,9 @@ def fuse_features(
             cf.update(terms)
             df.update(set(terms))
         n_docs, total = len(index.doc_ids), sum(cf.values())
-        floor = max(settings.smoothing.oov_floor, 1)
         bases: list[list[float]] = [[], [], []]
         for t in query.terms:
-            cf_t, df_t = cf.get(t, floor), df.get(t, floor)
+            cf_t, df_t = cf.get(t, 1), df.get(t, 1)
             bases[0].append(math.log((n_docs + 0.5) / df_t) / (n_docs + 1))
             bases[1].append(-math.log(cf_t / total))
             bases[2].append((1.0 + math.log(cf_t)) * math.log(1.0 + n_docs / df_t))

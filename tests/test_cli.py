@@ -871,7 +871,6 @@ class TestErrors:
         assert "--model" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--lambda-c", "0.3"),
-                                            ("--oov-floor", "2"),
                                             ("--passage-size", "50")])
     def test_npm_rejects_model_setting_flags(self, pipeline, tmp_path, capsys,
                                              flag, value):
@@ -1215,7 +1214,6 @@ class TestErrors:
         ("list_k", 2.5, "list_k: expected an integer, got 2.5"),
         ("list_k", True, "list_k: expected an integer, got True"),
         ("list_k", "3", "list_k: expected an integer, got '3'"),
-        ("oov_floor", 1.7, "oov_floor: expected an integer, got 1.7"),
         ("lambda_c", "0.5", "lambda_c: expected a number, got '0.5'"),
     ])
     def test_model_bad_setting(self, pipeline, tmp_path, capsys, key, value,
@@ -1265,10 +1263,30 @@ class TestErrors:
         message = message.format(a=alpha, a1=alpha - 1, b=beta, names=names)
         assert err == f"error: model file {doctored}: {message}\n"
 
-    def test_model_negative_oov_floor(self, pipeline, tmp_path, capsys):
+    def test_legacy_oov_floor_model(self, pipeline, tmp_path):
+        # a model saved while the unseen-term count was a setting: its
+        # "oov_floor": 1, the one count there is now, reranks every field
+        # but the run tag as the model without the key does
+        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
+        model["meta"]["oov_floor"] = 1
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(model))
+        runs = []
+        for path in (pipeline["model_dir"] / "fold_0.json", legacy):
+            out = tmp_path / f"{path.stem}.run"
+            assert main(["rerank", "--index", str(pipeline["index"]),
+                         "--topics", str(pipeline["topics"]),
+                         "--run", str(pipeline["ql_run"]), "--mode", "npm",
+                         "--model", str(path), "--output", str(out)]) == 0
+            runs.append([line.split()[:5] for line in out.read_text().splitlines()])
+        assert runs[0] and runs[0] == runs[1]
+
+    @pytest.mark.parametrize("value", [0, 3, -3, 1.7, "1", True, 1.0])
+    def test_model_oov_floor_other_than_one(self, pipeline, tmp_path, capsys, value):
         doctored, err = self.doctored_model(
-            pipeline, tmp_path, capsys, lambda m: m["meta"].update(oov_floor=-3))
-        assert f"error: model file {doctored}: oov_floor must be >= 0" in err
+            pipeline, tmp_path, capsys, lambda m: m["meta"].update(oov_floor=value))
+        assert err == (f"error: model file {doctored}: oov_floor must be 1 (an unseen "
+                       f"term counts once), got {value!r}\n")
 
     @pytest.mark.parametrize("text", ["[]", "7", "{", "\"model\""])
     def test_model_file_not_a_json_object(self, pipeline, tmp_path, capsys, text):

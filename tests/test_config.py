@@ -117,6 +117,29 @@ class TestConfigFile:
         assert "unrecognized arguments: --pooling mean" in capsys.readouterr().err
         assert not (tmp_path / "models").exists()
 
+    @pytest.mark.parametrize("command", ["retrieve", "rerank", "train"])
+    def test_oov_floor_is_an_unknown_key(self, tmp_path, capsys, command):
+        # an unseen query term counts once; no config or flag can ask otherwise
+        path = tmp_path / "exp.conf"
+        path.write_text("oov_floor = 2\n")
+        with pytest.raises(ValueError, match="unknown config key 'oov_floor'"):
+            read_config_file(path)
+        out = tmp_path / "out"
+        argv = [command, "--index", str(tmp_path), "--topics", str(path), *{
+            "retrieve": ["--output", str(out)],
+            "rerank": ["--run", str(path), "--mode", "msp", "--output", str(out)],
+            "train": ["--qrels", str(path), "--run", str(path), "--output-dir", str(out)],
+        }[command]]
+        assert main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:1: unknown config "
+                                           f"key 'oov_floor'\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--oov-floor", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --oov-floor 2" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, first, second", [
         ("top_k", "5", "30"),
         ("filters", "50,inf", "150,inf"),
@@ -164,7 +187,7 @@ class TestBuildConfig:
         {"filters": ()},
         {"top_k": 0},
         {"folds": 0},
-        {"oov_floor": -1},
+        {"oov_floor": 1},  # no oov_floor key: an unseen term counts once
         {"learning_rate": -0.1},
         {"homogeneity_m": 0},
         {"folds": 2},  # a fold needs a test, a validation and a training fold
@@ -312,21 +335,21 @@ class TestSchema:
         ],
         'retrieve': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
-            '--stoplist', '--top-k', '--lambda-c', '--oov-floor', '--output required',
+            '--stoplist', '--top-k', '--lambda-c', '--output required',
         ],
         'rerank': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
-            '--stoplist', '--passage-size', '--lambda-c', '--oov-floor', '--filters',
+            '--stoplist', '--passage-size', '--lambda-c', '--filters',
             '--top-k', '--run required', '--output required',
             '--mode choices=msp|msp-length|msp-ent|msp-intpsg|msp-docpsg|npm required',
             '--model', '--dump-features',
         ],
         'train': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
-            '--qrels', '--stoplist', '--filters', '--lambda-c', '--oov-floor',
-            '--feature-set', '--homogeneity-m', '--top-k', '--learning-rate',
-            '--batch-size', '--max-epochs', '--patience', '--negatives-per-positive',
-            '--folds', '--run required', '--output-dir required',
+            '--qrels', '--stoplist', '--filters', '--lambda-c', '--feature-set',
+            '--homogeneity-m', '--top-k', '--learning-rate', '--batch-size',
+            '--max-epochs', '--patience', '--negatives-per-positive', '--folds',
+            '--run required', '--output-dir required',
         ],
         'eval': [
             '--config', '--seed', '-v --verbose default=False', '--qrels', '--permutations',
@@ -356,4 +379,4 @@ class TestSchema:
 
     def test_default_fingerprint_is_stable(self):
         # run tags carry the fingerprint: its bytes must not move
-        assert ExperimentConfig().fingerprint() == "d4024feaad"
+        assert ExperimentConfig().fingerprint() == "fc54fede6b"

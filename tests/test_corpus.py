@@ -102,7 +102,6 @@ class TestIndex:
 
     def test_oov_statistics_floor(self, tiny_index):
         assert tiny_index.corpus_freq("nope") == 1
-        assert tiny_index.corpus_freq("nope", floor=3) == 3
         assert tiny_index.doc_freq("nope") == 1
 
     def test_term_ids_marks_oov(self, tiny_index):

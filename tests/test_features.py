@@ -37,8 +37,8 @@ from reference import fuse_features, list_feature
 FILTERS = (FilterSpec(50, 25), FilterSpec(150, 75), FilterSpec.whole_document())
 
 
-def score_settings(feature_set, hom_filter, list_k=2000, oov_floor=1):
-    return ScoreSettings(FILTERS, SmoothingConfig(0.5, oov_floor), feature_set,
+def score_settings(feature_set, hom_filter, list_k=2000):
+    return ScoreSettings(FILTERS, SmoothingConfig(0.5), feature_set,
                          hom_filter, list_k)
 
 
@@ -250,7 +250,7 @@ class TestScoreSettings:
     @pytest.mark.parametrize("pooling", ["max", "mean"])
     @pytest.mark.parametrize("feature_set", FEATURE_SETS)
     def test_model_file_round_trip(self, tmp_path, feature_set, pooling):
-        want = ScoreSettings(FILTERS, SmoothingConfig(0.3, 2), feature_set,
+        want = ScoreSettings(FILTERS, SmoothingConfig(0.3), feature_set,
                              None if feature_set == "query" else FilterSpec(40, 10), 7)
         path = tmp_path / "model.json"
         assert "pooling" not in want.meta()
@@ -309,10 +309,10 @@ class TestFeatureNamesAndExtractor:
     @pytest.mark.parametrize("feature_set", FEATURE_SETS)
     def test_matrix_matches_fuse_features(self, small_random_index, feature_set):
         idx = small_random_index
-        # a repeated term, and one the corpus lacks, which counts with the floor
+        # a repeated term, and one the corpus lacks, which counts once
         q = Query("q", ("t3", "t1", "t3", "unseen"))
         hom = None if feature_set == "query" else FilterSpec(10, 4)
-        s = score_settings(feature_set, hom, list_k=5, oov_floor=3)
+        s = score_settings(feature_set, hom, list_k=5)
         run_scores = [-float(i % 7) - 0.25 * i for i in range(len(idx.doc_ids))]
         H = FeatureExtractor(idx, s).matrix(q, idx.doc_ids, run_scores)
         want = np.array([fuse_features(q, d, idx, s, run_scores) for d in idx.doc_ids])

@@ -108,6 +108,18 @@ class TestEdgeCases:
             (0, 10), (4, 10), (8, 10), (12, 10), (13, 10)]
         assert_matches_oracle(index, index.doc_ids, f)
 
+    @pytest.mark.parametrize("shortest, longest", [(9_170, 20_000), (19_143, 30_000),
+                                                   (100, 19_143)])
+    def test_length_extremes_are_exact(self, shortest, longest):
+        # np.log and math.log disagree by an ulp at 9,170 and 19,143
+        # tokens; one log for the corpus extremes and the document keeps
+        # h_length exactly 1 at the shortest and 0 at the longest
+        index = build_index([Document("short", ("a",) * shortest),
+                             Document("long", ("a", "b") * (longest // 2))])
+        f = FilterSpec(50, 25)
+        assert homogeneity("short", index, f, ("length",))[0] == 1.0
+        assert homogeneity("long", index, f, ("length",))[0] == 0.0
+
 
 def assert_kinds_match_full_row(index, doc_id, f, orders=ORDERED_KINDS):
     full = homogeneity(doc_id, index, f)

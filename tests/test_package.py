@@ -63,6 +63,32 @@ def test_only_accel_names_the_lm_span_kernel():
     assert callable(importlib.import_module("passagerank._accel").lm_span_scores)
 
 
+def test_only_corpus_sets_the_unseen_term_count():
+    """An unseen query term counts ``corpus.OOV_COUNT`` in every scorer
+    and query feature: no module other than ``corpus`` names that
+    constant, every ``corpus_freq``/``doc_freq`` call passes the term
+    alone, and ``oov_floor``, the setting the count once was, is named
+    only where ``ScoreSettings.from_model`` checks a legacy model."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        legacy = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) in ("corpus_freq", "doc_freq"):
+                if len(node.args) != 1 or node.keywords:
+                    found.append(f"{path.name}:{node.lineno}")
+            elif "OOV_COUNT" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                if path.name != "corpus.py":
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.FunctionDef) and node.name == "from_model":
+                legacy |= set(range(node.lineno, node.end_lineno + 1))
+        found += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
+                  if re.search("oov[_-]floor", line) and i not in legacy]
+    assert found == []
+
+
 def package_imports() -> dict[str, set[str]]:
     """Each module's package imports: the modules its ``from .x import``
     and ``from . import x`` statements name, inside any block too."""

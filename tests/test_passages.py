@@ -245,10 +245,6 @@ class TestQueryContext:
         with pytest.raises(ValueError):
             QueryContext(Query("q", ()), tiny_index, S05)
 
-    def test_zero_floor_oov_raises(self, tiny_index):
-        with pytest.raises(ValueError):
-            QueryContext(Query("q", ("missing",)), tiny_index, SmoothingConfig(0.5, 0))
-
     def test_background_and_bias(self, tiny_index):
         ctx = QueryContext(Query("q", ("a",)), tiny_index, S05)
         assert ctx.background[0] == pytest.approx(0.5 * 4 / 10, rel=1e-12)

@@ -12,11 +12,11 @@ from reference import index_document
 S05 = SmoothingConfig(0.5)
 
 
-def brute_ql(query, doc, index, lam, floor=1):
+def brute_ql(query, doc, index, lam):
     total = 0.0
     for t in query.terms:
         tf = doc.terms.count(t)
-        cf = index.corpus_freq(t, floor)
+        cf = index.corpus_freq(t)
         total += math.log((1 - lam) * tf / doc.n_d + lam * cf / index.total_len)
     return total
 
@@ -38,19 +38,13 @@ class TestQlScores:
         i = tiny_index.doc_index("d1")
         assert scores[i] == pytest.approx(math.log(8 / 15), rel=1e-12)
 
-    def test_oov_floor_comes_from_the_smoothing(self, small_random_index):
+    def test_unseen_term_counts_once(self, small_random_index):
+        # an unseen term adds log(lambda_c * 1 / |C|) to every document
         idx = small_random_index
-        q = Query("q", ("t1", "zz"))
-        scores = ql_scores(q, idx, SmoothingConfig(0.5, 3))
-        for i, doc_id in enumerate(idx.doc_ids[:5]):
-            ref = brute_ql(q, index_document(idx, doc_id), idx, 0.5, floor=3)
-            assert scores[i] == pytest.approx(ref, rel=1e-12)
-        with pytest.raises(ValueError, match="OOV floor 0"):
-            ql_scores(q, idx, SmoothingConfig(0.5, 0))
-
-    def test_negative_oov_floor_rejected(self):
-        with pytest.raises(ValueError, match="oov_floor must be >= 0"):
-            SmoothingConfig(0.5, -1)
+        with_unseen = ql_scores(Query("q", ("t1", "zz")), idx, S05)
+        without = ql_scores(Query("q", ("t1",)), idx, S05)
+        np.testing.assert_allclose(with_unseen - without,
+                                   math.log(0.5 / idx.total_len), rtol=1e-12)
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
