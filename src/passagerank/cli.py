@@ -53,8 +53,6 @@ _FLAG_DEFS: dict[str, dict] = {
     "lambda_c": dict(metavar="F", help="smoothing weight in (0,1)"),
     "top_k": dict(metavar="N", help="initial retrieval depth"),
     "feature_set": dict(metavar="|".join(FEATURE_SETS), help="fusion feature toggles"),
-    "homogeneity_m": dict(metavar="M", help="passage size for homogeneity features "
-                                            "(default: smallest finite filter)"),
     "passage_size": dict(metavar="M", help="window size for msp modes"),
     "learning_rate": dict(metavar="F", help="SGD step size"),
     "batch_size": dict(metavar="N", help="triples per SGD step"),
@@ -133,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("train", "cross-validated training of the fusion model")
     _add_flags(p, "index", "topics", "qrels", "stoplist", "filters",
-               "lambda_c", "feature_set",
-               "homogeneity_m", "top_k", "learning_rate", "batch_size",
+               "lambda_c", "feature_set", "top_k", "learning_rate", "batch_size",
                "max_epochs", "patience", "negatives_per_positive", "folds")
     p.add_argument("--run", required=True, metavar="RUN",
                    help="initial run supplying candidates and the list feature")
@@ -268,12 +265,13 @@ def cmd_rerank(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    settings = cfg.score_settings()
     require(cfg, "index", "topics", "qrels")
     index = load_index(cfg.index)
     qrels = read_qrels(cfg.qrels)
     run_in = read_run(args.run)
     queries = _queries_in_run(cfg, run_in)
-    results = npm_train(queries, run_in, qrels, index, cfg.score_settings(),
+    results = npm_train(queries, run_in, qrels, index, settings,
                         cfg.train_config(), {"config_fingerprint": cfg.fingerprint()})
     save_training(args.output_dir, results)
 

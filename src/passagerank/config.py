@@ -37,7 +37,6 @@ class ExperimentConfig:
     lambda_c: float = SmoothingConfig.lambda_c
     top_k: int = 2000
     feature_set: str = "doc+query"
-    homogeneity_m: int | None = None  # None: smallest finite filter
     passage_size: int = 50
     learning_rate: float = TrainConfig.learning_rate
     batch_size: int = TrainConfig.batch_size
@@ -47,14 +46,6 @@ class ExperimentConfig:
     folds: int = TrainConfig.folds
     permutations: int = 100_000
     seed: int = TrainConfig.seed
-
-    def homogeneity_filter(self) -> FilterSpec:
-        if self.homogeneity_m is not None:
-            return FilterSpec.window(self.homogeneity_m)
-        finite = [f for f in self.filters if not f.is_infinite]
-        if not finite:
-            raise ValueError("no finite filter configured; set homogeneity_m explicitly")
-        return min(finite, key=lambda f: f.m)
 
     def fingerprint(self) -> str:
         """Short hash over every knob that can affect computed outputs.
@@ -82,8 +73,17 @@ class ExperimentConfig:
         return SmoothingConfig(self.lambda_c)
 
     def score_settings(self) -> ScoreSettings:
-        """The candidate scoring settings that train records in each model."""
-        hom = self.homogeneity_filter() if self.feature_set != "query" else None
+        """The candidate scoring settings that train records in each model;
+        document features measure homogeneity over the smallest finite
+        filter, with its own stride."""
+        hom = None
+        if self.feature_set != "query":
+            finite = [f for f in self.filters if not f.is_infinite]
+            if not finite:
+                raise ValueError("document features measure homogeneity over a finite "
+                                 "filter: add one to --filters, or use "
+                                 "--feature-set query")
+            hom = min(finite, key=lambda f: f.m)
         return ScoreSettings(self.filters, self.smoothing(), self.feature_set, hom,
                              self.top_k)
 
@@ -175,12 +175,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("top_k", "permutations"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
-    for name in ("passage_size", "homogeneity_m"):
-        if getattr(cfg, name) is not None:
-            try:
-                FilterSpec.window(getattr(cfg, name))
-            except ValueError as e:
-                raise ValueError(f"{name}: {e}") from None
+    try:
+        FilterSpec.window(cfg.passage_size)
+    except ValueError as e:
+        raise ValueError(f"passage_size: {e}") from None
 
 
 def require_set(cfg: ExperimentConfig, *keys: str) -> None:

@@ -548,14 +548,14 @@ def read_topics(
         if num_m is None:
             raise CorpusError(f"{path}: topic record #{ordinal} has no num field")
         qid = num_m.group(1).strip()
+        if qid in seen:  # whatever the stoplist leaves of either title
+            raise CorpusError(f"{path}: duplicate topic number {qid}")
+        seen.add(qid)
         title_m = _TITLE_RE.search(record)
         terms = tuple(tokenize(title_m.group(1) if title_m else "", stopwords))
         if not terms:
             log.warning("skipping topic %s: empty title after tokenization", qid)
             continue
-        if qid in seen:
-            raise CorpusError(f"{path}: duplicate topic number {qid}")
-        seen.add(qid)
         queries.append(Query(qid, terms))
     if not queries:
         raise CorpusError(f"{path}: no usable topics found")

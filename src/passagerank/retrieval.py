@@ -4,7 +4,8 @@ Every scorer smooths with one Jelinek-Mercer model: ``SmoothingConfig``
 holds its weight lambda_c, ``QueryContext`` each query term's id and
 background probability. A term the corpus never saw counts
 ``corpus.OOV_COUNT`` through ``CorpusIndex.corpus_freq``, so its
-background probability, and every score, stays finite.
+background probability, and every score, stays finite; a lambda_c so
+small that a background probability underflows to 0 is refused.
 ``ql_scores`` scores every document in the index against a query, and
 ``rank_documents`` returns the top-k ranking that the passage rerankers
 consume as their candidate pool, in ``evaluation.rank_by_score``'s order
@@ -47,6 +48,10 @@ class QueryContext:
         self.ids = index.term_ids(query.terms)
         self.bias_coeff = lam * cf / ((1.0 - lam) * index.total_len)
         self.background = lam * cf / index.total_len
+        if not self.background.all():  # a subnormal lambda_c underflows to 0
+            term = query.terms[int(np.argmin(self.background))]
+            raise ValueError(f"lambda_c {lam!r} gives query term {term!r} a background "
+                             f"probability of 0; use a larger lambda_c")
 
 
 def ql_scores(

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -36,7 +37,7 @@ from passagerank import (
     save_training,
     write_run,
 )
-from passagerank.cli import main
+from passagerank.cli import RERANK_MODES, main
 from passagerank.features import HOMOGENEITY_NAMES
 from conftest import corrupt_index_file, planted_corpus, rewrite_index_file, set_first
 
@@ -517,6 +518,100 @@ def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
         assert values[:4] == [format(x, ".12g") for x in extractor.doc_block(doc_id)]
     meta = json.loads((models / "fold_0.json").read_text())["meta"]
     assert meta["homogeneity_filter"] == "50:10" and "homogeneity_m" not in meta
+
+
+def test_whole_document_alone_trains_query_features(pipeline, tmp_path):
+    """Query features need no homogeneity window, so the whole document
+    may be the one filter; its softmax gate is the constant 1."""
+    models = tmp_path / "models"
+    common = ["--index", str(pipeline["index"]), "--topics", str(pipeline["topics"]),
+              "--run", str(pipeline["ql_run"])]
+    assert main(["train", "--config", str(pipeline["conf"]), *common,
+                 "--qrels", str(pipeline["qrels"]), "--filters", "inf",
+                 "--feature-set", "query", "--output-dir", str(models)]) == 0
+    model = json.loads((models / "fold_0.json").read_text())
+    assert model["meta"]["homogeneity_filter"] is None
+    assert main(["rerank", *common, "--mode", "npm", "--model", str(models),
+                 "--output", str(tmp_path / "npm.run")]) == 0
+    assert set(read_run(tmp_path / "npm.run")) == set(read_run(pipeline["ql_run"]))
+
+
+def edge_shape_inputs(root: Path) -> int:
+    """A corpus of the shapes the planted one never has, for m = 50:
+    documents of 49, 50 and 51 tokens, a one-token and an empty document,
+    and an exact duplicate under another docno; topics whose terms are
+    all unseen, whose title is only a stopword, that no qrels judge, or
+    whose candidates are all relevant; qrels graded 0 to 3."""
+    rng = random.Random(12)
+    background = [f"b{i}" for i in range(30)]
+
+    def text(n, planted=()):
+        terms = rng.choices(background, k=n)
+        for at, term in zip(rng.sample(range(n), len(planted)), planted):
+            terms[at] = term
+        return tuple(terms)
+
+    docs, qrels = [], {}
+    lengths = [49, 50, 51, 120, 300]
+    for q in range(1, 7):
+        pair = (f"t{q}a", f"t{q}b")
+        for k in range(3):  # both terms: relevant, graded 1 to 3
+            doc_id = f"d{q}r{k}"
+            docs.append(Document(doc_id, text(lengths[(q + k) % 5], pair)))
+            qrels.setdefault(str(q), {})[doc_id] = 1 + (q + k) % 3
+        for k in range(2):  # one term: judged non-relevant
+            doc_id = f"d{q}n{k}"
+            docs.append(Document(doc_id, text(lengths[(q + k + 3) % 5], pair[k:k + 1])))
+            qrels[str(q)][doc_id] = 0
+    docs += [Document("one", ("t1a",)), Document("empty", ()),
+             Document("dup", docs[0].terms)]
+    # 7: unjudged; 8: every candidate relevant; 9: no term in the corpus;
+    # 10: only a stopword, so read_topics skips it
+    qrels["8"] = {d.doc_id: 1 + i % 3 for i, d in enumerate(docs) if d.terms}
+    queries = [Query(str(q), (f"t{q}a", f"t{q}b")) for q in range(1, 7)]
+    queries += [Query("7", ("t1a", "t2b")), Query("8", ("b1",)),
+                Query("9", ("unseen", "never")), Query("10", ("the",))]
+    write_trectext(root / "corpus.trectext", docs)
+    write_topics(root / "topics.txt", queries)
+    write_qrels(root / "qrels.txt", qrels)
+    (root / "stop.txt").write_text("the\n")
+    return len([d for d in docs if d.terms])
+
+
+def test_every_command_runs_on_edge_shapes(tmp_path):
+    """Every command exits 0 on edge-shaped inputs, and every rerank run
+    holds every query of the first-stage run with its candidate set."""
+    num_docs = edge_shape_inputs(tmp_path)
+    data = ["--index", str(tmp_path / "index"), "--topics", str(tmp_path / "topics.txt"),
+            "--stoplist", str(tmp_path / "stop.txt")]
+    ql, models = tmp_path / "ql.run", tmp_path / "models"
+    assert main(["index", "--corpus", str(tmp_path / "corpus.trectext"),
+                 "--index", str(tmp_path / "index"),
+                 "--stoplist", str(tmp_path / "stop.txt")]) == 0
+    assert main(["retrieve", *data, "--top-k", str(num_docs + 5),
+                 "--output", str(ql)]) == 0
+    candidates = {qid: sorted(d for d, _ in pairs) for qid, pairs in read_run(ql).items()}
+    assert sorted(candidates, key=int) == [str(q) for q in range(1, 10)]
+    assert all(len(docs) == num_docs for docs in candidates.values())
+    assert main(["train", *data, "--qrels", str(tmp_path / "qrels.txt"), "--run", str(ql),
+                 "--learning-rate", "0.5", "--batch-size", "16", "--max-epochs", "3",
+                 "--patience", "2", "--negatives-per-positive", "2", "--folds", "3",
+                 "--output-dir", str(models)]) == 0
+    runs = {mode: ["--mode", mode] for mode in RERANK_MODES if mode != "npm"}
+    runs["npm"] = ["--mode", "npm", "--model", str(models),
+                   "--dump-features", str(tmp_path / "features.tsv")]
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.run"
+        assert main(["rerank", *data, "--run", str(ql), *flags, "--output", str(out)]) == 0
+        assert {qid: sorted(d for d, _ in pairs)
+                for qid, pairs in read_run(out).items()} == candidates, name
+    fold_0 = str(models / "fold_0.json")
+    assert main(["rerank", *data, "--run", str(ql), "--mode", "npm", "--model", fold_0,
+                 "--output", str(tmp_path / "npm-fold0.run")]) == 0
+    assert main(["weights", *data, "--model", fold_0, "--run", str(ql)]) == 0
+    assert main(["eval", "--qrels", str(tmp_path / "qrels.txt"),
+                 "--run", str(tmp_path / "npm.run"), "--baseline", str(ql),
+                 "--csv", str(tmp_path / "eval.csv")]) == 0
 
 
 def test_held_out_npm_reranks_the_queries_training_dropped(pipeline, tmp_path, capsys):
@@ -1088,8 +1183,7 @@ class TestErrors:
     @pytest.mark.parametrize("flags", [
         ["rerank", "--mode", "msp", "--passage-size", HUGE, "--output"],
         ["train", "--filters", f"{HUGE},inf", "--output-dir"],
-        ["train", "--homogeneity-m", HUGE, "--output-dir"],
-    ], ids=["passage-size", "filters", "homogeneity-m"])
+    ], ids=["passage-size", "filters"])
     def test_oversized_window(self, pipeline, tmp_path, capsys, flags):
         # at 2**63 the window no longer fits the kernels' int64 positions
         out = tmp_path / "out"
@@ -1109,13 +1203,12 @@ class TestErrors:
          f"passage_size: window length must be < 2**62, got {2**62}"),
         (["rerank", "--mode", "msp", "--passage-size", "0", "--output"],
          "passage_size: window length must be >= 1, got 0"),
-        (["train", "--homogeneity-m", str(2**62), "--output-dir"],
-         f"homogeneity_m: window length must be < 2**62, got {2**62}"),
-        (["train", "--homogeneity-m", "-3", "--output-dir"],
-         "homogeneity_m: window length must be >= 1, got -3"),
+        (["train", "--filters", "inf", "--output-dir"],
+         "document features measure homogeneity over a finite filter: add one to "
+         "--filters, or use --feature-set query"),
         (["rerank", "--mode", "npm", "--output"], "npm mode requires --model"),
-    ], ids=["passage-size-huge", "passage-size-0", "homogeneity-m-huge",
-            "homogeneity-m-negative", "npm-without-model"])
+    ], ids=["passage-size-huge", "passage-size-0", "no-finite-filter",
+            "npm-without-model"])
     def test_window_key_checked_before_inputs(self, tmp_path, capsys, flags, message):
         # no input exists: the flag's error comes first, not a missing path
         missing, out = tmp_path / "missing", tmp_path / "out"
@@ -1125,6 +1218,44 @@ class TestErrors:
         rc = main([*flags[:-1], *inputs, flags[-1], str(out)])
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    UNDERFLOW = (r"error: lambda_c 1e-323 gives query term '\w+' a background "
+                 r"probability of 0; use a larger lambda_c\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["retrieve", "--output"],
+        ["rerank", "--mode", "msp", "--output"],
+        ["rerank", "--mode", "msp-ent", "--output"],
+        ["train", "--output-dir"],
+    ], ids=["retrieve", "msp", "msp-ent", "train"])
+    def test_underflowing_lambda_c(self, pipeline, tmp_path, capsys, flags):
+        # 1e-323 is inside (0, 1), but lambda_c * cf / |C| rounds to 0,
+        # whose log would write -inf scores that read_run rejects
+        out = tmp_path / "out"
+        inputs = ["--index", str(pipeline["index"]), "--topics", str(pipeline["topics"])]
+        if flags[0] != "retrieve":
+            inputs += ["--run", str(pipeline["ql_run"])]
+        if flags[0] == "train":
+            inputs += ["--config", str(pipeline["conf"]), "--qrels", str(pipeline["qrels"])]
+        argv = [*flags[:-1], *inputs, flags[-1], str(out)]
+        assert main([*argv, "--lambda-c", "1e-323"]) == 2 and not out.exists()
+        assert re.fullmatch(self.UNDERFLOW, capsys.readouterr().err)
+        if flags[0] != "train":  # the smallest normal weights still score
+            assert main([*argv, "--lambda-c", "1e-300"]) == 0
+            run = read_run(out)
+            assert set(run) == set(read_run(pipeline["ql_run"]))
+
+    def test_model_underflowing_lambda_c(self, pipeline, tmp_path, capsys):
+        # weights reads no language model, so only npm scoring must refuse
+        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
+        model["meta"]["lambda_c"] = 1e-323
+        doctored, out = tmp_path / "fold_0.json", tmp_path / "x.run"
+        doctored.write_text(json.dumps(model))
+        assert main(["rerank", "--index", str(pipeline["index"]),
+                     "--topics", str(pipeline["topics"]), "--run", str(pipeline["ql_run"]),
+                     "--mode", "npm", "--model", str(doctored),
+                     "--output", str(out)]) == 2 and not out.exists()
+        assert re.fullmatch(self.UNDERFLOW, capsys.readouterr().err)
 
     @staticmethod
     def doctored_model(pipeline, tmp_path, capsys, edit, *flags):

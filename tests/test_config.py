@@ -140,6 +140,25 @@ class TestConfigFile:
         assert "unrecognized arguments: --oov-floor 2" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_homogeneity_m_is_an_unknown_key(self, tmp_path, capsys):
+        # homogeneity is measured over the smallest finite filter; no
+        # config or flag picks another window
+        path = tmp_path / "exp.conf"
+        path.write_text("homogeneity_m = 50\n")
+        with pytest.raises(ValueError, match="unknown config key 'homogeneity_m'"):
+            read_config_file(path)
+        common = ["--index", str(tmp_path), "--topics", str(path), "--qrels", str(path),
+                  "--run", str(path), "--output-dir", str(tmp_path / "models")]
+        assert main(["train", "--config", str(path), *common]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:1: unknown config "
+                                           f"key 'homogeneity_m'\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", *common, "--homogeneity-m", "50"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --homogeneity-m 50" in err and "Traceback" not in err
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("key, first, second", [
         ("top_k", "5", "30"),
         ("filters", "50,inf", "150,inf"),
@@ -189,7 +208,7 @@ class TestBuildConfig:
         {"folds": 0},
         {"oov_floor": 1},  # no oov_floor key: an unseen term counts once
         {"learning_rate": -0.1},
-        {"homogeneity_m": 0},
+        {"homogeneity_m": 50},  # no homogeneity_m key: the smallest finite filter
         {"folds": 2},  # a fold needs a test, a validation and a training fold
         {"learning_rate": float("nan")},
     ])
@@ -199,18 +218,30 @@ class TestBuildConfig:
 
 
 class TestSmallestFiniteFilter:
+    """Document features measure homogeneity over the smallest finite
+    filter, with its own stride; no setting picks another window."""
+
     def test_picks_min_window(self):
         cfg = build_config()
-        assert cfg.homogeneity_filter().m == 50
+        assert cfg.score_settings().hom_filter == FilterSpec(50, 25)
 
-    def test_explicit_override(self):
-        cfg = build_config(None, {"homogeneity_m": 30})
-        assert cfg.homogeneity_filter() == FilterSpec.window(30)
+    def test_keeps_the_filters_stride(self):
+        cfg = build_config(None, {"filters": parse_filters("150,inf,40:10,60:5")})
+        assert cfg.score_settings().hom_filter == FilterSpec(40, 10)
 
-    def test_all_infinite_needs_explicit(self):
-        cfg = build_config(None, {"filters": parse_filters("inf")})
-        with pytest.raises(ValueError, match="homogeneity_m"):
-            cfg.homogeneity_filter()
+    def test_query_features_take_no_window(self):
+        cfg = build_config(None, {"filters": parse_filters("inf"),
+                                  "feature_set": "query"})
+        assert cfg.score_settings().hom_filter is None
+
+    @pytest.mark.parametrize("feature_set", ["doc", "doc+query"])
+    def test_all_infinite_needs_a_finite_filter(self, feature_set):
+        cfg = build_config(None, {"filters": parse_filters("inf"),
+                                  "feature_set": feature_set})
+        with pytest.raises(ValueError, match=r"^document features measure homogeneity "
+                                             r"over a finite filter: add one to "
+                                             r"--filters, or use --feature-set query$"):
+            cfg.score_settings()
 
 
 class TestFingerprint:
@@ -347,8 +378,8 @@ class TestSchema:
         'train': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
             '--qrels', '--stoplist', '--filters', '--lambda-c', '--feature-set',
-            '--homogeneity-m', '--top-k', '--learning-rate', '--batch-size',
-            '--max-epochs', '--patience', '--negatives-per-positive', '--folds',
+            '--top-k', '--learning-rate', '--batch-size', '--max-epochs', '--patience',
+            '--negatives-per-positive', '--folds',
             '--run required', '--output-dir required',
         ],
         'eval': [
@@ -379,4 +410,4 @@ class TestSchema:
 
     def test_default_fingerprint_is_stable(self):
         # run tags carry the fingerprint: its bytes must not move
-        assert ExperimentConfig().fingerprint() == "fc54fede6b"
+        assert ExperimentConfig().fingerprint() == "d1beb387d8"

@@ -550,6 +550,16 @@ class TestTopics:
         with pytest.raises(CorpusError, match="duplicate"):
             read_topics(f)
 
+    @pytest.mark.parametrize("stopwords", [frozenset(), frozenset({"the"})])
+    def test_duplicate_num_raises_whatever_the_stoplist(self, tmp_path, stopwords):
+        # the first title is empty once "the" is stopped; the number is
+        # still taken
+        f = tmp_path / "topics.txt"
+        f.write_text("<top><num>1</num><title>the</title></top>"
+                     "<top><num>1</num><title>alpha</title></top>", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{f}: duplicate topic number 1$"):
+            read_topics(f, stopwords)
+
     def test_unicode_folds_onto_ascii_do_not_apply(self, tmp_path):
         # as for text tags, a field name or prefix holding one of these
         # code points is not read as the ASCII one it folds onto, while

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import importlib.util
 import inspect
 import io
@@ -10,7 +11,8 @@ import sys
 from pathlib import Path
 
 import passagerank
-from passagerank import msp_rank
+from passagerank import ExperimentConfig, msp_rank
+from passagerank.cli import _FLAG_DEFS
 
 SRC = Path(passagerank.__file__).parent
 ROOT = Path(__file__).parents[1]
@@ -181,3 +183,18 @@ def test_readme_library_example_runs():
     assert out.getvalue().split("\n") == ["ql 0.5", "msp 1.0", "npm 1.0", ""]
     for line in out.getvalue().splitlines():
         assert f"`{line}`" in section
+
+
+def test_readme_config_table_lists_every_key():
+    """README's Configuration table names every config key but the five
+    storage paths, each once, and every key has one flag definition; a
+    deleted key cannot keep its row."""
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(_FLAG_DEFS) == keys
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    assert rows, "no Configuration table in README.md"
+    named = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    storage = {"corpus", "index", "topics", "qrels", "stoplist"}
+    assert sorted(named) == sorted(set(keys) - storage)
