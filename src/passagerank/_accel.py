@@ -1,17 +1,18 @@
-"""Window filters and the hot scoring kernels, batched per query.
+"""Window filters and the hot scoring kernel, batched per query.
 
-One kernel carries nearly all of the reranking cost: per-filter best-span
-scores, the inner loop of every passage ranker. Each call scores
-one query's candidates at once: their token ids concatenated into
-``tokens`` and their lengths in ``lengths`` (the CSR layout of the
-stored postings). ``lm_span_scores``, the per-span LM form of the same
-scores, has no production caller (see its docstring).
+One computation carries nearly all of the reranking cost: every span's
+smoothed unigram LM score (eq. 1), the inner loop of every passage
+ranker. ``kernel_filter_scores`` max-pools them per filter and
+``lm_span_scores`` returns them unpooled. Each call scores one query's
+candidates at once: their token ids concatenated into ``tokens`` and
+their lengths in ``lengths`` (the CSR layout of the stored postings).
 
 A window's matches of a query term are counted from the term's sorted
 match positions, with two ``searchsorted`` calls over the spans of every
 document, and each document keeps its best span score with ``reduceat``.
 Per-term logs are summed in query-term order, so a batch gives bitwise
-the same scores as one call per document.
+the same scores as one call per document, and the whole-document score
+is bitwise ``retrieval.ql_scores``.
 
 A window filter is a ``FilterSpec`` (m, tau), and the kernels take its
 two ints. The whole document, label ``inf``, is the window m = tau =
@@ -93,7 +94,12 @@ def parse_filters(text: str) -> tuple[FilterSpec, ...]:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     if not parts:
         raise ValueError("filter list is empty")
-    specs = tuple(parse_filter_label(p) for p in parts)
+    return distinct_filters(parse_filter_label(p) for p in parts)
+
+
+def distinct_filters(specs) -> tuple[FilterSpec, ...]:
+    """``specs`` as a tuple; a filter listed twice is refused."""
+    specs = tuple(specs)
     for i, f in enumerate(specs):
         if f in specs[:i]:
             raise ValueError(f"filter {f.label} is listed twice")
@@ -152,41 +158,39 @@ def _batch_lengths(tokens, lengths):
     return lengths
 
 
-def kernel_filter_scores(tokens, query_ids, bias_coeff, ms, taus, lengths):
-    """(D, F) best-span log-kernel scores: one row per document of the
-    batch, one column per window filter (ms[f], taus[f]).
+def _span_scores(positions, background, one_minus_lam, lengths, m, tau):
+    """Span scores of window (m, tau) over a batch, and each document's
+    first span among them. Span score, in ``retrieval.ql_scores``' order:
+    sum_i log(one_minus_lam * window_count_i / n + background[i]), n the
+    span's length; background[i] folds the smoothing weight in."""
+    starts, ends, _, offsets = span_grid(lengths, m, tau)
+    wc = window_counts(positions, starts, ends)
+    n = (ends - starts).astype(np.float64)
+    return _sum_terms(np.log(one_minus_lam * wc / n + background[:, np.newaxis])), offsets
 
-    Span score: sum_i log(window_count_i + bias_coeff[i] * n) with n the
-    span's length; a document's score is the MAX over its spans.
-    """
+
+def kernel_filter_scores(tokens, query_ids, background, ms, taus, one_minus_lam,
+                         lengths):
+    """(D, F) best-span scores: one row per document of the batch, one
+    column per window filter (ms[f], taus[f])."""
     lengths = _batch_lengths(tokens, lengths)
     positions = match_positions(tokens, query_ids)
     out = np.empty((lengths.shape[0], ms.shape[0]), dtype=np.float64)
     for f in range(ms.shape[0]):
-        starts, ends, _, offsets = span_grid(lengths, int(ms[f]), int(taus[f]))
-        n = (ends - starts).astype(np.float64)
-        wc = window_counts(positions, starts, ends)
-        spans = _sum_terms(np.log(wc + bias_coeff[:, np.newaxis] * n))
+        spans, offsets = _span_scores(positions, background, one_minus_lam, lengths,
+                                      int(ms[f]), int(taus[f]))
         out[:, f] = np.maximum.reduceat(spans, offsets)
     return out
 
 
 def lm_span_scores(tokens, query_ids, background, one_minus_lam, m, tau, lengths):
-    """Span LM scores of every document of the batch, concatenated in
+    """Span scores of every document of the batch, concatenated in
     document order; ``span_layout`` gives where each document's spans
-    start.
-
-    Span score: sum_i log(one_minus_lam * window_count_i / n + background[i])
-    with n the span's length; background[i] already folds the smoothing
-    weight into the collection probability.
-
-    No ranker calls it. It stays as the tests' independent LM oracle and
-    as a target the benchmark's tracer patches by name.
-    """
-    starts, ends, _, _ = span_grid(_batch_lengths(tokens, lengths), m, tau)
-    wc = window_counts(match_positions(tokens, query_ids), starts, ends)
-    n = (ends - starts).astype(np.float64)
-    return _sum_terms(np.log(one_minus_lam * wc / n + background[:, np.newaxis]))
+    start. No ranker calls it: it stays for the tests, and as a target
+    the benchmark's tracer patches by name."""
+    lengths = _batch_lengths(tokens, lengths)
+    return _span_scores(match_positions(tokens, query_ids), background,
+                        one_minus_lam, lengths, m, tau)[0]
 
 
 def backend_name() -> str:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._accel import FilterSpec, parse_filter_label
+from ._accel import FilterSpec, distinct_filters, parse_filter_label
 
 MODEL_FORMAT = "passagerank-fusion"
 MODEL_VERSION = 1
@@ -186,7 +186,7 @@ class FusionModel:
 
         try:
             return cls(
-                filters=[parse_filter_label(s) for s in raw["filters"]],
+                filters=distinct_filters(parse_filter_label(s) for s in raw["filters"]),
                 feature_names=raw["feature_names"],
                 W=np.array(json_numbers(raw["W"], "W"), dtype=np.float64),
                 b=json_numbers(raw["b"], "b"),

@@ -1,23 +1,18 @@
-"""Window passages, the logarithm scoring kernel, and passage rankers.
+"""Window passages, their LM scores, and passage rankers.
 
 A window filter (m, tau) slides over a document of length L and yields
 overlapping spans of length min(m, L), the last one ending the document
 (``_accel.span_layout``). The whole-document filter ``inf`` is the
 window m = tau = 2**62, so each document is its one span. The rankers
-score every span with the logarithm kernel
-
-    sum_t log(window_tf + b_t),   b_t = lambda_c * n * cf_t
-                                        / ((1 - lambda_c) * |C|)
-
-which equals its smoothed unigram LM score (the form the tests check)
+score every span n tokens long by its smoothed unigram LM (eq. 1)
 
     sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
 
-plus n_q * log(n / (1 - lambda_c)) on a span of length n. A document
-scores its best span under each filter; ``score_tokens`` stacks these
-per-filter scores, one column per filter. ``msp_rank`` ranks by the
-column of one window, optionally mixed by homogeneity with
-``retrieval.ql_scores``.
+A document scores its best span under each filter; ``score_tokens``
+stacks these per-filter scores, one column per filter, and its
+whole-document column is ``retrieval.ql_scores`` bitwise. ``msp_rank``
+ranks by the column of one window, optionally mixed by homogeneity
+with the whole-document column.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from . import _accel, features
 from ._accel import FilterSpec
 from .corpus import CorpusIndex, Query
 from .evaluation import rank_by_score
-from .retrieval import QueryContext, SmoothingConfig, ql_scores
+from .retrieval import QueryContext, SmoothingConfig
 
 HOMOGENEITY_KINDS = ("none", *features.HOMOGENEITY_KINDS)
 
@@ -47,21 +42,15 @@ def score_tokens(
     filters: Sequence[FilterSpec],
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """Per-filter best-span scores of a batch on the log-likelihood scale:
-    ``tokens`` holds the documents concatenated in order, ``lengths``
-    their lengths, and the result has one row per document and one
-    column per filter.
-
-    Each column is the best span's kernel score minus the kernel-vs-LM
-    shift at the span length min(L, m), so every span scores its LM value
-    up to rounding, and the whole-document column is the document's
-    smoothed query log-likelihood.
+    """Per-filter best-span LM scores of a batch: ``tokens`` holds the
+    documents concatenated in order, ``lengths`` their lengths, and the
+    result has one row per document and one column per filter. The
+    whole-document column is each document's smoothed query
+    log-likelihood, bitwise as ``retrieval.ql_scores`` computes it.
     """
     ms, taus = np.array([(f.m, f.tau) for f in filters], dtype=np.int64).reshape(-1, 2).T
-    raw = _accel.kernel_filter_scores(tokens, ctx.ids, ctx.bias_coeff, ms, taus,
-                                      lengths)
-    n = np.minimum(lengths[:, np.newaxis], ms).astype(np.float64)
-    return raw - ctx.query.n_q * np.log(n / (1.0 - ctx.smoothing.lambda_c))
+    return _accel.kernel_filter_scores(tokens, ctx.ids, ctx.background, ms, taus,
+                                       1.0 - ctx.smoothing.lambda_c, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +96,21 @@ def msp_rank(
     ``passage_size`` with stride half of it.
 
     With a homogeneity kind other than "none", the score becomes the
-    homogeneity-weighted probability mix of the whole-document model
-    (``ql_scores``) and the best passage; each document's homogeneity
-    comes from the index's cache. Ties break by doc_id ascending.
+    homogeneity-weighted probability mix of the whole-document model and
+    the best passage, both columns of one ``score_tokens`` call; each
+    document's homogeneity comes from the index's cache. Ties break by
+    doc_id ascending.
     """
     if homogeneity not in HOMOGENEITY_KINDS:
         raise ValueError(f"unknown homogeneity kind {homogeneity!r}")
     s = s or SmoothingConfig()
     f = FilterSpec.window(passage_size)
-    ctx = QueryContext(query, index, s)
+    filters = (f,) if homogeneity == "none" else (f, FilterSpec.whole_document())
     tokens, lengths = index.batch_tokens(candidates)
-    scores = score_tokens(ctx, tokens, (f,), lengths)[:, 0]
+    columns = score_tokens(QueryContext(query, index, s), tokens, filters, lengths)
+    scores = columns[:, 0]
     if homogeneity != "none":
         h = [features.cached_homogeneity(d, index, f, (homogeneity,))[0]
              for d in candidates]
-        rows = [index.doc_index(d) for d in candidates]
-        scores = combine_homogeneous(h, ql_scores(query, index, s)[rows], scores)
+        scores = combine_homogeneous(h, columns[:, 1], scores)
     return rank_by_score(candidates, scores.tolist())

@@ -46,7 +46,6 @@ class QueryContext:
         self.query = query
         self.smoothing = s
         self.ids = index.term_ids(query.terms)
-        self.bias_coeff = lam * cf / ((1.0 - lam) * index.total_len)
         self.background = lam * cf / index.total_len
         if not self.background.all():  # a subnormal lambda_c underflows to 0
             term = query.terms[int(np.argmin(self.background))]

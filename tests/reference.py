@@ -3,10 +3,12 @@
 Each function here computes a quantity the package computes on a faster
 path, written the direct way so the two can be compared: per-span LM
 and kernel scorers over a query/document matching matrix, plain-Python
-loop twins of the batched window kernels, the best passage's LM score
-from the LM span kernel, single-document forms of the batch scorers and
-of the homogeneity mix, the fusion feature row, and the pairwise
-homogeneity, postings and Fisher references. It also holds
+loop twins of the batched window kernels, among them the log-kernel form
+sum_t log(tf + b_t) that equals the LM span score plus a shift, the best
+passage's LM score pooled from the unpooled span scores, single-document
+forms of the batch scorers and of the homogeneity mix, the fusion
+feature row, and the pairwise homogeneity, postings and Fisher
+references. It also holds
 the index helpers that only tests need: a document rebuilt from the
 token store, and index equality for the round-trip tests; and the regex
 tokenizer and TRECTEXT reader that the find and translate ingest path
@@ -233,16 +235,21 @@ def _one(tokens: np.ndarray) -> np.ndarray:
     return np.array([tokens.shape[0]], dtype=np.int64)
 
 
+def kernel_bias_coeff(ctx: QueryContext) -> np.ndarray:
+    """b_t / n of each query term: lambda_c * cf_t / ((1 - lambda_c) * |C|)."""
+    return ctx.background / (1.0 - ctx.smoothing.lambda_c)
+
+
 def score_batch(ctx: QueryContext, tokens: np.ndarray, filters, scale: str,
                 lengths: np.ndarray) -> np.ndarray:
-    """``score_tokens`` on the "lm" scale; on the "kernel" scale the raw
-    best-span kernel scores it shifts."""
+    """``score_tokens`` on the "lm" scale; on the "kernel" scale the
+    best-span log-kernel scores of ``kernel_filter_scores_loop``."""
     if scale == "lm":
         return score_tokens(ctx, tokens, filters, lengths)
     ms = np.array([f.m for f in filters], dtype=np.int64)
     taus = np.array([f.tau for f in filters], dtype=np.int64)
-    return _accel.kernel_filter_scores(tokens, ctx.ids, ctx.bias_coeff, ms, taus,
-                                       lengths)
+    return kernel_filter_scores_loop(tokens, ctx.ids, kernel_bias_coeff(ctx), ms, taus,
+                                     lengths)
 
 
 def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters,
@@ -254,8 +261,8 @@ def score_tokens_one(ctx: QueryContext, tokens: np.ndarray, filters,
 def max_passage_lm(ctx: QueryContext, tokens: np.ndarray, m: int, tau: int,
                    lengths: np.ndarray) -> np.ndarray:
     """Best span LM score of each document of a batch for a finite window
-    (m, tau), from the LM form of the span scores: the oracle of the
-    ``score_tokens`` column that ``msp_rank`` ranks by."""
+    (m, tau), pooled from ``lm_span_scores``: the ``score_tokens`` column
+    that ``msp_rank`` ranks by."""
     spans = _accel.lm_span_scores(
         tokens, ctx.ids, ctx.background, 1.0 - ctx.smoothing.lambda_c, m, tau,
         lengths,
@@ -296,10 +303,10 @@ def score_vector(
     filters: Sequence[FilterSpec],
     index: CorpusIndex,
     s: SmoothingConfig | None = None,
-    scale: str = "kernel",
+    scale: str = "lm",
 ) -> np.ndarray:
     """Per-filter best-span scores of one candidate document, by id or
-    Document, on the kernel or the LM scale."""
+    Document, on the LM or the kernel scale."""
     s = s or SmoothingConfig()
     if len(filters) == 0:
         raise ValueError("at least one filter is required")
@@ -388,7 +395,11 @@ def doc_lm_span_scores(doc_tokens, query_ids, background, one_minus_lam, m, tau)
 
 
 def kernel_filter_scores_loop(tokens, query_ids, bias_coeff, ms, taus, lengths):
-    """(D, F) best-span scores of a batch, one document at a time."""
+    """(D, F) best-span log-kernel scores of a batch, one document at a
+    time. A span n tokens long scores its LM score plus
+    ``kernel_lm_shift`` at n, and every span of a document under one
+    filter is min(L, m) long, so minus that shift this is
+    ``_accel.kernel_filter_scores`` up to rounding."""
     out = np.empty((lengths.shape[0], ms.shape[0]), dtype=np.float64)
     start = 0
     for d in range(lengths.shape[0]):

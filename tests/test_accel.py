@@ -2,7 +2,8 @@
 
 The loop versions in ``reference`` score one document at a time from
 prefix-sum match counts, so every comparison is between two different
-implementations.
+implementations; the best-span scores are checked against the
+log-kernel form, a different arithmetic too.
 """
 
 import numpy as np
@@ -33,8 +34,8 @@ def random_batch(rng, vocab=40, max_docs=5, max_len=300, max_q=8):
     tokens = rng.integers(0, vocab, size=int(lengths.sum()), dtype=np.int32)
     n_q = int(rng.integers(1, max_q + 1))
     query = rng.integers(-1, vocab, size=n_q).astype(np.int32)  # -1: OOV
-    bias = rng.uniform(1e-6, 2.0, size=n_q)
-    return tokens, lengths, query, bias
+    background = rng.uniform(1e-8, 0.5, size=n_q)
+    return tokens, lengths, query, background
 
 
 FILTERS = (FilterSpec(7, 3), FilterSpec(50, 25), FilterSpec.whole_document())
@@ -54,12 +55,19 @@ def worst_relative(a, b, terms) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), np.minimum(terms, 1.0))))
 
 
-def kernel_terms(lengths, bias, ms):
-    """(D, F) bound on sum_i |log(wc_i + bias_i * n)| over each document's
-    spans for each filter, from n = min(L, m) and 0 <= wc_i <= n."""
+def kernel_twin(tokens, query, background, one_minus_lam, ms, taus, lengths):
+    """The loop twin's best-span log-kernel scores, shifted onto the LM
+    scale, and a (D, F) bound on the summed magnitudes of the kernel's
+    log terms and the shift: sum_i |log(wc_i + bias_i * n)| +
+    |log(n / one_minus_lam)| over each document's spans for each filter,
+    from n = min(L, m) and 0 <= wc_i <= n."""
+    bias = background / one_minus_lam
     n = np.minimum(lengths[:, np.newaxis], ms).astype(np.float64)
+    shift = query.size * np.log(n / one_minus_lam)
+    kernel = kernel_filter_scores_loop(tokens, query, bias, ms, taus, lengths)
     c = bias[:, np.newaxis, np.newaxis]
-    return np.maximum(np.abs(np.log(c * n)), np.abs(np.log((1 + c) * n))).sum(axis=0)
+    terms = np.maximum(np.abs(np.log(c * n)), np.abs(np.log((1 + c) * n))).sum(axis=0)
+    return kernel - shift, terms + np.abs(shift)
 
 
 def lm_terms(background, one_minus_lam):
@@ -116,15 +124,25 @@ class TestKernelTwins:
     TAUS = np.array([1, 3, 25, WHOLE], dtype=np.int64)
 
     def test_kernel_filter_scores(self):
+        """The best-span LM scores equal the log-kernel twin minus its
+        shift, and the max-pooled unpooled span scores bitwise."""
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(100):
-            tokens, lengths, query, bias = random_batch(rng)
-            args = (tokens, query, bias, self.MS, self.TAUS, lengths)
-            a = _accel.kernel_filter_scores(*args)
-            b = kernel_filter_scores_loop(*args)
+            tokens, lengths, query, bg = random_batch(rng)
+            one_minus_lam = float(rng.uniform(0.1, 0.9))
+            a = _accel.kernel_filter_scores(tokens, query, bg, self.MS, self.TAUS,
+                                            one_minus_lam, lengths)
+            b, terms = kernel_twin(tokens, query, bg, one_minus_lam, self.MS,
+                                   self.TAUS, lengths)
             assert a.shape == b.shape == (lengths.size, self.MS.size)
-            worst = max(worst, worst_relative(a, b, kernel_terms(lengths, bias, self.MS)))
+            worst = max(worst, worst_relative(a, b, terms))
+            for f, (m, tau) in enumerate(zip(self.MS.tolist(), self.TAUS.tolist())):
+                spans = _accel.lm_span_scores(tokens, query, bg, one_minus_lam, m, tau,
+                                              lengths)
+                offsets = _accel.span_layout(lengths, m, tau)[1]
+                np.testing.assert_array_equal(a[:, f],
+                                              np.maximum.reduceat(spans, offsets))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("m,tau", [
@@ -133,8 +151,7 @@ class TestKernelTwins:
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(100):
-            tokens, lengths, query, _ = random_batch(rng)
-            bg = rng.uniform(1e-8, 0.5, size=query.size)
+            tokens, lengths, query, bg = random_batch(rng)
             args = (tokens, query, bg, 0.5, m, tau, lengths)
             a = _accel.lm_span_scores(*args)
             b = lm_span_scores_loop(*args)
@@ -181,12 +198,12 @@ class TestBatching:
     MS = TestKernelTwins.MS
     TAUS = TestKernelTwins.TAUS
 
-    def assert_batch_equals_singles(self, tokens, lengths, query, bias, bg):
+    def assert_batch_equals_singles(self, tokens, lengths, query, bg):
         docs = split(tokens, lengths)
         kernel = _accel.kernel_filter_scores
-        batch = kernel(tokens, query, bias, self.MS, self.TAUS, lengths)
-        singles = np.vstack([kernel(d, query, bias, self.MS, self.TAUS, np.array([d.size]))
-                             for d in docs])
+        batch = kernel(tokens, query, bg, self.MS, self.TAUS, 0.5, lengths)
+        singles = np.vstack([kernel(d, query, bg, self.MS, self.TAUS, 0.5,
+                                    np.array([d.size])) for d in docs])
         np.testing.assert_array_equal(batch, singles)
         for m, tau in ((5, 2), (50, 25), (WHOLE, WHOLE)):
             batch = _accel.lm_span_scores(tokens, query, bg, 0.5, m, tau, lengths)
@@ -198,9 +215,7 @@ class TestBatching:
     def test_random_batches(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            tokens, lengths, query, bias = random_batch(rng)
-            bg = rng.uniform(1e-8, 0.5, size=query.size)
-            self.assert_batch_equals_singles(tokens, lengths, query, bias, bg)
+            self.assert_batch_equals_singles(*random_batch(rng))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -213,22 +228,21 @@ class TestBatching:
         tokens = np.array([t for d in docs for t in d], dtype=np.int32)
         lengths = np.array([len(d) for d in docs], dtype=np.int64)
         q = np.array(query, dtype=np.int32)
-        bias = np.linspace(0.05, 1.5, q.size)
         bg = np.linspace(1e-4, 0.3, q.size)
         ms = np.array([window[0], WHOLE], dtype=np.int64)
         taus = np.array([window[1], WHOLE], dtype=np.int64)
-        a = _accel.kernel_filter_scores(tokens, q, bias, ms, taus, lengths)
-        b = kernel_filter_scores_loop(tokens, q, bias, ms, taus, lengths)
-        assert worst_relative(a, b, kernel_terms(lengths, bias, ms)) < 1e-12
+        a = _accel.kernel_filter_scores(tokens, q, bg, ms, taus, 0.5, lengths)
+        b, terms = kernel_twin(tokens, q, bg, 0.5, ms, taus, lengths)
+        assert worst_relative(a, b, terms) < 1e-12
         a = _accel.lm_span_scores(tokens, q, bg, 0.5, *window, lengths)
         b = lm_span_scores_loop(tokens, q, bg, 0.5, *window, lengths)
         assert worst_relative(a, b, lm_terms(bg, 0.5)) < 1e-12
-        self.assert_batch_equals_singles(tokens, lengths, q, bias, bg)
+        self.assert_batch_equals_singles(tokens, lengths, q, bg)
 
     def test_empty_batch(self):
         query = np.array([1], dtype=np.int32)
         out = _accel.kernel_filter_scores(
-            np.empty(0, dtype=np.int32), query, np.ones(1), self.MS, self.TAUS,
+            np.empty(0, dtype=np.int32), query, np.ones(1), self.MS, self.TAUS, 0.5,
             np.empty(0, dtype=np.int64))
         assert out.shape == (0, self.MS.size)
 

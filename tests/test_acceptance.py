@@ -55,7 +55,7 @@ from reference import (
     kernel_lm_shift,
     kernel_score,
     lm_score,
-    pool_document,
+    score_batch,
     score_tokens_one,
     whole_doc_lm_one,
 )
@@ -78,8 +78,9 @@ def test_criterion_1_kernel_reproduces_lm_score():
     (b) Every span of five windows over 100 documents of 1 to 200 tokens,
     so L < m, L = m, and L - m a multiple of tau or not: the package's
     span LM scores against the kernel oracle at the span's length, and
-    each ``score_tokens`` column against the best of its span LM
-    scores. Relative error <= 1e-12, wall time < 10 s.
+    each ``score_tokens`` column against the loop twin's best-span
+    kernel score minus the shift at min(L, m). Relative error <= 1e-12,
+    wall time < 10 s.
     """
     with criterion(1, "kernel == lm + n_q*ln(n/(1-lambda)) within 1e-12 "
                       "on every span in < 10 s"):
@@ -118,6 +119,7 @@ def test_criterion_1_kernel_reproduces_lm_score():
             ctx = QueryContext(query, index, s)
             matrices = [build_matrix(query, doc) for doc in docs]
             pooled = score_tokens(ctx, tokens, filters, lengths)
+            twin = score_batch(ctx, tokens, filters, "kernel", lengths)
             for col, f in enumerate(filters):
                 lm = _accel.lm_span_scores(tokens, ctx.ids, ctx.background,
                                            1.0 - s.lambda_c, f.m, f.tau, lengths)
@@ -128,10 +130,9 @@ def test_criterion_1_kernel_reproduces_lm_score():
                     kern = (kernel_score(query, sp, matrix, index, s, m_eff=sp.length)
                             - kernel_lm_shift(query.n_q, sp.length, s))
                     worst = max(worst, abs(score - kern) / abs(kern))
-                offsets = _accel.span_layout(lengths, f.m, f.tau)[1]
-                bounds = [*offsets.tolist(), lm.shape[0]]
                 for d, doc in enumerate(docs):
-                    want = pool_document(lm[bounds[d]:bounds[d + 1]])
+                    want = (twin[d, col]
+                            - kernel_lm_shift(query.n_q, min(doc.n_d, f.m), s))
                     worst = max(worst, abs(pooled[d, col] - want) / abs(want))
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-12, f"worst relative error {worst:.3e}"
@@ -145,7 +146,9 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
     (uniform gate) and identity normalization orders a 500-doc corpus
     exactly like query likelihood on every query. (b) The homogeneity
     mix with h forced to 0 reproduces best-passage rankings exactly and
-    with h forced to 1 reproduces whole-document rankings exactly.
+    with h forced to 1 reproduces whole-document rankings exactly: the
+    one-document LM span kernel's order, and ``rank_documents``' order
+    and scores over the candidates.
     """
     with criterion(2, "uniform-gate/identity-norm fusion == QL ordering; "
                       "h=0 and h=1 collapse exactly"):
@@ -181,6 +184,7 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
 
         cand = doc_ids[:200]
         for q in queries[:10]:
+            ql = [kv for kv in rank_documents(q, index, s, len(docs)) if kv[0] in cand]
             base = msp_rank(q, cand, index, 50, "none", s=s)
             fixed_homogeneity(0.0)
             h0 = msp_rank(q, cand, index, 50, "docpsg", s=s)
@@ -194,6 +198,7 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
                 key=lambda kv: (-kv[1], kv[0]),
             )
             assert [d for d, _ in h1] == [d for d, _ in whole]
+            assert h1 == ql
 
 
 def test_criterion_3_planted_passage_discrimination():

@@ -1378,15 +1378,18 @@ class TestErrors:
          "bad filter label 40: expected m, m:tau or inf"),
         (lambda m: m["filters"].__setitem__(0, 50),
          "bad filter label 50: expected m, m:tau or inf"),
+        (lambda m: m["filters"].__setitem__(1, "50:25"),
+         "filter 50:25 is listed twice"),
     ], ids=["version-2", "version-true", "version-float", "b-string", "b-true",
             "b-huge", "W-string", "mean-true", "std-string", "W-shape", "norm-size",
             "std-size", "norm-scalar", "feature-names", "hom-label-number",
-            "filter-label-number"])
+            "filter-label-number", "filter-twice"])
     def test_model_fields(self, pipeline, tmp_path, capsys, edit, message):
         """One error line naming the file. Before, true and "0.5" were read
         as numbers (version true as version 1), a number as a filter label
-        (40 as 40:20), a huge b or a scalar mean ended in a traceback, and
-        a short std in numpy's broadcast error."""
+        (40 as 40:20), a huge b or a scalar mean ended in a traceback, a
+        short std in numpy's broadcast error, and a filter listed twice,
+        which ``--filters`` refuses, scored twice."""
         model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
         alpha, beta = len(model["filters"]), len(model["feature_names"])
         names = ["bogus", *model["feature_names"][1:]]

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from passagerank import Document, FilterSpec, Query, SmoothingConfig, build_index, msp_rank
 from passagerank._accel import WHOLE
 from passagerank.passages import combine_homogeneous, score_tokens
-from passagerank.retrieval import QueryContext
+from passagerank.retrieval import QueryContext, ql_scores
+
+from conftest import random_documents, random_queries
 from reference import (
     PassageSpan,
     build_matrix,
@@ -17,6 +19,7 @@ from reference import (
     extract_passages,
     index_document,
     kernel_bias,
+    kernel_bias_coeff,
     kernel_lm_shift,
     kernel_score,
     lm_score,
@@ -227,6 +230,8 @@ class TestScoreVector:
         vec = score_vector(q, "d1", self.FILTERS, tiny_index, S05)
         assert np.all(np.isfinite(vec))
 
+    # on the "kernel" scale this checks the loop oracle's own batching,
+    # which criterion 1 and tests/test_accel.py compare the package to
     @pytest.mark.parametrize("scale", ["kernel", "lm"])
     def test_batch_rows_equal_single_documents(self, small_random_index, scale):
         idx = small_random_index
@@ -239,6 +244,24 @@ class TestScoreVector:
             for d in doc_ids])
         np.testing.assert_array_equal(batch, singles)
 
+    @pytest.mark.parametrize("lam", [0.1, 0.37, 0.5, 0.9])
+    def test_whole_document_column_is_ql_scores(self, lam):
+        """The ``inf`` column runs eq. 1's operations in ``ql_scores``'
+        order, so it equals the candidates' ``ql_scores`` rows with ==."""
+        rng = np.random.default_rng(int(lam * 100))
+        s = SmoothingConfig(lam)
+        filters = (FilterSpec.window(50), FilterSpec.whole_document())
+        for _ in range(4):
+            idx = build_index(random_documents(rng, 40, vocab_size=30, min_len=1,
+                                               max_len=600))
+            cands = [str(d) for d in rng.permutation(idx.doc_ids)[:25]]
+            rows = [idx.doc_index(d) for d in cands]
+            tokens, lengths = idx.batch_tokens(cands)
+            for q in random_queries(rng, 10, vocab_size=30):
+                column = score_tokens(QueryContext(q, idx, s), tokens, filters,
+                                      lengths)[:, 1]
+                assert column.tolist() == ql_scores(q, idx, s)[rows].tolist()
+
 
 class TestQueryContext:
     def test_empty_query_raises(self, tiny_index):
@@ -248,7 +271,10 @@ class TestQueryContext:
     def test_background_and_bias(self, tiny_index):
         ctx = QueryContext(Query("q", ("a",)), tiny_index, S05)
         assert ctx.background[0] == pytest.approx(0.5 * 4 / 10, rel=1e-12)
-        assert ctx.bias_coeff[0] == pytest.approx(0.5 * 4 / (0.5 * 10), rel=1e-12)
+        # only the log-kernel oracle has a bias; the package scores eq. 1
+        assert kernel_bias_coeff(ctx)[0] == pytest.approx(0.5 * 4 / (0.5 * 10),
+                                                          rel=1e-12)
+        assert not hasattr(ctx, "bias_coeff")
 
 
 class TestCombineHomogeneous:
