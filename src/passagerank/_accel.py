@@ -10,9 +10,9 @@ their lengths in ``lengths`` (the CSR layout of the stored postings).
 A window's matches of a query term are counted from the term's sorted
 match positions, with two ``searchsorted`` calls over the spans of every
 document, and each document keeps its best span score with ``reduceat``.
-Per-term logs are summed in query-term order, so a batch gives bitwise
-the same scores as one call per document, and the whole-document score
-is bitwise ``retrieval.ql_scores``.
+Every score, a span's here and a document's in ``retrieval.ql_scores``,
+is eq. 1 through ``lm_scores``, per-term logs summed in query-term order:
+a batch scores bitwise as one call per document does.
 
 A window filter is a ``FilterSpec`` (m, tau), and the kernels take its
 two ints. The whole document, label ``inf``, is the window m = tau =
@@ -141,11 +141,14 @@ def window_counts(positions, starts, ends):
     return out
 
 
-def _sum_terms(logs):
-    """Column sums accumulated in query-term order."""
-    acc = np.zeros(logs.shape[1], dtype=np.float64)
-    for row in logs:
-        acc += row
+def lm_scores(counts, n, background, one_minus_lam):
+    """Eq. 1 of S texts: sum_i log(one_minus_lam * counts[i] / n +
+    background[i]) over the (n_q, S) query-term counts, accumulated in
+    query-term order; n holds the texts' lengths and background[i] folds
+    the smoothing weight in."""
+    acc = np.zeros(counts.shape[1], dtype=np.float64)
+    for row, bg in zip(counts, background.tolist()):
+        acc += np.log(one_minus_lam * row / n + bg)
     return acc
 
 
@@ -159,14 +162,12 @@ def _batch_lengths(tokens, lengths):
 
 
 def _span_scores(positions, background, one_minus_lam, lengths, m, tau):
-    """Span scores of window (m, tau) over a batch, and each document's
-    first span among them. Span score, in ``retrieval.ql_scores``' order:
-    sum_i log(one_minus_lam * window_count_i / n + background[i]), n the
-    span's length; background[i] folds the smoothing weight in."""
+    """Span scores (``lm_scores`` of the window counts) of window (m, tau)
+    over a batch, and each document's first span among them."""
     starts, ends, _, offsets = span_grid(lengths, m, tau)
-    wc = window_counts(positions, starts, ends)
     n = (ends - starts).astype(np.float64)
-    return _sum_terms(np.log(one_minus_lam * wc / n + background[:, np.newaxis])), offsets
+    return lm_scores(window_counts(positions, starts, ends), n, background,
+                     one_minus_lam), offsets
 
 
 def kernel_filter_scores(tokens, query_ids, background, ms, taus, one_minus_lam,

@@ -73,19 +73,8 @@ class ExperimentConfig:
         return SmoothingConfig(self.lambda_c)
 
     def score_settings(self) -> ScoreSettings:
-        """The candidate scoring settings that train records in each model;
-        document features measure homogeneity over the smallest finite
-        filter, with its own stride."""
-        hom = None
-        if self.feature_set != "query":
-            finite = [f for f in self.filters if not f.is_infinite]
-            if not finite:
-                raise ValueError("document features measure homogeneity over a finite "
-                                 "filter: add one to --filters, or use "
-                                 "--feature-set query")
-            hom = min(finite, key=lambda f: f.m)
-        return ScoreSettings(self.filters, self.smoothing(), self.feature_set, hom,
-                             self.top_k)
+        """The candidate scoring settings that train records in each model."""
+        return ScoreSettings(self.filters, self.smoothing(), self.feature_set, self.top_k)
 
     def train_config(self) -> TrainConfig:
         """The training settings; TrainConfig checks their ranges."""

@@ -457,21 +457,36 @@ _NUM_RE = re.compile(r"(?a:<num>)\s*(?a:Number:)?\s*([^<\s]+)", re.I)
 _TITLE_RE = re.compile(r"(?a:<title>)\s*(?a:Topic:)?\s*(.*?)\s*(?=<|\Z)", re.S | re.I)
 
 
-def _between(text: bytes, open_tag: bytes, close_tag: bytes,
-             lowered: bytes | None = None) -> Iterator[bytes]:
+def _between(text: bytes, lowered: bytes, open_tag: bytes,
+             close_tag: bytes) -> Iterator[bytes]:
     """Yield the pieces of ``text`` between ``open_tag`` and the first
-    ``close_tag`` after it, left to right: what ``finditer`` of the lazy
-    regex ``open(.*?)close`` finds. With ``lowered``, ``text.lower()``, and
-    tags lowercased alike, the tags match with ASCII letters in any case."""
-    haystack = text if lowered is None else lowered
-    start = haystack.find(open_tag)
+    ``close_tag`` after it, left to right, each tag found in ``lowered``,
+    ``text.lower()``, and lowercased alike: what ``finditer`` of the lazy
+    regex ``open(.*?)close`` finds, with ASCII letters in any case."""
+    start = lowered.find(open_tag)
     while start != -1:
         begin = start + len(open_tag)
-        end = haystack.find(close_tag, begin)
+        end = lowered.find(close_tag, begin)
         if end == -1:  # no later opening tag can be closed either
             return
         yield text[begin:end]
-        start = haystack.find(open_tag, end + len(close_tag))
+        start = lowered.find(open_tag, end + len(close_tag))
+
+
+def _records(text: bytes, open_tag: bytes, close_tag: bytes, path,
+             noun: str) -> Iterator[tuple[int, bytes]]:
+    """Number and body of each ``open_tag``...``close_tag`` record of a
+    file, tags matched case-sensitively; a record that another opens
+    inside, or that the file ends inside, is a ``CorpusError``."""
+    start, ordinal = text.find(open_tag), 1
+    while start != -1:
+        begin = start + len(open_tag)
+        end = text.find(close_tag, begin)
+        if end == -1 or text.find(open_tag, begin, end) != -1:
+            raise CorpusError(f"{path}: {noun} #{ordinal} is not closed by "
+                              f"{close_tag.decode()}")
+        yield ordinal, text[begin:end]
+        start, ordinal = text.find(open_tag, end + len(close_tag)), ordinal + 1
 
 
 def _corpus_files(path: Path) -> list[Path]:
@@ -492,10 +507,12 @@ def iter_trectext(
 ) -> Iterator[Document]:
     """Stream Documents out of trectext files (a file or a directory).
 
-    Records are ``<DOC><DOCNO>id</DOCNO>...<TEXT>...</TEXT></DOC>``; the
-    ``<DOC>`` and ``<DOCNO>`` tags are case-sensitive; a text tag's name
-    matches with ASCII letters in any case and other characters as they
-    are (``<\u212aEYWORDS>`` is not ``<KEYWORDS>``). The text tags, each
+    Records are ``<DOC><DOCNO>id</DOCNO>...<TEXT>...</TEXT></DOC>``, and
+    one not closed before the next opens or the file ends is a
+    ``CorpusError``; the ``<DOC>`` and ``<DOCNO>`` tags are
+    case-sensitive; a text tag's name matches with ASCII letters in any
+    case and other characters as they are (``<\u212aEYWORDS>`` is not
+    ``<KEYWORDS>``); an unclosed text tag is ignored. The text tags, each
     listed once, are concatenated tag by tag in ``text_tags`` order, each
     tag's occurrences in record order, and any interleaved markup inside
     them is stripped. Other tags are ignored.
@@ -506,7 +523,7 @@ def iter_trectext(
             raise ValueError(f"text tag {text_tags[i]!r} is listed twice")
     for fp in _corpus_files(Path(path)):
         blob = fp.read_bytes()
-        for ordinal, body in enumerate(_between(blob, b"<DOC>", b"</DOC>"), start=1):
+        for ordinal, body in _records(blob, b"<DOC>", b"</DOC>", fp, "record"):
             try:
                 record = body.decode("utf-8")
             except UnicodeDecodeError:
@@ -522,7 +539,7 @@ def iter_trectext(
                                   f"whitespace inside it: {doc_id!r}")
             lowered = body.lower()
             raw = b" ".join(piece for open_tag, close_tag in bounds
-                            for piece in _between(body, open_tag, close_tag, lowered))
+                            for piece in _between(body, lowered, open_tag, close_tag))
             if b"<" in raw:
                 raw = _TAG_RE.sub(b" ", raw)
             yield Document(doc_id, tuple(tokenize(raw.decode("utf-8"), stopwords)))
@@ -532,6 +549,8 @@ def read_topics(
     path: str | Path, stopwords: frozenset[str] = frozenset()
 ) -> list[Query]:
     """Parse TREC topics; the title field is the query, num the query_id.
+    A ``<top>`` record not closed by ``</top>`` before the next opens or
+    the file ends is a ``CorpusError``.
 
     Topics whose title tokenizes to nothing are skipped with a warning
     (queries must have at least one term).
@@ -539,7 +558,7 @@ def read_topics(
     blob = Path(path).read_bytes()
     queries: list[Query] = []
     seen: set[str] = set()
-    for ordinal, body in enumerate(_between(blob, b"<top>", b"</top>"), start=1):
+    for ordinal, body in _records(blob, b"<top>", b"</top>", path, "topic record"):
         try:
             record = body.decode("utf-8")
         except UnicodeDecodeError:

@@ -22,13 +22,13 @@ that a model file stores; ``FeatureExtractor`` builds rows from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._accel import FilterSpec, parse_filter_label, span_grid
+from ._accel import FilterSpec, span_grid
 from .corpus import CorpusIndex, Query
 from .evaluation import write_table
 from .fusion import FusionModel, json_numbers
@@ -221,28 +221,30 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class ScoreSettings:
     """Everything that rebuilds a candidate's per-filter scores R and
-    features H: the window filters, the smoothing, the feature set, the
-    homogeneity filter (finite with document features, None without) and
-    the list depth. Every rule is checked here."""
+    features H: the window filters, the smoothing, the feature set and
+    the list depth. Document features measure homogeneity over the
+    derived ``hom_filter``: the smallest finite filter, the first listed
+    of equal windows, with its own stride. Every rule is checked here."""
 
     filters: tuple[FilterSpec, ...]
     smoothing: SmoothingConfig
     feature_set: str
-    hom_filter: FilterSpec | None
     list_k: int
+    hom_filter: FilterSpec | None = field(init=False)
 
     def __post_init__(self):
         feature_names(self.feature_set)
-        if self.feature_set == "query":
-            if self.hom_filter is not None:
-                raise ValueError("query features take no homogeneity_filter")
-        elif self.hom_filter is None or self.hom_filter.is_infinite:
-            raise ValueError("document features need a finite homogeneity_filter")
+        finite = [f for f in self.filters if not f.is_infinite]
+        if self.feature_set != "query" and not finite:
+            raise ValueError("document features measure homogeneity over a finite filter: "
+                             "add one to --filters, or use --feature-set query")
         if self.list_k < 1:
             raise ValueError(f"list_k must be >= 1, got {self.list_k}")
+        object.__setattr__(self, "hom_filter", None if self.feature_set == "query"
+                           else min(finite, key=lambda f: f.m))
 
     def meta(self) -> dict:
-        """The model metadata that ``from_model`` reads back."""
+        """The model metadata that ``from_model`` reads back, or checks."""
         return {
             "feature_set": self.feature_set,
             "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
@@ -253,10 +255,10 @@ class ScoreSettings:
     @classmethod
     def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
         """The settings the model at ``path`` was trained with, read only
-        from its metadata, so reranking scores as training did. A
-        document scores its best passage and an unseen term counts once;
-        a model whose legacy ``pooling`` or ``oov_floor`` key says
-        otherwise is refused, not scored another way."""
+        from its metadata, so reranking scores as training did. A model
+        whose ``pooling``, ``oov_floor`` or ``homogeneity_filter`` is not
+        the best passage, one count per unseen term or the derived
+        ``hom_filter`` is refused, not scored another way."""
         meta = model.meta
 
         def setting(key: str, kind: type | tuple[type, ...] | None = None):
@@ -278,10 +280,13 @@ class ScoreSettings:
                     f"model feature names do not match feature set "
                     f"{feature_set!r}: {list(model.feature_names)}"
                 )
-            hom = (None if feature_set == "query"
-                   else parse_filter_label(setting("homogeneity_filter")))
-            return cls(model.filters, SmoothingConfig(setting("lambda_c", (int, float))),
-                       feature_set, hom, setting("list_k", int))
+            hom = None if feature_set == "query" else setting("homogeneity_filter")
+            settings = cls(model.filters, SmoothingConfig(setting("lambda_c", (int, float))),
+                           feature_set, setting("list_k", int))
+            if hom != settings.meta()["homogeneity_filter"]:
+                raise ValueError(f"homogeneity_filter {hom!r} is not the smallest finite "
+                                 f"filter {settings.hom_filter.label!r}; retrain it")
+            return settings
         except (TypeError, ValueError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 

@@ -180,21 +180,27 @@ class FusionModel:
             raise ValueError(f"model file {path}: unsupported model version "
                              f"{version!r}")
 
-        def floats(key: str, part: str) -> np.ndarray:
-            return np.array(json_numbers(raw[key][part], f"{key} {part}"),
-                            dtype=np.float64)
+        def typed(key: str, noun: str, kind: type | tuple[type, ...]):
+            value = raw[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{key}: expected {noun}, got {value!r}")
+            return value
+
+        def norm(key: str) -> AffineNorm:
+            parts = typed(key, "an object with mean and std", dict)
+            return AffineNorm(*(np.array(json_numbers(parts[part], f"{key} {part}"),
+                                         dtype=np.float64) for part in ("mean", "std")))
 
         try:
+            labels = typed("filters", "a list of filter labels", list)
             return cls(
-                filters=distinct_filters(parse_filter_label(s) for s in raw["filters"]),
-                feature_names=raw["feature_names"],
+                filters=distinct_filters(parse_filter_label(s) for s in labels),
+                feature_names=typed("feature_names", "a list of feature names", list),
                 W=np.array(json_numbers(raw["W"], "W"), dtype=np.float64),
-                b=json_numbers(raw["b"], "b"),
-                score_norm=AffineNorm(floats("score_norm", "mean"),
-                                      floats("score_norm", "std")),
-                feature_norm=AffineNorm(floats("feature_norm", "mean"),
-                                        floats("feature_norm", "std")),
-                meta=raw.get("meta", {}),
+                b=typed("b", "a number", (int, float)),
+                score_norm=norm("score_norm"),
+                feature_norm=norm("feature_norm"),
+                meta=typed("meta", "an object", dict) if "meta" in raw else {},
             )
         except KeyError as e:
             raise ValueError(f"model file {path} lacks key {e}") from None

@@ -93,7 +93,8 @@ class NpmModel:
     with the settings they share and the fingerprint that tags their
     runs (``npm-<fingerprint>``). ``fold_of`` maps each query of a
     directory's ``folds.csv`` to its fold, whose model was trained
-    without it; a model file has no ``fold_of`` and scores every query."""
+    without it, as its ``meta["fold"]`` must record; a model file has no
+    ``fold_of`` and scores every query."""
 
     models: Mapping[int, FusionModel]  # by fold; a model file is fold 0
     settings: ScoreSettings
@@ -133,6 +134,10 @@ class NpmModel:
         for fold in sorted(set(fold_of.values())):
             model_path = path / f"fold_{fold}.json"
             models[fold] = FusionModel.load(model_path)
+            recorded = models[fold].meta.get("fold")
+            if type(recorded) is not int or recorded != fold:
+                raise ValueError(f"model file {model_path}: records fold {recorded!r}, "
+                                 f"not {fold}")
             settings.add(ScoreSettings.from_model(models[fold], model_path))
         if len(settings) > 1:
             raise ValueError(f"{path}: fold models disagree on configuration")

@@ -9,10 +9,11 @@ score every span n tokens long by its smoothed unigram LM (eq. 1)
     sum_t log((1 - lambda_c) * tf_{t,g} / n  +  lambda_c * cf_t / |C|)
 
 A document scores its best span under each filter; ``score_tokens``
-stacks these per-filter scores, one column per filter, and its
-whole-document column is ``retrieval.ql_scores`` bitwise. ``msp_rank``
-ranks by the column of one window, optionally mixed by homogeneity
-with the whole-document column.
+stacks these per-filter scores, one column per filter; eq. 1 has one
+owner, ``_accel.lm_scores``, so the whole-document column is
+``retrieval.ql_scores`` bitwise. ``msp_rank`` ranks by the column of
+one window, optionally mixed by homogeneity with the whole-document
+column.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def score_tokens(
     """Per-filter best-span LM scores of a batch: ``tokens`` holds the
     documents concatenated in order, ``lengths`` their lengths, and the
     result has one row per document and one column per filter. The
-    whole-document column is each document's smoothed query
-    log-likelihood, bitwise as ``retrieval.ql_scores`` computes it.
+    whole-document column is each document's ``retrieval.ql_scores``
+    bitwise: both evaluate eq. 1 through ``_accel.lm_scores``.
     """
     ms, taus = np.array([(f.m, f.tau) for f in filters], dtype=np.int64).reshape(-1, 2).T
     return _accel.kernel_filter_scores(tokens, ctx.ids, ctx.background, ms, taus,

@@ -9,9 +9,10 @@ small that a background probability underflows to 0 is refused.
 ``ql_scores`` scores every document in the index against a query, and
 ``rank_documents`` returns the top-k ranking that the passage rerankers
 consume as their candidate pool, in ``evaluation.rank_by_score``'s order
-like every run the package writes. Scoring is postings-based and
-vectorized over the whole corpus, one query term at a time, which keeps
-the arithmetic order fixed and the output deterministic.
+like every run the package writes. Scoring gathers each query term's
+postings into one row of term counts per document and evaluates eq. 1
+through ``_accel.lm_scores``, the function that scores every passage
+too, so a document's score is its whole-document passage score bitwise.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .corpus import CorpusIndex, Query
 from .evaluation import rank_by_score
 
@@ -58,16 +60,13 @@ def ql_scores(
 ) -> np.ndarray:
     """Whole-document query log-likelihood for every document, index order."""
     ctx = QueryContext(query, index, s or SmoothingConfig())
-    one_minus_lam = 1.0 - ctx.smoothing.lambda_c
-    doc_len = index.doc_len.astype(np.float64)
-    scores = np.zeros(index.num_docs, dtype=np.float64)
-    for tid, background in zip(ctx.ids.tolist(), ctx.background.tolist()):
-        tf = np.zeros(index.num_docs, dtype=np.float64)
+    tf = np.zeros((query.n_q, index.num_docs), dtype=np.int32)
+    for row, tid in zip(tf, ctx.ids.tolist()):
         if tid >= 0:
             docs, counts = index.postings(tid)
-            tf[docs] = counts
-        scores += np.log(one_minus_lam * tf / doc_len + background)
-    return scores
+            row[docs] = counts
+    return _accel.lm_scores(tf, index.doc_len.astype(np.float64), ctx.background,
+                            1.0 - ctx.smoothing.lambda_c)
 
 
 def rank_documents(

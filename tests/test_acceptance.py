@@ -230,8 +230,8 @@ def test_criterion_3_planted_passage_discrimination():
         filters = (FilterSpec.window(50), FilterSpec.window(150),
                    FilterSpec.whole_document())
         names = feature_names("doc+query")
-        extractor = FeatureExtractor(index, ScoreSettings(
-            filters, s, "doc+query", FilterSpec.window(50), 50))
+        extractor = FeatureExtractor(index, ScoreSettings(filters, s, "doc+query", 50))
+        assert extractor.settings.hom_filter == FilterSpec.window(50)
 
         def build_candidates() -> dict:
             cands = {}

@@ -70,6 +70,9 @@ def write_qrels(path: Path, qrels) -> None:
 
 
 HUGE = str(10**20)  # a window length beyond int64
+# a planted model's error when its recorded homogeneity window is not
+# the smallest finite filter of its filters, 50:25
+RETRAIN = "homogeneity_filter {} is not the smallest finite filter '50:25'; retrain it"
 
 TRAIN_CONF = """\
 # small but real training setup
@@ -486,10 +489,24 @@ class TestFoldManifest:
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.run").exists()
 
+    @pytest.mark.parametrize("fold", [0, None, "1", True])
+    def test_another_folds_model_is_refused(self, pipeline, tmp_path, capsys, fold):
+        # a copy of fold 0's model scored fold 1's queries, on which it
+        # was validated; a fold that is no int, or none, is no fold 1
+        topics, run, models = self.rename_query(pipeline, tmp_path, "1")
+        model = json.loads((models / "fold_0.json").read_text())
+        model["meta"]["fold"] = fold
+        (models / "fold_1.json").write_text(json.dumps(model))
+        out = tmp_path / "x.run"
+        assert self.rerank(pipeline, topics, run, models, out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (f"error: model file {models / 'fold_1.json'}: "
+                                           f"records fold {fold!r}, not 1\n")
+
 
 def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
-    """A strided homogeneity filter is recorded whole in the model and
-    reused by rerank, not rebuilt from its window length."""
+    """A strided homogeneity filter is recorded whole in the model, and
+    rerank measures homogeneity over the same window and stride."""
     # 60 documents, so terms miss some of them and the passage
     # homogeneity scores depend on the stride
     docs, queries, qrels = planted_corpus(n_queries=6, n_docs=60, doc_len=1100,
@@ -512,8 +529,7 @@ def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
     rows = read_table(dump, delimiter="\t")
     assert rows[0][2:6] == list(HOMOGENEITY_NAMES)
     extractor = FeatureExtractor(load_index(index), ScoreSettings(
-        (FilterSpec.whole_document(),), SmoothingConfig(), "doc",
-        FilterSpec(50, 10), 1))
+        (FilterSpec(50, 10),), SmoothingConfig(), "doc", 1))
     for _, doc_id, *values in rows[1:]:
         assert values[:4] == [format(x, ".12g") for x in extractor.doc_block(doc_id)]
     meta = json.loads((models / "fold_0.json").read_text())["meta"]
@@ -1288,14 +1304,19 @@ class TestErrors:
 
     @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
     def test_model_bad_filter_label(self, pipeline, tmp_path, capsys, field):
+        # the recorded homogeneity window is compared with the derived
+        # one, never parsed
         def edit(model):
             if field == "filters":
                 model["filters"][0] = "50:x"
             else:
                 model["meta"]["homogeneity_filter"] = "50:x"
         doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
-        assert f"error: model file {doctored}: bad filter label '50:x'" in err
-        assert "expected m, m:tau or inf" in err
+        if field == "filters":
+            assert f"error: model file {doctored}: bad filter label '50:x'" in err
+            assert "expected m, m:tau or inf" in err
+        else:
+            assert err == f"error: model file {doctored}: {RETRAIN.format(repr('50:x'))}\n"
 
     @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
     def test_model_oversized_window(self, pipeline, tmp_path, capsys, field):
@@ -1305,8 +1326,12 @@ class TestErrors:
             else:
                 model["meta"]["homogeneity_filter"] = f"{HUGE}:25"
         doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
-        assert (f"error: model file {doctored}: window length must be < 2**62, "
-                f"got {HUGE}; use inf for the whole document" in err)
+        if field == "filters":
+            assert (f"error: model file {doctored}: window length must be < 2**62, "
+                    f"got {HUGE}; use inf for the whole document" in err)
+        else:
+            label = repr(f"{HUGE}:25")
+            assert err == f"error: model file {doctored}: {RETRAIN.format(label)}\n"
 
     @pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
     def test_model_bad_normalization_std(self, pipeline, tmp_path, capsys, std):
@@ -1338,8 +1363,11 @@ class TestErrors:
                 f"recorded" in err)
 
     @pytest.mark.parametrize("key,value,message", [
-        ("homogeneity_filter", "inf",
-         "document features need a finite homogeneity_filter"),
+        ("homogeneity_filter", "inf", RETRAIN.format("'inf'")),
+        # a window trained with the old --homogeneity-m 150 was reranked
+        # with 50:25 features; a label is compared as written
+        ("homogeneity_filter", "150:75", RETRAIN.format("'150:75'")),
+        ("homogeneity_filter", "50", RETRAIN.format("'50'")),
         ("list_k", 0, "list_k must be >= 1, got 0"),
         # each of these was read as a number: 2.5 as 2, True as 1, "3" as 3
         ("list_k", 2.5, "list_k: expected an integer, got 2.5"),
@@ -1374,8 +1402,7 @@ class TestErrors:
          "normalization record dimensions do not match model"),
         (lambda m: m["feature_names"].__setitem__(0, "bogus"),
          "model feature names do not match feature set 'doc+query': {names}"),
-        (lambda m: m["meta"].update(homogeneity_filter=40),
-         "bad filter label 40: expected m, m:tau or inf"),
+        (lambda m: m["meta"].update(homogeneity_filter=40), RETRAIN.format(40)),
         (lambda m: m["filters"].__setitem__(0, 50),
          "bad filter label 50: expected m, m:tau or inf"),
         (lambda m: m["filters"].__setitem__(1, "50:25"),
@@ -1396,6 +1423,28 @@ class TestErrors:
         doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
         message = message.format(a=alpha, a1=alpha - 1, b=beta, names=names)
         assert err == f"error: model file {doctored}: {message}\n"
+
+    @pytest.mark.parametrize("key,value,noun", [
+        ("filters", "inf", "a list of filter labels"),
+        ("filters", 5, "a list of filter labels"),
+        ("feature_names", "abc", "a list of feature names"),
+        ("meta", "ab", "an object"),
+        ("meta", None, "an object"),
+        ("score_norm", [1, 2], "an object with mean and std"),
+        ("feature_norm", 0.0, "an object with mean and std"),
+        ("b", [1.0], "a number"),
+    ], ids=["filters-string", "filters-number", "feature_names-string", "meta-string",
+            "meta-null", "score_norm-list", "feature_norm-number", "b-list"])
+    def test_model_field_of_the_wrong_type(self, pipeline, tmp_path, capsys, key, value,
+                                           noun):
+        """A field of the wrong JSON type is named. Before, "inf" was
+        read as the labels 'i', 'n' and 'f', "abc" as three feature names
+        that failed W's shape, and the rest ended in Python's own errors
+        about iterables, sequences and indices."""
+        doctored, err = self.doctored_model(pipeline, tmp_path, capsys,
+                                            lambda m: m.update({key: value}))
+        assert err == (f"error: model file {doctored}: {key}: expected {noun}, "
+                       f"got {value!r}\n")
 
     def test_legacy_oov_floor_model(self, pipeline, tmp_path):
         # a model saved while the unseen-term count was a setting: its

@@ -373,7 +373,7 @@ MARKUP = ["<em>", "</em>", "<b class='x'>", "<", ">", "<>", "<doc>", "</Doc>"]
 def trectext_files(draw):
     """TRECTEXT bytes: records of text, markup and text tags in any case,
     opened and closed in any order, between noise; the last record may
-    lack its ``</DOC>``."""
+    lack its ``</DOC>``, which reading refuses."""
     ascii_only = draw(st.booleans())
     chars = "aAkKzZ09 \n.-" + ("" if ascii_only else TRICKY_CHARS)
     spellings = st.sampled_from(list(TAG_SPELLINGS.values())).flatmap(
@@ -469,8 +469,33 @@ class TestTrectext:
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "corpus.trectext"
             f.write_bytes(blob)
+            if blob.endswith(b"never closed"):
+                n = blob.count(b"</DOC>") + 1
+                with pytest.raises(CorpusError, match=f"^{re.escape(str(f))}: "
+                                                      f"record #{n} is not closed"):
+                    list(iter_trectext(f, stopwords, text_tags))
+                return
             docs = list(iter_trectext(f, stopwords, text_tags))
         assert docs == trectext_reference(blob, stopwords, text_tags)
+
+    @pytest.mark.parametrize("blob,ordinal", [
+        (b"<DOC><DOCNO>b</DOCNO><TEXT>x z</TEXT>"
+         b"<DOC><DOCNO>c</DOCNO><TEXT>w</TEXT></DOC>", 1),
+        (b"<DOC><DOCNO>a</DOCNO><TEXT>y</TEXT></DOC>\n"
+         b"<DOC><DOCNO>b</DOCNO><TEXT>x z</TEXT>"
+         b"<DOC><DOCNO>c</DOCNO><TEXT>w</TEXT></DOC>", 2),
+        (b"<DOC><DOCNO>a</DOCNO><TEXT>y</TEXT></DOC>\n"
+         b"<DOC><DOCNO>b</DOCNO><TEXT>x z</TEXT>\n", 2),
+        (b"<DOC><DOCNO>a</DOCNO><TEXT>y</TEXT>", 1),
+    ], ids=["nested-first", "nested", "trailing", "only"])
+    def test_unclosed_record_raises(self, tmp_path, blob, ordinal):
+        # a nested record's text was merged into the one around it and
+        # its own document lost; a trailing one was dropped
+        f = tmp_path / "corpus.trectext"
+        f.write_bytes(blob)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(f))}: record "
+                                              f"#{ordinal} is not closed by </DOC>$"):
+            list(iter_trectext(f))
 
     @pytest.mark.parametrize("tags,repeated", [(("TEXT", "TEXT"), "TEXT"),
                                                (("TEXT", "TITLE", "text"), "text"),
@@ -559,6 +584,21 @@ class TestTopics:
                      "<top><num>1</num><title>alpha</title></top>", encoding="utf-8")
         with pytest.raises(CorpusError, match=f"^{f}: duplicate topic number 1$"):
             read_topics(f, stopwords)
+
+    @pytest.mark.parametrize("text,ordinal", [
+        ("<top><num>1</num><title>a</title>"
+         "<top><num>2</num><title>b</title></top>", 1),
+        ("<top><num>1</num><title>a</title></top>\n"
+         "<top><num>2</num><title>b</title>\n", 2),
+    ], ids=["nested", "trailing"])
+    def test_unclosed_topic_raises(self, tmp_path, text, ordinal):
+        # a nested topic was read as the one around it, and a trailing
+        # one was dropped
+        f = tmp_path / "topics.txt"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(f))}: topic record "
+                                              f"#{ordinal} is not closed by </top>$"):
+            read_topics(f)
 
     def test_unicode_folds_onto_ascii_do_not_apply(self, tmp_path):
         # as for text tags, a field name or prefix holding one of these

@@ -17,6 +17,7 @@ from passagerank import (
     features,
     homogeneity,
     msp_rank,
+    parse_filters,
     query_features,
     summary_stats,
 )
@@ -38,8 +39,12 @@ FILTERS = (FilterSpec(50, 25), FilterSpec(150, 75), FilterSpec.whole_document())
 
 
 def score_settings(feature_set, hom_filter, list_k=2000):
-    return ScoreSettings(FILTERS, SmoothingConfig(0.5), feature_set,
-                         hom_filter, list_k)
+    """Settings over FILTERS, led by ``hom_filter`` when one is given,
+    which then is the smallest finite filter and so the derived one."""
+    filters = FILTERS if hom_filter is None else (hom_filter, *FILTERS)
+    settings = ScoreSettings(filters, SmoothingConfig(0.5), feature_set, list_k)
+    assert settings.hom_filter == hom_filter
+    return settings
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +244,8 @@ class TestScoreSettings:
     @staticmethod
     def save_model(path, settings, meta):
         names = feature_names(settings.feature_set)
-        n_f, n_h = len(FILTERS), len(names)
-        FusionModel(FILTERS, names, np.zeros((n_f, n_h)), 0.0,
+        n_f, n_h = len(settings.filters), len(names)
+        FusionModel(settings.filters, names, np.zeros((n_f, n_h)), 0.0,
                     AffineNorm(np.zeros(n_f), np.ones(n_f)),
                     AffineNorm(np.zeros(n_h), np.ones(n_h)), meta).save(path)
         return FusionModel.load(path)
@@ -250,8 +255,9 @@ class TestScoreSettings:
     @pytest.mark.parametrize("pooling", ["max", "mean"])
     @pytest.mark.parametrize("feature_set", FEATURE_SETS)
     def test_model_file_round_trip(self, tmp_path, feature_set, pooling):
-        want = ScoreSettings(FILTERS, SmoothingConfig(0.3), feature_set,
-                             None if feature_set == "query" else FilterSpec(40, 10), 7)
+        want = ScoreSettings((FilterSpec(40, 10), *FILTERS), SmoothingConfig(0.3),
+                             feature_set, 7)
+        assert want.hom_filter == (None if feature_set == "query" else FilterSpec(40, 10))
         path = tmp_path / "model.json"
         assert "pooling" not in want.meta()
         model = self.save_model(path, want, want.meta())
@@ -264,17 +270,35 @@ class TestScoreSettings:
                                                  f"pooling must be 'max'.*'{pooling}'"):
                 ScoreSettings.from_model(legacy, path)
 
-    @pytest.mark.parametrize("feature_set,hom,list_k,message", [
-        ("everything", FilterSpec(10, 5), 1, "unknown feature set"),
-        ("doc", None, 1, "document features need a finite"),
-        ("doc+query", FilterSpec.whole_document(), 1,
-         "document features need a finite"),
-        ("query", FilterSpec(10, 5), 1, "query features take no"),
-        ("query", None, 0, "list_k must be >= 1, got 0"),
-    ], ids=["feature-set", "doc-none", "doc+query-inf", "query-filter", "list-k"])
-    def test_rejects(self, feature_set, hom, list_k, message):
+    @pytest.mark.parametrize("feature_set,filters,list_k,message", [
+        ("everything", FILTERS, 1, "unknown feature set"),
+        ("doc", (), 1, "document features measure homogeneity over a finite filter"),
+        ("doc+query", (FilterSpec.whole_document(),), 1,
+         "document features measure homogeneity over a finite filter"),
+        ("query", FILTERS, 0, "list_k must be >= 1, got 0"),
+    ], ids=["feature-set", "doc-none", "doc+query-inf", "list-k"])
+    def test_rejects(self, feature_set, filters, list_k, message):
         with pytest.raises(ValueError, match=message):
-            ScoreSettings(FILTERS, SmoothingConfig(), feature_set, hom, list_k)
+            ScoreSettings(filters, SmoothingConfig(), feature_set, list_k)
+
+    @pytest.mark.parametrize("labels,feature_set,want", [
+        ("50:10,150,inf", "doc", FilterSpec(50, 10)),
+        ("150,inf,40:10,60:5", "doc+query", FilterSpec(40, 10)),
+        ("40:20,inf,40:10", "doc", FilterSpec(40, 20)),
+        ("40:10,inf,40:20", "doc+query", FilterSpec(40, 10)),
+        ("50:10,150,inf", "query", None),
+        ("inf", "query", None),
+    ], ids=["first-smallest", "stride-kept", "equal-m-first-listed",
+            "equal-m-other-order", "query", "query-inf"])
+    def test_hom_filter_is_derived(self, labels, feature_set, want):
+        """Document features measure homogeneity over the smallest
+        finite filter, with its own stride, the first listed of equal
+        windows; query features take none, whatever the filters."""
+        s = ScoreSettings(parse_filters(labels), SmoothingConfig(), feature_set, 1)
+        assert s.hom_filter == want
+        assert s.meta()["homogeneity_filter"] == (want and want.label)
+        with pytest.raises(TypeError):  # derived, never passed
+            ScoreSettings(parse_filters(labels), SmoothingConfig(), feature_set, want, 1)
 
 
 class TestFeatureNamesAndExtractor:

@@ -50,12 +50,15 @@ def test_no_type_checking_imports():
 def test_only_accel_names_the_lm_span_kernel():
     """Span scores are computed in one place: only ``_accel`` names the
     span scorers and the window-count helpers they share, and only
-    ``passages.score_tokens`` calls ``kernel_filter_scores``. No module
-    names ``bias_coeff``, the log-kernel form's bias that only the tests'
-    oracle keeps. ``lm_span_scores`` stays in ``_accel`` for the tests,
-    and because the benchmark's tracer patches it by name until the
-    benchmark drops it (ROADMAP item 3)."""
+    ``passages.score_tokens`` calls ``kernel_filter_scores``. Eq. 1 has
+    one owner, ``lm_scores``, which only the span scorer and
+    ``retrieval.ql_scores`` call. No module names ``bias_coeff``, the
+    log-kernel form's bias that only the tests' oracle keeps.
+    ``lm_span_scores`` stays in ``_accel`` for the tests, and because the
+    benchmark's tracer patches it by name until the benchmark drops it
+    (ROADMAP item 7)."""
     owners = {"_span_scores": {"_accel.py"}, "lm_span_scores": {"_accel.py"},
+              "lm_scores": {"_accel.py", "retrieval.py"},
               "window_counts": {"_accel.py"}, "match_positions": {"_accel.py"},
               "kernel_filter_scores": {"_accel.py", "passages.py"},
               "bias_coeff": set()}
@@ -95,6 +98,66 @@ def test_only_corpus_sets_the_unseen_term_count():
         found += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
                   if re.search("oov[_-]floor", line) and i not in legacy]
     assert found == []
+
+
+def dead_code(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """The unused imports and the unreferenced private module-level names
+    of a package given as {file name: source}. A name is referenced when
+    some module loads it, reads it as an attribute or imports it; an
+    ``__init__.py`` import is used when ``exported`` (``__all__``) holds
+    it."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    loads = {name: {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for name, tree in trees.items()}
+    referenced = set().union(*loads.values())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        used = loads[name] | (exported if name == "__init__.py" else set())
+        for node in tree.body:
+            defined = []
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                    found += [f"{name}:{node.lineno} import {b}" for b in bound
+                              if b not in used]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            found += [f"{name}:{node.lineno} {d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__")
+                      and d not in referenced]
+    return found
+
+
+def test_no_unused_imports_or_private_names():
+    """Every import in the package is used and every private module-level
+    name is referenced, so a helper that lost its last caller, or an
+    import that lost its last use, cannot linger. The check itself finds
+    both in a package that holds them."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert dead_code(sources, set(passagerank.__all__)) == []
+    leftovers = {
+        "__init__.py": "from .a import used, unexported\n__all__ = ['used']\n",
+        "a.py": ("import numpy as np\nfrom .b import parse, _helper\n"
+                 "_TABLE = {}\n_KEPT = 1\n\n"
+                 "def _sum_terms(x):\n    return x\n\n"
+                 "def used(x):\n    return _helper(x) + _KEPT\n"),
+        "b.py": "def parse(x):\n    return x\n\ndef _helper(x):\n    return x\n",
+    }
+    assert dead_code(leftovers, {"used"}) == [
+        "__init__.py:1 import unexported", "a.py:1 import np", "a.py:2 import parse",
+        "a.py:3 _TABLE", "a.py:6 _sum_terms"]
 
 
 def package_imports() -> dict[str, set[str]]:

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from passagerank import Document, Query, SmoothingConfig, build_index, ql_scores, rank_documents
+from passagerank import (Document, FilterSpec, Query, SmoothingConfig, _accel, build_index,
+                         ql_scores, rank_documents)
 from passagerank.evaluation import rank_by_score
+from passagerank.passages import score_tokens
+from passagerank.retrieval import QueryContext
 from reference import index_document
 
 S05 = SmoothingConfig(0.5)
@@ -30,6 +33,29 @@ class TestQlScores:
         for i, doc_id in enumerate(idx.doc_ids):
             ref = brute_ql(q, index_document(idx, doc_id), idx, 0.5)
             assert scores[i] == pytest.approx(ref, rel=1e-12)
+
+    def test_eq1_has_one_owner(self, small_random_index, monkeypatch):
+        """Ranking documents and scoring spans both evaluate eq. 1 through
+        ``_accel.lm_scores``: one call per query over every document, and
+        one per filter over a batch's spans."""
+        idx, calls = small_random_index, []
+        real = _accel.lm_scores
+
+        def counted(counts, n, background, one_minus_lam):
+            calls.append(counts.shape)
+            return real(counts, n, background, one_minus_lam)
+
+        monkeypatch.setattr(_accel, "lm_scores", counted)
+        q = Query("q", ("t1", "t5", "t5", "zz"))
+        ranked = rank_documents(q, idx, S05, top_k=5)
+        assert calls == [(4, idx.num_docs)]
+        tokens, lengths = idx.batch_tokens(idx.doc_ids)
+        filters = (FilterSpec(10, 5), FilterSpec.whole_document())
+        columns = score_tokens(QueryContext(q, idx, S05), tokens, filters, lengths)
+        n_spans = int(_accel.span_layout(lengths, 10, 5)[0].sum())
+        assert calls[1:] == [(4, n_spans), (4, idx.num_docs)]
+        whole = dict(zip(idx.doc_ids, columns[:, 1].tolist()))
+        assert ranked == rank_by_score(list(whole), list(whole.values()))[:5]
 
     def test_tiny_corpus_value(self, tiny_index):
         # d1 = [a b a]: 0.5*2/3 + 0.5*4/10 = 8/15
