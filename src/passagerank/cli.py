@@ -5,7 +5,8 @@ whole-document QL run), ``rerank`` (max-scoring-passage baselines or the
 trained neural model), ``train`` (cross-validated fusion training),
 ``eval`` (metrics and paired significance), ``weights`` (fusion gate
 report). Tables go to stdout, diagnostics to stderr, artifacts to
-files. All stochastic behavior hangs off --seed.
+files. --seed draws the fold split and the randomization test's sign
+patterns; nothing else is random.
 """
 
 from __future__ import annotations
@@ -54,15 +55,12 @@ _FLAG_DEFS: dict[str, dict] = {
     "top_k": dict(metavar="N", help="initial retrieval depth"),
     "feature_set": dict(metavar="|".join(FEATURE_SETS), help="fusion feature toggles"),
     "passage_size": dict(metavar="M", help="window size for msp modes"),
-    "learning_rate": dict(metavar="F", help="SGD step size"),
-    "batch_size": dict(metavar="N", help="triples per SGD step"),
-    "max_epochs": dict(metavar="N", help="epoch limit"),
+    "max_epochs": dict(metavar="N", help="limit on descent steps, one per epoch"),
     "patience": dict(metavar="N", help="epochs without a validation gain before stopping"),
-    "negatives_per_positive": dict(metavar="N", help="non-relevant samples per relevant one"),
     "folds": dict(metavar="K", help="cross-validation folds, at least 3"),
     "permutations": dict(metavar="N", help="randomization test samples; all 2^n sign "
                                             "patterns of n queries when 2^n <= N"),
-    "seed": dict(metavar="N", help="seed of every stochastic choice"),
+    "seed": dict(metavar="N", help="seed of the fold split and the randomization test"),
 }
 
 
@@ -131,8 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("train", "cross-validated training of the fusion model")
     _add_flags(p, "index", "topics", "qrels", "stoplist", "filters",
-               "lambda_c", "feature_set", "top_k", "learning_rate", "batch_size",
-               "max_epochs", "patience", "negatives_per_positive", "folds")
+               "lambda_c", "feature_set", "top_k", "max_epochs", "patience", "folds")
     p.add_argument("--run", required=True, metavar="RUN",
                    help="initial run supplying candidates and the list feature")
     p.add_argument("--output-dir", required=True, metavar="DIR")

@@ -38,11 +38,8 @@ class ExperimentConfig:
     top_k: int = 2000
     feature_set: str = "doc+query"
     passage_size: int = 50
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
     max_epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
-    negatives_per_positive: int = TrainConfig.negatives_per_positive
     folds: int = TrainConfig.folds
     permutations: int = 100_000
     seed: int = TrainConfig.seed

@@ -474,19 +474,22 @@ def _between(text: bytes, lowered: bytes, open_tag: bytes,
 
 
 def _records(text: bytes, open_tag: bytes, close_tag: bytes, path,
-             noun: str) -> Iterator[tuple[int, bytes]]:
+             noun: str, lowered: bytes | None = None) -> Iterator[tuple[int, bytes]]:
     """Number and body of each ``open_tag``...``close_tag`` record of a
-    file, tags matched case-sensitively; a record that another opens
-    inside, or that the file ends inside, is a ``CorpusError``."""
-    start, ordinal = text.find(open_tag), 1
+    file, tags matched case-sensitively, or, given ``lowered``
+    (``text.lower()``) and lowercase tags, with ASCII letters in any
+    case; a record that another opens inside, or that the file ends
+    inside, is a ``CorpusError``."""
+    find = (text if lowered is None else lowered).find
+    start, ordinal = find(open_tag), 1
     while start != -1:
         begin = start + len(open_tag)
-        end = text.find(close_tag, begin)
-        if end == -1 or text.find(open_tag, begin, end) != -1:
+        end = find(close_tag, begin)
+        if end == -1 or find(open_tag, begin, end) != -1:
             raise CorpusError(f"{path}: {noun} #{ordinal} is not closed by "
                               f"{close_tag.decode()}")
         yield ordinal, text[begin:end]
-        start, ordinal = text.find(open_tag, end + len(close_tag)), ordinal + 1
+        start, ordinal = find(open_tag, end + len(close_tag)), ordinal + 1
 
 
 def _corpus_files(path: Path) -> list[Path]:
@@ -549,8 +552,9 @@ def read_topics(
     path: str | Path, stopwords: frozenset[str] = frozenset()
 ) -> list[Query]:
     """Parse TREC topics; the title field is the query, num the query_id.
-    A ``<top>`` record not closed by ``</top>`` before the next opens or
-    the file ends is a ``CorpusError``.
+    The ``<top>`` and ``</top>`` tags match with ASCII letters in any
+    case, as the fields do; a record not closed by ``</top>`` before the
+    next opens or the file ends is a ``CorpusError``.
 
     Topics whose title tokenizes to nothing are skipped with a warning
     (queries must have at least one term).
@@ -558,7 +562,8 @@ def read_topics(
     blob = Path(path).read_bytes()
     queries: list[Query] = []
     seen: set[str] = set()
-    for ordinal, body in _records(blob, b"<top>", b"</top>", path, "topic record"):
+    for ordinal, body in _records(blob, b"<top>", b"</top>", path, "topic record",
+                                  blob.lower()):
         try:
             record = body.decode("utf-8")
         except UnicodeDecodeError:

@@ -208,15 +208,10 @@ class FusionModel:
             raise ValueError(f"model file {path}: {e}") from None
 
     def fingerprint(self) -> str:
-        """Short hash of the configuration the parameters were fitted to."""
-        payload = json.dumps(
-            {
-                "filters": [f.label for f in self.filters],
-                "feature_names": list(self.feature_names),
-                "meta": self.meta,
-            },
-            sort_keys=True,
-        )
+        """Short hash of everything the model file holds: the parameters,
+        the normalizations and the configuration they were fitted to, in
+        their saved JSON form, so a load/save round trip keeps it."""
+        payload = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:10]
 
 
@@ -228,7 +223,9 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     1e-12.
     """
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    # numpy reduces a short last axis one row at a time; the max over a
+    # transposed copy is the same value at a fraction of the cost
+    z = z - np.ascontiguousarray(z.T).max(axis=0)[:, np.newaxis]
     e = np.exp(z)
     out = e / e.sum(axis=-1, keepdims=True)
     return np.maximum(out, _PHI_FLOOR)

@@ -2,12 +2,12 @@
 
 The per-filter kernels are fixed, so candidate score vectors r and
 feature vectors h are precomputed once; training only fits the fusion
-parameters (W, b). Optimization is mini-batch SGD on the pairwise hinge
-loss max(0, 1 - s_pos + s_neg) over sampled (query, relevant,
-non-relevant) triples, with early stopping on validation MAP and
-best-epoch restoration. Every stochastic choice (fold split, triple
-sampling, initialization, epoch shuffles) derives from one seed, so a
-rerun reproduces parameters bit-for-bit.
+parameters (W, b), by full-batch descent from W = 0, the uniform gate,
+on the pairwise hinge max(0, 1 - s_pos + s_neg) over every (relevant,
+non-relevant) pair (Joachims, KDD 2002), counted by sorting (Joachims,
+KDD 2006). One epoch is one backtracking (Armijo) step; early stopping
+keeps the epoch with the best (validation MAP, -validation hinge).
+Nothing is random but the fold split, so a rerun is bit-for-bit.
 
 Fold protocol: queries are shuffled once and split into k near-equal
 folds; fold i is the test set, fold (i+1) mod k the validation set for
@@ -32,21 +32,19 @@ from .fusion import AffineNorm, FusionModel, forward_parts, linear_rows
 log = logging.getLogger(__name__)
 
 
+# a step is accepted when the loss falls by _ARMIJO x step x |gradient|^2
+_FIRST_STEP, _ARMIJO, _MAX_HALVINGS = 1.0, 0.5, 30
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
-    batch_size: int = 64
     max_epochs: int = 50
     patience: int = 5
     seed: int = 0
-    negatives_per_positive: int = 5
     folds: int = 5
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:  # NaN too
-            raise ValueError("learning_rate must be >= 0")
-        for name in ("batch_size", "max_epochs", "patience",
-                     "negatives_per_positive"):
+        for name in ("max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.folds < 3:
@@ -113,9 +111,11 @@ def sample_triples(
 ) -> list[tuple[str, int, int]]:
     """(query_id, pos_index, neg_index) triples over the given queries.
 
-    For each relevant candidate, negatives are drawn uniformly without
-    replacement (all of them when fewer than requested exist). Every
-    query yields triples: a ``CandidateSet`` holds both kinds.
+    Training calls no sampler; the benchmark's tracer still counts this
+    one by name. For each relevant candidate, negatives are drawn
+    uniformly without replacement (all of them when fewer than requested
+    exist). Every query yields triples: a ``CandidateSet`` holds both
+    kinds.
     """
     triples: list[tuple[str, int, int]] = []
     for qid in sorted(qids):
@@ -129,120 +129,121 @@ def sample_triples(
     return triples
 
 
+def pair_hinge(s: np.ndarray, groups) -> tuple[float, np.ndarray]:
+    """The pairwise hinge over ``groups``, one (relevant rows, non-relevant
+    rows, weight) per query, and its gradient in each score of ``s``: each
+    query adds ``weight`` times 1 - s[p] + s[n] over its active pairs,
+    those with s[n] > s[p] - 1, which one sort and one ``searchsorted``
+    per class count for every score."""
+    loss, grad = 0.0, np.zeros_like(s)
+    for pos, neg, weight in groups:
+        limit, sn = s[pos] - 1.0, s[neg]
+        # per relevant row, its non-relevant rows above the limit;
+        # per non-relevant row, the relevant rows whose limit it exceeds
+        above = sn.size - np.searchsorted(np.sort(sn), limit, side="right")
+        below = np.searchsorted(np.sort(limit), sn, side="left")
+        loss += weight * float(below @ sn - above @ limit)
+        grad[pos] = -weight * above
+        grad[neg] = weight * below
+    return loss, grad
+
+
+def _stack(candidates: Mapping[str, CandidateSet], qids: Sequence[str]):
+    """The sorted queries' raw R and H rows, stacked, and each query's
+    rows as ``pair_hinge`` groups."""
+    order = sorted(qids)
+    groups, start = [], 0
+    for q in order:
+        rel = candidates[q].rel
+        pos, neg = np.flatnonzero(rel) + start, np.flatnonzero(~rel) + start
+        groups.append((pos, neg, 1.0 / (len(order) * pos.size * neg.size)))
+        start += rel.size
+    return (order, np.vstack([candidates[q].R for q in order]),
+            np.vstack([candidates[q].H for q in order]), groups)
+
+
 def train_fold(
     candidates: Mapping[str, CandidateSet],
     train_qids: Sequence[str],
     val_qids: Sequence[str],
     config: TrainConfig,
-    rng: np.random.Generator,
     model_meta: dict,
     filters,
     feature_names: Sequence[str],
 ) -> tuple[FusionModel, list[tuple[int, float, float]]]:
-    """SGD with early stopping on one train/validation split.
+    """Full-batch descent with early stopping on one train/validation split.
 
     Returns the best-epoch model and the per-epoch log rows
-    (epoch, mean train loss, validation MAP); epoch 0 is the untouched
-    initialization, which best-epoch restoration also considers.
+    (epoch, train pair hinge, validation MAP); epoch 0 is the uniform
+    gate W = 0, b = 0, which best-epoch restoration also considers.
     """
     if not train_qids or not val_qids:
         raise ValueError("train_fold needs training and validation queries")
-    alpha = len(filters)
-    beta = len(feature_names)
-    order = sorted(train_qids)
-    train_R = np.vstack([candidates[q].R for q in order])
-    train_H = np.vstack([candidates[q].H for q in order])
+    _, train_R, train_H, groups = _stack(candidates, train_qids)
     score_norm = AffineNorm.fit(train_R)
     feature_norm = AffineNorm.fit(train_H)
+    R, H = score_norm.apply(train_R), feature_norm.apply(train_H)
+    log.info("fold training on %d pairs from %d queries",
+             sum(pos.size * neg.size for pos, neg, _ in groups), len(groups))
 
-    triples = sample_triples(
-        candidates, train_qids, config.negatives_per_positive, rng
-    )
-    # each triple's rows in the stacked training matrices; normalization
-    # is elementwise, so one gather per side equals normalizing per query
-    start = dict(zip(order, np.cumsum([0] + [len(candidates[q].doc_ids)
-                                             for q in order]).tolist()))
-    pos, neg = np.array([(start[q] + p, start[q] + n) for q, p, n in triples]).T
-    R_norm, H_norm = score_norm.apply(train_R), feature_norm.apply(train_H)
-    Rp, Hp, Rn, Hn = R_norm[pos], H_norm[pos], R_norm[neg], H_norm[neg]
-    n_triples = len(triples)
-    log.info("fold training on %d triples from %d queries", n_triples, len(order))
+    # the validation rows are normalized and their judgments built once;
+    # the linear score orders as tanh does but never saturates
+    val_order, val_R, val_H, val_groups = _stack(candidates, val_qids)
+    val_R, val_H = score_norm.apply(val_R), feature_norm.apply(val_H)
+    val_docs = [(candidates[q].doc_ids, {d: 1 for d, r in zip(candidates[q].doc_ids,
+                                                              candidates[q].rel) if r})
+                for q in val_order]
+    ends = np.cumsum([len(docs) for docs, _ in val_docs]).tolist()
 
-    W = rng.uniform(-0.1, 0.1, size=(alpha, beta))
-    b = 0.0
+    def validate(W_, b_) -> tuple[float, float]:
+        """(validation MAP, -validation pair hinge): higher is better."""
+        lin = linear_rows(W_, b_, val_R, val_H)
+        aps = [average_precision([d for d, _ in rank_by_score(docs, lin[e - len(docs):e])],
+                                 grades)
+               for (docs, grades), e in zip(val_docs, ends)]
+        return float(np.mean(aps)), -pair_hinge(np.tanh(lin), val_groups)[0]
 
-    def mean_loss(W_, b_) -> float:
-        sp, _, _, _ = forward_parts(W_, b_, Rp, Hp)
-        sn, _, _, _ = forward_parts(W_, b_, Rn, Hn)
-        return float(np.maximum(0.0, 1.0 - sp + sn).mean())
+    def at(W_, b_):
+        """The train pair hinge at (W_, b_), its gradient in each score, and
+        the coefficients that turn that into the gradient in W and b."""
+        s, _, C, dB = forward_parts(W_, b_, R, H)
+        return (*pair_hinge(s, groups), C, dB)
 
-    # each validation query's rows are normalized and its judgments built
-    # once; the linear score orders as tanh does but never saturates
-    val = []
-    for q in sorted(val_qids):
-        cs = candidates[q]
-        val.append((cs.doc_ids, score_norm.apply(cs.R), feature_norm.apply(cs.H),
-                    {d: 1 for d, r in zip(cs.doc_ids, cs.rel) if r}))
-
-    def val_map(W_, b_) -> float:
-        aps = []
-        for docs, R, H, grades in val:
-            ranking = rank_by_score(docs, linear_rows(W_, b_, R, H))
-            aps.append(average_precision([d for d, _ in ranking], grades))
-        return float(np.mean(aps))
-
-    rows: list[tuple[int, float, float]] = [(0, mean_loss(W, b), val_map(W, b))]
-    best = (rows[0][2], 0, W.copy(), b)
-    since_best = 0
-
+    W, b, step = np.zeros((len(filters), len(feature_names))), 0.0, _FIRST_STEP
+    point, score = at(W, b), validate(W, b)
+    rows, best = [(0, point[0], score[0])], (score, 0, W, b)
     for epoch in range(1, config.max_epochs + 1):
-        perm = rng.permutation(n_triples)
-        epoch_loss = 0.0
-        for lo in range(0, n_triples, config.batch_size):
-            sel = perm[lo : lo + config.batch_size]
-            bs = sel.shape[0]
-            sp, _, Cp, dBp = forward_parts(W, b, Rp[sel], Hp[sel])
-            sn, _, Cn, dBn = forward_parts(W, b, Rn[sel], Hn[sel])
-            margins = 1.0 - sp + sn
-            epoch_loss += float(np.maximum(0.0, margins).sum())
-            active = (margins > 0.0).astype(np.float64)
-            # d loss / d s_pos = -1, d loss / d s_neg = +1 on active triples
-            dW = ((Cn * active[:, np.newaxis]).T @ Hn[sel]
-                  - (Cp * active[:, np.newaxis]).T @ Hp[sel]) / bs
-            db = float((active * (dBn - dBp)).sum()) / bs
-            W -= config.learning_rate * dW
-            b -= config.learning_rate * db
-        loss = epoch_loss / n_triples
-        if not np.isfinite(loss) or not np.isfinite(W).all():
-            raise RuntimeError(
-                f"training diverged at epoch {epoch} (loss={loss}); "
-                f"lower the learning rate"
-            )
-        vm = val_map(W, b)
-        rows.append((epoch, loss, vm))
-        if vm > best[0]:
-            best = (vm, epoch, W.copy(), b)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                log.info("early stop at epoch %d (best epoch %d, val MAP %.4f)",
-                         epoch, best[1], best[0])
+        loss, grad, C, dB = point
+        dW, db = (C * grad[:, np.newaxis]).T @ H, float(grad @ dB)
+        norm2 = float((dW * dW).sum()) + db * db
+        if norm2 == 0.0:
+            log.info("zero gradient at epoch %d", epoch)
+            break
+        # a trial is one forward pass; only an accepted one gets dW and db
+        for _ in range(_MAX_HALVINGS):
+            trial = (W - step * dW, b - step * db)
+            point = at(*trial)
+            if point[0] <= loss - _ARMIJO * step * norm2:
                 break
+            step /= 2
+        else:
+            log.info("no descent step at epoch %d", epoch)
+            break
+        (W, b), step = trial, step * 2
+        score = validate(W, b)
+        rows.append((epoch, point[0], score[0]))
+        if score > best[0]:
+            best = (score, epoch, W, b)
+        elif epoch - best[1] >= config.patience:
+            log.info("early stop at epoch %d (best epoch %d, val MAP %.4f)",
+                     epoch, best[1], best[0][0])
+            break
     if best[1] == 0:
-        log.warning("no epoch beat the initial validation MAP %.4f; the saved "
-                    "model is the random initialization", best[0])
+        log.warning("no epoch beat the initial validation score (MAP %.4f); the "
+                    "saved model is the uniform gate", best[0][0])
 
-    model = FusionModel(
-        filters=filters,
-        feature_names=feature_names,
-        W=best[2],
-        b=best[3],
-        score_norm=score_norm,
-        feature_norm=feature_norm,
-        meta=dict(model_meta, best_epoch=best[1], best_val_map=best[0]),
-    )
-    return model, rows
+    return FusionModel(filters, feature_names, best[2], best[3], score_norm, feature_norm,
+                       dict(model_meta, best_epoch=best[1], best_val_map=best[0][0])), rows
 
 
 def train(
@@ -270,14 +271,9 @@ def train(
         test_qids = sorted([q for q in qids if fold_of[q] == fold]
                            + [q for q in held_out if held_out[q] == fold])
         val_qids = [q for q in qids if fold_of[q] == val_fold]
-        train_qids = [
-            q for q in qids if fold_of[q] != fold and fold_of[q] != val_fold
-        ]
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, fold]))
-        model, rows = train_fold(
-            candidates, train_qids, val_qids, config, rng,
-            dict(model_meta, fold=fold), filters, feature_names,
-        )
+        train_qids = [q for q in qids if fold_of[q] not in (fold, val_fold)]
+        model, rows = train_fold(candidates, train_qids, val_qids, config,
+                                 dict(model_meta, fold=fold), filters, feature_names)
         results.append(FoldResult(fold, model, rows, train_qids, val_qids,
                                   test_qids))
     return results

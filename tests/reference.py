@@ -7,8 +7,8 @@ loop twins of the batched window kernels, among them the log-kernel form
 sum_t log(tf + b_t) that equals the LM span score plus a shift, the best
 passage's LM score pooled from the unpooled span scores, single-document
 forms of the batch scorers and of the homogeneity mix, the fusion
-feature row, and the pairwise homogeneity, postings and Fisher
-references. It also holds
+feature row, the pair-by-pair training hinge, and the pairwise
+homogeneity, postings and Fisher references. It also holds
 the index helpers that only tests need: a document rebuilt from the
 token store, and index equality for the round-trip tests; and the regex
 tokenizer and TRECTEXT reader that the find and translate ingest path
@@ -489,6 +489,22 @@ def fuse_features(
 def hinge_loss(s_pos: float, s_neg: float) -> float:
     """max(0, 1 - s_pos + s_neg)."""
     return max(0.0, 1.0 - s_pos + s_neg)
+
+
+def pair_hinge_reference(s: np.ndarray, groups) -> tuple[float, np.ndarray]:
+    """``training.pair_hinge`` by enumerating every (relevant,
+    non-relevant) pair of each group. A pair is active, and adds its
+    hinge to the loss and +-weight to its two scores' gradients, when
+    s[n] > s[p] - 1: the comparison the counting form makes."""
+    loss, grad = 0.0, np.zeros(len(s))
+    for pos, neg, weight in groups:
+        for p in pos:
+            for n in neg:
+                if s[n] > s[p] - 1.0:
+                    loss += weight * hinge_loss(s[p], s[n])
+                    grad[p] -= weight
+                    grad[n] += weight
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,7 @@ def test_criterion_3_planted_passage_discrimination():
             return cands
 
         cands = build_candidates()
-        tc = TrainConfig(learning_rate=0.05, batch_size=64, max_epochs=8,
-                         patience=3, seed=0, negatives_per_positive=5,
-                         folds=5)
+        tc = TrainConfig(max_epochs=8, patience=3, seed=0, folds=5)
         results = train(cands, tc, {}, filters, names)
 
         aps = []

@@ -78,11 +78,8 @@ TRAIN_CONF = """\
 # small but real training setup
 filters = 50:25,150:75,inf
 top_k = 40
-learning_rate = 0.05
-batch_size = 16
 max_epochs = 6
 patience = 3
-negatives_per_positive = 2
 folds = 3
 permutations = 2000
 """
@@ -206,10 +203,12 @@ class TestDeterminism:
                      "--qrels", str(pipeline["qrels"]),
                      "--run", str(pipeline["ql_run"]),
                      "--output-dir", str(out_dir), "--seed", "0"]) == 0
-        for name in ("folds.csv", "fold_0.json", "fold_1.json", "fold_2.json",
-                     "train_log_fold_0.csv"):
-            assert filecmp.cmp(out_dir / name, pipeline["model_dir"] / name,
-                               shallow=False), name
+        names = sorted(p.name for p in pipeline["model_dir"].iterdir())
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        assert len(names) == 7  # folds.csv, and a model and a log per fold
+        match, mismatch, errors = filecmp.cmpfiles(out_dir, pipeline["model_dir"], names,
+                                                   shallow=False)
+        assert (mismatch, errors) == ([], [])
 
     def test_rerank_is_byte_identical(self, pipeline, tmp_path):
         out = tmp_path / "npm2.run"
@@ -229,6 +228,9 @@ class TestDeterminism:
                      "--qrels", str(pipeline["qrels"]),
                      "--run", str(pipeline["ql_run"]),
                      "--output-dir", str(out_dir), "--seed", "9"]) == 0
+        # the seed deals the folds; training itself draws nothing
+        assert not filecmp.cmp(out_dir / "folds.csv", pipeline["model_dir"] / "folds.csv",
+                               shallow=False)
         assert not filecmp.cmp(out_dir / "fold_0.json",
                                pipeline["model_dir"] / "fold_0.json",
                                shallow=False)
@@ -270,6 +272,28 @@ class TestNpmTag:
                               "--top-k", "7", "--filters", "30,inf")
         assert run_tag(out) == run_tag(pipeline["npm_run"]) == f"npm-{expect}"
         assert f"model fingerprint {expect}" in caplog.text
+
+    def test_tag_tracks_the_parameters(self, pipeline, tmp_path):
+        # two directories that differ only in their weights must not share
+        # a tag; a load/save round trip keeps it
+        zeroed = shutil.copytree(pipeline["model_dir"], tmp_path / "zeroed")
+        for fold in range(3):
+            path = zeroed / f"fold_{fold}.json"
+            model = json.loads(path.read_text())
+            model["W"] = [[0.0] * len(row) for row in model["W"]]
+            model["b"] = 5.0
+            path.write_text(json.dumps(model))
+        assert (NpmModel.load(zeroed).fingerprint
+                != NpmModel.load(pipeline["model_dir"]).fingerprint)
+        fold_0 = FusionModel.load(pipeline["model_dir"] / "fold_0.json")
+        fold_0.save(tmp_path / "again.json")
+        assert FusionModel.load(tmp_path / "again.json").fingerprint() == fold_0.fingerprint()
+        for key in ("score_norm", "feature_norm"):
+            moved = fold_0.to_json_dict()
+            moved[key]["mean"][0] += 1.0
+            (tmp_path / f"{key}.json").write_text(json.dumps(moved))
+            assert (FusionModel.load(tmp_path / f"{key}.json").fingerprint()
+                    != fold_0.fingerprint()), key
 
     def test_fingerprints_are_ten_hex_digits(self, pipeline):
         # as the README's npm-<fingerprint> tag says, for a file and a directory
@@ -610,8 +634,7 @@ def test_every_command_runs_on_edge_shapes(tmp_path):
     assert sorted(candidates, key=int) == [str(q) for q in range(1, 10)]
     assert all(len(docs) == num_docs for docs in candidates.values())
     assert main(["train", *data, "--qrels", str(tmp_path / "qrels.txt"), "--run", str(ql),
-                 "--learning-rate", "0.5", "--batch-size", "16", "--max-epochs", "3",
-                 "--patience", "2", "--negatives-per-positive", "2", "--folds", "3",
+                 "--max-epochs", "3", "--patience", "2", "--folds", "3",
                  "--output-dir", str(models)]) == 0
     runs = {mode: ["--mode", mode] for mode in RERANK_MODES if mode != "npm"}
     runs["npm"] = ["--mode", "npm", "--model", str(models),

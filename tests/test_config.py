@@ -159,6 +159,28 @@ class TestConfigFile:
         assert "unrecognized arguments: --homogeneity-m 50" in err and "Traceback" not in err
         assert not (tmp_path / "models").exists()
 
+    @pytest.mark.parametrize("key,value", [("learning_rate", "0.05"), ("batch_size", "64"),
+                                           ("negatives_per_positive", "5")])
+    def test_sgd_settings_are_unknown_keys(self, tmp_path, capsys, key, value):
+        # training descends on every pair with a searched step, so no
+        # config or flag sets a step size, a batch or a sample count
+        path = tmp_path / "exp.conf"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            read_config_file(path)
+        common = ["--index", str(tmp_path), "--topics", str(path), "--qrels", str(path),
+                  "--run", str(path), "--output-dir", str(tmp_path / "models")]
+        assert main(["train", "--config", str(path), *common]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:1: unknown config "
+                                           f"key '{key}'\n")
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", *common, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("key, first, second", [
         ("top_k", "5", "30"),
         ("filters", "50,inf", "150,inf"),
@@ -207,10 +229,10 @@ class TestBuildConfig:
         {"top_k": 0},
         {"folds": 0},
         {"oov_floor": 1},  # no oov_floor key: an unseen term counts once
-        {"learning_rate": -0.1},
+        {"learning_rate": -0.1},  # no learning_rate key: a line search sets the step
         {"homogeneity_m": 50},  # no homogeneity_m key: the smallest finite filter
         {"folds": 2},  # a fold needs a test, a validation and a training fold
-        {"learning_rate": float("nan")},
+        {"learning_rate": float("nan")},  # unknown whatever its value
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -378,8 +400,7 @@ class TestSchema:
         'train': [
             '--config', '--seed', '-v --verbose default=False', '--index', '--topics',
             '--qrels', '--stoplist', '--filters', '--lambda-c', '--feature-set',
-            '--top-k', '--learning-rate', '--batch-size', '--max-epochs', '--patience',
-            '--negatives-per-positive', '--folds',
+            '--top-k', '--max-epochs', '--patience', '--folds',
             '--run required', '--output-dir required',
         ],
         'eval': [
@@ -410,4 +431,4 @@ class TestSchema:
 
     def test_default_fingerprint_is_stable(self):
         # run tags carry the fingerprint: its bytes must not move
-        assert ExperimentConfig().fingerprint() == "d1beb387d8"
+        assert ExperimentConfig().fingerprint() == "3c3ec2cf07"

@@ -590,7 +590,8 @@ class TestTopics:
          "<top><num>2</num><title>b</title></top>", 1),
         ("<top><num>1</num><title>a</title></top>\n"
          "<top><num>2</num><title>b</title>\n", 2),
-    ], ids=["nested", "trailing"])
+        ("<TOP><num>1</num><title>a</title>\n", 1),
+    ], ids=["nested", "trailing", "upper"])
     def test_unclosed_topic_raises(self, tmp_path, text, ordinal):
         # a nested topic was read as the one around it, and a trailing
         # one was dropped
@@ -599,6 +600,15 @@ class TestTopics:
         with pytest.raises(CorpusError, match=f"^{re.escape(str(f))}: topic record "
                                               f"#{ordinal} is not closed by </top>$"):
             read_topics(f)
+
+    def test_top_tags_match_in_any_ascii_case(self, tmp_path):
+        # as the fields do; an upper-case record was skipped without a word
+        f = tmp_path / "topics.txt"
+        f.write_text("<top><num>1</num><title>a</title></top>\n"
+                     "<TOP><num>2</num><title>b</title></TOP>\n"
+                     "<Top><num>3</num><title>c</title></tOP>\n", encoding="utf-8")
+        assert read_topics(f) == [Query("1", ("a",)), Query("2", ("b",)),
+                                  Query("3", ("c",))]
 
     def test_unicode_folds_onto_ascii_do_not_apply(self, tmp_path):
         # as for text tags, a field name or prefix holding one of these

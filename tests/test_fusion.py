@@ -245,10 +245,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             FusionModel.load(path)
 
-    def test_fingerprint_tracks_identity_not_weights(self):
+    def test_fingerprint_tracks_weights_and_identity(self):
+        # an npm run tag names the model that scored it, weights included
         a = make_model(np.random.default_rng(1))
-        b = make_model(np.random.default_rng(2))
-        assert a.fingerprint() == b.fingerprint()
+        assert make_model(np.random.default_rng(1)).fingerprint() == a.fingerprint()
+        assert make_model(np.random.default_rng(2)).fingerprint() != a.fingerprint()
+        shifted = FusionModel(a.filters, a.feature_names, a.W, 0.5, a.score_norm,
+                              a.feature_norm, a.meta)
+        assert shifted.fingerprint() != a.fingerprint()
         c = make_model(np.random.default_rng(1), meta={"x": 1})
         assert c.fingerprint() != a.fingerprint()
 

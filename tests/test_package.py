@@ -160,6 +160,46 @@ def test_no_unused_imports_or_private_names():
         "a.py:3 _TABLE", "a.py:6 _sum_terms"]
 
 
+def randomness(source: str, allowed: set[str]) -> list[str]:
+    """Where a module names ``np.random`` or takes an ``rng`` parameter
+    outside the functions in ``allowed``: "line name" entries."""
+    tree = ast.parse(source)
+    fns = [fn for fn in ast.walk(tree)
+           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    inside = {line for fn in fns if getattr(fn, "name", None) in allowed
+              for line in range(fn.lineno, fn.end_lineno + 1)}
+    found = [f"{node.lineno} np.random" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "random"
+             and isinstance(node.value, ast.Name) and node.value.id == "np"
+             and node.lineno not in inside]
+    for fn in fns:
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if fn.lineno not in inside and "rng" in [a.arg for a in params]:
+            found.append(f"{fn.lineno} rng")
+    return found
+
+
+def test_training_draws_no_random_number():
+    """Training is deterministic: in ``training.py`` only ``deal_folds``,
+    which shuffles queries into folds, names ``np.random``, and no
+    function takes an ``rng``. ``sample_triples`` is exempt: training
+    never calls it, and it stays only because the benchmark's tracer
+    patches it by name (ROADMAP item 7 deletes it). The check itself
+    finds each kind of draw in a module that holds them."""
+    source = (SRC / "training.py").read_text(encoding="utf-8")
+    assert randomness(source, {"deal_folds", "sample_triples"}) == []
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "sample_triples" in
+             (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == []
+    planted = ("import numpy as np\n_RNG = np.random.default_rng(0)\n\n"
+               "def deal_folds(seed):\n    return np.random.default_rng(seed)\n\n"
+               "def train_fold(x, rng):\n    return x\n\n"
+               "def step(x):\n    return x + np.random.normal()\n")
+    assert randomness(planted, {"deal_folds"}) == ["2 np.random", "11 np.random", "7 rng"]
+
+
 def package_imports() -> dict[str, set[str]]:
     """Each module's package imports: the modules its ``from .x import``
     and ``from . import x`` statements name, inside any block too."""

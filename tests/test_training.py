@@ -1,13 +1,17 @@
-"""Fold assignment, triple sampling, SGD training, and early stopping."""
+"""Fold assignment, the pair hinge, full-batch training, and early stopping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from passagerank import FilterSpec, Query, TrainConfig, make_folds, sample_triples, train
+from passagerank import (FilterSpec, NpmModel, Query, ScoreSettings, SmoothingConfig,
+                         TrainConfig, build_index, make_folds, npm_rank, npm_train,
+                         parse_filters, rank_documents, sample_triples, train)
 from passagerank.fusion import forward_parts
 from passagerank import training
-from passagerank.training import CandidateSet, train_fold
-from reference import hinge_loss
+from passagerank.training import CandidateSet, pair_hinge, train_fold
+from conftest import planted_corpus
+from reference import hinge_loss, pair_hinge_reference
 
 FILTERS2 = (FilterSpec.window(10), FilterSpec.whole_document())
 FEATS3 = ("f1", "f2", "f3")
@@ -111,10 +115,24 @@ class TestCandidateSet:
 
 
 def small_config(**kw):
-    base = dict(learning_rate=0.05, batch_size=16, max_epochs=12, patience=4,
-                seed=0, negatives_per_positive=3, folds=3)
+    base = dict(max_epochs=12, patience=4, seed=0, folds=3)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def separated_pools(n_queries=6):
+    """Pools whose relevant rows score 2 and non-relevant rows -2 on two
+    filters (the second with a little noise): at the uniform gate every
+    pair's margin is negative."""
+    rng = np.random.default_rng(3)
+    cands = {}
+    for qi in range(n_queries):
+        qid = f"{qi + 1}"
+        rel = np.array([True, True, False, False, False])
+        R = np.where(rel, 2.0, -2.0)[:, None] + np.array([0.0, 0.1]) * rng.normal(size=(5, 2))
+        cands[qid] = CandidateSet(Query(qid, ("t",)), [f"d{i}" for i in range(5)],
+                                  R, rng.normal(size=(5, 3)), rel)
+    return cands
 
 
 class TestTrainFold:
@@ -122,71 +140,77 @@ class TestTrainFold:
         cands = toy_candidates()
         qids = sorted(cands)
         model, rows = train_fold(cands, qids[:8], qids[8:], small_config(),
-                                 np.random.default_rng(0), {}, FILTERS2, FEATS3)
+                                 {}, FILTERS2, FEATS3)
         assert rows[0][0] == 0
         assert model.meta["best_val_map"] == max(r[2] for r in rows)
         assert model.meta["best_val_map"] >= rows[0][2]
         assert model.meta["best_val_map"] == pytest.approx(1.0)
 
-    def test_zero_learning_rate_never_moves(self):
+    def test_starts_at_the_uniform_gate(self, monkeypatch):
+        # the first forward pass sees W = 0 and b = 0, so phi is uniform
+        seen = []
+
+        def recording(W, b, R, H):
+            seen.append((W.copy(), b))
+            return forward_parts(W, b, R, H)
+
+        monkeypatch.setattr(training, "forward_parts", recording)
         cands = toy_candidates()
         qids = sorted(cands)
-        model, rows = train_fold(cands, qids[:8], qids[8:],
-                                 small_config(learning_rate=0.0),
-                                 np.random.default_rng(0), {}, FILTERS2, FEATS3)
-        losses = {f"{loss:.15g}" for _, loss, _ in rows}
-        maps = {vm for _, _, vm in rows}
-        assert len(losses) == 1 and len(maps) == 1
-        assert model.meta["best_epoch"] == 0
+        train_fold(cands, qids[:8], qids[8:], small_config(max_epochs=1), {},
+                   FILTERS2, FEATS3)
+        W0, b0 = seen[0]
+        assert W0.shape == (2, 3) and not W0.any() and b0 == 0.0
 
-    def test_satisfied_margins_leave_weights_alone(self):
-        # single filter, scores +-1 after normalization: tanh(+-1) puts the
-        # pairwise margin below zero, so every gradient is exactly zero
-        rng = np.random.default_rng(3)
-        cands = {}
-        for qi in range(6):
-            qid = f"{qi + 1}"
-            rel = np.array([True, True, False, False, False])
-            R = np.where(rel, 1.0, -1.0)[:, None] * 2.0
-            H = rng.normal(size=(5, 3))
-            cands[qid] = CandidateSet(Query(qid, ("t",)),
-                                      [f"d{i}" for i in range(5)], R, H, rel)
-        cfg = small_config(max_epochs=10, patience=3)
-        model, rows = train_fold(cands, ["1", "2", "3", "4"], ["5", "6"], cfg,
-                                 np.random.default_rng(1), {},
-                                 (FilterSpec.window(10),), FEATS3)
-        assert all(loss == 0.0 for _, loss, _ in rows)
+    def test_losses_descend(self):
+        # each epoch is an accepted Armijo step, so the train hinge falls
+        cands = toy_candidates(separation=0.0)
+        qids = sorted(cands)
+        _, rows = train_fold(cands, qids[:8], qids[8:], small_config(max_epochs=20,
+                                                                     patience=20),
+                             {}, FILTERS2, FEATS3)
+        losses = [loss for _, loss, _ in rows]
+        assert len(losses) > 2
+        assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_satisfied_margins_leave_weights_alone(self, caplog):
+        # no pair is active at the uniform gate, so the gradient is zero:
+        # no step is taken and the saved model is W = 0, b = 0
+        cands = separated_pools()
+        with caplog.at_level("WARNING", logger="passagerank.training"):
+            model, rows = train_fold(cands, ["1", "2", "3", "4"], ["5", "6"],
+                                     small_config(), {},
+                                     (FilterSpec.window(10), FilterSpec.whole_document()),
+                                     FEATS3)
+        assert rows == [(0, 0.0, 1.0)]
+        assert not model.W.any() and model.b == 0.0
         assert model.meta["best_epoch"] == 0
-        # patience exhausts because nothing can improve on epoch 0
-        assert len(rows) == cfg.patience + 1
+        assert "uniform gate" in caplog.text
 
     def test_epoch0_restore_warns(self, caplog):
-        # validation MAP is already 1.0 at initialization, and improving
-        # needs a strictly higher MAP, so the random init is restored
-        cands = toy_candidates()
+        # the validation queries' judgments are the reverse of the
+        # training queries', so each step that lowers the train hinge
+        # raises the validation hinge and the uniform gate is restored
+        cands = toy_candidates(separation=1.0)
         qids = sorted(cands)
+        for q in qids[8:]:
+            cands[q].rel = ~cands[q].rel
         with caplog.at_level("WARNING", logger="passagerank.training"):
             model, rows = train_fold(cands, qids[:8], qids[8:], small_config(),
-                                     np.random.default_rng(0), {}, FILTERS2, FEATS3)
-        assert rows[0][2] == 1.0
+                                     {}, FILTERS2, FEATS3)
+        assert len(rows) > 1
         assert model.meta["best_epoch"] == 0
-        assert "random initialization" in caplog.text
+        assert not model.W.any() and model.b == 0.0
+        assert "the saved model is the uniform gate" in caplog.text
 
     def test_trained_restore_does_not_warn(self, caplog):
         cands = toy_candidates(separation=0.0)
         qids = sorted(cands)
         with caplog.at_level("WARNING", logger="passagerank.training"):
             model, _ = train_fold(cands, qids[:8], qids[8:], small_config(),
-                                  np.random.default_rng(0), {}, FILTERS2, FEATS3)
+                                  {}, FILTERS2, FEATS3)
         assert model.meta["best_epoch"] > 0
-        assert "random initialization" not in caplog.text
-
-    def test_divergence_raises_runtime_error(self):
-        cands = toy_candidates(n_queries=6)
-        cands["1"].H[0, 0] = np.nan
-        with pytest.raises(RuntimeError, match="diverged"):
-            train_fold(cands, ["1", "2", "3", "4"], ["5", "6"], small_config(),
-                       np.random.default_rng(0), {}, FILTERS2, FEATS3)
+        assert "uniform gate" not in caplog.text
 
     @pytest.mark.parametrize("empty", ["train", "validation"])
     def test_empty_split_raises(self, empty):
@@ -196,19 +220,20 @@ class TestTrainFold:
         train_qids, val_qids = ([], qids) if empty == "train" else (qids, [])
         with pytest.raises(ValueError, match="training and validation queries"):
             train_fold(cands, train_qids, val_qids, small_config(),
-                       np.random.default_rng(0), {}, FILTERS2, FEATS3)
+                       {}, FILTERS2, FEATS3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             small_config(max_epochs=0)
         with pytest.raises(ValueError):
-            small_config(learning_rate=-0.1)
+            small_config(patience=0)
         with pytest.raises(ValueError):
-            small_config(batch_size=0)
+            small_config(seed=-1)
 
-    def test_each_epoch_steps_on_every_triple_once(self, monkeypatch):
-        # forward_parts sees all n triples on each side for the epoch-0
-        # loss, then each epoch's batches in order, positive side first
+    def test_each_epoch_steps_on_every_pair_once(self, monkeypatch):
+        # every forward pass, the start's and each trial step's, sees all
+        # training rows: there are no batches; each epoch is one accepted
+        # step, so the logged train hinge falls every epoch
         sizes = []
 
         def counting(W, b, R, H):
@@ -218,23 +243,64 @@ class TestTrainFold:
         monkeypatch.setattr(training, "forward_parts", counting)
         cands = toy_candidates(separation=0.0)
         qids = sorted(cands)
-        cfg = small_config(max_epochs=3, patience=3)
-        _, rows = train_fold(cands, qids[:8], qids[8:], cfg,
-                             np.random.default_rng(0), {}, FILTERS2, FEATS3)
-        n = 8 * 3 * cfg.negatives_per_positive  # 3 relevant docs per query
-        epoch = [size for lo in range(0, n, cfg.batch_size)
-                 for size in [min(cfg.batch_size, n - lo)] * 2]
+        _, rows = train_fold(cands, qids[:8], qids[8:], small_config(max_epochs=3,
+                                                                     patience=3),
+                             {}, FILTERS2, FEATS3)
         assert len(rows) == 4
-        assert sizes == [n, n] + epoch * 3
+        assert len(sizes) >= 4 and set(sizes) == {8 * 10}  # 8 queries of 10 candidates
+        assert all(b[1] < a[1] for a, b in zip(rows, rows[1:]))
 
     def test_single_epoch_logs_initialization_and_one_step(self):
         cands = toy_candidates()
         qids = sorted(cands)
         model, rows = train_fold(cands, qids[:8], qids[8:],
                                  small_config(max_epochs=1),
-                                 np.random.default_rng(0), {}, FILTERS2, FEATS3)
+                                 {}, FILTERS2, FEATS3)
         assert [r[0] for r in rows] == [0, 1]
         assert model.meta["best_epoch"] in (0, 1)
+
+
+def pools(draw_scores):
+    """Groups over one score vector: (relevant rows, non-relevant rows,
+    1 / (queries x pairs)) per query, from a list of (n_rel, n_nonrel)."""
+    groups, start = [], 0
+    for n_rel, n_non in draw_scores:
+        pos = np.arange(start, start + n_rel)
+        neg = np.arange(start + n_rel, start + n_rel + n_non)
+        groups.append((pos, neg, 1.0 / (len(draw_scores) * n_rel * n_non)))
+        start += n_rel + n_non
+    return groups, start
+
+
+class TestPairHinge:
+    # scores on a grid of quarters tie often and put many pairs at a
+    # margin of exactly 0; uniform draws cover the rest
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=5),
+           st.data())
+    def test_counting_form_matches_every_pair(self, sizes, data):
+        groups, n = pools(sizes)
+        grid = st.integers(-4, 4).map(lambda k: k / 4)
+        exact = st.floats(-1.0, 1.0, allow_nan=False)
+        s = np.array(data.draw(st.lists(st.one_of(grid, exact), min_size=n, max_size=n)))
+        loss, grad = pair_hinge(s, groups)
+        ref_loss, ref_grad = pair_hinge_reference(s, groups)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+
+    def test_margin_of_zero_is_inactive(self):
+        # s_neg = s_pos - 1 exactly: the hinge is 0 and so is the gradient
+        groups, _ = pools([(1, 1)])
+        loss, grad = pair_hinge(np.array([0.5, -0.5]), groups)
+        assert loss == 0.0 and not grad.any()
+
+    def test_mean_over_queries_of_mean_pair_hinge(self):
+        groups, _ = pools([(1, 2), (1, 1)])
+        s = np.array([0.0, 0.5, -2.0, 0.25, 0.0])
+        # query 1: pairs (0,1) 1.5 and (0,2) 0; query 2: pair (3,4) 0.75
+        loss, grad = pair_hinge(s, groups)
+        assert loss == pytest.approx((1.5 / 2 + 0.75) / 2)
+        np.testing.assert_allclose(grad, [-0.25, 0.25, 0.0, -0.5, 0.5])
 
 
 class TestBatchGradients:
@@ -308,10 +374,18 @@ class TestTrain:
             assert ra.log_rows == rb.log_rows
 
     def test_seed_changes_results(self):
-        cands = toy_candidates()
+        # the seed moves the split, and each fold model follows from its
+        # split alone: train_fold takes no seed
+        cands = toy_candidates(separation=0.0)
         a = train(cands, small_config(seed=0), {}, FILTERS2, FEATS3)
         b = train(cands, small_config(seed=1), {}, FILTERS2, FEATS3)
+        assert [r.test_qids for r in a] != [r.test_qids for r in b]
         assert a[0].model.W.tobytes() != b[0].model.W.tobytes()
+        for r in b:
+            model, rows = train_fold(cands, r.train_qids, r.val_qids, small_config(seed=0),
+                                     {"fold": r.fold}, FILTERS2, FEATS3)
+            assert model.W.tobytes() == r.model.W.tobytes() and model.b == r.model.b
+            assert rows == r.log_rows
 
     def test_meta_carried_and_extended(self):
         cands = toy_candidates(n_queries=9)
@@ -321,3 +395,24 @@ class TestTrain:
             assert r.model.meta["feature_set"] == "query"
             assert r.model.meta["fold"] == r.fold
             assert "best_epoch" in r.model.meta
+
+
+def test_planted_gate_opens_and_npm_ranks_the_planted_top():
+    """At the benchmark's planted scale (40 queries, 300 documents of
+    2000 tokens, top 60, filters 50:25,150:75,inf, 5 folds, default
+    schedule), training leaves the uniform gate in at least 4 of 5
+    folds, and held-out npm puts each query's 20 planted documents on
+    top."""
+    docs, queries, qrels = planted_corpus(n_queries=40, n_docs=300, doc_len=2000,
+                                          bg_vocab=500)
+    index = build_index(docs)
+    run = {q.query_id: rank_documents(q, index, SmoothingConfig(), 60) for q in queries}
+    settings = ScoreSettings(parse_filters("50:25,150:75,inf"), SmoothingConfig(),
+                             "doc+query", 60)
+    results = npm_train(queries, run, qrels, index, settings, TrainConfig())
+    assert sum(r.model.meta["best_epoch"] > 0 for r in results) >= 4
+    model = NpmModel(dict(enumerate(r.model for r in results)), settings, "",
+                     {q: r.fold for r in results for q in r.test_qids})
+    for q in queries:
+        top = npm_rank(q, *zip(*run[q.query_id]), index, model)[:20]
+        assert {d for d, _ in top} == {d for d, g in qrels[q.query_id].items() if g > 0}
