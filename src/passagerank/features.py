@@ -244,49 +244,31 @@ class ScoreSettings:
                            else min(finite, key=lambda f: f.m))
 
     def meta(self) -> dict:
-        """The model metadata that ``from_model`` reads back, or checks."""
-        return {
-            "feature_set": self.feature_set,
-            "homogeneity_filter": self.hom_filter.label if self.hom_filter else None,
-            "list_k": self.list_k,
-            "lambda_c": self.smoothing.lambda_c,
-        }
+        """The model metadata that ``from_model`` reads back: the settings
+        that the model's filters and feature names do not spell."""
+        return {"list_k": self.list_k, "lambda_c": self.smoothing.lambda_c}
 
     @classmethod
     def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
-        """The settings the model at ``path`` was trained with, read only
-        from its metadata, so reranking scores as training did. A model
-        whose ``pooling``, ``oov_floor`` or ``homogeneity_filter`` is not
-        the best passage, one count per unseen term or the derived
-        ``hom_filter`` is refused, not scored another way."""
+        """The settings the model at ``path`` was trained with, so
+        reranking scores as training did: its filters, the feature set
+        its ``feature_names`` spell, and ``meta()``'s ``lambda_c`` and
+        ``list_k``; ``hom_filter`` is derived, never read."""
         meta = model.meta
 
-        def setting(key: str, kind: type | tuple[type, ...] | None = None):
+        def setting(key: str, kind: type | tuple[type, ...]):
             if meta.get(key) is None:
                 raise ValueError(f"no {key!r} setting recorded")
-            return meta[key] if kind is None else json_numbers(meta[key], key, kind)
+            return json_numbers(meta[key], key, kind)
 
         try:
-            if meta.get("pooling", "max") != "max":
-                raise ValueError(f"pooling must be 'max' (the best passage), "
-                                 f"got {meta['pooling']!r}")
-            oov_floor = meta.get("oov_floor", 1)
-            if type(oov_floor) is not int or oov_floor != 1:
-                raise ValueError(f"oov_floor must be 1 (an unseen term counts "
-                                 f"once), got {oov_floor!r}")
-            feature_set = setting("feature_set")
-            if tuple(model.feature_names) != feature_names(feature_set):
-                raise ValueError(
-                    f"model feature names do not match feature set "
-                    f"{feature_set!r}: {list(model.feature_names)}"
-                )
-            hom = None if feature_set == "query" else setting("homogeneity_filter")
-            settings = cls(model.filters, SmoothingConfig(setting("lambda_c", (int, float))),
-                           feature_set, setting("list_k", int))
-            if hom != settings.meta()["homogeneity_filter"]:
-                raise ValueError(f"homogeneity_filter {hom!r} is not the smallest finite "
-                                 f"filter {settings.hom_filter.label!r}; retrain it")
-            return settings
+            feature_set = next((s for s in FEATURE_SETS
+                                if feature_names(s) == model.feature_names), None)
+            if feature_set is None:
+                raise ValueError(f"feature names {list(model.feature_names)} spell "
+                                 f"no feature set of {', '.join(FEATURE_SETS)}")
+            return cls(model.filters, SmoothingConfig(setting("lambda_c", (int, float))),
+                       feature_set, setting("list_k", int))
         except (TypeError, ValueError) as e:
             raise ValueError(f"model file {path}: {e}") from None
 

@@ -15,14 +15,14 @@ to tanh directly would saturate it at +-1 and kill every gradient. The
 per-filter z-normalization is affine with positive scale, so it never
 changes a filter's internal ordering.
 
-Model files are versioned JSON and round-trip bit-exactly (floats are
-serialized with shortest-repr, which Python parses back to the same
-double).
+Model files are versioned JSON that store each setting once (another
+format version is refused, to be retrained) and round-trip bit-exactly:
+floats are serialized with shortest-repr, which Python parses back to
+the same double, so a model loaded and saved again writes the same bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ import numpy as np
 from ._accel import FilterSpec, distinct_filters, parse_filter_label
 
 MODEL_FORMAT = "passagerank-fusion"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _PHI_FLOOR = 1e-300  # keeps phi strictly positive when exp() underflows
 _STD_FLOOR = 1e-8
@@ -142,8 +142,8 @@ class FusionModel:
 
     # -- persistence ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
+    def save(self, path: str | Path) -> None:
+        record = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "filters": [f.label for f in self.filters],
@@ -160,25 +160,22 @@ class FusionModel:
             "b": self.b,
             "meta": self.meta,
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        Path(path).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n",
+                              encoding="utf-8")
 
     @classmethod
-    def load(cls, path: str | Path) -> "FusionModel":
+    def from_bytes(cls, data: bytes, path: str | Path) -> "FusionModel":
+        """The model that the file at ``path`` holds: its bytes ``data``."""
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+            raw = json.loads(data.decode("utf-8"))
+        except ValueError as e:  # JSON and UTF-8 errors are ValueErrors
             raise ValueError(f"cannot read model file {path}: {e}") from None
         if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
             raise ValueError(f"{path} is not a fusion model file")
         version = raw.get("version")
         if type(version) is not int or version != MODEL_VERSION:
-            raise ValueError(f"model file {path}: unsupported model version "
-                             f"{version!r}")
+            raise ValueError(f"model file {path}: format version {version!r}, this release "
+                             f"reads version {MODEL_VERSION}; retrain it with passagerank train")
 
         def typed(key: str, noun: str, kind: type | tuple[type, ...]):
             value = raw[key]
@@ -206,13 +203,6 @@ class FusionModel:
             raise ValueError(f"model file {path} lacks key {e}") from None
         except (TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"model file {path}: {e}") from None
-
-    def fingerprint(self) -> str:
-        """Short hash of everything the model file holds: the parameters,
-        the normalizations and the configuration they were fitted to, in
-        their saved JSON form, so a load/save round trip keeps it."""
-        payload = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:10]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

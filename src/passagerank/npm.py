@@ -5,7 +5,7 @@ candidate's per-filter scores R and features H, so a model is applied
 the way it was trained. ``candidate_matrices`` builds (R, H) for one
 query's candidates, ``npm_train`` fits the fold models on them,
 ``save_training`` writes those and ``NpmModel.load`` reads them, or one
-model file, back.
+model file, back, named by a hash of the bytes it read.
 ``npm_rank`` ranks a query's candidates with the fold model that never
 saw the query, as ``passages.msp_rank`` does with a fixed window.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusIndex, Query
-from .evaluation import numbered_lines, qid_sort_key, rank_by_score, write_table
+from .evaluation import qid_sort_key, rank_by_score, write_table
 from .features import FeatureExtractor, ScoreSettings, feature_names
 from .fusion import FusionModel
 from .passages import score_tokens
@@ -91,7 +92,9 @@ def save_training(out_dir: str | Path, results: Sequence[FoldResult]) -> None:
 class NpmModel:
     """A fusion model file, or a train output directory's fold models,
     with the settings they share and the fingerprint that tags their
-    runs (``npm-<fingerprint>``). ``fold_of`` maps each query of a
+    runs (``npm-<fingerprint>``): the first 10 hex digits of the sha1
+    over the bytes read, ``folds.csv`` and then each ``fold_K.json`` in
+    fold order, or the one model file. ``fold_of`` maps each query of a
     directory's ``folds.csv`` to its fold, whose model was trained
     without it, as its ``meta["fold"]`` must record; a model file has no
     ``fold_of`` and scores every query."""
@@ -103,47 +106,51 @@ class NpmModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NpmModel":
-        path = Path(path)
-        if not path.is_dir():
-            model = FusionModel.load(path)
-            return cls({0: model}, ScoreSettings.from_model(model, path),
-                       model.fingerprint())
-        folds_file = path / "folds.csv"
-        if not folds_file.exists():
-            raise ValueError(f"{path} has no folds.csv; pass a model file or "
-                             f"a train output directory")
-        lines = [line for _, line in numbered_lines(folds_file)]
-        rows = csv.reader(lines)
-        try:
-            if next(rows, None) != ["query_id", "fold"]:
-                raise ValueError("unexpected header")
-            entries = [(qid, int(fold), rows.line_num) for qid, fold in rows]
-        except (ValueError, csv.Error):
-            # line_num is the last line read: 0 in an empty file
-            line = "".join(lines[rows.line_num - 1:rows.line_num])
-            raise ValueError(f"{folds_file}:{rows.line_num}: expected "
-                             f"'query_id,fold', got {line!r}") from None
-        fold_of = {}
-        for qid, fold, line_num in entries:
-            if qid in fold_of:
-                raise ValueError(f"{folds_file}:{line_num}: duplicate query {qid!r}")
-            fold_of[qid] = fold
-        if not fold_of:
-            raise ValueError(f"{folds_file} lists no queries")
+        path, digest = Path(path), hashlib.sha1()
+        fold_of, files = None, [(0, path)]
+        if path.is_dir():
+            folds_file = path / "folds.csv"
+            if not folds_file.exists():
+                raise ValueError(f"{path} has no folds.csv; pass a model file or "
+                                 f"a train output directory")
+            data = folds_file.read_bytes()
+            digest.update(data)
+            try:
+                lines = list(io.StringIO(data.decode("utf-8"), newline=None))
+            except UnicodeDecodeError:
+                raise ValueError(f"{folds_file} is not UTF-8 text") from None
+            rows = csv.reader(lines)
+            try:
+                if next(rows, None) != ["query_id", "fold"]:
+                    raise ValueError("unexpected header")
+                entries = [(qid, int(fold), rows.line_num) for qid, fold in rows]
+            except (ValueError, csv.Error):
+                # line_num is the last line read: 0 in an empty file
+                line = "".join(lines[rows.line_num - 1:rows.line_num])
+                raise ValueError(f"{folds_file}:{rows.line_num}: expected "
+                                 f"'query_id,fold', got {line!r}") from None
+            fold_of = {}
+            for qid, fold, line_num in entries:
+                if qid in fold_of:
+                    raise ValueError(f"{folds_file}:{line_num}: duplicate query {qid!r}")
+                fold_of[qid] = fold
+            if not fold_of:
+                raise ValueError(f"{folds_file} lists no queries")
+            files = [(fold, path / f"fold_{fold}.json")
+                     for fold in sorted(set(fold_of.values()))]
         models, settings = {}, set()
-        for fold in sorted(set(fold_of.values())):
-            model_path = path / f"fold_{fold}.json"
-            models[fold] = FusionModel.load(model_path)
+        for fold, model_path in files:
+            data = model_path.read_bytes()
+            digest.update(data)
+            models[fold] = FusionModel.from_bytes(data, model_path)
             recorded = models[fold].meta.get("fold")
-            if type(recorded) is not int or recorded != fold:
+            if fold_of is not None and (type(recorded) is not int or recorded != fold):
                 raise ValueError(f"model file {model_path}: records fold {recorded!r}, "
                                  f"not {fold}")
             settings.add(ScoreSettings.from_model(models[fold], model_path))
         if len(settings) > 1:
             raise ValueError(f"{path}: fold models disagree on configuration")
-        fold_fps = "\n".join(models[fold].fingerprint() for fold in sorted(models))
-        return cls(models, settings.pop(),
-                   hashlib.sha1(fold_fps.encode("utf-8")).hexdigest()[:10], fold_of)
+        return cls(models, settings.pop(), digest.hexdigest()[:10], fold_of)
 
     def check_queries(self, query_ids: Iterable[str]) -> None:
         """Fail, naming up to five of them, if some queries have no fold

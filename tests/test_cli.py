@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import hashlib
+import io
 import json
 import logging
 import os
@@ -11,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,6 @@ from passagerank import (
     Document,
     FeatureExtractor,
     FilterSpec,
-    FusionModel,
     NpmModel,
     Query,
     ScoreSettings,
@@ -38,7 +39,7 @@ from passagerank import (
     write_run,
 )
 from passagerank.cli import RERANK_MODES, main
-from passagerank.features import HOMOGENEITY_NAMES
+from passagerank.features import HOMOGENEITY_NAMES, feature_names
 from conftest import corrupt_index_file, planted_corpus, rewrite_index_file, set_first
 
 
@@ -70,9 +71,8 @@ def write_qrels(path: Path, qrels) -> None:
 
 
 HUGE = str(10**20)  # a window length beyond int64
-# a planted model's error when its recorded homogeneity window is not
-# the smallest finite filter of its filters, 50:25
-RETRAIN = "homogeneity_filter {} is not the smallest finite filter '50:25'; retrain it"
+# a model file of another format version than this release's 2
+RETRAIN = "format version {!r}, this release reads version 2; retrain it with passagerank train"
 
 TRAIN_CONF = """\
 # small but real training setup
@@ -236,8 +236,14 @@ class TestDeterminism:
                                shallow=False)
 
 
+def model_tag(*paths):
+    """The fingerprint of a model read from ``paths``: the first 10 hex
+    digits of the sha1 over their bytes, in order."""
+    return hashlib.sha1(b"".join(path.read_bytes() for path in paths)).hexdigest()[:10]
+
+
 class TestNpmTag:
-    """An npm run is tagged with the fingerprint of the model that
+    """An npm run is tagged with the fingerprint of the files that
     scored it, not with the rerank command's own flags."""
 
     @staticmethod
@@ -254,7 +260,7 @@ class TestNpmTag:
         flagged = self.rerank(pipeline, tmp_path / "flagged.run", fold_0,
                               "--filters", "30,inf", "--top-k", "7")
         assert plain.read_bytes() == flagged.read_bytes()
-        assert run_tag(plain) == f"npm-{FusionModel.load(fold_0).fingerprint()}"
+        assert run_tag(plain) == f"npm-{model_tag(fold_0)}"
 
     def test_fold_files_get_different_tags(self, pipeline, tmp_path):
         tags = {run_tag(self.rerank(pipeline, tmp_path / f"{fold}.run",
@@ -262,11 +268,10 @@ class TestNpmTag:
                 for fold in range(3)}
         assert len(tags) == 3
 
-    def test_directory_tag_hashes_the_fold_fingerprints(self, pipeline, tmp_path,
-                                                        caplog):
-        fps = [FusionModel.load(pipeline["model_dir"] / f"fold_{fold}.json")
-               .fingerprint() for fold in range(3)]
-        expect = hashlib.sha1("\n".join(fps).encode()).hexdigest()[:10]
+    def test_directory_tag_hashes_the_files_it_read(self, pipeline, tmp_path, caplog):
+        # folds.csv, then each fold model in fold order
+        expect = model_tag(*(pipeline["model_dir"] / name for name in (
+            "folds.csv", "fold_0.json", "fold_1.json", "fold_2.json")))
         with caplog.at_level(logging.INFO, logger="passagerank.cli"):
             out = self.rerank(pipeline, tmp_path / "npm.run", pipeline["model_dir"],
                               "--top-k", "7", "--filters", "30,inf")
@@ -275,33 +280,83 @@ class TestNpmTag:
 
     def test_tag_tracks_the_parameters(self, pipeline, tmp_path):
         # two directories that differ only in their weights must not share
-        # a tag; a load/save round trip keeps it
-        zeroed = shutil.copytree(pipeline["model_dir"], tmp_path / "zeroed")
+        # a tag; a model loaded and saved again rewrites its own bytes, so
+        # it keeps its tag
+        model_dir = pipeline["model_dir"]
+        zeroed = shutil.copytree(model_dir, tmp_path / "zeroed")
         for fold in range(3):
             path = zeroed / f"fold_{fold}.json"
             model = json.loads(path.read_text())
             model["W"] = [[0.0] * len(row) for row in model["W"]]
             model["b"] = 5.0
             path.write_text(json.dumps(model))
-        assert (NpmModel.load(zeroed).fingerprint
-                != NpmModel.load(pipeline["model_dir"]).fingerprint)
-        fold_0 = FusionModel.load(pipeline["model_dir"] / "fold_0.json")
-        fold_0.save(tmp_path / "again.json")
-        assert FusionModel.load(tmp_path / "again.json").fingerprint() == fold_0.fingerprint()
-        for key in ("score_norm", "feature_norm"):
-            moved = fold_0.to_json_dict()
-            moved[key]["mean"][0] += 1.0
+        assert NpmModel.load(zeroed).fingerprint != NpmModel.load(model_dir).fingerprint
+        again = shutil.copytree(model_dir, tmp_path / "again")
+        for fold, model in NpmModel.load(model_dir).models.items():
+            model.save(again / f"fold_{fold}.json")
+        match, mismatch, errors = filecmp.cmpfiles(again, model_dir, [
+            f"fold_{fold}.json" for fold in range(3)], shallow=False)
+        assert (len(match), mismatch, errors) == (3, [], [])
+        assert NpmModel.load(again).fingerprint == NpmModel.load(model_dir).fingerprint
+        fold_0 = model_dir / "fold_0.json"
+        for key in ("score_norm", "feature_norm", "b", "meta"):
+            moved = json.loads(fold_0.read_text())
+            if key == "b":
+                moved["b"] += 1.0
+            elif key == "meta":
+                moved["meta"]["best_val_map"] = 0.5
+            else:
+                moved[key]["mean"][0] += 1.0
             (tmp_path / f"{key}.json").write_text(json.dumps(moved))
-            assert (FusionModel.load(tmp_path / f"{key}.json").fingerprint()
-                    != fold_0.fingerprint()), key
+            assert (NpmModel.load(tmp_path / f"{key}.json").fingerprint
+                    != NpmModel.load(fold_0).fingerprint), key
 
     def test_fingerprints_are_ten_hex_digits(self, pipeline):
         # as the README's npm-<fingerprint> tag says, for a file and a directory
         fold_0 = pipeline["model_dir"] / "fold_0.json"
-        for fp in (FusionModel.load(fold_0).fingerprint(),
-                   NpmModel.load(fold_0).fingerprint,
+        for fp in (NpmModel.load(fold_0).fingerprint,
                    NpmModel.load(pipeline["model_dir"]).fingerprint):
             assert re.fullmatch(r"[0-9a-f]{10}", fp), fp
+
+
+def test_npm_tag_tracks_the_fold_manifest(tmp_path):
+    """Query 3, moved in ``folds.csv`` from fold 0 to fold 1, is scored by
+    fold 1's model, which trained on it: its scores change, and so must
+    the run tag. Before, the tag hashed the fold models alone, so the run
+    scored on its own training data carried the held-out run's tag."""
+    docs, queries, qrels = planted_corpus(n_queries=10, n_docs=40, doc_len=1100,
+                                          bg_vocab=100, seed=0)
+    write_trectext(tmp_path / "corpus.trectext", docs)
+    write_topics(tmp_path / "topics.txt", queries)
+    write_qrels(tmp_path / "qrels.txt", qrels)
+    (tmp_path / "train.conf").write_text(TRAIN_CONF)
+    data = ["--index", str(tmp_path / "index"), "--topics", str(tmp_path / "topics.txt")]
+    ql, models, moved = tmp_path / "ql.run", tmp_path / "models", tmp_path / "moved"
+    assert main(["index", "--corpus", str(tmp_path / "corpus.trectext"),
+                 "--index", str(tmp_path / "index")]) == 0
+    assert main(["retrieve", *data, "--top-k", "40", "--output", str(ql)]) == 0
+    assert main(["train", "--config", str(tmp_path / "train.conf"), *data,
+                 "--qrels", str(tmp_path / "qrels.txt"), "--run", str(ql),
+                 "--output-dir", str(models)]) == 0
+    rows = read_table(models / "folds.csv")
+    # fold 1 tests fold 1, validates on fold 2 and trains on fold 0
+    assert ["3", "0"] in rows
+    shutil.copytree(models, moved)
+    with open(moved / "folds.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [qid, "1" if qid == "3" else fold] for qid, fold in rows)
+    runs = {}
+    for model in (models, moved):
+        out = tmp_path / f"{model.name}.run"
+        assert main(["rerank", *data, "--run", str(ql), "--mode", "npm",
+                     "--model", str(model), "--output", str(out)]) == 0
+        runs[model.name] = read_run(out)
+        files = [model / "folds.csv", *(model / f"fold_{k}.json" for k in range(3))]
+        assert run_tag(out) == f"npm-{model_tag(*files)}"
+    assert run_tag(tmp_path / "models.run") != run_tag(tmp_path / "moved.run")
+    assert runs["models"]["3"] != runs["moved"]["3"]
+    del runs["models"]["3"], runs["moved"]["3"]
+    assert runs["models"] == runs["moved"]
 
 
 class TestLibrary:
@@ -388,9 +443,22 @@ class TestLibrary:
         path = pipeline["model_dir"] / "fold_1.json"
         model = NpmModel.load(path)
         assert model.fold_of is None
-        assert model.model_for("99").fingerprint() == model.fingerprint
-        assert model.fingerprint == FusionModel.load(path).fingerprint()
+        assert model.model_for("99") is model.models[0]
+        assert model.fingerprint == model_tag(path)
         assert model.settings == ScoreSettings.from_model(model.models[0], path)
+
+
+def test_readme_lists_the_model_meta_keys(pipeline):
+    """README's Training-output bullet names the metadata keys of a
+    saved fold model, each once: the ones ``npm_train`` records and the
+    one ``train`` adds. A key the model files stop writing cannot keep
+    its name there."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = text.split("\n- **Training output**:", 1)[1].split("\n- **", 1)[0]
+    keys = re.search(r"metadata keys\s+are (.*?):", bullet, re.S).group(1)
+    for fold in range(3):
+        model = json.loads((pipeline["model_dir"] / f"fold_{fold}.json").read_text())
+        assert sorted(re.findall(r"`([^`]+)`", keys)) == sorted(model["meta"])
 
 
 def rename_query(pipeline, dest, new_qid):
@@ -529,8 +597,9 @@ class TestFoldManifest:
 
 
 def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
-    """A strided homogeneity filter is recorded whole in the model, and
-    rerank measures homogeneity over the same window and stride."""
+    """Rerank derives the homogeneity filter from the model's filters as
+    training did, so it measures homogeneity over the same strided window;
+    the model records no window of its own."""
     # 60 documents, so terms miss some of them and the passage
     # homogeneity scores depend on the stride
     docs, queries, qrels = planted_corpus(n_queries=6, n_docs=60, doc_len=1100,
@@ -556,8 +625,9 @@ def test_rerank_uses_the_trained_homogeneity_filter(pipeline, tmp_path):
         (FilterSpec(50, 10),), SmoothingConfig(), "doc", 1))
     for _, doc_id, *values in rows[1:]:
         assert values[:4] == [format(x, ".12g") for x in extractor.doc_block(doc_id)]
-    meta = json.loads((models / "fold_0.json").read_text())["meta"]
-    assert meta["homogeneity_filter"] == "50:10" and "homogeneity_m" not in meta
+    model = json.loads((models / "fold_0.json").read_text())
+    assert model["filters"] == ["50:10", "150:75", "inf"]
+    assert not {"homogeneity_filter", "homogeneity_m", "feature_set"} & set(model["meta"])
 
 
 def test_whole_document_alone_trains_query_features(pipeline, tmp_path):
@@ -570,18 +640,20 @@ def test_whole_document_alone_trains_query_features(pipeline, tmp_path):
                  "--qrels", str(pipeline["qrels"]), "--filters", "inf",
                  "--feature-set", "query", "--output-dir", str(models)]) == 0
     model = json.loads((models / "fold_0.json").read_text())
-    assert model["meta"]["homogeneity_filter"] is None
+    assert model["feature_names"] == list(feature_names("query"))
     assert main(["rerank", *common, "--mode", "npm", "--model", str(models),
                  "--output", str(tmp_path / "npm.run")]) == 0
     assert set(read_run(tmp_path / "npm.run")) == set(read_run(pipeline["ql_run"]))
 
 
-def edge_shape_inputs(root: Path) -> int:
+def edge_shape_inputs(root: Path, prefix: str = "") -> int:
     """A corpus of the shapes the planted one never has, for m = 50:
     documents of 49, 50 and 51 tokens, a one-token and an empty document,
     and an exact duplicate under another docno; topics whose terms are
     all unseen, whose title is only a stopword, that no qrels judge, or
-    whose candidates are all relevant; qrels graded 0 to 3."""
+    whose candidates are all relevant; qrels graded 0 to 3. Every docno,
+    in the corpus and in the qrels, starts with ``prefix``. Returns the
+    number of documents that hold a term."""
     rng = random.Random(12)
     background = [f"b{i}" for i in range(30)]
 
@@ -611,46 +683,118 @@ def edge_shape_inputs(root: Path) -> int:
     queries = [Query(str(q), (f"t{q}a", f"t{q}b")) for q in range(1, 7)]
     queries += [Query("7", ("t1a", "t2b")), Query("8", ("b1",)),
                 Query("9", ("unseen", "never")), Query("10", ("the",))]
-    write_trectext(root / "corpus.trectext", docs)
+    write_trectext(root / "corpus.trectext",
+                   [Document(prefix + d.doc_id, d.terms) for d in docs])
     write_topics(root / "topics.txt", queries)
-    write_qrels(root / "qrels.txt", qrels)
+    write_qrels(root / "qrels.txt", {qid: {prefix + d: grade for d, grade in grades.items()}
+                                     for qid, grades in qrels.items()})
     (root / "stop.txt").write_text("the\n")
     return len([d for d in docs if d.terms])
 
 
-def test_every_command_runs_on_edge_shapes(tmp_path):
+def command_outputs(root: Path, commands: dict[str, list[str]]) -> dict[str, bytes]:
+    """Run ``commands``, each argv by name, through ``cli.main`` in
+    order, each exiting 0: every file they leave under ``root``, by its
+    path there, and each command's stdout as ``<name>.stdout`` with
+    ``root`` written ROOT."""
+    inputs = set(root.rglob("*"))
+    out = {}
+    for name, argv in commands.items():
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert main(argv) == 0, name
+        text = stdout.getvalue().replace(str(root), "ROOT")  # index prints its path
+        out[f"{name}.stdout"] = text.encode("utf-8")
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path not in inputs:
+            out[path.relative_to(root).as_posix()] = path.read_bytes()
+    return out
+
+
+def edge_shape_outputs(root: Path, prefix: str = "") -> dict[str, bytes]:
+    """``command_outputs`` of every command on ``edge_shape_inputs(root,
+    prefix)``: index and retrieve every document, train 3 folds, rerank
+    in every mode (npm with the model directory and with ``fold_0.json``),
+    weights, and eval of npm against the first-stage run."""
+    num_docs = edge_shape_inputs(root, prefix)
+    data = ["--index", str(root / "index"), "--topics", str(root / "topics.txt"),
+            "--stoplist", str(root / "stop.txt")]
+    ql, models = str(root / "ql.run"), root / "models"
+    commands = {
+        "index": ["index", "--corpus", str(root / "corpus.trectext"),
+                  "--index", str(root / "index"), "--stoplist", str(root / "stop.txt")],
+        "retrieve": ["retrieve", *data, "--top-k", str(num_docs + 5), "--output", ql],
+        "train": ["train", *data, "--qrels", str(root / "qrels.txt"), "--run", ql,
+                  "--max-epochs", "3", "--patience", "2", "--folds", "3",
+                  "--output-dir", str(models)],
+    }
+    for mode in RERANK_MODES:
+        flags = ["--model", str(models), "--dump-features",
+                 str(root / "features.tsv")] if mode == "npm" else []
+        commands[mode] = ["rerank", *data, "--run", ql, "--mode", mode, *flags,
+                          "--output", str(root / f"{mode}.run")]
+    fold_0 = str(models / "fold_0.json")
+    commands["npm-fold0"] = ["rerank", *data, "--run", ql, "--mode", "npm",
+                             "--model", fold_0, "--output", str(root / "npm-fold0.run")]
+    commands["weights"] = ["weights", *data, "--model", fold_0, "--run", ql]
+    commands["eval"] = ["eval", "--qrels", str(root / "qrels.txt"),
+                        "--run", str(root / "npm.run"), "--baseline", ql,
+                        "--csv", str(root / "eval.csv")]
+    return command_outputs(root, commands)
+
+
+@pytest.fixture(scope="module")
+def edge_shapes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edge_shapes")
+    return root, edge_shape_outputs(root)
+
+
+def test_every_command_runs_on_edge_shapes(edge_shapes):
     """Every command exits 0 on edge-shaped inputs, and every rerank run
     holds every query of the first-stage run with its candidate set."""
-    num_docs = edge_shape_inputs(tmp_path)
-    data = ["--index", str(tmp_path / "index"), "--topics", str(tmp_path / "topics.txt"),
-            "--stoplist", str(tmp_path / "stop.txt")]
-    ql, models = tmp_path / "ql.run", tmp_path / "models"
-    assert main(["index", "--corpus", str(tmp_path / "corpus.trectext"),
-                 "--index", str(tmp_path / "index"),
-                 "--stoplist", str(tmp_path / "stop.txt")]) == 0
-    assert main(["retrieve", *data, "--top-k", str(num_docs + 5),
-                 "--output", str(ql)]) == 0
-    candidates = {qid: sorted(d for d, _ in pairs) for qid, pairs in read_run(ql).items()}
+    root, _ = edge_shapes
+    candidates = {qid: sorted(d for d, _ in pairs)
+                  for qid, pairs in read_run(root / "ql.run").items()}
     assert sorted(candidates, key=int) == [str(q) for q in range(1, 10)]
-    assert all(len(docs) == num_docs for docs in candidates.values())
-    assert main(["train", *data, "--qrels", str(tmp_path / "qrels.txt"), "--run", str(ql),
-                 "--max-epochs", "3", "--patience", "2", "--folds", "3",
-                 "--output-dir", str(models)]) == 0
-    runs = {mode: ["--mode", mode] for mode in RERANK_MODES if mode != "npm"}
-    runs["npm"] = ["--mode", "npm", "--model", str(models),
-                   "--dump-features", str(tmp_path / "features.tsv")]
-    for name, flags in runs.items():
-        out = tmp_path / f"{name}.run"
-        assert main(["rerank", *data, "--run", str(ql), *flags, "--output", str(out)]) == 0
+    # every document that holds a term: five per topic 1-6, "one" and "dup"
+    assert all(len(docs) == 32 for docs in candidates.values())
+    for name in (*RERANK_MODES, "npm-fold0"):
         assert {qid: sorted(d for d, _ in pairs)
-                for qid, pairs in read_run(out).items()} == candidates, name
-    fold_0 = str(models / "fold_0.json")
-    assert main(["rerank", *data, "--run", str(ql), "--mode", "npm", "--model", fold_0,
-                 "--output", str(tmp_path / "npm-fold0.run")]) == 0
-    assert main(["weights", *data, "--model", fold_0, "--run", str(ql)]) == 0
-    assert main(["eval", "--qrels", str(tmp_path / "qrels.txt"),
-                 "--run", str(tmp_path / "npm.run"), "--baseline", str(ql),
-                 "--csv", str(tmp_path / "eval.csv")]) == 0
+                for qid, pairs in read_run(root / f"{name}.run").items()} == candidates, name
+
+
+def without_prefix(data: bytes, column: int, sep: bytes) -> bytes:
+    """A table's bytes with the ``x`` taken off each line's field
+    ``column``, which must hold it (a ``doc_id`` header aside)."""
+    lines = data.split(b"\n")
+    for i, line in enumerate(lines):
+        fields = line.split(sep)
+        if line and fields[column] != b"doc_id":
+            assert fields[column].startswith(b"x"), line
+            fields[column] = fields[column][1:]
+            lines[i] = sep.join(fields)
+    return b"\n".join(lines)
+
+
+def test_renaming_documents_in_order_changes_only_names(edge_shapes, tmp_path):
+    """Every docno and qrels docno prefixed with ``x`` keeps the docnos'
+    order, so it may change nothing but names: every run, the feature
+    dump and ``docs.tsv`` equal the originals once the ``x`` is taken
+    off, and every other output is byte-identical: the index's
+    vocabulary, tokens and postings, every model file (so both npm tags),
+    and the eval and weights tables. This pins the doc_id tie-break of
+    ``rank_by_score`` and of training's validation ranking."""
+    _, want = edge_shapes
+    got = edge_shape_outputs(tmp_path, prefix="x")
+    assert sorted(got) == sorted(want)
+    for name, data in got.items():
+        if name == "index/manifest.json":  # holds the checksum of docs.tsv
+            continue
+        if name.endswith(".run"):
+            data = without_prefix(data, 2, b" ")
+        elif name in ("features.tsv", "index/docs.tsv"):
+            data = without_prefix(data, 1 if name == "features.tsv" else 0, b"\t")
+        assert data == want[name], name
 
 
 def test_held_out_npm_reranks_the_queries_training_dropped(pipeline, tmp_path, capsys):
@@ -1064,11 +1208,6 @@ class TestErrors:
         assert rc == 2
         assert "folds.csv" in capsys.readouterr().err
 
-    def test_model_pooling_is_validated(self, pipeline, tmp_path, capsys):
-        doctored, err = self.doctored_model(
-            pipeline, tmp_path, capsys, lambda m: m["meta"].update(pooling="avg"))
-        assert err.startswith(f"error: model file {doctored}:") and "'avg'" in err
-
     @pytest.mark.parametrize("case", ["filters_inf", "empty_manifest",
                                       "no_relevant"])
     def test_failed_train_leaves_no_output_dir(self, pipeline, tmp_path, capsys,
@@ -1325,36 +1464,17 @@ class TestErrors:
                                             lambda m: m.pop("W"))
         assert f"error: model file {doctored} lacks key 'W'" in err
 
-    @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
-    def test_model_bad_filter_label(self, pipeline, tmp_path, capsys, field):
-        # the recorded homogeneity window is compared with the derived
-        # one, never parsed
-        def edit(model):
-            if field == "filters":
-                model["filters"][0] = "50:x"
-            else:
-                model["meta"]["homogeneity_filter"] = "50:x"
-        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
-        if field == "filters":
-            assert f"error: model file {doctored}: bad filter label '50:x'" in err
-            assert "expected m, m:tau or inf" in err
-        else:
-            assert err == f"error: model file {doctored}: {RETRAIN.format(repr('50:x'))}\n"
+    def test_model_bad_filter_label(self, pipeline, tmp_path, capsys):
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys, lambda m: m["filters"].__setitem__(0, "50:x"))
+        assert f"error: model file {doctored}: bad filter label '50:x'" in err
+        assert "expected m, m:tau or inf" in err
 
-    @pytest.mark.parametrize("field", ["filters", "homogeneity_filter"])
-    def test_model_oversized_window(self, pipeline, tmp_path, capsys, field):
-        def edit(model):
-            if field == "filters":
-                model["filters"][0] = f"{HUGE}:25"
-            else:
-                model["meta"]["homogeneity_filter"] = f"{HUGE}:25"
-        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
-        if field == "filters":
-            assert (f"error: model file {doctored}: window length must be < 2**62, "
-                    f"got {HUGE}; use inf for the whole document" in err)
-        else:
-            label = repr(f"{HUGE}:25")
-            assert err == f"error: model file {doctored}: {RETRAIN.format(label)}\n"
+    def test_model_oversized_window(self, pipeline, tmp_path, capsys):
+        doctored, err = self.doctored_model(
+            pipeline, tmp_path, capsys, lambda m: m["filters"].__setitem__(0, f"{HUGE}:25"))
+        assert (f"error: model file {doctored}: window length must be < 2**62, "
+                f"got {HUGE}; use inf for the whole document" in err)
 
     @pytest.mark.parametrize("std", [0.0, -1.0, float("nan")])
     def test_model_bad_normalization_std(self, pipeline, tmp_path, capsys, std):
@@ -1365,7 +1485,7 @@ class TestErrors:
         assert (f"error: model file {doctored}: score normalization stds must "
                 f"be finite and >= 1e-08" in err)
 
-    @pytest.mark.parametrize("key", ["lambda_c", "homogeneity_filter"])
+    @pytest.mark.parametrize("key", ["lambda_c", "list_k"])
     def test_model_missing_setting(self, pipeline, tmp_path, capsys, key):
         # a config value does not stand in for the trained one
         conf = tmp_path / "rerank.conf"
@@ -1375,22 +1495,7 @@ class TestErrors:
             "--config", str(conf))
         assert f"error: model file {doctored}: no {key!r} setting recorded" in err
 
-    def test_legacy_homogeneity_m_model(self, pipeline, tmp_path, capsys):
-        # a file that records only the window, not the stride, is not
-        # guessed at: its features would differ from training's
-        def legacy(model):
-            assert model["meta"].pop("homogeneity_filter") == "50:25"
-            model["meta"]["homogeneity_m"] = 50
-        doctored, err = self.doctored_model(pipeline, tmp_path, capsys, legacy)
-        assert (f"error: model file {doctored}: no 'homogeneity_filter' setting "
-                f"recorded" in err)
-
     @pytest.mark.parametrize("key,value,message", [
-        ("homogeneity_filter", "inf", RETRAIN.format("'inf'")),
-        # a window trained with the old --homogeneity-m 150 was reranked
-        # with 50:25 features; a label is compared as written
-        ("homogeneity_filter", "150:75", RETRAIN.format("'150:75'")),
-        ("homogeneity_filter", "50", RETRAIN.format("'50'")),
         ("list_k", 0, "list_k must be >= 1, got 0"),
         # each of these was read as a number: 2.5 as 2, True as 1, "3" as 3
         ("list_k", 2.5, "list_k: expected an integer, got 2.5"),
@@ -1405,9 +1510,9 @@ class TestErrors:
         assert f"error: model file {doctored}: {message}" in err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: m.update(version=2), "unsupported model version 2"),
-        (lambda m: m.update(version=True), "unsupported model version True"),
-        (lambda m: m.update(version=1.0), "unsupported model version 1.0"),
+        (lambda m: m.update(version=3), RETRAIN.format(3)),
+        (lambda m: m.update(version=True), RETRAIN.format(True)),
+        (lambda m: m.update(version=2.0), RETRAIN.format(2.0)),
         (lambda m: m.update(b="0.5"), "b: expected a number, got '0.5'"),
         (lambda m: m.update(b=True), "b: expected a number, got True"),
         (lambda m: m.update(b=10**400), "int too large to convert to float"),
@@ -1424,19 +1529,18 @@ class TestErrors:
         (lambda m: m["feature_norm"].update(mean=0.0, std=1.0),
          "normalization record dimensions do not match model"),
         (lambda m: m["feature_names"].__setitem__(0, "bogus"),
-         "model feature names do not match feature set 'doc+query': {names}"),
-        (lambda m: m["meta"].update(homogeneity_filter=40), RETRAIN.format(40)),
+         "feature names {names} spell no feature set of doc, query, doc+query"),
         (lambda m: m["filters"].__setitem__(0, 50),
          "bad filter label 50: expected m, m:tau or inf"),
         (lambda m: m["filters"].__setitem__(1, "50:25"),
          "filter 50:25 is listed twice"),
-    ], ids=["version-2", "version-true", "version-float", "b-string", "b-true",
+    ], ids=["version-3", "version-true", "version-float", "b-string", "b-true",
             "b-huge", "W-string", "mean-true", "std-string", "W-shape", "norm-size",
-            "std-size", "norm-scalar", "feature-names", "hom-label-number",
-            "filter-label-number", "filter-twice"])
+            "std-size", "norm-scalar", "feature-names", "filter-label-number",
+            "filter-twice"])
     def test_model_fields(self, pipeline, tmp_path, capsys, edit, message):
         """One error line naming the file. Before, true and "0.5" were read
-        as numbers (version true as version 1), a number as a filter label
+        as numbers (version true as version 1, 2.0 as 2), a number as a filter label
         (40 as 40:20), a huge b or a scalar mean ended in a traceback, a
         short std in numpy's broadcast error, and a filter listed twice,
         which ``--filters`` refuses, scored twice."""
@@ -1446,6 +1550,26 @@ class TestErrors:
         doctored, err = self.doctored_model(pipeline, tmp_path, capsys, edit)
         message = message.format(a=alpha, a1=alpha - 1, b=beta, names=names)
         assert err == f"error: model file {doctored}: {message}\n"
+
+    @pytest.mark.parametrize("target", ["file", "directory"])
+    def test_version_1_model_is_refused(self, pipeline, tmp_path, capsys, target):
+        """A version-1 model file, which recorded its feature set and
+        homogeneity window in its metadata too, is refused with its path
+        and a request to retrain, alone or in a training directory."""
+        models = shutil.copytree(pipeline["model_dir"], tmp_path / "models")
+        old = models / "fold_0.json"
+        model = json.loads(old.read_text())
+        model["version"] = 1
+        model["meta"].update(feature_set="doc+query", homogeneity_filter="50:25")
+        old.write_text(json.dumps(model, sort_keys=True, indent=2) + "\n")
+        out = tmp_path / "x.run"
+        assert main(["rerank", "--index", str(pipeline["index"]),
+                     "--topics", str(pipeline["topics"]), "--run", str(pipeline["ql_run"]),
+                     "--mode", "npm", "--model", str(old if target == "file" else models),
+                     "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert captured.err == f"error: model file {old}: {RETRAIN.format(1)}\n"
 
     @pytest.mark.parametrize("key,value,noun", [
         ("filters", "inf", "a list of filter labels"),
@@ -1468,31 +1592,6 @@ class TestErrors:
                                             lambda m: m.update({key: value}))
         assert err == (f"error: model file {doctored}: {key}: expected {noun}, "
                        f"got {value!r}\n")
-
-    def test_legacy_oov_floor_model(self, pipeline, tmp_path):
-        # a model saved while the unseen-term count was a setting: its
-        # "oov_floor": 1, the one count there is now, reranks every field
-        # but the run tag as the model without the key does
-        model = json.loads((pipeline["model_dir"] / "fold_0.json").read_text())
-        model["meta"]["oov_floor"] = 1
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(model))
-        runs = []
-        for path in (pipeline["model_dir"] / "fold_0.json", legacy):
-            out = tmp_path / f"{path.stem}.run"
-            assert main(["rerank", "--index", str(pipeline["index"]),
-                         "--topics", str(pipeline["topics"]),
-                         "--run", str(pipeline["ql_run"]), "--mode", "npm",
-                         "--model", str(path), "--output", str(out)]) == 0
-            runs.append([line.split()[:5] for line in out.read_text().splitlines()])
-        assert runs[0] and runs[0] == runs[1]
-
-    @pytest.mark.parametrize("value", [0, 3, -3, 1.7, "1", True, 1.0])
-    def test_model_oov_floor_other_than_one(self, pipeline, tmp_path, capsys, value):
-        doctored, err = self.doctored_model(
-            pipeline, tmp_path, capsys, lambda m: m["meta"].update(oov_floor=value))
-        assert err == (f"error: model file {doctored}: oov_floor must be 1 (an unseen "
-                       f"term counts once), got {value!r}\n")
 
     @pytest.mark.parametrize("text", ["[]", "7", "{", "\"model\""])
     def test_model_file_not_a_json_object(self, pipeline, tmp_path, capsys, text):

@@ -1,6 +1,6 @@
 """Pinned sha256 digests of the pipeline's outputs.
 
-Artifacts are byte-identical for a given seed. ``golden.json`` pins two
+Artifacts are byte-identical for a given seed. ``golden.json`` pins three
 pipelines run in process through ``cli.main``:
 
 * ``varied``: the run files of ``rerank --mode msp`` and the four
@@ -16,15 +16,17 @@ pipelines run in process through ``cli.main``:
   dump) and with ``fold_0.json``, ``msp-intpsg``, ``eval --baseline
   --csv`` and ``weights --csv`` on a small planted corpus. Model files
   hold shortest-repr floats, so a one-ULP change to a fold model moves
-  its digest.
+  its digest;
+* ``edge_eval``: ``eval.csv`` and the stdout of ``eval --baseline`` on
+  the edge-shape pipeline of ``test_cli.edge_shape_outputs``, whose qrels
+  grade 0 to 3 (nDCG's gains), whose unjudged queries eval excludes, and
+  whose query 8 has only relevant candidates.
 
 A change that moves a digest must update the table and say why.
 """
 
 import hashlib
-import io
 import json
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,8 @@ import pytest
 from passagerank import Document, FilterSpec, homogeneity, load_index
 from passagerank.cli import main
 from conftest import planted_corpus, random_queries
-from test_cli import write_qrels, write_topics, write_trectext
+from test_cli import (command_outputs, edge_shape_outputs, write_qrels, write_topics,
+                      write_trectext)
 
 GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text(encoding="utf-8"))
 RUN_SHA256 = GOLDEN["varied"]
@@ -115,7 +118,6 @@ def planted_outputs(root: Path) -> dict[str, bytes]:
     write_trectext(root / "corpus.trectext", docs)
     write_topics(root / "topics.txt", queries)
     write_qrels(root / "qrels.txt", qrels)
-    inputs = {root / name for name in ("corpus.trectext", "topics.txt", "qrels.txt")}
     data = ["--index", str(root / "index"), "--topics", str(root / "topics.txt")]
     commands = {
         "index": ["index", "--corpus", str(root / "corpus.trectext"),
@@ -143,17 +145,7 @@ def planted_outputs(root: Path) -> dict[str, bytes]:
         "weights": ["weights", *data, "--model", str(root / "models" / "fold_1.json"),
                     "--run", str(root / "ql.run"), "--csv", str(root / "weights.csv")],
     }
-    out = {}
-    for name, argv in commands.items():
-        stdout = io.StringIO()
-        with redirect_stdout(stdout):
-            assert main(argv) == 0, name
-        text = stdout.getvalue().replace(str(root), "ROOT")  # index prints its path
-        out[f"{name}.stdout"] = text.encode("utf-8")
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path not in inputs:
-            out[path.relative_to(root).as_posix()] = path.read_bytes()
-    return out
+    return command_outputs(root, commands)
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +160,13 @@ def test_planted_outputs_are_pinned(planted):
 @pytest.mark.parametrize("name", sorted(GOLDEN["planted"]))
 def test_planted_digest(planted, name):
     assert sha256(planted[name]) == GOLDEN["planted"][name]
+
+
+@pytest.fixture(scope="module")
+def edge_outputs(tmp_path_factory):
+    return edge_shape_outputs(tmp_path_factory.mktemp("edge_shapes"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["edge_eval"]))
+def test_edge_eval_digest(edge_outputs, name):
+    assert sha256(edge_outputs[name]) == GOLDEN["edge_eval"][name]

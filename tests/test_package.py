@@ -78,13 +78,12 @@ def test_only_corpus_sets_the_unseen_term_count():
     """An unseen query term counts ``corpus.OOV_COUNT`` in every scorer
     and query feature: no module other than ``corpus`` names that
     constant, every ``corpus_freq``/``doc_freq`` call passes the term
-    alone, and ``oov_floor``, the setting the count once was, is named
-    only where ``ScoreSettings.from_model`` checks a legacy model."""
+    alone, and no module names ``oov_floor``, the setting the count once
+    was (model files that recorded it are version 1, refused whole)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        legacy = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and getattr(
                     node.func, "attr", None) in ("corpus_freq", "doc_freq"):
@@ -93,11 +92,43 @@ def test_only_corpus_sets_the_unseen_term_count():
             elif "OOV_COUNT" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 if path.name != "corpus.py":
                     found.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.FunctionDef) and node.name == "from_model":
-                legacy |= set(range(node.lineno, node.end_lineno + 1))
         found += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
-                  if re.search("oov[_-]floor", line) and i not in legacy]
+                  if re.search("oov[_-]floor", line)]
     assert found == []
+
+
+def hashlib_imports(sources: dict[str, str]) -> list[str]:
+    """The modules of {file name: source} that import ``hashlib``, in any
+    form and at any depth, as "file:line" entries."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "hashlib" for m in modules):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_three_modules_hash():
+    """Each hash names one thing, so only its owner imports ``hashlib``:
+    ``config`` (the config fingerprint of ``ql`` and msp run tags),
+    ``corpus`` (the index checksums) and ``npm`` (the model identity of
+    npm run tags). The check itself finds each import form in a module
+    that holds them."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    importers = {entry.split(":")[0] for entry in hashlib_imports(sources)}
+    assert importers == {"config.py", "corpus.py", "npm.py"}
+    planted = {"fusion.py": "import json\nimport hashlib\n",
+               "features.py": "from hashlib import sha1\n",
+               "cli.py": "def tag():\n    import hashlib as h\n    return h\n",
+               "passages.py": "import numpy as np\n"}
+    assert hashlib_imports(planted) == ["fusion.py:2", "features.py:1", "cli.py:2"]
 
 
 def dead_code(sources: dict[str, str], exported: set[str]) -> list[str]:

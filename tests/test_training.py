@@ -389,10 +389,9 @@ class TestTrain:
 
     def test_meta_carried_and_extended(self):
         cands = toy_candidates(n_queries=9)
-        results = train(cands, small_config(folds=3), {"feature_set": "query"},
-                        FILTERS2, FEATS3)
+        results = train(cands, small_config(folds=3), {"list_k": 7}, FILTERS2, FEATS3)
         for r in results:
-            assert r.model.meta["feature_set"] == "query"
+            assert r.model.meta["list_k"] == 7
             assert r.model.meta["fold"] == r.fold
             assert "best_epoch" in r.model.meta
 
