@@ -166,16 +166,13 @@ def _stopwords(cfg: ExperimentConfig) -> frozenset[str]:
 
 def _queries_in_run(cfg: ExperimentConfig, run: dict) -> list[Query]:
     queries = read_topics(cfg.topics, _stopwords(cfg))
-    kept = []
+    kept = [q for q in queries if q.query_id in run]
     for q in queries:
-        if q.query_id in run:
-            kept.append(q)
-        else:
-            log.warning("query %s has no candidates in the run, skipped",
-                        q.query_id)
-    extra = set(run) - {q.query_id for q in queries}
-    for qid in sorted(extra):
-        log.warning("run query %s is not in the topics file, skipped", qid)
+        if q.query_id not in run:
+            log.warning("query %s has no candidates in the run, skipped", q.query_id)
+    # a topic that read_topics skipped, its title emptied, is such a query too
+    for qid in sorted(set(run) - {q.query_id for q in queries}):
+        log.warning("run query %s has no usable topic, skipped", qid)
     if not kept:
         raise ValueError("no topic query has candidates in the run file")
     return kept

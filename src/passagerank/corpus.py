@@ -405,9 +405,9 @@ def load_index(path: str | Path) -> CorpusIndex:
     if manifest.get("format") != INDEX_FORMAT:
         raise CorpusError(f"unrecognized index format in {src}")
     version = manifest.get("version")
-    if version != INDEX_VERSION:
+    if type(version) is not int or version != INDEX_VERSION:  # 2.0 == 2, True == 1
         raise CorpusError(
-            f"index in {src} is format version {version!r}, this release "
+            f"{manifest_path}: format version {version!r}, this release "
             f"reads version {INDEX_VERSION}; rebuild it with `passagerank index`"
         )
     digests = manifest.get("sha256")
@@ -440,10 +440,12 @@ def load_index(path: str | Path) -> CorpusIndex:
         index = CorpusIndex(vocab, cf, df, doc_ids, doc_len, *arrays)
     except (ValueError, OverflowError) as e:
         raise CorpusError(f"{src}: {e}; rebuild the index") from None
-    counts = (index.num_docs, index.total_len, len(index.vocab))
-    if counts != tuple(manifest.get(k) for k in ("num_docs", "total_len", "vocab_size")):
-        raise CorpusError(f"{manifest_path}: num_docs, total_len and vocab_size "
-                          f"do not match the index files")
+    for key, count in zip(("num_docs", "total_len", "vocab_size"),
+                          (index.num_docs, index.total_len, len(index.vocab))):
+        value = manifest.get(key)
+        if type(value) is not int or value != count:  # as for the version
+            raise CorpusError(f"{manifest_path}: {key} is {value!r}, not the integer "
+                              f"{count} that the index files hold")
     return index
 
 

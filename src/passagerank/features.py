@@ -16,14 +16,13 @@ Three groups feed the fusion layer:
 Column order is fixed and documented by ``feature_names``; exports and
 model files carry the names so a vector is never interpreted against
 the wrong layout. ``ScoreSettings`` holds the checked scoring choices
-that a model file stores; ``FeatureExtractor`` builds rows from them.
+that a fusion model carries; ``FeatureExtractor`` builds rows from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from ._accel import FilterSpec, span_grid
 from .corpus import CorpusIndex, Query
 from .evaluation import write_table
-from .fusion import FusionModel, json_numbers
 from .retrieval import SmoothingConfig
 
 HOMOGENEITY_KINDS = ("length", "ent", "intpsg", "docpsg")
@@ -224,7 +222,9 @@ class ScoreSettings:
     features H: the window filters, the smoothing, the feature set and
     the list depth. Document features measure homogeneity over the
     derived ``hom_filter``: the smallest finite filter, the first listed
-    of equal windows, with its own stride. Every rule is checked here."""
+    of equal windows, with its own stride. Every rule is checked here.
+    ``config`` builds them from a configuration and ``fusion`` from a
+    model file, which stores them with the model."""
 
     filters: tuple[FilterSpec, ...]
     smoothing: SmoothingConfig
@@ -242,35 +242,6 @@ class ScoreSettings:
             raise ValueError(f"list_k must be >= 1, got {self.list_k}")
         object.__setattr__(self, "hom_filter", None if self.feature_set == "query"
                            else min(finite, key=lambda f: f.m))
-
-    def meta(self) -> dict:
-        """The model metadata that ``from_model`` reads back: the settings
-        that the model's filters and feature names do not spell."""
-        return {"list_k": self.list_k, "lambda_c": self.smoothing.lambda_c}
-
-    @classmethod
-    def from_model(cls, model: FusionModel, path: str | Path) -> "ScoreSettings":
-        """The settings the model at ``path`` was trained with, so
-        reranking scores as training did: its filters, the feature set
-        its ``feature_names`` spell, and ``meta()``'s ``lambda_c`` and
-        ``list_k``; ``hom_filter`` is derived, never read."""
-        meta = model.meta
-
-        def setting(key: str, kind: type | tuple[type, ...]):
-            if meta.get(key) is None:
-                raise ValueError(f"no {key!r} setting recorded")
-            return json_numbers(meta[key], key, kind)
-
-        try:
-            feature_set = next((s for s in FEATURE_SETS
-                                if feature_names(s) == model.feature_names), None)
-            if feature_set is None:
-                raise ValueError(f"feature names {list(model.feature_names)} spell "
-                                 f"no feature set of {', '.join(FEATURE_SETS)}")
-            return cls(model.filters, SmoothingConfig(setting("lambda_c", (int, float))),
-                       feature_set, setting("list_k", int))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"model file {path}: {e}") from None
 
 
 class FeatureExtractor:

@@ -15,8 +15,9 @@ to tanh directly would saturate it at +-1 and kill every gradient. The
 per-filter z-normalization is affine with positive scale, so it never
 changes a filter's internal ordering.
 
-Model files are versioned JSON that store each setting once (another
-format version is refused, to be retrained) and round-trip bit-exactly:
+A model carries the ``features.ScoreSettings`` it was trained with. Its
+file is versioned JSON that stores each setting once (another format
+version is refused, to be retrained) and round-trips bit-exactly:
 floats are serialized with shortest-repr, which Python parses back to
 the same double, so a model loaded and saved again writes the same bytes.
 """
@@ -27,11 +28,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from ._accel import FilterSpec, distinct_filters, parse_filter_label
+from ._accel import distinct_filters, parse_filter_label
+from .features import FEATURE_SETS, ScoreSettings, feature_names
+from .retrieval import SmoothingConfig
 
 MODEL_FORMAT = "passagerank-fusion"
 MODEL_VERSION = 2
@@ -74,20 +76,20 @@ def json_numbers(value, key: str, kind: type | tuple[type, ...] = (int, float)):
 
 
 class FusionModel:
-    """Parameters + normalizations + the configuration they were fitted to."""
+    """Parameters + normalizations + the settings they were fitted to."""
 
     def __init__(
         self,
-        filters: Sequence[FilterSpec],
-        feature_names: Sequence[str],
+        settings: ScoreSettings,
         W: np.ndarray,
         b: float,
         score_norm: AffineNorm,
         feature_norm: AffineNorm,
         meta: dict | None = None,
     ):
-        self.filters = tuple(filters)
-        self.feature_names = tuple(feature_names)
+        self.settings = settings
+        self.filters = settings.filters
+        self.feature_names = feature_names(settings.feature_set)
         self.W = np.ascontiguousarray(W, dtype=np.float64)
         self.b = float(b)
         self.score_norm = score_norm
@@ -158,7 +160,8 @@ class FusionModel:
             },
             "W": self.W.tolist(),
             "b": self.b,
-            "meta": self.meta,
+            "meta": {**self.meta, "lambda_c": self.settings.smoothing.lambda_c,
+                     "list_k": self.settings.list_k},
         }
         Path(path).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n",
                               encoding="utf-8")
@@ -188,16 +191,29 @@ class FusionModel:
             return AffineNorm(*(np.array(json_numbers(parts[part], f"{key} {part}"),
                                          dtype=np.float64) for part in ("mean", "std")))
 
+        def setting(key: str, kind: type | tuple[type, ...]):  # popped from meta
+            if meta.get(key) is None:
+                raise ValueError(f"no {key!r} setting recorded")
+            return json_numbers(meta.pop(key), key, kind)
+
         try:
             labels = typed("filters", "a list of filter labels", list)
+            filters = distinct_filters(parse_filter_label(s) for s in labels)
+            names = tuple(typed("feature_names", "a list of feature names", list))
+            feature_set = next((s for s in FEATURE_SETS if feature_names(s) == names), None)
+            if feature_set is None:
+                raise ValueError(f"feature names {list(names)} spell no feature set "
+                                 f"of {', '.join(FEATURE_SETS)}")
+            meta = dict(typed("meta", "an object", dict)) if "meta" in raw else {}
+            settings = ScoreSettings(filters, SmoothingConfig(setting("lambda_c", (int, float))),
+                                     feature_set, setting("list_k", int))
             return cls(
-                filters=distinct_filters(parse_filter_label(s) for s in labels),
-                feature_names=typed("feature_names", "a list of feature names", list),
+                settings,
                 W=np.array(json_numbers(raw["W"], "W"), dtype=np.float64),
                 b=typed("b", "a number", (int, float)),
                 score_norm=norm("score_norm"),
                 feature_norm=norm("feature_norm"),
-                meta=typed("meta", "an object", dict) if "meta" in raw else {},
+                meta=meta,
             )
         except KeyError as e:
             raise ValueError(f"model file {path} lacks key {e}") from None

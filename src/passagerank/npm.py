@@ -1,8 +1,8 @@
 """Training and applying the fusion model: the npm reranker.
 
-A model file records the ``features.ScoreSettings`` that rebuild a
-candidate's per-filter scores R and features H, so a model is applied
-the way it was trained. ``candidate_matrices`` builds (R, H) for one
+A fusion model carries the ``features.ScoreSettings`` that rebuild a
+candidate's per-filter scores R and features H, so it is applied the
+way it was trained. ``candidate_matrices`` builds (R, H) for one
 query's candidates, ``npm_train`` fits the fold models on them,
 ``save_training`` writes those and ``NpmModel.load`` reads them, or one
 model file, back, named by a hash of the bytes it read.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import CorpusIndex, Query
 from .evaluation import qid_sort_key, rank_by_score, write_table
-from .features import FeatureExtractor, ScoreSettings, feature_names
+from .features import FeatureExtractor, ScoreSettings
 from .fusion import FusionModel
 from .passages import score_tokens
 from .retrieval import QueryContext
@@ -54,7 +54,7 @@ def npm_train(queries: Sequence[Query], run: Mapping, qrels: Mapping,
     its ``qrels[query_id][doc_id]`` grade is positive, and a query with no
     relevant or no non-relevant candidate is dropped from training but
     still gets a test fold (``training.train``'s ``untrained``). Each fold
-    model records ``settings.meta()``, then ``meta``."""
+    model carries ``settings`` and records ``meta``."""
     candidates, untrained = {}, []
     for q in queries:
         qid = q.query_id
@@ -67,8 +67,7 @@ def npm_train(queries: Sequence[Query], run: Mapping, qrels: Mapping,
         else:
             R, H = candidate_matrices(q, doc_ids, scores, index, settings)
             candidates[qid] = CandidateSet(q, list(doc_ids), R, H, rel)
-    return train(candidates, config, {**settings.meta(), **(meta or {})},
-                 settings.filters, feature_names(settings.feature_set), untrained)
+    return train(candidates, config, meta or {}, settings, untrained)
 
 
 def save_training(out_dir: str | Path, results: Sequence[FoldResult]) -> None:
@@ -138,7 +137,7 @@ class NpmModel:
                 raise ValueError(f"{folds_file} lists no queries")
             files = [(fold, path / f"fold_{fold}.json")
                      for fold in sorted(set(fold_of.values()))]
-        models, settings = {}, set()
+        models = {}
         for fold, model_path in files:
             data = model_path.read_bytes()
             digest.update(data)
@@ -147,7 +146,7 @@ class NpmModel:
             if fold_of is not None and (type(recorded) is not int or recorded != fold):
                 raise ValueError(f"model file {model_path}: records fold {recorded!r}, "
                                  f"not {fold}")
-            settings.add(ScoreSettings.from_model(models[fold], model_path))
+        settings = {m.settings for m in models.values()}
         if len(settings) > 1:
             raise ValueError(f"{path}: fold models disagree on configuration")
         return cls(models, settings.pop(), digest.hexdigest()[:10], fold_of)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .corpus import Query
 from .evaluation import average_precision, rank_by_score
+from .features import ScoreSettings
 from .fusion import AffineNorm, FusionModel, forward_parts, linear_rows
 
 log = logging.getLogger(__name__)
@@ -168,13 +169,12 @@ def train_fold(
     val_qids: Sequence[str],
     config: TrainConfig,
     model_meta: dict,
-    filters,
-    feature_names: Sequence[str],
+    settings: ScoreSettings,
 ) -> tuple[FusionModel, list[tuple[int, float, float]]]:
     """Full-batch descent with early stopping on one train/validation split.
 
-    Returns the best-epoch model and the per-epoch log rows
-    (epoch, train pair hinge, validation MAP); epoch 0 is the uniform
+    Returns the best-epoch model over ``settings`` and the per-epoch log
+    rows (epoch, train pair hinge, validation MAP); epoch 0 is the uniform
     gate W = 0, b = 0, which best-epoch restoration also considers.
     """
     if not train_qids or not val_qids:
@@ -209,7 +209,7 @@ def train_fold(
         s, _, C, dB = forward_parts(W_, b_, R, H)
         return (*pair_hinge(s, groups), C, dB)
 
-    W, b, step = np.zeros((len(filters), len(feature_names))), 0.0, _FIRST_STEP
+    W, b, step = np.zeros((R.shape[1], H.shape[1])), 0.0, _FIRST_STEP
     point, score = at(W, b), validate(W, b)
     rows, best = [(0, point[0], score[0])], (score, 0, W, b)
     for epoch in range(1, config.max_epochs + 1):
@@ -242,7 +242,7 @@ def train_fold(
         log.warning("no epoch beat the initial validation score (MAP %.4f); the "
                     "saved model is the uniform gate", best[0][0])
 
-    return FusionModel(filters, feature_names, best[2], best[3], score_norm, feature_norm,
+    return FusionModel(settings, best[2], best[3], score_norm, feature_norm,
                        dict(model_meta, best_epoch=best[1], best_val_map=best[0][0])), rows
 
 
@@ -250,11 +250,10 @@ def train(
     candidates: Mapping[str, CandidateSet],
     config: TrainConfig,
     model_meta: dict,
-    filters,
-    feature_names: Sequence[str],
+    settings: ScoreSettings,
     untrained: Sequence[str] = (),
 ) -> list[FoldResult]:
-    """Cross-validated training: one FusionModel per fold.
+    """Cross-validated training: one FusionModel over ``settings`` per fold.
 
     The query->fold assignment is ``make_folds`` under the config's fold
     count and seed. For fold i the validation fold is (i+1) mod k. Each
@@ -273,7 +272,7 @@ def train(
         val_qids = [q for q in qids if fold_of[q] == val_fold]
         train_qids = [q for q in qids if fold_of[q] not in (fold, val_fold)]
         model, rows = train_fold(candidates, train_qids, val_qids, config,
-                                 dict(model_meta, fold=fold), filters, feature_names)
+                                 dict(model_meta, fold=fold), settings)
         results.append(FoldResult(fold, model, rows, train_qids, val_qids,
                                   test_qids))
     return results

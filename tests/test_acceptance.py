@@ -159,14 +159,13 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
         queries = random_queries(rng, 25, vocab_size=80)
         s = SmoothingConfig(0.5)
 
-        inf_filter = FilterSpec.whole_document()
+        beta = len(feature_names("query"))
         model = FusionModel(
-            filters=[inf_filter],
-            feature_names=["list_mean"],
-            W=np.zeros((1, 1)),
+            settings=ScoreSettings((FilterSpec.whole_document(),), s, "query", 1),
+            W=np.zeros((1, beta)),
             b=0.0,
             score_norm=identity_norm(1),
-            feature_norm=identity_norm(1),
+            feature_norm=identity_norm(beta),
         )
         doc_ids = [d.doc_id for d in docs]
         for q in queries:
@@ -176,7 +175,7 @@ def test_criterion_2_special_case_collapses(fixed_homogeneity):
                 [whole_doc_lm_one(ctx, index.doc_tokens(index.doc_index(d)))]
                 for d in doc_ids
             ])
-            lin = model.linear_many(R, np.zeros((len(doc_ids), 1)))
+            lin = model.linear_many(R, np.zeros((len(doc_ids), beta)))
             order = sorted(range(len(doc_ids)),
                            key=lambda i: (-lin[i], doc_ids[i]))
             assert [doc_ids[i] for i in order] == [d for d, _ in ql], \
@@ -229,7 +228,6 @@ def test_criterion_3_planted_passage_discrimination():
 
         filters = (FilterSpec.window(50), FilterSpec.window(150),
                    FilterSpec.whole_document())
-        names = feature_names("doc+query")
         extractor = FeatureExtractor(index, ScoreSettings(filters, s, "doc+query", 50))
         assert extractor.settings.hom_filter == FilterSpec.window(50)
 
@@ -255,7 +253,7 @@ def test_criterion_3_planted_passage_discrimination():
 
         cands = build_candidates()
         tc = TrainConfig(max_epochs=8, patience=3, seed=0, folds=5)
-        results = train(cands, tc, {}, filters, names)
+        results = train(cands, tc, {}, extractor.settings)
 
         aps = []
         for res in results:
@@ -270,7 +268,7 @@ def test_criterion_3_planted_passage_discrimination():
         assert map_npm >= map_msp, \
             f"held-out fusion {map_npm:.4f} < msp {map_msp:.4f}"
 
-        results2 = train(cands, tc, {}, filters, names)
+        results2 = train(cands, tc, {}, extractor.settings)
         for a, b in zip(results, results2):
             assert a.model.W.tobytes() == b.model.W.tobytes()
             assert a.model.b == b.model.b

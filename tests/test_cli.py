@@ -436,7 +436,7 @@ class TestLibrary:
             assert [q for q in r.test_qids if q in kept] == [
                 q for q in sorted(kept) if kept[q] == r.fold]
         model = results[0].model
-        assert ScoreSettings.from_model(model, "fold_0.json") == cfg.score_settings()
+        assert model.settings == cfg.score_settings()
         assert "config_fingerprint" not in model.meta
 
     def test_model_file_scores_every_query(self, pipeline):
@@ -445,7 +445,7 @@ class TestLibrary:
         assert model.fold_of is None
         assert model.model_for("99") is model.models[0]
         assert model.fingerprint == model_tag(path)
-        assert model.settings == ScoreSettings.from_model(model.models[0], path)
+        assert model.settings == build_config(pipeline["conf"]).score_settings()
 
 
 def test_readme_lists_the_model_meta_keys(pipeline):
@@ -845,6 +845,33 @@ def test_stoplist_end_to_end(tmp_path, caplog):
     assert list(read_run(run)) == ["1"]
     assert [r.getMessage() for r in caplog.records] == [
         "skipping topic 2: empty title after tokenization"]
+
+
+@pytest.mark.parametrize("command", ["rerank", "train", "weights"])
+def test_run_query_whose_topic_the_stoplist_empties(pipeline, tmp_path, caplog, command):
+    """A run retrieved without the stoplist holds query 2, whose title
+    the stoplist empties: the topic is skipped, and the run query with
+    it, as one with no usable topic. Before, it read as "not in the
+    topics file", though the topic is there."""
+    topics, stoplist, run = (tmp_path / name for name in ("topics.txt", "stop.txt", "ql.run"))
+    write_topics(topics, [Query("2", ("the", "of")) if q.query_id == "2" else q
+                          for q in read_topics(pipeline["topics"])])
+    stoplist.write_text("the\nof\n")
+    data = ["--index", str(pipeline["index"]), "--topics", str(topics)]
+    assert main(["retrieve", *data, "--top-k", "40", "--output", str(run)]) == 0
+    assert "2" in read_run(run)
+    extra = {"rerank": ["--mode", "msp", "--output", str(tmp_path / "msp.run")],
+             "train": ["--config", str(pipeline["conf"]), "--qrels", str(pipeline["qrels"]),
+                       "--output-dir", str(tmp_path / "models")],
+             "weights": ["--model", str(pipeline["model_dir"] / "fold_0.json")]}[command]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert main([command, *data, "--stoplist", str(stoplist), "--run", str(run),
+                     *extra]) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.name in ("passagerank.corpus", "passagerank.cli")] == [
+        "skipping topic 2: empty title after tokenization",
+        "run query 2 has no usable topic, skipped"]
 
 
 @pytest.mark.parametrize("entry,n_tokens", [("don't", 2), ("U.S.", 2), ("--", 0)])

@@ -334,6 +334,28 @@ class TestPersistence:
         with pytest.raises(CorpusError, match="^" + re.escape(str(manifest))):
             load_index(saved_index)
 
+    @pytest.mark.parametrize("key,value", [
+        ("version", 2.0),
+        *((key, value) for key in ("num_docs", "total_len", "vocab_size")
+          for value in (1.0, True)),
+    ])
+    def test_manifest_numbers_are_integers(self, tmp_path, key, value):
+        """A one-token index, whose counts are all 1: a float or a bool
+        equal to the written integer is refused, naming the manifest and
+        the key, as a model file refuses its version. Before, each was
+        read as the integer it equals."""
+        path = tmp_path / "index"
+        save_index(build_index([Document("d1", ("alpha",))]), path)
+        manifest = path / "manifest.json"
+        record = json.loads(manifest.read_text())
+        assert record[key] == value and type(record[key]) is int
+        manifest.write_text(json.dumps(dict(record, **{key: value})))
+        want = (f"format version {value!r}, this release reads version 2"
+                if key == "version" else
+                f"{key} is {value!r}, not the integer 1 that the index files hold")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{manifest}: {want}")):
+            load_index(path)
+
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises((CorpusError, OSError)):
             load_index(tmp_path / "nope")

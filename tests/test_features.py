@@ -1,5 +1,6 @@
 """Homogeneity scores, query statistics, and feature assembly."""
 
+import json
 import math
 
 import numpy as np
@@ -240,15 +241,6 @@ class TestListFeature:
 
 
 class TestScoreSettings:
-    @staticmethod
-    def save_model(path, settings, meta):
-        names = feature_names(settings.feature_set)
-        n_f, n_h = len(settings.filters), len(names)
-        FusionModel(settings.filters, names, np.zeros((n_f, n_h)), 0.0,
-                    AffineNorm(np.zeros(n_f), np.ones(n_f)),
-                    AffineNorm(np.zeros(n_h), np.ones(n_h)), meta).save(path)
-        return FusionModel.from_bytes(path.read_bytes(), path)
-
     @pytest.mark.parametrize("feature_set", FEATURE_SETS)
     def test_model_file_round_trip(self, tmp_path, feature_set):
         """The metadata holds only what the filters and feature names do
@@ -257,10 +249,16 @@ class TestScoreSettings:
         want = ScoreSettings((FilterSpec(40, 10), *FILTERS), SmoothingConfig(0.3),
                              feature_set, 7)
         assert want.hom_filter == (None if feature_set == "query" else FilterSpec(40, 10))
-        assert want.meta() == {"list_k": 7, "lambda_c": 0.3}
+        n_f, n_h = len(want.filters), len(feature_names(feature_set))
         path = tmp_path / "model.json"
-        model = self.save_model(path, want, want.meta())
-        assert ScoreSettings.from_model(model, path) == want
+        FusionModel(want, np.zeros((n_f, n_h)), 0.0, AffineNorm(np.zeros(n_f), np.ones(n_f)),
+                    AffineNorm(np.zeros(n_h), np.ones(n_h)), {"fold": 1}).save(path)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["meta"] == {"fold": 1, "list_k": 7, "lambda_c": 0.3}
+        assert record["feature_names"] == list(feature_names(feature_set))
+        loaded = FusionModel.from_bytes(path.read_bytes(), path)
+        assert loaded.settings == want
+        assert loaded.meta == {"fold": 1}
 
     @pytest.mark.parametrize("feature_set,filters,list_k,message", [
         ("everything", FILTERS, 1, "unknown feature set"),

@@ -2,16 +2,21 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from passagerank import AffineNorm, FilterSpec, FusionModel, report_weights, softmax_rows
+from passagerank import (AffineNorm, FilterSpec, FusionModel, NpmModel, ScoreSettings,
+                         SmoothingConfig, feature_names, report_weights, softmax_rows)
+from passagerank.features import FEATURE_SETS
 from passagerank._accel import parse_filter_label
 from passagerank.fusion import forward_parts, linear_rows
 
 FILTERS = (FilterSpec.window(50), FilterSpec.window(150), FilterSpec.whole_document())
-FEATS = ("f1", "f2", "f3", "f4", "f5")
+SETTINGS = ScoreSettings(FILTERS, SmoothingConfig(0.3), "doc", 10)  # 3 filters, 4 features
 
 
 def identity_norm(n):
@@ -23,17 +28,15 @@ def tanh_score(model, R, H):
     return np.tanh(model.linear_many(R, H))
 
 
-def make_model(rng=None, alpha=3, beta=5, meta=None):
+def make_model(rng=None, meta=None):
     if rng is None:
         rng = np.random.default_rng(0)
-    W = rng.uniform(-0.1, 0.1, size=(alpha, beta))
     return FusionModel(
-        filters=FILTERS[:alpha],
-        feature_names=FEATS[:beta],
-        W=W,
+        settings=SETTINGS,
+        W=rng.uniform(-0.1, 0.1, size=(3, 4)),
         b=0.0,
-        score_norm=identity_norm(alpha),
-        feature_norm=identity_norm(beta),
+        score_norm=identity_norm(3),
+        feature_norm=identity_norm(4),
         meta=meta or {},
     )
 
@@ -98,7 +101,7 @@ class TestFusionModel:
         model = make_model()
         rng = np.random.default_rng(5)
         r = rng.normal(size=3)
-        h = rng.normal(size=5)
+        h = rng.normal(size=4)
         phi = softmax_rows((model.W @ h)[None, :])[0]
         expect = math.tanh(float(r @ phi) + model.b)
         score = tanh_score(model, r[None, :], h[None, :])[0]
@@ -108,7 +111,7 @@ class TestFusionModel:
         model = make_model()
         rng = np.random.default_rng(6)
         R = rng.normal(size=(20, 3))
-        H = rng.normal(size=(20, 5))
+        H = rng.normal(size=(20, 4))
         many = tanh_score(model, R, H)
         for i in range(20):
             assert many[i] == pytest.approx(tanh_score(model, R[i:i + 1], H[i:i + 1])[0],
@@ -118,7 +121,7 @@ class TestFusionModel:
         model = make_model()
         rng = np.random.default_rng(7)
         R = rng.uniform(-2, 2, size=(50, 3))
-        H = rng.normal(size=(50, 5))
+        H = rng.normal(size=(50, 4))
         lin = model.linear_many(R, H)
         tan = tanh_score(model, R, H)
         assert np.array_equal(np.argsort(-lin), np.argsort(-tan))
@@ -130,7 +133,7 @@ class TestFusionModel:
         model = make_model()
         rng = np.random.default_rng(8)
         R = -40.0 + rng.uniform(-1, 1, size=(30, 3))
-        H = rng.normal(size=(30, 5))
+        H = rng.normal(size=(30, 4))
         tan = tanh_score(model, R, H)
         lin = model.linear_many(R, H)
         assert np.unique(tan).size == 1  # saturated: useless for ranking
@@ -139,7 +142,7 @@ class TestFusionModel:
     def test_weights_many_on_simplex(self):
         model = make_model()
         rng = np.random.default_rng(9)
-        H = rng.normal(size=(40, 5))
+        H = rng.normal(size=(40, 4))
         phi = model.weights_many(H)
         assert phi.shape == (40, 3)
         assert np.all(phi > 0)
@@ -148,11 +151,10 @@ class TestFusionModel:
     def test_normalization_applied_before_gate(self):
         rng = np.random.default_rng(10)
         R = rng.normal(size=(30, 3))
-        H = rng.normal(size=(30, 5))
+        H = rng.normal(size=(30, 4))
         rn, hn = AffineNorm.fit(R), AffineNorm.fit(H)
         model = make_model()
-        normed = FusionModel(model.filters, model.feature_names, model.W,
-                             model.b, rn, hn, {})
+        normed = FusionModel(SETTINGS, model.W, model.b, rn, hn, {})
         ident = make_model()
         assert np.allclose(
             tanh_score(normed, R, H),
@@ -161,23 +163,23 @@ class TestFusionModel:
     def test_dimension_errors(self):
         model = make_model()
         with pytest.raises(ValueError):
-            model.linear_many(np.zeros((1, 2)), np.zeros((1, 5)))
+            model.linear_many(np.zeros((1, 2)), np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            model.linear_many(np.zeros((1, 3)), np.zeros((1, 4)))
+            model.linear_many(np.zeros((1, 3)), np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            model.linear_many(np.zeros((5, 3)), np.zeros((4, 5)))
+            model.linear_many(np.zeros((5, 3)), np.zeros((4, 4)))
 
     def test_nan_features_rejected(self):
         model = make_model()
-        h = np.zeros(5)
+        h = np.zeros(4)
         h[2] = np.nan
         with pytest.raises(ValueError):
             model.linear_many(np.zeros((1, 3)), h[None, :])
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError):
-            FusionModel(FILTERS, FEATS, np.full((3, 5), np.inf), 0.0,
-                        identity_norm(3), identity_norm(5), {})
+            FusionModel(SETTINGS, np.full((3, 4), np.inf), 0.0,
+                        identity_norm(3), identity_norm(4), {})
 
 
     @pytest.mark.parametrize("std", [0.0, -1.0, np.nan, np.inf])
@@ -186,15 +188,15 @@ class TestFusionModel:
         norm = identity_norm(3)
         norm.std[0] = std
         with pytest.raises(ValueError, match="score normalization stds"):
-            FusionModel(FILTERS, FEATS, np.zeros((3, 5)), 0.0, norm,
-                        identity_norm(5), {})
+            FusionModel(SETTINGS, np.zeros((3, 4)), 0.0, norm,
+                        identity_norm(4), {})
 
     @pytest.mark.parametrize("mean", [np.nan, -np.inf])
     def test_non_finite_normalization_mean_rejected(self, mean):
-        norm = identity_norm(5)
-        norm.mean[4] = mean
+        norm = identity_norm(4)
+        norm.mean[3] = mean
         with pytest.raises(ValueError, match="feature normalization means"):
-            FusionModel(FILTERS, FEATS, np.zeros((3, 5)), 0.0, identity_norm(3),
+            FusionModel(SETTINGS, np.zeros((3, 4)), 0.0, identity_norm(3),
                         norm, {})
 
 
@@ -214,21 +216,52 @@ class TestSerialization:
 
     def test_model_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
-        model = make_model(rng, meta={"feature_set": "query", "list_k": 100})
+        model = make_model(rng, meta={"fold": 2, "best_epoch": 3})
         norm = AffineNorm(rng.normal(size=3), rng.uniform(0.5, 2, size=3))
-        model = FusionModel(model.filters, model.feature_names,
-                            model.W, 0.125, norm, identity_norm(5),
-                            model.meta)
+        model = FusionModel(SETTINGS, model.W, 0.125, norm, identity_norm(4), model.meta)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = FusionModel.from_bytes(path.read_bytes(), path)
         assert loaded.W.tobytes() == model.W.tobytes()
         assert loaded.b == model.b
         assert loaded.score_norm.mean.tobytes() == norm.mean.tobytes()
-        assert loaded.filters == model.filters
+        assert loaded.settings == SETTINGS
         assert loaded.meta == model.meta
         loaded.save(tmp_path / "again.json")  # so an npm run tag holds
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_model_file_round_trips_its_settings(self, data):
+        """A model file holds its settings exactly: the filters, the
+        feature set its feature names spell, lambda_c and list_k, with the
+        homogeneity filter derived again on load; saved again, the model
+        writes the same bytes."""
+        windows = data.draw(st.lists(st.integers(1, 400).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(1, m))), unique=True, max_size=4))
+        filters = [FilterSpec(m, tau) for m, tau in windows]
+        if data.draw(st.booleans()) or not filters:
+            filters.insert(data.draw(st.integers(0, len(filters))),
+                           FilterSpec.whole_document())
+        want = ScoreSettings(
+            tuple(filters),
+            SmoothingConfig(data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                exclude_max=True))),
+            data.draw(st.sampled_from(FEATURE_SETS if windows else ("query",))),
+            data.draw(st.integers(1, 10**6)))
+        alpha, beta = len(filters), len(feature_names(want.feature_set))
+        rng = np.random.default_rng(len(windows))
+        model = FusionModel(want, rng.normal(size=(alpha, beta)), 0.5,
+                            AffineNorm(rng.normal(size=alpha), np.ones(alpha)),
+                            AffineNorm(rng.normal(size=beta), np.ones(beta)), {"fold": 0})
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp) / "model.json", Path(tmp) / "again.json"
+            model.save(first)
+            loaded = NpmModel.load(first)
+            assert loaded.settings == loaded.models[0].settings == want
+            assert loaded.models[0].meta == {"fold": 0}
+            loaded.models[0].save(again)
+            assert again.read_bytes() == first.read_bytes()
 
     def test_save_deterministic_bytes(self, tmp_path):
         model = make_model()
@@ -290,7 +323,7 @@ class TestReportWeights:
     def test_means_lie_on_simplex(self):
         model = make_model()
         rng = np.random.default_rng(14)
-        H = rng.normal(size=(200, 5))
+        H = rng.normal(size=(200, 4))
         means, stds = report_weights(model, H)
         assert means.shape == (3,)
         assert abs(means.sum() - 1.0) < 1e-9
@@ -299,4 +332,4 @@ class TestReportWeights:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            report_weights(make_model(), np.zeros((0, 5)))
+            report_weights(make_model(), np.zeros((0, 4)))

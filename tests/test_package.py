@@ -131,6 +131,48 @@ def test_three_modules_hash():
     assert hashlib_imports(planted) == ["fusion.py:2", "features.py:1", "cli.py:2"]
 
 
+def settings_sources(sources: dict[str, str]) -> list[str]:
+    """Where a module of {file name: source} other than ``config`` and
+    ``fusion`` calls ``ScoreSettings(...)``, or ``features`` imports
+    ``fusion`` in any form: "file:line" entries."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if isinstance(node, ast.Call):
+                hit = name not in ("config.py", "fusion.py") and "ScoreSettings" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None) or "",
+                           *(alias.name for alias in node.names)]
+                hit = name == "features.py" and any(
+                    m.split(".")[-1] == "fusion" for m in modules)
+            else:
+                continue
+            if hit:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_only_config_and_fusion_build_score_settings():
+    """Scoring settings come from two places: ``config`` builds them from
+    a configuration and ``fusion`` from a model file, which stores them
+    with the model. ``features``, which defines them, imports nothing
+    from ``fusion``, so the settings' rules have one owner. The check
+    itself finds each kind of violation in a package that holds them."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert settings_sources(sources) == []
+    planted = {
+        "config.py": "def settings(f):\n    return ScoreSettings(f, None, 'query', 1)\n",
+        "npm.py": "from .features import ScoreSettings\nS = ScoreSettings((), None, 'query', 1)\n",
+        "cli.py": "from . import features as f\n\nS = f.ScoreSettings((), None, 'query', 1)\n",
+        "features.py": ("from .fusion import json_numbers\nfrom . import fusion\n"
+                        "import passagerank.fusion\n"),
+    }
+    assert settings_sources(planted) == ["npm.py:2", "cli.py:3", "features.py:1",
+                                         "features.py:2", "features.py:3"]
+
+
 def dead_code(sources: dict[str, str], exported: set[str]) -> list[str]:
     """The unused imports and the unreferenced private module-level names
     of a package given as {file name: source}. A name is referenced when

@@ -13,11 +13,12 @@ from passagerank.training import CandidateSet, pair_hinge, train_fold
 from conftest import planted_corpus
 from reference import hinge_loss, pair_hinge_reference
 
-FILTERS2 = (FilterSpec.window(10), FilterSpec.whole_document())
-FEATS3 = ("f1", "f2", "f3")
+# two filters and the four document features
+SETTINGS2 = ScoreSettings((FilterSpec.window(10), FilterSpec.whole_document()),
+                          SmoothingConfig(), "doc", 1)
 
 
-def toy_candidates(n_queries=12, n_docs=10, n_rel=3, alpha=2, beta=3,
+def toy_candidates(n_queries=12, n_docs=10, n_rel=3, alpha=2, beta=4,
                    separation=2.0, seed=0):
     """Synthetic candidate sets where relevant docs score higher by design."""
     rng = np.random.default_rng(seed)
@@ -131,7 +132,7 @@ def separated_pools(n_queries=6):
         rel = np.array([True, True, False, False, False])
         R = np.where(rel, 2.0, -2.0)[:, None] + np.array([0.0, 0.1]) * rng.normal(size=(5, 2))
         cands[qid] = CandidateSet(Query(qid, ("t",)), [f"d{i}" for i in range(5)],
-                                  R, rng.normal(size=(5, 3)), rel)
+                                  R, rng.normal(size=(5, 4)), rel)
     return cands
 
 
@@ -140,7 +141,7 @@ class TestTrainFold:
         cands = toy_candidates()
         qids = sorted(cands)
         model, rows = train_fold(cands, qids[:8], qids[8:], small_config(),
-                                 {}, FILTERS2, FEATS3)
+                                 {}, SETTINGS2)
         assert rows[0][0] == 0
         assert model.meta["best_val_map"] == max(r[2] for r in rows)
         assert model.meta["best_val_map"] >= rows[0][2]
@@ -158,9 +159,9 @@ class TestTrainFold:
         cands = toy_candidates()
         qids = sorted(cands)
         train_fold(cands, qids[:8], qids[8:], small_config(max_epochs=1), {},
-                   FILTERS2, FEATS3)
+                   SETTINGS2)
         W0, b0 = seen[0]
-        assert W0.shape == (2, 3) and not W0.any() and b0 == 0.0
+        assert W0.shape == (2, 4) and not W0.any() and b0 == 0.0
 
     def test_losses_descend(self):
         # each epoch is an accepted Armijo step, so the train hinge falls
@@ -168,7 +169,7 @@ class TestTrainFold:
         qids = sorted(cands)
         _, rows = train_fold(cands, qids[:8], qids[8:], small_config(max_epochs=20,
                                                                      patience=20),
-                             {}, FILTERS2, FEATS3)
+                             {}, SETTINGS2)
         losses = [loss for _, loss, _ in rows]
         assert len(losses) > 2
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -179,9 +180,7 @@ class TestTrainFold:
         cands = separated_pools()
         with caplog.at_level("WARNING", logger="passagerank.training"):
             model, rows = train_fold(cands, ["1", "2", "3", "4"], ["5", "6"],
-                                     small_config(), {},
-                                     (FilterSpec.window(10), FilterSpec.whole_document()),
-                                     FEATS3)
+                                     small_config(), {}, SETTINGS2)
         assert rows == [(0, 0.0, 1.0)]
         assert not model.W.any() and model.b == 0.0
         assert model.meta["best_epoch"] == 0
@@ -197,18 +196,20 @@ class TestTrainFold:
             cands[q].rel = ~cands[q].rel
         with caplog.at_level("WARNING", logger="passagerank.training"):
             model, rows = train_fold(cands, qids[:8], qids[8:], small_config(),
-                                     {}, FILTERS2, FEATS3)
+                                     {}, SETTINGS2)
         assert len(rows) > 1
         assert model.meta["best_epoch"] == 0
         assert not model.W.any() and model.b == 0.0
         assert "the saved model is the uniform gate" in caplog.text
 
     def test_trained_restore_does_not_warn(self, caplog):
-        cands = toy_candidates(separation=0.0)
+        # relevant rows score higher in training and validation alike, so
+        # a step that lowers the train hinge lowers the validation hinge
+        cands = toy_candidates(separation=1.0)
         qids = sorted(cands)
         with caplog.at_level("WARNING", logger="passagerank.training"):
             model, _ = train_fold(cands, qids[:8], qids[8:], small_config(),
-                                  {}, FILTERS2, FEATS3)
+                                  {}, SETTINGS2)
         assert model.meta["best_epoch"] > 0
         assert "uniform gate" not in caplog.text
 
@@ -220,7 +221,7 @@ class TestTrainFold:
         train_qids, val_qids = ([], qids) if empty == "train" else (qids, [])
         with pytest.raises(ValueError, match="training and validation queries"):
             train_fold(cands, train_qids, val_qids, small_config(),
-                       {}, FILTERS2, FEATS3)
+                       {}, SETTINGS2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -245,17 +246,18 @@ class TestTrainFold:
         qids = sorted(cands)
         _, rows = train_fold(cands, qids[:8], qids[8:], small_config(max_epochs=3,
                                                                      patience=3),
-                             {}, FILTERS2, FEATS3)
+                             {}, SETTINGS2)
         assert len(rows) == 4
         assert len(sizes) >= 4 and set(sizes) == {8 * 10}  # 8 queries of 10 candidates
         assert all(b[1] < a[1] for a, b in zip(rows, rows[1:]))
 
     def test_single_epoch_logs_initialization_and_one_step(self):
-        cands = toy_candidates()
+        # pairs overlap at the uniform gate, so the gradient is not zero
+        cands = toy_candidates(separation=1.0)
         qids = sorted(cands)
         model, rows = train_fold(cands, qids[:8], qids[8:],
                                  small_config(max_epochs=1),
-                                 {}, FILTERS2, FEATS3)
+                                 {}, SETTINGS2)
         assert [r[0] for r in rows] == [0, 1]
         assert model.meta["best_epoch"] in (0, 1)
 
@@ -343,7 +345,7 @@ class TestBatchGradients:
 class TestTrain:
     def test_fold_structure(self):
         cands = toy_candidates(n_queries=9)
-        results = train(cands, small_config(folds=3), {}, FILTERS2, FEATS3)
+        results = train(cands, small_config(folds=3), {}, SETTINGS2)
         assert [r.fold for r in results] == [0, 1, 2]
         all_test = sorted(q for r in results for q in r.test_qids)
         assert all_test == sorted(cands)
@@ -358,7 +360,7 @@ class TestTrain:
         # train draws the folds with make_folds under the config's seed
         cands = toy_candidates(n_queries=9)
         fold_of = make_folds(sorted(cands), 3, seed=0)
-        results = train(cands, small_config(folds=3), {}, FILTERS2, FEATS3)
+        results = train(cands, small_config(folds=3), {}, SETTINGS2)
         for r in results:
             expect_val = {q for q, f in fold_of.items()
                           if f == (r.fold + 1) % 3}
@@ -366,8 +368,8 @@ class TestTrain:
 
     def test_bitwise_reproducible(self):
         cands = toy_candidates()
-        a = train(cands, small_config(), {}, FILTERS2, FEATS3)
-        b = train(cands, small_config(), {}, FILTERS2, FEATS3)
+        a = train(cands, small_config(), {}, SETTINGS2)
+        b = train(cands, small_config(), {}, SETTINGS2)
         for ra, rb in zip(a, b):
             assert ra.model.W.tobytes() == rb.model.W.tobytes()
             assert ra.model.b == rb.model.b
@@ -377,23 +379,27 @@ class TestTrain:
         # the seed moves the split, and each fold model follows from its
         # split alone: train_fold takes no seed
         cands = toy_candidates(separation=0.0)
-        a = train(cands, small_config(seed=0), {}, FILTERS2, FEATS3)
-        b = train(cands, small_config(seed=1), {}, FILTERS2, FEATS3)
+        a = train(cands, small_config(seed=0), {}, SETTINGS2)
+        b = train(cands, small_config(seed=1), {}, SETTINGS2)
         assert [r.test_qids for r in a] != [r.test_qids for r in b]
         assert a[0].model.W.tobytes() != b[0].model.W.tobytes()
         for r in b:
             model, rows = train_fold(cands, r.train_qids, r.val_qids, small_config(seed=0),
-                                     {"fold": r.fold}, FILTERS2, FEATS3)
+                                     {"fold": r.fold}, SETTINGS2)
             assert model.W.tobytes() == r.model.W.tobytes() and model.b == r.model.b
             assert rows == r.log_rows
 
     def test_meta_carried_and_extended(self):
+        # a model carries its settings; its meta holds what training records
         cands = toy_candidates(n_queries=9)
-        results = train(cands, small_config(folds=3), {"list_k": 7}, FILTERS2, FEATS3)
+        results = train(cands, small_config(folds=3), {"config_fingerprint": "c0"},
+                        SETTINGS2)
         for r in results:
-            assert r.model.meta["list_k"] == 7
+            assert r.model.settings == SETTINGS2
+            assert sorted(r.model.meta) == ["best_epoch", "best_val_map",
+                                            "config_fingerprint", "fold"]
+            assert r.model.meta["config_fingerprint"] == "c0"
             assert r.model.meta["fold"] == r.fold
-            assert "best_epoch" in r.model.meta
 
 
 def test_planted_gate_opens_and_npm_ranks_the_planted_top():
